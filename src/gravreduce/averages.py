@@ -12,14 +12,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import warnings
-
-from scipy.integrate import IntegrationWarning, quad
-
 from .core import Body, PhysicalContext, WavePacket, density
-from .errors import AccuracyError, BodyKindError
-from .potentials import (QUAD_LIMIT, RadialField, SQRT_2_OVER_PI,
-                         TRUNCATION_SIGMAS)
+from .errors import AccuracyError
+from .potentials import (RadialField, SQRT_2_OVER_PI, TRUNCATION_SIGMAS, _quad,
+                         _require_point, _require_sphere)
 
 EXPECT_RELTOL = 1e-10
 
@@ -52,31 +48,16 @@ def expect(observable: RadialField | Callable[[float], float],
         r = u * s0
         return density(r, packet) * fn(r) * 4.0 * math.pi * r * r * s0
 
-    with warnings.catch_warnings():
-        # non-convergence is reported through AccuracyError instead
-        warnings.simplefilter("ignore", IntegrationWarning)
-        value, abserr = quad(integrand, 0.0, TRUNCATION_SIGMAS,
-                             epsabs=0.0, epsrel=1e-12, limit=QUAD_LIMIT)
-        if abserr > EXPECT_RELTOL * max(abs(value), 1e-300):
-            # A cancelling integrand can converge in absolute terms while the
-            # relative criterion is ill-posed near zero; judge against the
-            # integrand's own L1 scale before giving up.
-            l1, _ = quad(lambda u: abs(integrand(u)), 0.0, TRUNCATION_SIGMAS,
-                         epsabs=0.0, epsrel=1e-6, limit=QUAD_LIMIT)
-            if abserr > EXPECT_RELTOL * max(abs(value), l1):
-                raise AccuracyError("expectation quadrature did not converge",
-                                    value=value, error_estimate=abserr)
+    value, abserr = _quad(integrand, 0.0, TRUNCATION_SIGMAS, 1e-12)
+    if abserr > EXPECT_RELTOL * max(abs(value), 1e-300):
+        # A cancelling integrand can converge in absolute terms while the
+        # relative criterion is ill-posed near zero; judge against the
+        # integrand's own L1 scale before giving up.
+        l1, _ = _quad(lambda u: abs(integrand(u)), 0.0, TRUNCATION_SIGMAS, 1e-6)
+        if abserr > EXPECT_RELTOL * max(abs(value), l1):
+            raise AccuracyError("expectation quadrature did not converge",
+                                value=value, error_estimate=abserr)
     return Expectation(value=value, abs_error_estimate=abserr, method="quadrature")
-
-
-def _require_point(body: Body):
-    if not body.is_point:
-        raise BodyKindError("operation requires a point particle")
-
-
-def _require_sphere(body: Body):
-    if not body.is_sphere:
-        raise BodyKindError("operation requires a homogeneous sphere")
 
 
 def avg_quantum_force(packet: WavePacket, body: Body, ctx: PhysicalContext) -> float:

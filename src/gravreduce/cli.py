@@ -10,7 +10,16 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 numerical failure.  Flags override values from an optional ``--config``
 file of ``key = value`` lines, which makes figure-reproduction runs
-self-documenting.
+self-documenting.  Keys are option names with ``-`` or ``_``.  A flag such as
+``no_numeric`` or ``quick`` takes ``true``/``yes``/``on`` or
+``false``/``no``/``off``.  ``grid`` may be given on several lines, one spec
+per line, as ``--grid`` may be repeated; any ``--grid`` on the command line
+replaces all of them.  For any other key the last line wins.
+
+Only the solver paths load ``scipy.integrate``: ``simulate``, ``tau`` with
+the numeric quarter-period estimate (point bodies without ``--no-numeric``)
+and ``verify``.  ``critical``, ``sweep`` and the closed-form ``tau`` run on
+numpy alone, which keeps their start-up short.
 """
 
 from __future__ import annotations
@@ -32,6 +41,11 @@ EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
+# Config keys of action="append" options: each line adds one value.
+REPEATABLE = frozenset({"grid"})
+# Config keys of store_true flags: their value must be a boolean word.
+FLAGS = frozenset({"no_numeric", "quick", "printed_mixed_variant"})
+
 
 class ConfigError(GravreduceError, ValueError):
     """Invalid command-line / config-file input."""
@@ -44,8 +58,9 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _parse_config_file(path: str) -> dict:
-    values = {}
+def _parse_config_file(path: str) -> dict[str, list[str]]:
+    """Every value of each key, in file order."""
+    values: dict[str, list[str]] = {}
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -57,7 +72,7 @@ def _parse_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
+        values.setdefault(key.strip().replace("-", "_"), []).append(value.strip())
     return values
 
 
@@ -76,11 +91,15 @@ def _coerce(text: str):
 def _apply_config(args: argparse.Namespace):
     if not getattr(args, "config", None):
         return
-    for key, raw in _parse_config_file(args.config).items():
+    for key, raws in _parse_config_file(args.config).items():
         if not hasattr(args, key):
             raise ConfigError(f"unknown config key: {key}")
-        if getattr(args, key) is None:
-            setattr(args, key, _coerce(raw))
+        if getattr(args, key) is not None:
+            continue
+        value = raws if key in REPEATABLE else _coerce(raws[-1])
+        if key in FLAGS and not isinstance(value, bool):
+            raise ConfigError(f"config key {key} takes true or false, not {raws[-1]!r}")
+        setattr(args, key, value)
 
 
 def _context(args) -> PhysicalContext:
@@ -438,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("tau", help="reduction-time estimates")
     _add_common(p)
     _add_body(p)
-    p.add_argument("--no-numeric", action="store_true", default=False,
+    p.add_argument("--no-numeric", action="store_true", default=None,
                    help="skip the quarter-period integration estimate")
     p.set_defaults(fn=cmd_tau)
 
@@ -455,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perturb", type=float, default=None,
                    help="inject a relative perturbation into closed forms "
                         "(negative control)")
-    p.add_argument("--quick", action="store_true", default=False,
+    p.add_argument("--quick", action="store_true", default=None,
                    help="smaller sample counts")
     p.set_defaults(fn=cmd_verify)
 

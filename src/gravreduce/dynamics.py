@@ -20,7 +20,6 @@ from enum import Enum
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .core import Body, PhysicalContext, WavePacket
 from .errors import (BodyKindError, DomainError, InsufficientDataError,
@@ -171,8 +170,11 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
     outward (v > 0), which also terminates the run.  One sample is recorded
     per accepted step.
 
-    Raises :class:`IntegrationError` on solver failure or non-finite forces.
+    Raises :class:`DomainError` for a non-finite start or end, and
+    :class:`IntegrationError` on solver failure or non-finite forces.
     """
+    if not all(math.isfinite(x) for x in (r0, v0, t_end)):
+        raise DomainError("r0, v0 and t_end must be finite")
     if not t_end > 0.0:
         raise DomainError("t_end must be positive")
     if not (rtol > 0.0 and atol > 0.0):
@@ -204,6 +206,8 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
 
     ev_escape.direction = 1.0
     ev_escape.terminal = True
+
+    from scipy.integrate import solve_ivp
 
     first_step = min(law.characteristic_time() / 1000.0, t_end / 10.0)
     sol = solve_ivp(rhs, (0.0, t_end), [r0, v0], method="RK45",
@@ -302,8 +306,13 @@ class ReductionEstimate:
     assumptions: str = ""
 
     def __post_init__(self):
-        if not self.tau > 0.0:
-            raise DomainError("reduction time must be positive")
+        if not (self.tau > 0.0 and math.isfinite(self.tau)):
+            raise DomainError(f"reduction time must be finite and positive, got {self.tau!r}")
+
+
+def _outside_float_range(method: TauMethod) -> DomainError:
+    return DomainError(f"{method.value} reduction time is outside the floating-point "
+                       "range for these parameters")
 
 
 _POINT_METHODS = (TauMethod.PERIOD_FORMULA, TauMethod.SHORT_TIME,
@@ -319,16 +328,6 @@ def tau_point(method: TauMethod, packet: WavePacket, body: Body,
     s0 = packet.sigma0
     m = body.mass
     G, hbar = ctx.G, ctx.hbar
-    if method is TauMethod.PERIOD_FORMULA:
-        return ReductionEstimate(math.sqrt(s0 ** 3 / (G * m)), method,
-                                 "unit-constant quarter-period law")
-    if method is TauMethod.SHORT_TIME:
-        return ReductionEstimate(hbar ** 3 / (G ** 2 * m ** 5), method,
-                                 "width fixed at its critical value")
-    if method is TauMethod.UNCERTAINTY:
-        delta = SQRT_2_OVER_PI * (-math.expm1(-0.5)) * G * m * m / s0
-        return ReductionEstimate(hbar / delta, method,
-                                 "hbar over the self-energy spread across one width")
     if method is TauMethod.QUARTER_PERIOD_NUMERIC:
         law = ForceLaw.gravity_point(packet, body, ctx)
         traj = integrate(law, r0=s0, v0=0.0, t_end=4.0 * law.characteristic_time())
@@ -337,6 +336,19 @@ def tau_point(method: TauMethod, packet: WavePacket, body: Body,
             raise InsufficientDataError("no origin crossing found")
         return ReductionEstimate(zeros[0].time, method,
                                  "first origin crossing from rest at r0 = sigma0")
+    try:
+        if method is TauMethod.PERIOD_FORMULA:
+            return ReductionEstimate(math.sqrt(s0 ** 3 / (G * m)), method,
+                                     "unit-constant quarter-period law")
+        if method is TauMethod.SHORT_TIME:
+            return ReductionEstimate(hbar ** 3 / (G ** 2 * m ** 5), method,
+                                     "width fixed at its critical value")
+        if method is TauMethod.UNCERTAINTY:
+            delta = SQRT_2_OVER_PI * (-math.expm1(-0.5)) * G * m * m / s0
+            return ReductionEstimate(hbar / delta, method,
+                                     "hbar over the self-energy spread across one width")
+    except (ZeroDivisionError, OverflowError):
+        raise _outside_float_range(method) from None
     raise BodyKindError(f"method {method} does not apply to a point particle")
 
 
@@ -347,17 +359,20 @@ def tau_object(method: TauMethod, packet: WavePacket, body: Body,
         raise BodyKindError("tau_object requires a homogeneous sphere")
     s0 = packet.sigma0
     R = body.radius
-    gm2 = ctx.G * body.mass ** 2
-    if method is TauMethod.OBJECT_UNCERTAINTY:
-        delta = abs(qg_potential_object(s0, packet, body, ctx))
-        note = ("hbar over the exact self-energy spread across one width; "
-                f"implied spread coefficients alpha={ALPHA_OBJECT:.6f}, "
-                f"beta={BETA_OBJECT:.6f}")
-        return ReductionEstimate(ctx.hbar / delta, method, note)
-    if method is TauMethod.OBJECT_MICRO:
-        tau = 1.25 * math.sqrt(2.0 * math.pi) * ctx.hbar * R / gm2
-        return ReductionEstimate(tau, method,
-                                 "wide-packet cubic self-energy evaluated at one width")
+    try:
+        gm2 = ctx.G * body.mass ** 2
+        if method is TauMethod.OBJECT_UNCERTAINTY:
+            delta = abs(qg_potential_object(s0, packet, body, ctx))
+            note = ("hbar over the exact self-energy spread across one width; "
+                    f"implied spread coefficients alpha={ALPHA_OBJECT:.6f}, "
+                    f"beta={BETA_OBJECT:.6f}")
+            return ReductionEstimate(ctx.hbar / delta, method, note)
+        if method is TauMethod.OBJECT_MICRO:
+            tau = 1.25 * math.sqrt(2.0 * math.pi) * ctx.hbar * R / gm2
+            return ReductionEstimate(tau, method,
+                                     "wide-packet cubic self-energy evaluated at one width")
+    except (ZeroDivisionError, OverflowError):
+        raise _outside_float_range(method) from None
     raise BodyKindError(f"method {method} does not apply to a sphere")
 
 

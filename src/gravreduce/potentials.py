@@ -20,8 +20,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy.integrate import IntegrationWarning, quad
-
 from .core import Body, PhysicalContext, WavePacket, density
 from .errors import AccuracyError, BodyKindError, DomainError, SingularityError
 
@@ -48,6 +46,22 @@ class RadialField:
 
     def __call__(self, r: float) -> float:
         return self.fn(r)
+
+
+def _quad(fn: Callable[[float], float], a: float, b: float,
+          epsrel: float) -> tuple[float, float]:
+    """``scipy.integrate.quad`` of fn on [a, b]: returns (value, abserr).
+
+    scipy is imported here, on first use, so that the closed forms load
+    without it.  ``IntegrationWarning`` is silenced because every caller
+    judges ``abserr`` itself and reports non-convergence through
+    :class:`AccuracyError`.
+    """
+    from scipy.integrate import IntegrationWarning, quad
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return quad(fn, a, b, epsabs=0.0, epsrel=epsrel, limit=QUAD_LIMIT)
 
 
 def _require_point(body: Body):
@@ -206,11 +220,7 @@ def qg_potential_numeric(r: float, kernel: RadialField | Callable[[float], float
         rp = u * s0
         return kern(rp) * density(rp, packet) * 4.0 * math.pi * rp * rp * s0
 
-    with warnings.catch_warnings():
-        # non-convergence is reported through AccuracyError instead
-        warnings.simplefilter("ignore", IntegrationWarning)
-        value, abserr = quad(integrand, 0.0, upper,
-                             epsabs=0.0, epsrel=QUAD_RELTOL, limit=QUAD_LIMIT)
+    value, abserr = _quad(integrand, 0.0, upper, QUAD_RELTOL)
     if abserr > 1e-8 * max(abs(value), 1e-300):
         raise AccuracyError("self-energy quadrature did not converge",
                             value=value, error_estimate=abserr)

@@ -1,0 +1,225 @@
+"""Command-line contract: exit codes, stderr, the --config merge and the
+deferred scipy import."""
+
+import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+import pytest
+
+import gravreduce
+from gravreduce import cli, dynamics
+from gravreduce.errors import DomainError
+
+SRC = str(Path(gravreduce.__file__).resolve().parents[1])
+SUBPROCESS_TIMEOUT_S = 60
+
+
+def run(argv):
+    """cli.main in this process: (exit code, stdout, stderr)."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:      # argparse rejects the command line
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_process(args, timeout=SUBPROCESS_TIMEOUT_S):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=timeout)
+
+
+def write_config(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return str(path)
+
+
+def sweep_rows(stdout):
+    return [line for line in stdout.splitlines()[2:] if line]
+
+
+BODY = ["--mass", "1", "--sigma0", "1"]
+VALID = {
+    "critical": ["critical"] + BODY,
+    "simulate": ["simulate"] + BODY + ["--r0", "1", "--t-end", "10"],
+    "tau": ["tau"] + BODY,
+    "sweep": ["sweep", "--sigma0", "1", "--grid", "mass=0.1:10:3"],
+    "verify": ["verify", "--quick"],
+}
+
+
+# ---------------------------------------------------------------- contract
+
+@pytest.mark.parametrize("command", sorted(VALID))
+def test_valid_argv_exits_0_with_empty_stderr(command):
+    code, out, err = run(VALID[command])
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert out
+
+
+@pytest.mark.parametrize("command", sorted(VALID))
+def test_unknown_option_exits_2(command):
+    code, _, err = run(VALID[command] + ["--no-such-option"])
+    assert code == cli.EXIT_CONFIG
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("command", sorted(VALID))
+def test_unknown_config_key_exits_2(command, tmp_path):
+    config = write_config(tmp_path, "no_such_key = 1\n")
+    code, out, err = run(VALID[command] + ["--config", config])
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err == "error: unknown config key: no_such_key\n"
+
+
+def test_missing_required_option_exits_2():
+    code, _, err = run(["critical", "--mass", "1"])
+    assert code == cli.EXIT_CONFIG
+    assert err == "error: missing required option --sigma0\n"
+
+
+def test_verify_negative_control_exits_1():
+    code, out, err = run(["verify", "--quick", "--perturb", "1e-6"])
+    report = json.loads(out)
+    assert (code, err) == (cli.EXIT_VERIFY_FAILED, "")
+    assert (report["n_checks"], report["n_failed"]) == (27, 9)
+
+
+# ---------------------------------------------------------------- --config merge
+
+def test_config_grid_line_is_one_spec(tmp_path):
+    config = write_config(tmp_path, "grid = mass=0.1:10:3\nsigma0 = 1\n")
+    code, out, err = run(["sweep", "--config", config])
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert len(sweep_rows(out)) == 3
+
+
+def test_config_grid_lines_accumulate_and_flag_replaces_them(tmp_path):
+    config = write_config(tmp_path, "grid = mass=0.1:10:3\ngrid = sigma0=1:2:2\n")
+    code, out, _ = run(["sweep", "--config", config])
+    assert code == cli.EXIT_OK
+    assert len(sweep_rows(out)) == 6
+
+    code, out, _ = run(["sweep", "--config", config, "--mass", "1",
+                        "--grid", "sigma0=1:4:4"])
+    assert code == cli.EXIT_OK
+    rows = [row.split(",") for row in sweep_rows(out)]
+    assert [row[0] for row in rows] == ["1.0"] * 4
+    assert (rows[0][1], rows[-1][1]) == ("1.0", "4.0")
+
+
+def _tau_methods(stdout):
+    return [e["method"] for e in json.loads(stdout)["estimates"]]
+
+
+def test_config_no_numeric_is_applied(tmp_path):
+    config = write_config(tmp_path, "mass = 1\nsigma0 = 1\nno_numeric = true\n")
+    code, out, _ = run(["tau", "--config", config])
+    assert code == cli.EXIT_OK
+    assert "quarter-period-numeric" not in _tau_methods(out)
+
+    config = write_config(tmp_path, "mass = 1\nsigma0 = 1\nno_numeric = false\n")
+    assert "quarter-period-numeric" in _tau_methods(run(["tau", "--config", config])[1])
+
+
+def test_config_quick_is_applied(tmp_path, monkeypatch):
+    seen = {}
+
+    def fake_run_all(**kwargs):
+        seen.update(kwargs)
+        return {"passed": True}
+
+    monkeypatch.setattr(cli.verify, "run_all", fake_run_all)
+    config = write_config(tmp_path, "quick = yes\n")
+    assert run(["verify", "--config", config])[0] == cli.EXIT_OK
+    assert seen["quick"] is True
+
+
+def test_config_flag_takes_a_boolean_word(tmp_path):
+    config = write_config(tmp_path, "mass = 1\nsigma0 = 1\nno_numeric = maybe\n")
+    code, out, err = run(["tau", "--config", config])
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err == "error: config key no_numeric takes true or false, not 'maybe'\n"
+
+
+def test_command_line_overrides_config(tmp_path):
+    config = write_config(tmp_path, "mass = 2\nsigma0 = 1\nno_numeric = false\n")
+    code, out, _ = run(["tau", "--config", config, "--mass", "1", "--no-numeric"])
+    assert code == cli.EXIT_OK
+    assert "quarter-period-numeric" not in _tau_methods(out)
+    period = json.loads(out)["estimates"][0]
+    assert (period["method"], period["tau"]) == ("period-formula", 1.0)
+
+
+# ---------------------------------------------------------------- robustness
+
+@pytest.mark.parametrize("start", [["--t-end", "inf"], ["--t-end", "nan"],
+                                   ["--t-end", "10", "--r0", "nan"],
+                                   ["--t-end", "10", "--v0", "inf"]])
+def test_simulate_non_finite_start_exits_2_without_hanging(start):
+    argv = ["simulate", "--mass", "1", "--sigma0", "1", "--r0", "1"] + start
+    res = run_process(["-m", "gravreduce.cli"] + argv, timeout=30)
+    assert (res.returncode, res.stdout) == (cli.EXIT_CONFIG, "")
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["tau", "--mass", "1e-200", "--sigma0", "1", "--no-numeric"],
+    ["tau", "--mass", "1e200", "--sigma0", "1", "--no-numeric"],
+    ["tau", "--mass", "1", "--sigma0", "1e200", "--no-numeric"],
+    ["tau", "--mass", "1", "--sigma0", "1e-200", "--no-numeric"],
+    ["tau", "--mass", "1e-200", "--sigma0", "1", "--kind", "sphere", "--radius", "1"],
+    ["tau", "--mass", "1", "--sigma0", "1", "--kind", "sphere", "--radius", "1e-300"],
+])
+def test_tau_outside_float_range_is_a_one_line_error(argv):
+    code, out, err = run(argv)
+    assert code in (cli.EXIT_CONFIG, cli.EXIT_NUMERIC)
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_reduction_estimate_requires_finite_positive_tau():
+    for tau in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(DomainError):
+            dynamics.ReductionEstimate(tau, dynamics.TauMethod.SHORT_TIME)
+
+
+# ---------------------------------------------------------------- deferred scipy import
+
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+import gravreduce.cli as cli
+
+loaded = {"import": "scipy.integrate" in sys.modules}
+runs = [
+    ("critical", ["critical", "--mass", "1", "--sigma0", "1"]),
+    ("tau point --no-numeric", ["tau", "--mass", "1", "--sigma0", "1", "--no-numeric"]),
+    ("tau sphere", ["tau", "--mass", "1", "--sigma0", "1", "--kind", "sphere",
+                    "--radius", "0.5"]),
+    ("sweep", ["sweep", "--sigma0", "1", "--grid", "mass=0.1:10:3"]),
+    ("tau point numeric", ["tau", "--mass", "1", "--sigma0", "1"]),
+]
+for name, argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, name
+    loaded[name] = "scipy.integrate" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_closed_form_commands_do_not_load_scipy_integrate():
+    # A fresh interpreter: other test modules import scipy.integrate here.
+    res = run_process(["-c", IMPORT_PROBE])
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == {
+        "import": False, "critical": False, "tau point --no-numeric": False,
+        "tau sphere": False, "sweep": False, "tau point numeric": True}
