@@ -4,7 +4,7 @@ Subcommands:
     critical   regime report (critical mass/width, force ratio, references)
     simulate   integrate a force law, write a t,r,v,energy CSV plus an events sidecar
     tau        all applicable reduction-time estimates
-    sweep      grid sweep over mass / sigma0 / radius to CSV
+    sweep      grid sweep over mass / sigma0 / radius to CSV or JSON
     verify     run the oracle verification battery
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
@@ -14,7 +14,17 @@ self-documenting.  Keys are option names with ``-`` or ``_``.  A flag such as
 ``no_numeric`` or ``quick`` takes ``true``/``yes``/``on`` or
 ``false``/``no``/``off``.  ``grid`` may be given on several lines, one spec
 per line, as ``--grid`` may be repeated; any ``--grid`` on the command line
-replaces all of them.  For any other key the last line wins.
+replaces all of them.  For any other key the last line wins.  Values pass
+through the same type and choice checks as the flags they stand for.
+
+``sweep`` writes one row per point of the cartesian product of its grids,
+in ``itertools.product`` order: the first ``--grid`` varies slowest.  CSV
+output starts with a units comment and a header line; ``--format json``
+writes ``{"units", "columns", "rows"}`` exactly as ``json.dumps(..., indent=2)``
+would.  Numbers are written with ``repr``, so they round-trip.  The columns
+are evaluated as numpy arrays, one broadcast over the grid, so a value may
+differ from the scalar closed form (``critical``, ``tau``) in its last
+digits, by at most 1e-12 relative; the regime labels are the same.
 
 Only the solver paths load ``scipy.integrate``: ``simulate``, ``tau`` with
 the numeric quarter-period estimate (point bodies without ``--no-numeric``)
@@ -25,11 +35,13 @@ numpy alone, which keeps their start-up short.
 from __future__ import annotations
 
 import argparse
-import itertools
+import contextlib
 import json
 import math
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import criticality, dynamics, verify
 from .core import Body, PhysicalContext, UnitSystem, WavePacket
@@ -43,8 +55,10 @@ EXIT_NUMERIC = 3
 
 # Config keys of action="append" options: each line adds one value.
 REPEATABLE = frozenset({"grid"})
-# Config keys of store_true flags: their value must be a boolean word.
-FLAGS = frozenset({"no_numeric", "quick", "printed_mixed_variant"})
+TRUE_WORDS = ("true", "yes", "on")
+FALSE_WORDS = ("false", "no", "off")
+# Rows joined per write when a sweep is streamed to its output.
+SWEEP_ROWS_PER_WRITE = 4096
 
 
 class ConfigError(GravreduceError, ValueError):
@@ -76,30 +90,42 @@ def _parse_config_file(path: str) -> dict[str, list[str]]:
     return values
 
 
-def _coerce(text: str):
-    low = text.lower()
-    if low in ("true", "yes", "on"):
-        return True
-    if low in ("false", "no", "off"):
-        return False
-    try:
-        return float(text)
-    except ValueError:
-        return text
+def _typed(action: argparse.Action, key: str, raw: str):
+    """A config value converted and checked as its command-line flag would be."""
+    if action.nargs == 0:      # store_true flag
+        word = raw.lower()
+        if word in TRUE_WORDS or word in FALSE_WORDS:
+            return word in TRUE_WORDS
+        raise ConfigError(f"config key {key} takes true or false, not {raw!r}")
+    value = raw
+    if action.type is not None:
+        try:
+            value = action.type(raw)
+        except (TypeError, ValueError):
+            raise ConfigError(f"config key {key} takes a {action.type.__name__}, "
+                              f"not {raw!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(f"config key {key} takes one of {', '.join(action.choices)}, "
+                          f"not {raw!r}")
+    return value
 
 
 def _apply_config(args: argparse.Namespace):
     if not getattr(args, "config", None):
         return
+    actions: dict[str, argparse.Action] = {}
+    for action in args.parser._actions:
+        actions.setdefault(action.dest, action)
     for key, raws in _parse_config_file(args.config).items():
-        if not hasattr(args, key):
+        if key not in actions or not hasattr(args, key):
             raise ConfigError(f"unknown config key: {key}")
         if getattr(args, key) is not None:
             continue
-        value = raws if key in REPEATABLE else _coerce(raws[-1])
-        if key in FLAGS and not isinstance(value, bool):
-            raise ConfigError(f"config key {key} takes true or false, not {raws[-1]!r}")
-        setattr(args, key, value)
+        action = actions[key]
+        if key in REPEATABLE:
+            setattr(args, key, [_typed(action, key, raw) for raw in raws])
+        else:
+            setattr(args, key, _typed(action, key, raws[-1]))
 
 
 def _context(args) -> PhysicalContext:
@@ -178,24 +204,18 @@ def _emit_mapping(payload: dict, args, ctx: PhysicalContext):
 # ---------------------------------------------------------------- critical
 
 def cmd_critical(args) -> int:
-    _apply_config(args)
     _require(args, "mass", "sigma0")
     ctx = _context(args)
     body = _body(args)
     packet = WavePacket(args.sigma0)
     report = criticality.classify_regime(packet, body, ctx)
-    if body.is_point:
-        fb = criticality.critical_width_point(body, ctx)
-    else:
-        fb = criticality.transition_width_object(
-            body, ctx, criticality.ObjectRegime.MACRO).value
     payload = {
         "units": ctx.unit_system.value,
         "mass": body.mass,
         "sigma0": packet.sigma0,
         "kind": body.kind.value,
         "critical_mass": report.critical_mass,
-        "critical_width_force_balance": fb,
+        "critical_width_force_balance": criticality.critical_width_force_balance(body, ctx),
         "critical_width_energy_min": criticality.critical_width_energy_min_exact(body, ctx),
         "force_ratio": report.force_ratio,
         "regime": report.regime.value,
@@ -230,7 +250,6 @@ def _gnuplot_script(csv_path: str) -> str:
 
 
 def cmd_simulate(args) -> int:
-    _apply_config(args)
     _require(args, "mass", "sigma0", "r0", "t_end")
     if args.t_end is not None and args.t_end <= 0:
         raise ConfigError("--t-end must be positive")
@@ -280,7 +299,6 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------- tau
 
 def cmd_tau(args) -> int:
-    _apply_config(args)
     _require(args, "mass", "sigma0")
     ctx = _context(args)
     body = _body(args)
@@ -332,71 +350,119 @@ def _parse_grid(spec: str):
     return name, values
 
 
+def _sweep_axes(args, grids: dict[str, list[float]], sphere: bool) -> dict:
+    """mass, sigma0 and (for spheres) radius: a fixed float, or a grid's values
+    as an array along that grid's own broadcast dimension."""
+    fixed = {"mass": args.mass, "sigma0": args.sigma0, "radius": args.radius}
+    for name in ("mass", "sigma0"):
+        if name not in grids and fixed[name] is None:
+            raise ConfigError(f"sweep needs {name} fixed or gridded")
+    if sphere and "radius" not in grids and fixed["radius"] is None:
+        raise ConfigError("sphere sweep needs radius fixed or gridded")
+    # Body and WavePacket hold the validation; every row's parameters are
+    # drawn from these values.
+    values = {name: grids.get(name, [fixed[name]]) for name in fixed}
+    for m in values["mass"]:
+        Body.point(m)
+    if sphere:
+        for R in values["radius"]:
+            Body.sphere(values["mass"][0], R)
+    for s0 in values["sigma0"]:
+        WavePacket(s0)
+
+    names = list(grids)
+    axes = {}
+    for name in ("mass", "sigma0", "radius") if sphere else ("mass", "sigma0"):
+        if name in grids:
+            i = names.index(name)
+            axes[name] = np.reshape(grids[name], [-1 if j == i else 1 for j in range(len(names))])
+        else:
+            axes[name] = fixed[name]
+    return axes
+
+
+def _sweep_columns(axes: dict, ctx: PhysicalContext, sphere: bool) -> dict:
+    """Every sweep column, each evaluated once at the shape of the axes it depends on."""
+    m, s0, R = axes["mass"], axes["sigma0"], axes.get("radius")
+    m_c = criticality.critical_mass_at(s0, ctx)
+    columns = dict(axes)
+    columns.update({
+        "critical_mass": m_c,
+        "critical_width_force_balance": criticality.critical_width_force_balance_at(m, ctx, R),
+        "critical_width_energy_min": criticality.critical_width_energy_min_at(m, ctx, R),
+        "force_ratio": criticality.force_ratio_at(m, s0, ctx),
+        "regime": criticality.regime_index(m, m_c),
+    })
+    methods = dynamics.OBJECT_CLOSED_FORMS if sphere else dynamics.POINT_CLOSED_FORMS
+    for method in methods:
+        columns[f"tau_{method.value.replace('-', '_')}"] = dynamics.tau_at(method, m, s0, ctx, R)
+    return columns
+
+
+def _write_rows(fh, cells: list[np.ndarray], first: str, sep: str, last: str, between: str):
+    """Stream rows first + sep.join(row) + last, separated by ``between``.
+
+    ``cells`` holds one grid-shaped (broadcast) string array per column; only
+    one block of rows is materialized at a time.
+    """
+    for start in range(0, cells[0].size, SWEEP_ROWS_PER_WRITE):
+        stop = start + SWEEP_ROWS_PER_WRITE
+        block = zip(*(col.flat[start:stop].tolist() for col in cells))
+        text = between.join(first + sep.join(row) + last for row in block)
+        fh.write(text if start == 0 else between + text)
+
+
+@contextlib.contextmanager
+def _output(out: str | None):
+    if out:
+        with open(out, "w") as fh:
+            yield fh
+    else:
+        yield sys.stdout
+
+
 def cmd_sweep(args) -> int:
-    _apply_config(args)
     if not args.grid:
         raise ConfigError("sweep requires at least one --grid spec")
     grids = dict(_parse_grid(spec) for spec in args.grid)
-    kind = (args.kind or "point").lower()
-
-    fixed = {"mass": args.mass, "sigma0": args.sigma0, "radius": args.radius}
-    names = list(grids.keys())
+    sphere = (args.kind or "point").lower() == "sphere"
     ctx = _context(args)
+    axes = _sweep_axes(args, grids, sphere)
+    columns = _sweep_columns(axes, ctx, sphere)
+    shape = tuple(len(values) for values in grids.values())
 
-    point_taus = (dynamics.TauMethod.PERIOD_FORMULA, dynamics.TauMethod.SHORT_TIME,
-                  dynamics.TauMethod.UNCERTAINTY)
-    object_taus = (dynamics.TauMethod.OBJECT_UNCERTAINTY, dynamics.TauMethod.OBJECT_MICRO)
-    tau_methods = point_taus if kind == "point" else object_taus
-
-    columns = ["mass", "sigma0"] + (["radius"] if kind == "sphere" else [])
-    columns += ["critical_mass", "critical_width_force_balance",
-                "critical_width_energy_min", "force_ratio", "regime"]
-    columns += [f"tau_{m.value.replace('-', '_')}" for m in tau_methods]
-
-    rows_out = []
-    for combo in itertools.product(*(grids[name] for name in names)):
-        values = dict(fixed)
-        values.update(dict(zip(names, combo)))
-        for field in ("mass", "sigma0"):
-            if values[field] is None:
-                raise ConfigError(f"sweep needs {field} fixed or gridded")
-        if kind == "sphere" and values["radius"] is None:
-            raise ConfigError("sphere sweep needs radius fixed or gridded")
-        body = (Body.point(values["mass"]) if kind == "point"
-                else Body.sphere(values["mass"], values["radius"]))
-        packet = WavePacket(values["sigma0"])
-        report = criticality.classify_regime(packet, body, ctx)
-        if body.is_point:
-            fb = criticality.critical_width_point(body, ctx)
-            taus = [dynamics.tau_point(m, packet, body, ctx).tau for m in tau_methods]
+    as_json = (args.format or "csv") == "json"
+    labels = [r.value for r in criticality.REGIMES]
+    if as_json:
+        labels = [json.dumps(label) for label in labels]
+    cells = []       # per column, its strings broadcast (a view) to the grid shape
+    for name, values in columns.items():
+        if name == "regime":
+            text = np.array(labels, dtype=object)[values]
         else:
-            fb = criticality.transition_width_object(
-                body, ctx, criticality.ObjectRegime.MACRO).value
-            taus = [dynamics.tau_object(m, packet, body, ctx).tau for m in tau_methods]
-        row = [values["mass"], values["sigma0"]]
-        if kind == "sphere":
-            row.append(values["radius"])
-        row += [report.critical_mass, fb,
-                criticality.critical_width_energy_min_exact(body, ctx),
-                report.force_ratio, report.regime.value]
-        row += taus
-        rows_out.append(row)
+            # Each distinct value is formatted once, then broadcast.  tolist()
+            # gives Python floats, whose repr numpy 2 does not decorate.
+            values = np.asarray(values)
+            text = np.array([repr(x) for x in values.ravel().tolist()],
+                            dtype=object).reshape(values.shape)
+        cells.append(np.broadcast_to(text, shape))
 
-    if (args.format or "csv") == "json":
-        payload = {"units": ctx.unit_system.value, "columns": columns,
-                   "rows": rows_out}
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        lines = [_units_comment(ctx), ",".join(columns) + "\n"]
-        lines += [",".join(_fmt(x) for x in row) + "\n" for row in rows_out]
-        _emit("".join(lines), args.out)
+    with _output(args.out) as fh:
+        if as_json:
+            head = json.dumps({"units": ctx.unit_system.value, "columns": list(columns),
+                               "rows": []}, indent=2)
+            fh.write(head.removesuffix("[]\n}") + "[\n")
+            _write_rows(fh, cells, "    [\n      ", ",\n      ", "\n    ]", ",\n")
+            fh.write("\n  ]\n}\n")
+        else:
+            fh.write(_units_comment(ctx) + ",".join(columns) + "\n")
+            _write_rows(fh, cells, "", ",", "\n", "")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- verify
 
 def cmd_verify(args) -> int:
-    _apply_config(args)
     report = verify.run_all(perturb=args.perturb or 0.0, quick=bool(args.quick))
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     return EXIT_OK if report["passed"] else EXIT_VERIFY_FAILED
@@ -436,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("critical", help="critical mass/width and regime report")
     _add_common(p)
     _add_body(p)
-    p.set_defaults(fn=cmd_critical)
+    p.set_defaults(fn=cmd_critical, parser=p)
 
     p = subs.add_parser("simulate", help="integrate a force law to CSV")
     _add_common(p)
@@ -452,22 +518,28 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the uncorrected quantum-term denominator")
     p.add_argument("--gnuplot-script", default=None,
                    help="also write a gnuplot script to this path")
-    p.set_defaults(fn=cmd_simulate)
+    p.set_defaults(fn=cmd_simulate, parser=p)
 
     p = subs.add_parser("tau", help="reduction-time estimates")
     _add_common(p)
     _add_body(p)
     p.add_argument("--no-numeric", action="store_true", default=None,
                    help="skip the quarter-period integration estimate")
-    p.set_defaults(fn=cmd_tau)
+    p.set_defaults(fn=cmd_tau, parser=p)
 
-    p = subs.add_parser("sweep", help="grid sweep to CSV")
+    p = subs.add_parser(
+        "sweep", help="grid sweep to CSV or JSON",
+        description="One row per point of the cartesian product of the --grid specs, "
+                    "the first --grid varying slowest.  CSV by default, or "
+                    "{units, columns, rows} with --format json.  Values are "
+                    "evaluated as arrays and agree with the scalar closed forms "
+                    "to 1e-12 relative.")
     _add_common(p)
     _add_body(p)
     p.add_argument("--grid", action="append", default=None,
                    metavar="VAR=LO:HI:N[:log|lin]",
                    help="sweep variable (repeatable; cartesian product)")
-    p.set_defaults(fn=cmd_sweep)
+    p.set_defaults(fn=cmd_sweep, parser=p)
 
     p = subs.add_parser("verify", help="run the oracle verification battery")
     _add_common(p)
@@ -476,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(negative control)")
     p.add_argument("--quick", action="store_true", default=None,
                    help="smaller sample counts")
-    p.set_defaults(fn=cmd_verify)
+    p.set_defaults(fn=cmd_verify, parser=p)
 
     return parser
 
@@ -485,6 +557,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _apply_config(args)
         return args.fn(args)
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import DomainError
 
 # CODATA 2018 values.
@@ -107,6 +109,18 @@ class WavePacket:
     def __post_init__(self):
         if not self.sigma0 > 0.0:
             raise DomainError("sigma0 must be positive")
+
+
+def in_float_range(value, what: str):
+    """``value`` itself if every element is finite and positive.
+
+    The closed forms are positive for positive parameters, so a zero, an
+    infinity or a NaN can only come from a power or quotient that left the
+    double range; that raises :class:`DomainError` naming ``what``.
+    """
+    if not np.all(np.isfinite(value) & (np.asarray(value) > 0.0)):
+        raise DomainError(f"{what} is outside the floating-point range for these parameters")
+    return value
 
 
 def density(r: float, packet: WavePacket) -> float:

@@ -13,10 +13,10 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .averages import (avg_energy_object, avg_energy_point,
-                       avg_quantum_potential, avg_qg_potential_object,
-                       avg_qg_potential_point)
-from .core import Body, PhysicalContext, WavePacket
+import numpy as np
+
+from .averages import avg_energy_object, avg_energy_point
+from .core import Body, PhysicalContext, WavePacket, in_float_range
 from .errors import BodyKindError, DomainError
 from .minimize import minimize_bracketed
 from .potentials import (SQRT_2_OVER_PI, qg_force_object, qg_force_point,
@@ -28,6 +28,7 @@ TIE_BAND = 1e-6
 
 # Exact unit constants of the transition widths, from the closed-form roots.
 FORCE_BALANCE_POINT_CONST = math.sqrt(math.pi / 2.0)
+CRITICAL_MASS_CONST = (math.pi / 2.0) ** (1.0 / 6.0)
 ENERGY_MIN_POINT_CONST = 3.0 * math.sqrt(math.pi) / (2.0 * (2.0 * math.sqrt(2.0) - 1.0))
 ENERGY_MIN_OBJECT_CONST = (3.0 / (8.0 * (0.75 - 1.0 / math.pi))) ** 0.25
 FORCE_BALANCE_MACRO_CONST = (8.0 * math.sqrt(2.0) / 15.0) ** 0.25
@@ -70,24 +71,130 @@ class RegimeReport:
     reference_values: dict = field(default_factory=dict)
 
 
+# The closed forms below come in two layers.  Each ``*_at`` function takes the
+# bare parameters (mass, sigma0, radius) as floats or broadcastable numpy
+# arrays and is the one implementation of its formula; the result has the
+# broadcast shape of the parameters it depends on.  Overflow and underflow are
+# not warned about: every result must be finite and positive, or the call
+# raises DomainError.  The Body / WavePacket entry points validate their
+# records and return floats.
+
+REGIMES = tuple(Regime)     # regime_index() indexes into this
+
+
+def _scale(mass, ctx: PhysicalContext):
+    """hbar^2 / (G m^3), the elementary-particle transition width."""
+    with np.errstate(all="ignore"):
+        return ctx.hbar ** 2 / (ctx.G * np.asarray(mass, dtype=float) ** 3)
+
+
+@np.errstate(all="ignore")
+def critical_mass_at(sigma0, ctx: PhysicalContext):
+    """(pi/2)^(1/6) (hbar^2 / G sigma0)^(1/3), elementwise."""
+    s0 = np.asarray(sigma0, dtype=float)
+    return in_float_range(CRITICAL_MASS_CONST * (ctx.hbar ** 2 / (ctx.G * s0)) ** (1.0 / 3.0),
+                          "critical mass")
+
+
+@np.errstate(all="ignore")
+def force_ratio_at(mass, sigma0, ctx: PhysicalContext):
+    """Mean quantum force over the magnitude of the mean point self-gravity force."""
+    m = np.asarray(mass, dtype=float)
+    s0 = np.asarray(sigma0, dtype=float)
+    fq = 0.5 * SQRT_2_OVER_PI * ctx.hbar ** 2 / (m * s0 ** 3)
+    fqg = ctx.G * m ** 2 / (math.pi * s0 ** 2)
+    return in_float_range(fq / fqg, "force ratio")
+
+
+@np.errstate(all="ignore")
+def regime_index(mass, critical_mass):
+    """Index into ``REGIMES`` of each mass against its critical mass.
+
+    Gravity dominates above the critical mass and quantum dispersion below
+    it; a relative tie band of ``TIE_BAND`` around it maps to the transition.
+    """
+    m = np.asarray(mass, dtype=float)
+    m_c = np.asarray(critical_mass, dtype=float)
+    return (m <= m_c * (1.0 + TIE_BAND)).astype(int) + (m < m_c * (1.0 - TIE_BAND))
+
+
+@np.errstate(all="ignore")
+def critical_width_point_at(mass, ctx: PhysicalContext):
+    """Width at which the averaged point forces balance: sqrt(pi/2) hbar^2 / (G m^3)."""
+    return in_float_range(FORCE_BALANCE_POINT_CONST * _scale(mass, ctx),
+                          "force-balance critical width")
+
+
+_OBJECT_WIDTH_CONST = {ObjectRegime.MACRO: FORCE_BALANCE_MACRO_CONST,
+                       ObjectRegime.MICRO: FORCE_BALANCE_MICRO_CONST,
+                       ObjectRegime.INTERMEDIATE: 1.0}
+
+
+@np.errstate(all="ignore")
+def transition_width_object_at(mass, radius, ctx: PhysicalContext,
+                               regime: ObjectRegime) -> WidthEstimate:
+    """Transition width of a homogeneous sphere in the given size regime.
+
+    Macro (sigma0 << R): quarter-power law in (hbar^2/G m^3) with R^(3/4).
+    Micro (sigma0 >> R): square-root law with R^(1/2).
+    Intermediate (sigma0 = R): hbar^2 / (G m^3) itself.
+    ``value`` carries the exact constant from the force balance; ``paper_form``
+    drops it for order-of-magnitude work.  Both are arrays for array input.
+    """
+    scale = _scale(mass, ctx)
+    R = np.asarray(radius, dtype=float)
+    if regime is ObjectRegime.MACRO:
+        base = (scale * R ** 3) ** 0.25
+    elif regime is ObjectRegime.MICRO:
+        base = (scale * R) ** 0.5
+    else:
+        base = scale
+    what = f"{regime.value} transition width"
+    return WidthEstimate(value=in_float_range(_OBJECT_WIDTH_CONST[regime] * base, what),
+                         paper_form=in_float_range(base, what), label=regime.value)
+
+
+def critical_width_force_balance_at(mass, ctx: PhysicalContext, radius=None):
+    """Force-balance transition width: the point law without a radius, the
+    macro sphere law with one."""
+    if radius is None:
+        return critical_width_point_at(mass, ctx)
+    return transition_width_object_at(mass, radius, ctx, ObjectRegime.MACRO).value
+
+
+@np.errstate(all="ignore")
+def critical_width_energy_min_at(mass, ctx: PhysicalContext, radius=None):
+    """Closed-form minimizer of the mean energy, point law without a radius
+    and sphere law with one (the oracle for the numeric route)."""
+    scale = _scale(mass, ctx)
+    if radius is None:
+        width = ENERGY_MIN_POINT_CONST * scale
+    else:
+        width = ENERGY_MIN_OBJECT_CONST * (scale * np.asarray(radius, dtype=float) ** 3) ** 0.25
+    return in_float_range(width, "energy-minimum critical width")
+
+
 def critical_width_point(body: Body, ctx: PhysicalContext) -> float:
     """Width at which the averaged forces balance: sqrt(pi/2) hbar^2 / (G m^3)."""
     if not body.is_point:
         raise BodyKindError("critical_width_point requires a point particle")
-    return FORCE_BALANCE_POINT_CONST * ctx.hbar ** 2 / (ctx.G * body.mass ** 3)
+    return float(critical_width_point_at(body.mass, ctx))
+
+
+def critical_width_force_balance(body: Body, ctx: PhysicalContext) -> float:
+    """Force-balance width of either body kind (macro law for a sphere)."""
+    return float(critical_width_force_balance_at(body.mass, ctx, body.radius))
 
 
 def critical_mass(packet: WavePacket, ctx: PhysicalContext) -> float:
     """Mass balancing the averaged forces at fixed width: (pi/2)^(1/6) (hbar^2 / G sigma0)^(1/3)."""
-    return (math.pi / 2.0) ** (1.0 / 6.0) * (ctx.hbar ** 2 / (ctx.G * packet.sigma0)) ** (1.0 / 3.0)
+    return float(critical_mass_at(packet.sigma0, ctx))
 
 
 def force_ratio(packet: WavePacket, body: Body, ctx: PhysicalContext) -> float:
     """Mean quantum force over the magnitude of the mean self-gravity force,
     using the point-particle closed forms that define the regime classification."""
-    fq = 0.5 * SQRT_2_OVER_PI * ctx.hbar ** 2 / (body.mass * packet.sigma0 ** 3)
-    fqg = ctx.G * body.mass ** 2 / (math.pi * packet.sigma0 ** 2)
-    return fq / fqg
+    return float(force_ratio_at(body.mass, packet.sigma0, ctx))
 
 
 def classify_regime(packet: WavePacket, body: Body, ctx: PhysicalContext,
@@ -99,31 +206,16 @@ def classify_regime(packet: WavePacket, body: Body, ctx: PhysicalContext,
     ``TIE_BAND`` around the critical mass maps to the transition label.
     """
     m_c = critical_mass(packet, ctx)
-    ratio = force_ratio(packet, body, ctx)
-    m = body.mass
-    if m > m_c * (1.0 + TIE_BAND):
-        regime = Regime.GRAVITY_DOMINANT
-    elif m < m_c * (1.0 - TIE_BAND):
-        regime = Regime.QUANTUM_DOMINANT
-    else:
-        regime = Regime.TRANSITION
-
     if method is None:
         method = (CriticalMethod.FORCE_BALANCE if body.is_point
                   else CriticalMethod.ENERGY_MINIMIZATION)
-    if body.is_point:
-        if method is CriticalMethod.FORCE_BALANCE:
-            width = critical_width_point(body, ctx)
-        else:
-            width = critical_width_energy_min_exact(body, ctx)
+    if method is CriticalMethod.FORCE_BALANCE:
+        width = critical_width_force_balance(body, ctx)
     else:
-        if method is CriticalMethod.FORCE_BALANCE:
-            width = transition_width_object(body, ctx, ObjectRegime.MACRO).value
-        else:
-            width = critical_width_energy_min_exact(body, ctx)
-
-    return RegimeReport(critical_mass=m_c, critical_width=width, force_ratio=ratio,
-                        regime=regime, method=method,
+        width = critical_width_energy_min_exact(body, ctx)
+    return RegimeReport(critical_mass=m_c, critical_width=width,
+                        force_ratio=force_ratio(packet, body, ctx),
+                        regime=REGIMES[int(regime_index(body.mass, m_c))], method=method,
                         reference_values=reference_formulas(body, packet, ctx))
 
 
@@ -153,10 +245,7 @@ def _energy_profile(body: Body, ctx: PhysicalContext):
 
 def critical_width_energy_min_exact(body: Body, ctx: PhysicalContext) -> float:
     """Closed-form minimizer of the mean energy (the oracle for the numeric route)."""
-    scale = ctx.hbar ** 2 / (ctx.G * body.mass ** 3)
-    if body.is_point:
-        return ENERGY_MIN_POINT_CONST * scale
-    return ENERGY_MIN_OBJECT_CONST * (scale * body.radius ** 3) ** 0.25
+    return float(critical_width_energy_min_at(body.mass, ctx, body.radius))
 
 
 def critical_width_energy_min(body: Body, ctx: PhysicalContext,
@@ -186,27 +275,12 @@ def stationary_energy(body: Body, ctx: PhysicalContext) -> float:
 
 def transition_width_object(body: Body, ctx: PhysicalContext,
                             regime: ObjectRegime) -> WidthEstimate:
-    """Transition width of a homogeneous sphere in the given size regime.
-
-    Macro (sigma0 << R): quarter-power law in (hbar^2/G m^3) with R^(3/4).
-    Micro (sigma0 >> R): square-root law with R^(1/2).
-    Intermediate (sigma0 = R): hbar^2 / (G m^3) itself.
-    ``value`` carries the exact constant from the force balance; ``paper_form``
-    drops it for order-of-magnitude work.
-    """
+    """Transition width of a homogeneous sphere; see :func:`transition_width_object_at`."""
     if not body.is_sphere:
         raise BodyKindError("transition_width_object requires a homogeneous sphere")
-    scale = ctx.hbar ** 2 / (ctx.G * body.mass ** 3)
-    R = body.radius
-    if regime is ObjectRegime.MACRO:
-        base = (scale * R ** 3) ** 0.25
-        return WidthEstimate(value=FORCE_BALANCE_MACRO_CONST * base,
-                             paper_form=base, label="macro")
-    if regime is ObjectRegime.MICRO:
-        base = (scale * R) ** 0.5
-        return WidthEstimate(value=FORCE_BALANCE_MICRO_CONST * base,
-                             paper_form=base, label="micro")
-    return WidthEstimate(value=scale, paper_form=scale, label="intermediate")
+    est = transition_width_object_at(body.mass, body.radius, ctx, regime)
+    return WidthEstimate(value=float(est.value), paper_form=float(est.paper_form),
+                         label=est.label)
 
 
 def force_balance_residual(r: float, packet: WavePacket, body: Body,
@@ -234,14 +308,16 @@ def reference_formulas(body: Body, packet: WavePacket, ctx: PhysicalContext) -> 
     the three object widths built from R.
     """
     m = body.mass
-    scale = ctx.hbar ** 2 / (ctx.G * m ** 3)
-    out = {
-        "karolyhazy_width": scale,
-        "karolyhazy_time": m * scale ** 2 / ctx.hbar,
-    }
-    if body.is_sphere:
-        R = body.radius
-        out["karolyhazy_object_width"] = scale ** (1.0 / 3.0) * R ** (2.0 / 3.0)
-        out["diosi_macro_width"] = scale ** 0.25 * R ** 0.75
-        out["diosi_micro_width"] = scale ** 0.5 * R ** 0.5
-    return out
+    scale = _scale(m, ctx)
+    with np.errstate(all="ignore"):
+        out = {
+            "karolyhazy_width": scale,
+            "karolyhazy_time": m * scale ** 2 / ctx.hbar,
+        }
+        if body.is_sphere:
+            R = body.radius
+            out["karolyhazy_object_width"] = scale ** (1.0 / 3.0) * R ** (2.0 / 3.0)
+            out["diosi_macro_width"] = scale ** 0.25 * R ** 0.75
+            out["diosi_micro_width"] = scale ** 0.5 * R ** 0.5
+    return {name: float(in_float_range(value, name.replace("_", " ")))
+            for name, value in out.items()}

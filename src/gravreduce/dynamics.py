@@ -21,14 +21,19 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Body, PhysicalContext, WavePacket
+from .core import Body, PhysicalContext, WavePacket, in_float_range
 from .errors import (BodyKindError, DomainError, InsufficientDataError,
                      IntegrationError)
-from .potentials import (SQRT_2_OVER_PI, qg_force_object, qg_force_point,
-                         qg_potential_object, qg_well_potential_point,
-                         quantum_force, quantum_potential)
+from .potentials import (SQRT_2, SQRT_2_OVER_PI, _qg_potential_object_terms,
+                         qg_force_object, qg_potential_object, qg_well_potential_point,
+                         quantum_potential)
 
 ESCAPE_RADII = 10.0   # escape event fires at r > ESCAPE_RADII * sigma0 moving outward
+# Longest run integrate() accepts, in characteristic times sqrt(sigma0^3 / G m).
+# RK45 at the default tolerances takes about 13 (gravity-point) to 28
+# (mixed-point) accepted steps per characteristic time, so the cap bounds a
+# run at a few hundred thousand steps, under a minute and a few tens of MB.
+MAX_CHARACTERISTIC_TIMES = 1e4
 
 # Self-energy spread coefficients of the sphere evaluated at r = sigma0:
 # |U(sigma0)| = |ALPHA_OBJECT * G m^2 sigma0^2 / R^3 - BETA_OBJECT * G m^2 / R|.
@@ -170,7 +175,8 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
     outward (v > 0), which also terminates the run.  One sample is recorded
     per accepted step.
 
-    Raises :class:`DomainError` for a non-finite start or end, and
+    Raises :class:`DomainError` for a non-finite start or end, or a t_end
+    beyond ``MAX_CHARACTERISTIC_TIMES`` characteristic times, and
     :class:`IntegrationError` on solver failure or non-finite forces.
     """
     if not all(math.isfinite(x) for x in (r0, v0, t_end)):
@@ -179,6 +185,14 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
         raise DomainError("t_end must be positive")
     if not (rtol > 0.0 and atol > 0.0):
         raise DomainError("tolerances must be positive")
+    try:
+        t_char = law.characteristic_time()
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError("the characteristic time is outside the floating-point range "
+                          "for these parameters") from None
+    if not t_end <= MAX_CHARACTERISTIC_TIMES * t_char:
+        raise DomainError(f"t_end is {t_end / t_char:.3g} characteristic times; "
+                          f"the limit is {MAX_CHARACTERISTIC_TIMES:g}")
 
     m = law.body.mass
     if r0 == 0.0 and v0 == 0.0:
@@ -209,7 +223,7 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
 
     from scipy.integrate import solve_ivp
 
-    first_step = min(law.characteristic_time() / 1000.0, t_end / 10.0)
+    first_step = min(t_char / 1000.0, t_end / 10.0)
     sol = solve_ivp(rhs, (0.0, t_end), [r0, v0], method="RK45",
                     rtol=rtol, atol=atol, first_step=first_step,
                     events=[ev_r, ev_v, ev_escape], dense_output=False)
@@ -310,14 +324,60 @@ class ReductionEstimate:
             raise DomainError(f"reduction time must be finite and positive, got {self.tau!r}")
 
 
-def _outside_float_range(method: TauMethod) -> DomainError:
-    return DomainError(f"{method.value} reduction time is outside the floating-point "
-                       "range for these parameters")
+POINT_CLOSED_FORMS = (TauMethod.PERIOD_FORMULA, TauMethod.SHORT_TIME, TauMethod.UNCERTAINTY)
+OBJECT_CLOSED_FORMS = (TauMethod.OBJECT_UNCERTAINTY, TauMethod.OBJECT_MICRO)
+
+_ASSUMPTIONS = {
+    TauMethod.QUARTER_PERIOD_NUMERIC: "first origin crossing from rest at r0 = sigma0",
+    TauMethod.PERIOD_FORMULA: "unit-constant quarter-period law",
+    TauMethod.SHORT_TIME: "width fixed at its critical value",
+    TauMethod.UNCERTAINTY: "hbar over the self-energy spread across one width",
+    TauMethod.OBJECT_UNCERTAINTY: ("hbar over the exact self-energy spread across one width; "
+                                   f"implied spread coefficients alpha={ALPHA_OBJECT:.6f}, "
+                                   f"beta={BETA_OBJECT:.6f}"),
+    TauMethod.OBJECT_MICRO: "wide-packet cubic self-energy evaluated at one width",
+}
 
 
-_POINT_METHODS = (TauMethod.PERIOD_FORMULA, TauMethod.SHORT_TIME,
-                  TauMethod.UNCERTAINTY, TauMethod.QUARTER_PERIOD_NUMERIC)
-_OBJECT_METHODS = (TauMethod.OBJECT_UNCERTAINTY, TauMethod.OBJECT_MICRO)
+def _by_value(fn, x):
+    """A math-module function applied to an array once per distinct value
+    (numpy has no erf; the arguments here take very few values)."""
+    values, inverse = np.unique(np.ravel(x), return_inverse=True)
+    return np.array([fn(v) for v in values.tolist()])[inverse].reshape(np.shape(x))
+
+
+@np.errstate(all="ignore")
+def tau_at(method: TauMethod, mass, sigma0, ctx: PhysicalContext, radius=None):
+    """Closed-form reduction time, elementwise over floats or broadcastable arrays.
+
+    The point-particle methods take no radius, the sphere methods require one.
+    The object-uncertainty spread is ``|qg_potential_object(sigma0, ...)|``,
+    evaluated by the same arithmetic.  Overflow and underflow are not warned
+    about; :class:`DomainError` is raised unless every result is finite and
+    positive.
+    """
+    if method not in (OBJECT_CLOSED_FORMS if radius is not None else POINT_CLOSED_FORMS):
+        kind = "sphere" if radius is not None else "point particle"
+        raise BodyKindError(f"method {method} does not apply to a {kind}")
+    G, hbar = ctx.G, ctx.hbar
+    m = np.asarray(mass, dtype=float)
+    s0 = np.asarray(sigma0, dtype=float)
+    if method is TauMethod.PERIOD_FORMULA:
+        tau = np.sqrt(s0 ** 3 / (G * m))
+    elif method is TauMethod.SHORT_TIME:
+        tau = hbar ** 3 / (G ** 2 * m ** 5)
+    elif method is TauMethod.UNCERTAINTY:
+        tau = hbar / (SQRT_2_OVER_PI * (-math.expm1(-0.5)) * G * m * m / s0)
+    else:
+        R = np.asarray(radius, dtype=float)
+        gm2 = G * m ** 2
+        if method is TauMethod.OBJECT_UNCERTAINTY:
+            g = _by_value(math.exp, -(s0 * s0) / (2.0 * s0 * s0))
+            e = _by_value(math.erf, SQRT_2 * s0 / (2.0 * s0))
+            tau = hbar / np.abs(_qg_potential_object_terms(s0, s0, R, gm2, g, e))
+        else:
+            tau = 1.25 * math.sqrt(2.0 * math.pi) * hbar * R / gm2
+    return in_float_range(tau, f"{method.value} reduction time")
 
 
 def tau_point(method: TauMethod, packet: WavePacket, body: Body,
@@ -325,31 +385,15 @@ def tau_point(method: TauMethod, packet: WavePacket, body: Body,
     """Reduction-time estimate for a point particle by the chosen method."""
     if not body.is_point:
         raise BodyKindError("tau_point requires a point particle")
-    s0 = packet.sigma0
-    m = body.mass
-    G, hbar = ctx.G, ctx.hbar
     if method is TauMethod.QUARTER_PERIOD_NUMERIC:
         law = ForceLaw.gravity_point(packet, body, ctx)
-        traj = integrate(law, r0=s0, v0=0.0, t_end=4.0 * law.characteristic_time())
+        traj = integrate(law, r0=packet.sigma0, v0=0.0, t_end=4.0 * law.characteristic_time())
         zeros = traj.events_of(EventKind.R_ZERO)
         if not zeros:
             raise InsufficientDataError("no origin crossing found")
-        return ReductionEstimate(zeros[0].time, method,
-                                 "first origin crossing from rest at r0 = sigma0")
-    try:
-        if method is TauMethod.PERIOD_FORMULA:
-            return ReductionEstimate(math.sqrt(s0 ** 3 / (G * m)), method,
-                                     "unit-constant quarter-period law")
-        if method is TauMethod.SHORT_TIME:
-            return ReductionEstimate(hbar ** 3 / (G ** 2 * m ** 5), method,
-                                     "width fixed at its critical value")
-        if method is TauMethod.UNCERTAINTY:
-            delta = SQRT_2_OVER_PI * (-math.expm1(-0.5)) * G * m * m / s0
-            return ReductionEstimate(hbar / delta, method,
-                                     "hbar over the self-energy spread across one width")
-    except (ZeroDivisionError, OverflowError):
-        raise _outside_float_range(method) from None
-    raise BodyKindError(f"method {method} does not apply to a point particle")
+        return ReductionEstimate(zeros[0].time, method, _ASSUMPTIONS[method])
+    tau = tau_at(method, body.mass, packet.sigma0, ctx)
+    return ReductionEstimate(float(tau), method, _ASSUMPTIONS[method])
 
 
 def tau_object(method: TauMethod, packet: WavePacket, body: Body,
@@ -357,35 +401,16 @@ def tau_object(method: TauMethod, packet: WavePacket, body: Body,
     """Reduction-time estimate for a homogeneous sphere by the chosen method."""
     if not body.is_sphere:
         raise BodyKindError("tau_object requires a homogeneous sphere")
-    s0 = packet.sigma0
-    R = body.radius
-    try:
-        gm2 = ctx.G * body.mass ** 2
-        if method is TauMethod.OBJECT_UNCERTAINTY:
-            delta = abs(qg_potential_object(s0, packet, body, ctx))
-            note = ("hbar over the exact self-energy spread across one width; "
-                    f"implied spread coefficients alpha={ALPHA_OBJECT:.6f}, "
-                    f"beta={BETA_OBJECT:.6f}")
-            return ReductionEstimate(ctx.hbar / delta, method, note)
-        if method is TauMethod.OBJECT_MICRO:
-            tau = 1.25 * math.sqrt(2.0 * math.pi) * ctx.hbar * R / gm2
-            return ReductionEstimate(tau, method,
-                                     "wide-packet cubic self-energy evaluated at one width")
-    except (ZeroDivisionError, OverflowError):
-        raise _outside_float_range(method) from None
-    raise BodyKindError(f"method {method} does not apply to a sphere")
+    tau = tau_at(method, body.mass, packet.sigma0, ctx, body.radius)
+    return ReductionEstimate(float(tau), method, _ASSUMPTIONS[method])
 
 
 def tau_estimates(packet: WavePacket, body: Body, ctx: PhysicalContext,
                   include_numeric: bool = True) -> list[ReductionEstimate]:
     """All applicable reduction-time estimates for this (packet, body) pair."""
-    out = []
-    if body.is_point:
-        for method in _POINT_METHODS:
-            if method is TauMethod.QUARTER_PERIOD_NUMERIC and not include_numeric:
-                continue
-            out.append(tau_point(method, packet, body, ctx))
-    else:
-        for method in _OBJECT_METHODS:
-            out.append(tau_object(method, packet, body, ctx))
-    return out
+    if body.is_sphere:
+        return [tau_object(method, packet, body, ctx) for method in OBJECT_CLOSED_FORMS]
+    methods = POINT_CLOSED_FORMS
+    if include_numeric:
+        methods += (TauMethod.QUARTER_PERIOD_NUMERIC,)
+    return [tau_point(method, packet, body, ctx) for method in methods]

@@ -24,6 +24,8 @@ from .core import Body, PhysicalContext, WavePacket, density
 from .errors import AccuracyError, BodyKindError, DomainError, SingularityError
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+SQRT_2 = math.sqrt(2.0)
+SQRT_PI = math.sqrt(math.pi)
 
 # Truncation radius for semi-infinite integrals, in units of sigma0.  The
 # Gaussian weight at 12 sigma is below 1e-31 of the total mass.
@@ -150,15 +152,18 @@ def qg_potential_object(r: float, packet: WavePacket, body: Body,
     _require_sphere(body)
     _require_nonnegative(r)
     s0 = packet.sigma0
-    R = body.radius
-    gm2 = ctx.G * body.mass ** 2
-    sqrt2 = math.sqrt(2.0)
-    sqrtpi = math.sqrt(math.pi)
     g = math.exp(-(r * r) / (2.0 * s0 * s0))
-    e = math.erf(sqrt2 * r / (2.0 * s0))
-    return (3.0 * gm2 * sqrt2 * g * r / (2.0 * sqrtpi * s0 * R)
-            - gm2 * sqrt2 * r ** 3 * g / (2.0 * sqrtpi * s0 * R ** 3)
-            - 3.0 * gm2 * sqrt2 * s0 * r * g / (2.0 * sqrtpi * R ** 3)
+    e = math.erf(SQRT_2 * r / (2.0 * s0))
+    return _qg_potential_object_terms(r, s0, body.radius, ctx.G * body.mass ** 2, g, e)
+
+
+def _qg_potential_object_terms(r, s0, R, gm2, g, e):
+    """The closed form of :func:`qg_potential_object`, given its Gaussian
+    factor g and error-function factor e.  Plain arithmetic, so every
+    argument may also be a numpy array."""
+    return (3.0 * gm2 * SQRT_2 * g * r / (2.0 * SQRT_PI * s0 * R)
+            - gm2 * SQRT_2 * r ** 3 * g / (2.0 * SQRT_PI * s0 * R ** 3)
+            - 3.0 * gm2 * SQRT_2 * s0 * r * g / (2.0 * SQRT_PI * R ** 3)
             - 3.0 * gm2 * e / (2.0 * R)
             + 3.0 * gm2 * s0 * s0 * e / (2.0 * R ** 3))
 

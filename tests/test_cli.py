@@ -13,6 +13,7 @@ import pytest
 
 import gravreduce
 from gravreduce import cli, dynamics
+from gravreduce.core import Body, PhysicalContext, WavePacket
 from gravreduce.errors import DomainError
 
 SRC = str(Path(gravreduce.__file__).resolve().parents[1])
@@ -151,6 +152,26 @@ def test_config_flag_takes_a_boolean_word(tmp_path):
     assert err == "error: config key no_numeric takes true or false, not 'maybe'\n"
 
 
+@pytest.mark.parametrize("line,message", [
+    ("mass = abc", "config key mass takes a float, not 'abc'"),
+    ("units = furlongs", "config key units takes one of si, cgs, dimensionless, not 'furlongs'"),
+    ("kind = cube", "config key kind takes one of point, sphere, not 'cube'"),
+])
+def test_config_values_are_typed_like_their_flags(tmp_path, line, message):
+    config = write_config(tmp_path, f"mass = 1\nsigma0 = 1\n{line}\n")
+    code, out, err = run(["critical", "--config", config])
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err == f"error: {message}\n"
+
+
+def test_config_values_take_the_flag_types(tmp_path):
+    config = write_config(tmp_path, "mass = 2\nsigma0 = 1e-1\nunits = cgs\n")
+    code, out, _ = run(["critical", "--config", config])
+    payload = json.loads(out)
+    assert code == cli.EXIT_OK
+    assert (payload["mass"], payload["sigma0"], payload["units"]) == (2.0, 0.1, "cgs")
+
+
 def test_command_line_overrides_config(tmp_path):
     config = write_config(tmp_path, "mass = 2\nsigma0 = 1\nno_numeric = false\n")
     code, out, _ = run(["tau", "--config", config, "--mass", "1", "--no-numeric"])
@@ -185,6 +206,41 @@ def test_tau_outside_float_range_is_a_one_line_error(argv):
     assert code in (cli.EXIT_CONFIG, cli.EXIT_NUMERIC)
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["critical", "--mass", "1e-200", "--sigma0", "1"],
+    ["critical", "--mass", "1e200", "--sigma0", "1"],
+    ["critical", "--mass", "1e-105", "--sigma0", "1"],      # printed Infinity before
+    ["critical", "--mass", "1e-200", "--sigma0", "1", "--kind", "sphere", "--radius", "1"],
+    ["sweep", "--sigma0", "1", "--grid", "mass=1e-200:1:3"],
+    ["sweep", "--sigma0", "1", "--kind", "sphere", "--radius", "1",
+     "--grid", "mass=1:1e200:3", "--format", "json"],
+    ["simulate", "--mass", "1", "--sigma0", "1e200", "--r0", "1", "--t-end", "1"],
+])
+def test_closed_forms_outside_float_range_are_a_one_line_error(argv):
+    code, out, err = run(argv)
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "outside the floating-point range" in err
+
+
+def test_simulate_t_end_beyond_budget_exits_2_at_once():
+    argv = ["simulate", "--mass", "1", "--sigma0", "1", "--r0", "1", "--t-end", "1e300"]
+    res = run_process(["-m", "gravreduce.cli"] + argv, timeout=5)
+    assert (res.returncode, res.stdout) == (cli.EXIT_CONFIG, "")
+    assert res.stderr.startswith("error: t_end is ") and res.stderr.count("\n") == 1
+
+
+def test_step_budget_is_in_characteristic_times():
+    ctx = PhysicalContext.dimensionless()
+    law = dynamics.ForceLaw.gravity_point(WavePacket(4.0), Body.point(1.0), ctx)
+    limit = dynamics.MAX_CHARACTERISTIC_TIMES * law.characteristic_time()
+    assert limit == 8.0 * dynamics.MAX_CHARACTERISTIC_TIMES
+    with pytest.raises(DomainError, match="characteristic times"):
+        dynamics.integrate(law, r0=4.0, v0=0.0, t_end=1.01 * limit)
+    # runs of 1000 characteristic times stay well inside the budget
+    assert dynamics.MAX_CHARACTERISTIC_TIMES >= 10 * 1000
 
 
 def test_reduction_estimate_requires_finite_positive_tau():

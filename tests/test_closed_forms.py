@@ -1,0 +1,85 @@
+"""Property tests of the array-native closed forms.
+
+Masses, widths and radii are drawn log-uniform over 1e-300..1e300.  Every
+closed form, called with floats and with arrays, must return finite positive
+values or raise a GravreduceError, and the array results must match the
+scalar ones elementwise to 1e-12 relative.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gravreduce import criticality as c, dynamics as d
+from gravreduce.core import PhysicalContext
+from gravreduce.errors import GravreduceError
+
+VALUE_RTOL = 1e-12
+CONTEXTS = [PhysicalContext.dimensionless(), PhysicalContext.si(), PhysicalContext.cgs()]
+
+CLOSED_FORMS = {
+    "critical_mass": lambda m, s0, R, ctx: c.critical_mass_at(s0, ctx),
+    "force_ratio": lambda m, s0, R, ctx: c.force_ratio_at(m, s0, ctx),
+    "regime_index": lambda m, s0, R, ctx: c.regime_index(m, c.critical_mass_at(s0, ctx)),
+    "critical_width_point": lambda m, s0, R, ctx: c.critical_width_point_at(m, ctx),
+    "force_balance_width_sphere": lambda m, s0, R, ctx: c.critical_width_force_balance_at(m, ctx, R),
+    "energy_min_width_point": lambda m, s0, R, ctx: c.critical_width_energy_min_at(m, ctx),
+    "energy_min_width_sphere": lambda m, s0, R, ctx: c.critical_width_energy_min_at(m, ctx, R),
+}
+for _regime in c.ObjectRegime:
+    CLOSED_FORMS[f"transition_width_{_regime.value}"] = (
+        lambda m, s0, R, ctx, regime=_regime: c.transition_width_object_at(m, R, ctx, regime).value)
+    CLOSED_FORMS[f"transition_width_{_regime.value}_paper_form"] = (
+        lambda m, s0, R, ctx, regime=_regime:
+        c.transition_width_object_at(m, R, ctx, regime).paper_form)
+for _method in d.POINT_CLOSED_FORMS:
+    CLOSED_FORMS[f"tau_{_method.value}"] = (
+        lambda m, s0, R, ctx, method=_method: d.tau_at(method, m, s0, ctx))
+for _method in d.OBJECT_CLOSED_FORMS:
+    CLOSED_FORMS[f"tau_{_method.value}"] = (
+        lambda m, s0, R, ctx, method=_method: d.tau_at(method, m, s0, ctx, R))
+
+log_uniform = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+parameter_sets = st.lists(st.tuples(log_uniform, log_uniform, log_uniform),
+                          min_size=1, max_size=6)
+
+
+def evaluate(fn, *args):
+    try:
+        return fn(*args)
+    except GravreduceError:
+        return None
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(sets=parameter_sets, ctx=st.sampled_from(CONTEXTS))
+def test_finite_or_gravreduce_error_and_arrays_match_scalars(name, sets, ctx):
+    fn = CLOSED_FORMS[name]
+    scalars = [evaluate(fn, m, s0, R, ctx) for m, s0, R in sets]
+    for value in scalars:
+        assert value is None or (np.ndim(value) == 0 and np.isfinite(value) and value >= 0)
+    m, s0, R = (np.array(column) for column in zip(*sets))
+    array = evaluate(fn, m, s0, R, ctx)
+    if any(value is None for value in scalars):
+        assert array is None
+        return
+    assert array is not None and np.shape(array) == (len(sets),)
+    if name == "regime_index":
+        assert array.tolist() == [int(v) for v in scalars]
+    else:
+        np.testing.assert_allclose(array, scalars, rtol=VALUE_RTOL, atol=0.0)
+
+
+def test_scalar_entry_points_return_python_floats():
+    from gravreduce.core import Body, WavePacket
+    ctx = CONTEXTS[0]
+    packet, point, sphere = WavePacket(0.5), Body.point(2.0), Body.sphere(2.0, 0.3)
+    values = [c.critical_mass(packet, ctx), c.force_ratio(packet, point, ctx),
+              c.critical_width_point(point, ctx), c.critical_width_force_balance(sphere, ctx),
+              c.critical_width_energy_min_exact(sphere, ctx),
+              c.transition_width_object(sphere, ctx, c.ObjectRegime.MICRO).value,
+              *c.reference_formulas(sphere, packet, ctx).values(),
+              *(e.tau for e in d.tau_estimates(packet, point, ctx, include_numeric=False)),
+              *(e.tau for e in d.tau_estimates(packet, sphere, ctx))]
+    assert all(type(v) is float for v in values)
