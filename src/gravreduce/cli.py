@@ -26,10 +26,10 @@ are evaluated as numpy arrays, one broadcast over the grid, so a value may
 differ from the scalar closed form (``critical``, ``tau``) in its last
 digits, by at most 1e-12 relative; the regime labels are the same.
 
-Only the solver paths load ``scipy.integrate``: ``simulate``, ``tau`` with
-the numeric quarter-period estimate (point bodies without ``--no-numeric``)
-and ``verify``.  ``critical``, ``sweep`` and the closed-form ``tau`` run on
-numpy alone, which keeps their start-up short.
+Only ``verify`` loads ``scipy.integrate``, for its quadrature oracles.
+``simulate`` and the numeric quarter-period ``tau`` integrate with the
+package's own Dormand-Prince stepper, and ``critical``, ``sweep`` and the
+closed-form ``tau`` run on numpy alone, so none of them imports scipy.
 """
 
 from __future__ import annotations
@@ -249,6 +249,13 @@ def _gnuplot_script(csv_path: str) -> str:
     )
 
 
+def _trajectory_csv(traj: dynamics.Trajectory, ctx: PhysicalContext) -> str:
+    """Units comment, header and one t,r,v,energy row per sample, each value its repr."""
+    rows = zip(traj.t.tolist(), traj.r.tolist(), traj.v.tolist(), traj.energy.tolist())
+    return "".join([_units_comment(ctx), "t,r,v,energy\n"]
+                   + [f"{t!r},{r!r},{v!r},{e!r}\n" for t, r, v, e in rows])
+
+
 def cmd_simulate(args) -> int:
     _require(args, "mass", "sigma0", "r0", "t_end")
     if args.t_end is not None and args.t_end <= 0:
@@ -259,8 +266,10 @@ def cmd_simulate(args) -> int:
     body = _body(args)
     packet = WavePacket(args.sigma0)
     law = _make_law(args, packet, body, ctx)
+    rtol = 1e-9 if args.rtol is None else args.rtol
+    atol = 1e-12 if args.atol is None else args.atol
     traj = dynamics.integrate(law, r0=args.r0, v0=args.v0 or 0.0, t_end=args.t_end,
-                              rtol=args.rtol or 1e-9, atol=args.atol or 1e-12)
+                              rtol=rtol, atol=atol)
     try:
         period = dynamics.detect_period(traj)
     except InsufficientDataError:
@@ -271,23 +280,17 @@ def cmd_simulate(args) -> int:
         "events": [{"time": e.time, "kind": e.kind.value} for e in traj.events],
         "period": period,
         "energy_drift": traj.energy_drift,
+        "solver": {"method": dynamics.SOLVER_METHOD, "rtol": rtol, "atol": atol,
+                   "nfev": traj.nfev, "steps": traj.n_steps, "rejected": traj.n_rejected},
     }
     if (args.format or "csv") == "json":
         payload = dict(sidecar)
         payload["units"] = ctx.unit_system.value
-        payload["samples"] = {
-            "t": [float(x) for x in traj.t],
-            "r": [float(x) for x in traj.r],
-            "v": [float(x) for x in traj.v],
-            "energy": [float(x) for x in traj.energy],
-        }
+        payload["samples"] = {"t": traj.t.tolist(), "r": traj.r.tolist(),
+                              "v": traj.v.tolist(), "energy": traj.energy.tolist()}
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
-        lines = [_units_comment(ctx), "t,r,v,energy\n"]
-        for i in range(len(traj.t)):
-            lines.append(f"{_fmt(float(traj.t[i]))},{_fmt(float(traj.r[i]))},"
-                         f"{_fmt(float(traj.v[i]))},{_fmt(float(traj.energy[i]))}\n")
-        _emit("".join(lines), args.out)
+        _emit(_trajectory_csv(traj, ctx), args.out)
         if args.out:
             Path(str(args.out) + ".events.json").write_text(
                 json.dumps(sidecar, indent=2) + "\n")
@@ -330,6 +333,8 @@ def _parse_grid(spec: str):
         n = int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"bad grid spec {spec!r}: {exc}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"grid bounds must be finite: {spec!r}")
     spacing = parts[3].lower() if len(parts) == 4 else "log"
     if n < 1:
         raise ConfigError("grid must contain at least one point")

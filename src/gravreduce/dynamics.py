@@ -15,9 +15,9 @@ and uncertainty-based estimates built from the self-energy spread.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
@@ -152,7 +152,11 @@ class ForceLaw:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Accepted solver steps of one integration, with located events."""
+    """Accepted solver steps of one integration, with located events.
+
+    ``nfev`` counts right-hand-side evaluations (one ``force_at`` call each),
+    ``n_steps`` accepted steps and ``n_rejected`` rejected step attempts.
+    """
 
     t: np.ndarray
     r: np.ndarray
@@ -161,23 +165,229 @@ class Trajectory:
     events: list[Event]
     energy_drift: float
     law: ForceLaw
+    nfev: int
+    n_steps: int
+    n_rejected: int
 
     def events_of(self, kind: EventKind) -> list[Event]:
         return [e for e in self.events if e.kind is kind]
 
 
+# Dormand-Prince 5(4) pair with Shampine's quartic dense output (Hairer,
+# Norsett & Wanner, Solving ODEs I, sections II.4-II.6), with the
+# coefficients, error norm and step-size controller of scipy.integrate.RK45:
+# the step advances with the 5th-order solution, E weights the 4th-order
+# error estimate, and y(t_old + x h) = y_old + h sum_k Q_k x^(k+1) with
+# Q = K^T P over the seven stage slopes K.  The stage times C are not needed:
+# m r'' = F(r) is autonomous.
+_A = ((1 / 5,),
+      (3 / 40, 9 / 40),
+      (44 / 45, -56 / 15, 32 / 9),
+      (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+      (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
+_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
+_P = ((1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
+       -12715105075 / 11282082432),
+      (0.0, 0.0, 0.0, 0.0),
+      (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
+       87487479700 / 32700410799),
+      (0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
+       -10690763975 / 1880347072),
+      (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
+       701980252875 / 199316789632),
+      (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
+      (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423))
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10.0
+_ERROR_EXPONENT = -1.0 / 5.0          # -1 / (order of the error estimate + 1)
+_MIN_RTOL = 100.0 * sys.float_info.epsilon   # smaller relative errors are round-off
+_ROOT_TOL = 4.0 * sys.float_info.epsilon     # absolute and relative, per event root
+_ROOT_MAXITER = 100
+SOLVER_METHOD = "RK45"
+
+
+def _brentq(f, xa: float, xb: float) -> float:
+    """A zero of f in [xa, xb] by Brent's method (Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 4), step for step as
+    scipy.optimize.brentq, with xtol = rtol = 4 eps.
+
+    A zero division, where C arithmetic would give inf or nan, falls back to
+    bisection as the comparisons on those values do there.
+    """
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise IntegrationError(f"event root is not bracketed on [{xa!r}, {xb!r}]")
+    for _ in range(_ROOT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_ROOT_TOL + _ROOT_TOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.nan          # bisect unless interpolation is possible and good
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:         # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:                    # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass
+        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = f(xcur)
+    raise IntegrationError(f"event root search did not converge in {_ROOT_MAXITER} "
+                           f"iterations on [{xa!r}, {xb!r}]")
+
+
+def _dense(t_old: float, h: float, y_old: float, k: tuple):
+    """One component of the step's quartic dense output, from its 7 stage slopes."""
+    q0, q1, q2, q3 = (sum(p[j] * kj for p, kj in zip(_P, k)) for j in range(4))
+
+    def y(t: float) -> float:
+        x = (t - t_old) / h
+        x2 = x * x
+        x3 = x2 * x
+        return h * (q0 * x + q1 * x2 + q2 * x3 + q3 * (x3 * x)) + y_old
+    return y
+
+
+def _dormand_prince(accel, r: float, v: float, t_end: float, h_abs: float,
+                    rtol: float, atol: float, escape_radius: float):
+    """Integrate r' = v, v' = accel(r) from t = 0 with first step ``h_abs``.
+
+    Returns the accepted (t, r, v) samples, the events as sorted (time, kind)
+    pairs, the number of accel calls and the number of rejected attempts.
+    Events fire where an event function (r, v, r - escape_radius) is <= 0 at
+    one end of a step and >= 0 at the other, so a zero at a step end fires in
+    both adjacent steps; the escape event fires only upward and ends the run
+    at its root, with the state taken from the dense output.
+    """
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65) = _A
+    b1, _, b3, b4, b5, b6 = _B
+    e1, _, e3, e4, e5, e6, e7 = _E
+    t = 0.0
+    a = accel(r)
+    nfev, n_rejected = 1, 0
+    ts, rs, vs = [t], [r], [v]
+    events: list[tuple[float, EventKind]] = []
+    while t < t_end:
+        min_step = 10.0 * abs(math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise IntegrationError(f"solver failed at t={t!r}: the required step "
+                                       "is below the spacing of floating-point numbers")
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            h_abs = h
+            # The stage slopes of r are velocities (p), those of v accelerations (q).
+            p1, q1 = v, a
+            r2 = r + (a21 * p1) * h
+            p2 = v + (a21 * q1) * h
+            q2 = accel(r2)
+            r3 = r + (a31 * p1 + a32 * p2) * h
+            p3 = v + (a31 * q1 + a32 * q2) * h
+            q3 = accel(r3)
+            r4 = r + (a41 * p1 + a42 * p2 + a43 * p3) * h
+            p4 = v + (a41 * q1 + a42 * q2 + a43 * q3) * h
+            q4 = accel(r4)
+            r5 = r + (a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4) * h
+            p5 = v + (a51 * q1 + a52 * q2 + a53 * q3 + a54 * q4) * h
+            q5 = accel(r5)
+            r6 = r + (a61 * p1 + a62 * p2 + a63 * p3 + a64 * p4 + a65 * p5) * h
+            p6 = v + (a61 * q1 + a62 * q2 + a63 * q3 + a64 * q4 + a65 * q5) * h
+            q6 = accel(r6)
+            r_new = r + h * (b1 * p1 + b3 * p3 + b4 * p4 + b5 * p5 + b6 * p6)
+            v_new = v + h * (b1 * q1 + b3 * q3 + b4 * q4 + b5 * q5 + b6 * q6)
+            p7, q7 = v_new, accel(r_new)
+            nfev += 6
+            err_r = (e1 * p1 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * p7) * h
+            err_v = (e1 * q1 + e3 * q3 + e4 * q4 + e5 * q5 + e6 * q6 + e7 * q7) * h
+            err_r /= atol + max(abs(r), abs(r_new)) * rtol
+            err_v /= atol + max(abs(v), abs(v_new)) * rtol
+            error_norm = math.sqrt(err_r * err_r + err_v * err_v) / SQRT_2
+            if error_norm < 1.0:
+                if error_norm == 0.0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            # nan compares false, so a non-finite error shrinks the step by MIN_FACTOR
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+            n_rejected += 1
+
+        r_zero = (r <= 0.0 <= r_new) or (r >= 0.0 >= r_new)
+        v_zero = (v <= 0.0 <= v_new) or (v >= 0.0 >= v_new)
+        escaped = r - escape_radius <= 0.0 <= r_new - escape_radius
+        if r_zero or v_zero or escaped:
+            r_of = _dense(t, h, r, (p1, p2, p3, p4, p5, p6, p7))
+            v_of = _dense(t, h, v, (q1, q2, q3, q4, q5, q6, q7))
+            found = []
+            if r_zero:
+                found.append((_brentq(r_of, t, t_new), EventKind.R_ZERO))
+            if v_zero:
+                found.append((_brentq(v_of, t, t_new), EventKind.V_ZERO))
+            if escaped:
+                t_esc = _brentq(lambda ti: r_of(ti) - escape_radius, t, t_new)
+                # the run ends at the terminal root: later roots never happen
+                found = [e for e in found if e[0] <= t_esc] + [(t_esc, EventKind.ESCAPE)]
+                t_new, r_new, v_new = t_esc, r_of(t_esc), v_of(t_esc)
+            events.extend(found)
+        t, r, v, a = t_new, r_new, v_new, q7
+        ts.append(t)
+        rs.append(r)
+        vs.append(v)
+        if escaped:
+            break
+    events.sort(key=lambda e: (e[0], e[1].value))
+    return ts, rs, vs, events, nfev, n_rejected
+
+
 def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
               rtol: float = 1e-9, atol: float = 1e-12) -> Trajectory:
-    """Integrate m r'' = F(r) with an adaptive embedded Runge-Kutta 4(5) pair.
+    """Integrate m r'' = F(r) with the adaptive Dormand-Prince 5(4) pair.
 
-    Events are located by root refinement on the dense output: r = 0 and
-    v = 0 crossings, plus an escape event when r crosses ESCAPE_RADII * sigma0
-    outward (v > 0), which also terminates the run.  One sample is recorded
-    per accepted step.
+    The stepper is a scalar port of scipy.integrate.RK45 (first step
+    min(t_char / 1000, t_end / 10), no maximum step), so neither numpy nor
+    scipy runs per step.  Events are located by Brent's method on the dense
+    output: r = 0 and v = 0 crossings, plus an escape event when r crosses
+    ESCAPE_RADII * sigma0 outward (v > 0), which also terminates the run.  One
+    sample is recorded per accepted step.
 
-    Raises :class:`DomainError` for a non-finite start or end, or a t_end
-    beyond ``MAX_CHARACTERISTIC_TIMES`` characteristic times, and
-    :class:`IntegrationError` on solver failure or non-finite forces.
+    Raises :class:`DomainError` for a non-finite start or end, a t_end
+    beyond ``MAX_CHARACTERISTIC_TIMES`` characteristic times, or an rtol
+    below 100 eps (where scipy's RK45 raises rtol with a warning), and
+    :class:`IntegrationError` for a step below the floating-point spacing of
+    t, a non-finite state, or an event root that is not bracketed or not
+    converged.
     """
     if not all(math.isfinite(x) for x in (r0, v0, t_end)):
         raise DomainError("r0, v0 and t_end must be finite")
@@ -185,6 +395,9 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
         raise DomainError("t_end must be positive")
     if not (rtol > 0.0 and atol > 0.0):
         raise DomainError("tolerances must be positive")
+    if rtol < _MIN_RTOL:
+        raise DomainError(f"rtol must be at least {_MIN_RTOL:.3g}, 100 times the "
+                          "double-precision epsilon")
     try:
         t_char = law.characteristic_time()
     except (OverflowError, ZeroDivisionError):
@@ -196,56 +409,35 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
 
     m = law.body.mass
     if r0 == 0.0 and v0 == 0.0:
-        # Equilibrium point: the solution is identically zero.
+        # Equilibrium point: the solution is identically zero, no step is taken.
         t = np.array([0.0, t_end])
         zero = np.zeros(2)
         e0 = law.potential_at(0.0)
         return Trajectory(t=t, r=zero.copy(), v=zero.copy(),
                           energy=np.array([e0, e0]), events=[],
-                          energy_drift=0.0, law=law)
+                          energy_drift=0.0, law=law, nfev=0, n_steps=0, n_rejected=0)
 
-    def rhs(t, y):
-        return (y[1], law.force_at(y[0]) / m)
+    force = law.force_at
 
-    def ev_r(t, y):
-        return y[0]
+    def accel(x):
+        return force(x) / m
 
-    def ev_v(t, y):
-        return y[1]
-
-    escape_radius = ESCAPE_RADII * law.packet.sigma0
-
-    def ev_escape(t, y):
-        return y[0] - escape_radius
-
-    ev_escape.direction = 1.0
-    ev_escape.terminal = True
-
-    from scipy.integrate import solve_ivp
-
+    t_end = float(t_end)
     first_step = min(t_char / 1000.0, t_end / 10.0)
-    sol = solve_ivp(rhs, (0.0, t_end), [r0, v0], method="RK45",
-                    rtol=rtol, atol=atol, first_step=first_step,
-                    events=[ev_r, ev_v, ev_escape], dense_output=False)
-    if sol.status < 0:
-        raise IntegrationError(f"solver failed: {sol.message}")
-    if not (np.all(np.isfinite(sol.y)) and np.all(np.isfinite(sol.t))):
+    ts, rs, vs, found, nfev, n_rejected = _dormand_prince(
+        accel, float(r0), float(v0), t_end, first_step, rtol, atol,
+        ESCAPE_RADII * law.packet.sigma0)
+    if not all(map(math.isfinite, rs + vs)):
         raise IntegrationError("non-finite state encountered during integration")
 
-    events = []
-    for kind, times in zip((EventKind.R_ZERO, EventKind.V_ZERO, EventKind.ESCAPE),
-                           sol.t_events):
-        events.extend(Event(time=float(ti), kind=kind) for ti in times)
-    events.sort(key=lambda e: (e.time, e.kind.value))
-
-    r = sol.y[0]
-    v = sol.y[1]
-    energy = 0.5 * m * v * v + np.array([law.potential_at(x) for x in r])
+    energy = np.array([0.5 * m * vi * vi + law.potential_at(ri) for ri, vi in zip(rs, vs)])
+    v = np.array(vs)
     scale = max(abs(energy[0]), float(np.max(0.5 * m * v * v)), 1e-300)
     drift = float(np.max(np.abs(energy - energy[0])) / scale)
-
-    return Trajectory(t=sol.t, r=r, v=v, energy=energy, events=events,
-                      energy_drift=drift, law=law)
+    return Trajectory(t=np.array(ts), r=np.array(rs), v=v, energy=energy,
+                      events=[Event(time=ti, kind=kind) for ti, kind in found],
+                      energy_drift=drift, law=law, nfev=nfev, n_steps=len(ts) - 1,
+                      n_rejected=n_rejected)
 
 
 def detect_period(traj: Trajectory) -> float:
@@ -268,40 +460,15 @@ def detect_period(traj: Trajectory) -> float:
     return dedup[2] - dedup[0]
 
 
-def angular_frequency(packet: WavePacket, body: Body, ctx: PhysicalContext) -> float:
-    """sqrt(2) (2/pi)^(1/4) sqrt(G m / sigma0^3), the reference cosine-solution rate."""
-    return (math.sqrt(2.0) * (2.0 / math.pi) ** 0.25
-            * math.sqrt(ctx.G * body.mass / packet.sigma0 ** 3))
-
-
 def angular_frequency_linearized(packet: WavePacket, body: Body,
                                  ctx: PhysicalContext) -> float:
     """(2/pi)^(1/4) sqrt(G m / sigma0^3): small-amplitude rate of the point law."""
     return (2.0 / math.pi) ** 0.25 * math.sqrt(ctx.G * body.mass / packet.sigma0 ** 3)
 
 
-def analytic_trajectory_point(t: float, r0: float, packet: WavePacket, body: Body,
-                              ctx: PhysicalContext) -> float:
-    """Cosine reference solution r0 cos(omega t), intended for r0 = sigma0 starts."""
-    return r0 * math.cos(angular_frequency(packet, body, ctx) * t)
-
-
-def period_formula(packet: WavePacket, body: Body, ctx: PhysicalContext) -> float:
-    """2^(1/4) pi^(5/4) sqrt(sigma0^3 / G m), i.e. 2 pi over the cosine rate."""
-    return (2.0 ** 0.25 * math.pi ** 1.25
-            * math.sqrt(packet.sigma0 ** 3 / (ctx.G * body.mass)))
-
-
 def period_linearized(packet: WavePacket, body: Body, ctx: PhysicalContext) -> float:
     """2 pi over the linearized small-amplitude rate."""
     return 2.0 * math.pi / angular_frequency_linearized(packet, body, ctx)
-
-
-def qg_acceleration_analytic(t: float, packet: WavePacket, body: Body,
-                             ctx: PhysicalContext) -> float:
-    """-2 sqrt(2/pi) (G m / sigma0^2) cos(omega t) along the cosine solution."""
-    return (-2.0 * SQRT_2_OVER_PI * ctx.G * body.mass / packet.sigma0 ** 2
-            * math.cos(angular_frequency(packet, body, ctx) * t))
 
 
 class TauMethod(str, Enum):

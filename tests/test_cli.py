@@ -1,5 +1,5 @@
-"""Command-line contract: exit codes, stderr, the --config merge and the
-deferred scipy import."""
+"""Command-line contract: exit codes, stderr, the --config merge, the simulate
+outputs and the deferred scipy import."""
 
 import json
 import os
@@ -225,6 +225,58 @@ def test_closed_forms_outside_float_range_are_a_one_line_error(argv):
     assert "outside the floating-point range" in err
 
 
+@pytest.mark.parametrize("grid", ["mass=1:inf:3", "mass=nan:2:3", "mass=-inf:1:3:lin"])
+def test_grid_bounds_must_be_finite(grid):
+    code, out, err = run(["sweep", "--sigma0", "1", "--grid", grid])
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err == f"error: grid bounds must be finite: {grid!r}\n"
+
+
+SIMULATE = ["simulate", "--mass", "1", "--sigma0", "1", "--r0", "1", "--t-end", "10"]
+
+
+def test_simulate_reports_the_solver_effort(tmp_path):
+    code, out, err = run(SIMULATE + ["--format", "json", "--rtol", "1e-8"])
+    payload = json.loads(out)
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert list(payload) == ["law", "events", "period", "energy_drift", "solver",
+                             "units", "samples"]
+    solver = payload["solver"]
+    assert (solver["method"], solver["rtol"], solver["atol"]) == ("RK45", 1e-8, 1e-12)
+    assert solver["steps"] == len(payload["samples"]["t"]) - 1
+    assert solver["nfev"] == 1 + 6 * (solver["steps"] + solver["rejected"])
+
+    csv_path = str(tmp_path / "traj.csv")
+    assert run(SIMULATE + ["--rtol", "1e-8", "--out", csv_path])[0] == cli.EXIT_OK
+    sidecar = json.loads(Path(csv_path + ".events.json").read_text())
+    assert sidecar["solver"] == solver
+    assert sidecar["events"] == payload["events"]
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--rtol", "0"], "tolerances must be positive"),
+    (["--atol", "0"], "tolerances must be positive"),
+    (["--rtol", "1e-20", "--atol", "1e-30"],
+     "rtol must be at least 2.22e-14, 100 times the double-precision epsilon"),
+])
+def test_simulate_tolerance_out_of_range_exits_2(flags, message):
+    code, out, err = run(SIMULATE + flags)
+    assert (code, out, err) == (cli.EXIT_CONFIG, "", f"error: {message}\n")
+
+
+def test_trajectory_csv_is_the_per_row_formatting():
+    ctx = PhysicalContext.dimensionless()
+    law = dynamics.ForceLaw.gravity_point(WavePacket(1.0), Body.point(1.0), ctx)
+    traj = dynamics.integrate(law, r0=1.0, v0=0.0, t_end=10.0)
+    rows = [f"{cli._fmt(float(traj.t[i]))},{cli._fmt(float(traj.r[i]))},"
+            f"{cli._fmt(float(traj.v[i]))},{cli._fmt(float(traj.energy[i]))}\n"
+            for i in range(len(traj.t))]
+    expected = cli._units_comment(ctx) + "t,r,v,energy\n" + "".join(rows)
+    assert cli._trajectory_csv(traj, ctx) == expected
+    code, out, _ = run(SIMULATE)
+    assert (code, out) == (cli.EXIT_OK, expected)
+
+
 def test_simulate_t_end_beyond_budget_exits_2_at_once():
     argv = ["simulate", "--mass", "1", "--sigma0", "1", "--r0", "1", "--t-end", "1e300"]
     res = run_process(["-m", "gravreduce.cli"] + argv, timeout=5)
@@ -255,27 +307,38 @@ IMPORT_PROBE = """
 import contextlib, io, json, sys
 import gravreduce.cli as cli
 
-loaded = {"import": "scipy.integrate" in sys.modules}
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
+loaded = {"import": scipy_modules()}
 runs = [
     ("critical", ["critical", "--mass", "1", "--sigma0", "1"]),
     ("tau point --no-numeric", ["tau", "--mass", "1", "--sigma0", "1", "--no-numeric"]),
     ("tau sphere", ["tau", "--mass", "1", "--sigma0", "1", "--kind", "sphere",
                     "--radius", "0.5"]),
     ("sweep", ["sweep", "--sigma0", "1", "--grid", "mass=0.1:10:3"]),
+    ("simulate", ["simulate", "--mass", "1", "--sigma0", "1", "--r0", "1", "--t-end", "10"]),
     ("tau point numeric", ["tau", "--mass", "1", "--sigma0", "1"]),
+    ("verify --quick", ["verify", "--quick"]),
 ]
 for name, argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, name
-    loaded[name] = "scipy.integrate" in sys.modules
+    loaded[name] = scipy_modules()
 print(json.dumps(loaded))
 """
 
 
 def test_closed_form_commands_do_not_load_scipy_integrate():
-    # A fresh interpreter: other test modules import scipy.integrate here.
+    # A fresh interpreter: other test modules import scipy here.  Only the
+    # quadrature behind verify loads scipy; the ODE paths (simulate, numeric
+    # tau) run the package's own stepper and load no scipy module at all.
     res = run_process(["-c", IMPORT_PROBE])
     assert res.returncode == 0, res.stderr
-    assert json.loads(res.stdout) == {
-        "import": False, "critical": False, "tau point --no-numeric": False,
-        "tau sphere": False, "sweep": False, "tau point numeric": True}
+    loaded = json.loads(res.stdout)
+    assert "scipy.integrate" in loaded.pop("verify --quick")
+    assert loaded == {
+        "import": [], "critical": [], "tau point --no-numeric": [], "tau sphere": [],
+        "sweep": [], "simulate": [], "tau point numeric": []}

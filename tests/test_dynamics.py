@@ -1,0 +1,185 @@
+"""The scalar Dormand-Prince stepper of ``dynamics.integrate`` against
+``scipy.integrate.solve_ivp(method="RK45")``, the algorithm it ports, and the
+trajectory facts the reduction-time estimates rest on."""
+
+import math
+import sys
+
+import numpy as np
+import pytest
+from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
+
+from gravreduce import dynamics
+from gravreduce.core import Body, PhysicalContext, WavePacket
+from gravreduce.dynamics import EventKind, ForceLaw
+from gravreduce.errors import IntegrationError
+
+CTX = PhysicalContext.dimensionless()
+PACKET = WavePacket(1.0)
+GRAVITY_POINT = ForceLaw.gravity_point(PACKET, Body.point(1.0), CTX)
+EPS = sys.float_info.epsilon
+
+
+def scipy_rk45(law, r0, v0, t_end, rtol=1e-9, atol=1e-12):
+    """The same problem through solve_ivp: first step, events and tolerances
+    as ``integrate`` sets them."""
+    m = law.body.mass
+    escape_radius = dynamics.ESCAPE_RADII * law.packet.sigma0
+
+    def ev_escape(t, y):
+        return y[0] - escape_radius
+
+    ev_escape.direction = 1.0
+    ev_escape.terminal = True
+    first_step = min(law.characteristic_time() / 1000.0, t_end / 10.0)
+    return solve_ivp(lambda t, y: (y[1], law.force_at(y[0]) / m), (0.0, t_end), [r0, v0],
+                     method="RK45", rtol=rtol, atol=atol, first_step=first_step,
+                     events=[lambda t, y: y[0], lambda t, y: y[1], ev_escape])
+
+
+def scipy_drift(law, sol):
+    """``Trajectory.energy_drift`` of a solve_ivp solution."""
+    m = law.body.mass
+    r, v = sol.y
+    energy = 0.5 * m * v * v + np.array([law.potential_at(x) for x in r])
+    scale = max(abs(energy[0]), float(np.max(0.5 * m * v * v)), 1e-300)
+    return float(np.max(np.abs(energy - energy[0])) / scale)
+
+
+CASES = {
+    "gravity-point, v0 != 0": (GRAVITY_POINT, 1.0, 0.3, 50.0),
+    "mixed-point": (ForceLaw.mixed_point(PACKET, Body.point(5.0), CTX), 0.5, 0.1, 20.0),
+    "mixed-point, printed variant": (
+        ForceLaw.mixed_point(PACKET, Body.point(5.0), CTX, printed_variant=True), 0.5, 0.1, 20.0),
+    "gravity-object": (ForceLaw.gravity_object(PACKET, Body.sphere(1.0, 1.0), CTX), 1.0, 0.2, 30.0),
+    "start at r0 = 0": (GRAVITY_POINT, 0.0, 0.5, 30.0),
+    "escape": (GRAVITY_POINT, 1.0, 3.0, 50.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_steps_and_events_match_scipy_rk45(case):
+    law, r0, v0, t_end = CASES[case]
+    traj = dynamics.integrate(law, r0, v0, t_end)
+    sol = scipy_rk45(law, r0, v0, t_end)
+
+    # Same accepted and rejected steps: nfev = 1 + 6 per attempted step.
+    assert traj.n_steps == len(sol.t) - 1
+    assert traj.nfev == sol.nfev == 1 + 6 * (traj.n_steps + traj.n_rejected)
+
+    # The step-size controller amplifies last-bit differences in the stage
+    # sums (numpy's dot may fuse multiply-adds, the port does not): the error
+    # estimate is a sum that cancels to 1e-8 or less of its terms, so step
+    # sizes differ by 1e-9 (median) to 3e-6 (steps whose error is at rounding
+    # level) relative, and sample times by up to 1.3e-8 of the run; a
+    # different step sequence would move them by a whole step.  The states
+    # are compared along the curve: scipy's state moved to the port's sample
+    # time to first order, which is exact to about 1e-18 here.
+    dt = traj.t - sol.t
+    assert np.max(np.abs(dt)) <= 1e-7 * t_end
+    r, v = sol.y
+    a = np.array([law.force_at(x) for x in r]) / law.body.mass
+    np.testing.assert_allclose(traj.r, r + v * dt, rtol=0, atol=1e-12 * np.max(np.abs(r)))
+    np.testing.assert_allclose(traj.v, v + a * dt, rtol=0, atol=1e-12 * np.max(np.abs(v)))
+
+    expected = sorted((float(te), kind) for kind, times in zip(EventKind, sol.t_events)
+                      for te in times)
+    assert [e.kind for e in traj.events] == [kind for _, kind in expected]
+    np.testing.assert_allclose([e.time for e in traj.events], [te for te, _ in expected],
+                               rtol=0, atol=1e-12 * t_end)
+
+
+def test_escape_ends_the_run_at_its_root():
+    law, r0, v0, t_end = CASES["escape"]
+    traj = dynamics.integrate(law, r0, v0, t_end)
+    last = traj.events[-1]
+    assert last.kind is EventKind.ESCAPE and traj.events_of(EventKind.ESCAPE) == [last]
+    assert traj.t[-1] == last.time < t_end
+    assert traj.r[-1] == pytest.approx(dynamics.ESCAPE_RADII * law.packet.sigma0, rel=1e-12)
+
+
+def test_start_at_the_origin_fires_r_zero_at_t0():
+    law, r0, v0, t_end = CASES["start at r0 = 0"]
+    traj = dynamics.integrate(law, r0, v0, t_end)
+    assert traj.events[0] == dynamics.Event(0.0, EventKind.R_ZERO)
+
+
+def test_equilibrium_takes_no_step():
+    traj = dynamics.integrate(GRAVITY_POINT, 0.0, 0.0, 5.0)
+    assert traj.t.tolist() == [0.0, 5.0] and traj.r.tolist() == [0.0, 0.0]
+    assert (traj.nfev, traj.n_steps, traj.n_rejected, traj.events) == (0, 0, 0, [])
+
+
+def test_small_amplitude_period_is_the_linearized_one():
+    r0 = 1e-3 * PACKET.sigma0
+    traj = dynamics.integrate(GRAVITY_POINT, r0, 0.0, 12.0 * GRAVITY_POINT.characteristic_time())
+    period = dynamics.detect_period(traj)
+    linearized = dynamics.period_linearized(PACKET, GRAVITY_POINT.body, CTX)
+    assert linearized == pytest.approx(7.034121, abs=1e-6)
+    assert abs(period / linearized - 1.0) < 2e-7
+
+
+def test_period_from_one_width():
+    traj = dynamics.integrate(GRAVITY_POINT, PACKET.sigma0, 0.0, 40.0)
+    assert dynamics.detect_period(traj) == pytest.approx(8.4772, abs=5e-5)
+
+
+def test_drift_over_1000_characteristic_times_is_scipys():
+    t_end = 1000.0 * GRAVITY_POINT.characteristic_time()
+    traj = dynamics.integrate(GRAVITY_POINT, 1.0, 0.0, t_end)
+    reference = scipy_drift(GRAVITY_POINT, scipy_rk45(GRAVITY_POINT, 1.0, 0.0, t_end))
+    assert 0.0 < traj.energy_drift <= 1.25 * reference
+
+
+ROOT_PROBLEMS = [
+    (lambda x: x * x - 2.0, 0.0, 2.0),
+    (lambda x: math.cos(x) - x, 0.0, 1.0),
+    (lambda x: (x - 0.3) ** 3 + 1e-3 * (x - 0.3), 0.0, 1.0),
+    (lambda x: math.exp(x) - 1e-3, -10.0, 5.0),
+    (lambda x: math.atan(x - 1e-9), -1e3, 1e3),
+    (lambda x: math.sin(30.0 * x) - 0.1, 0.0, 0.1),
+    (lambda x: x ** 9 - 1e-5, 0.0, 2.0),
+    (lambda x: x - 0.5, 0.5, 1.0),             # root at an end
+]
+
+
+def evaluations(f, log):
+    def logged(x):
+        log.append(x)
+        return f(x)
+    return logged
+
+
+@pytest.mark.parametrize("i", range(len(ROOT_PROBLEMS)))
+def test_brent_port_steps_as_brentq(i):
+    f, a, b = ROOT_PROBLEMS[i]
+    ours, theirs = [], []
+    root = dynamics._brentq(evaluations(f, ours), a, b)
+    assert root == brentq(evaluations(f, theirs), a, b, xtol=4 * EPS, rtol=4 * EPS)
+    assert ours == theirs
+
+
+def test_unbracketed_or_unconverged_root_is_an_integration_error():
+    with pytest.raises(IntegrationError, match="not bracketed"):
+        dynamics._brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+    # a triple root: brentq stops after 100 iterations too
+    with pytest.raises(RuntimeError):
+        brentq(lambda x: (x - 0.3) ** 3, 0.0, 1.0, xtol=4 * EPS, rtol=4 * EPS)
+    with pytest.raises(IntegrationError, match="did not converge"):
+        dynamics._brentq(lambda x: (x - 0.3) ** 3, 0.0, 1.0)
+
+
+class NaNForce(ForceLaw):
+    """The gravity-point law with a force that is nan everywhere."""
+
+    def force_at(self, r):
+        return math.nan
+
+
+def test_step_below_float_spacing_is_an_integration_error():
+    # Every attempt has a nan error estimate and is rejected, so the step
+    # shrinks by MIN_FACTOR until it is below the spacing of t.
+    law = NaNForce(dynamics.LawKind.GRAVITY_POINT, PACKET, Body.point(1.0), CTX)
+    with pytest.raises(IntegrationError, match="spacing of floating-point numbers"):
+        dynamics.integrate(law, 1.0, 0.0, 10.0)
