@@ -1,9 +1,10 @@
 """Ensemble averages over the Gaussian distribution.
 
 Every quantity of interest can be averaged against the radial weight
-density * 4 pi r^2 on [0, infinity).  A generic adaptive-quadrature
-expectation engine lives next to the closed-form results so each closed form
-can be cross-tested against the same independent integrator.
+density * 4 pi r^2 on [0, infinity).  A generic expectation engine, a
+Gauss-Legendre rule with an error estimate (see ``potentials._radial_quad``),
+lives next to the closed-form results so each closed form can be
+cross-tested against the same independent integrator.
 """
 
 from __future__ import annotations
@@ -12,21 +13,23 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import Body, PhysicalContext, WavePacket, density
+from .core import Body, PhysicalContext, WavePacket
 from .errors import AccuracyError
-from .potentials import (RadialField, SQRT_2_OVER_PI, TRUNCATION_SIGMAS, _quad,
-                         _require_point, _require_sphere)
+from .potentials import (QUAD_RELTOL, RadialField, SQRT_2_OVER_PI, TRUNCATION_SIGMAS,
+                         _radial_quad, _require_point, _require_sphere)
 
 EXPECT_RELTOL = 1e-10
 
 
 @dataclass(frozen=True)
 class Expectation:
-    """A computed ensemble average with its absolute error estimate."""
+    """A computed ensemble average with its absolute error estimate and the
+    number of observable evaluations behind it (0 for a closed form)."""
 
     value: float
     abs_error_estimate: float
     method: str                   # "closed-form" | "quadrature"
+    neval: int = 0
 
     def __post_init__(self):
         if self.abs_error_estimate < 0.0:
@@ -35,29 +38,26 @@ class Expectation:
 
 def expect(observable: RadialField | Callable[[float], float],
            packet: WavePacket, ctx: PhysicalContext) -> Expectation:
-    """Adaptive quadrature of density * observable * 4 pi r^2 over [0, 12 sigma0].
+    """Quadrature of density * observable * 4 pi r^2 over [0, 12 sigma0].
 
-    The integration variable is rescaled by sigma0 for conditioning.  Raises
+    The integration variable is r / sigma0, so the Gaussian weight is folded
+    into fixed node weights; the observable is called once per node, bisected
+    panels included, and ``neval`` counts those calls.  Raises
     :class:`AccuracyError` with the partial result if the requested relative
-    tolerance cannot be certified.
+    tolerance cannot be certified, and :class:`DomainError` if the observable
+    or the average is not finite.
     """
-    s0 = packet.sigma0
     fn = observable.fn if isinstance(observable, RadialField) else observable
-
-    def integrand(u):
-        r = u * s0
-        return density(r, packet) * fn(r) * 4.0 * math.pi * r * r * s0
-
-    value, abserr = _quad(integrand, 0.0, TRUNCATION_SIGMAS, 1e-12)
-    if abserr > EXPECT_RELTOL * max(abs(value), 1e-300):
-        # A cancelling integrand can converge in absolute terms while the
-        # relative criterion is ill-posed near zero; judge against the
-        # integrand's own L1 scale before giving up.
-        l1, _ = _quad(lambda u: abs(integrand(u)), 0.0, TRUNCATION_SIGMAS, 1e-6)
-        if abserr > EXPECT_RELTOL * max(abs(value), l1):
-            raise AccuracyError("expectation quadrature did not converge",
-                                value=value, error_estimate=abserr)
-    return Expectation(value=value, abs_error_estimate=abserr, method="quadrature")
+    value, abserr, l1, neval = _radial_quad(fn, packet.sigma0, TRUNCATION_SIGMAS,
+                                            QUAD_RELTOL)
+    # A cancelling integrand can converge in absolute terms while the
+    # relative criterion is ill-posed near zero; judge it against the
+    # integrand's own L1 scale.
+    if abserr > EXPECT_RELTOL * max(abs(value), l1):
+        raise AccuracyError("expectation quadrature did not converge",
+                            value=value, error_estimate=abserr)
+    return Expectation(value=value, abs_error_estimate=abserr, method="quadrature",
+                       neval=neval)
 
 
 def avg_quantum_force(packet: WavePacket, body: Body, ctx: PhysicalContext) -> float:

@@ -26,10 +26,11 @@ are evaluated as numpy arrays, one broadcast over the grid, so a value may
 differ from the scalar closed form (``critical``, ``tau``) in its last
 digits, by at most 1e-12 relative; the regime labels are the same.
 
-Only ``verify`` loads ``scipy.integrate``, for its quadrature oracles.
-``simulate`` and the numeric quarter-period ``tau`` integrate with the
-package's own Dormand-Prince stepper, and ``critical``, ``sweep`` and the
-closed-form ``tau`` run on numpy alone, so none of them imports scipy.
+No command imports scipy.  ``verify``'s quadrature oracles use the
+package's own Gauss-Legendre rule, whose nodes are built on first use, and
+``simulate`` and the numeric quarter-period ``tau`` integrate with its own
+Dormand-Prince stepper; ``critical``, ``sweep`` and the closed-form ``tau``
+run on the closed forms alone.
 """
 
 from __future__ import annotations

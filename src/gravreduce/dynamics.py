@@ -34,6 +34,11 @@ ESCAPE_RADII = 10.0   # escape event fires at r > ESCAPE_RADII * sigma0 moving o
 # (mixed-point) accepted steps per characteristic time, so the cap bounds a
 # run at a few hundred thousand steps, under a minute and a few tens of MB.
 MAX_CHARACTERISTIC_TIMES = 1e4
+# Accepted steps integrate() may take per characteristic time of t_end (and
+# for a t_end under one characteristic time).  That is 36 to 77 times what
+# RK45 takes, so only a run whose steps have stalled reaches it; the cap ends
+# such a run instead of letting it grow without bound.
+MAX_STEPS_PER_CHARACTERISTIC_TIME = 1000
 
 # Self-energy spread coefficients of the sphere evaluated at r = sigma0:
 # |U(sigma0)| = |ALPHA_OBJECT * G m^2 sigma0^2 / R^3 - BETA_OBJECT * G m^2 / R|.
@@ -274,8 +279,9 @@ def _dense(t_old: float, h: float, y_old: float, k: tuple):
 
 
 def _dormand_prince(accel, r: float, v: float, t_end: float, h_abs: float,
-                    rtol: float, atol: float, escape_radius: float):
-    """Integrate r' = v, v' = accel(r) from t = 0 with first step ``h_abs``.
+                    rtol: float, atol: float, escape_radius: float, max_steps: int):
+    """Integrate r' = v, v' = accel(r) from t = 0 with first step ``h_abs``,
+    in at most ``max_steps`` accepted steps.
 
     Returns the accepted (t, r, v) samples, the events as sorted (time, kind)
     pairs, the number of accel calls and the number of rejected attempts.
@@ -367,6 +373,9 @@ def _dormand_prince(accel, r: float, v: float, t_end: float, h_abs: float,
         vs.append(v)
         if escaped:
             break
+        if len(ts) > max_steps and t < t_end:
+            raise IntegrationError(f"solver took {max_steps} steps and reached only "
+                                   f"t={t!r} of t_end={t_end!r}")
     events.sort(key=lambda e: (e[0], e[1].value))
     return ts, rs, vs, events, nfev, n_rejected
 
@@ -386,8 +395,9 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
     beyond ``MAX_CHARACTERISTIC_TIMES`` characteristic times, or an rtol
     below 100 eps (where scipy's RK45 raises rtol with a warning), and
     :class:`IntegrationError` for a step below the floating-point spacing of
-    t, a non-finite state, or an event root that is not bracketed or not
-    converged.
+    t, more than ``MAX_STEPS_PER_CHARACTERISTIC_TIME`` accepted steps per
+    characteristic time of t_end, a non-finite state, or an event root that
+    is not bracketed or not converged.
     """
     if not all(math.isfinite(x) for x in (r0, v0, t_end)):
         raise DomainError("r0, v0 and t_end must be finite")
@@ -424,9 +434,10 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
 
     t_end = float(t_end)
     first_step = min(t_char / 1000.0, t_end / 10.0)
+    max_steps = math.ceil(MAX_STEPS_PER_CHARACTERISTIC_TIME * max(t_end / t_char, 1.0))
     ts, rs, vs, found, nfev, n_rejected = _dormand_prince(
         accel, float(r0), float(v0), t_end, first_step, rtol, atol,
-        ESCAPE_RADII * law.packet.sigma0)
+        ESCAPE_RADII * law.packet.sigma0, max_steps)
     if not all(map(math.isfinite, rs + vs)):
         raise IntegrationError("non-finite state encountered during integration")
 

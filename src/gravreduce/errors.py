@@ -22,7 +22,7 @@ class BodyKindError(GravreduceError, TypeError):
 
 
 class AccuracyError(GravreduceError, ArithmeticError):
-    """Adaptive quadrature failed to reach the requested tolerance.
+    """Quadrature failed to reach the requested tolerance.
 
     Carries the partial result and the achieved error estimate.
     """

@@ -1,6 +1,6 @@
 """Self-verification suite: oracle cross-checks runnable from the CLI.
 
-Each check compares an independent numerical route (adaptive quadrature,
+Each check compares an independent numerical route (Gauss-Legendre quadrature,
 central differences, energy conservation, reference magnitudes) against the
 closed forms, and reports the measured discrepancy next to its tolerance.
 A perturbation factor can be injected into the closed-form side to prove the

@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, stderr, the --config merge, the simulate
-outputs and the deferred scipy import."""
+outputs, and that no command loads scipy or builds the quadrature nodes
+before it needs them."""
 
 import json
 import os
@@ -301,18 +302,28 @@ def test_reduction_estimate_requires_finite_positive_tau():
             dynamics.ReductionEstimate(tau, dynamics.TauMethod.SHORT_TIME)
 
 
-# ---------------------------------------------------------------- deferred scipy import
+# ---------------------------------------------------------------- no scipy, lazy quadrature nodes
 
-IMPORT_PROBE = """
-import contextlib, io, json, sys
-import gravreduce.cli as cli
+SCIPY_MODULES = """
+import sys
 
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+"""
+
+IMPORT_PROBE = SCIPY_MODULES + """
+import contextlib, io, json
+import gravreduce.cli as cli
+from gravreduce import potentials
 
 
-loaded = {"import": scipy_modules()}
+def state():
+    return {"scipy": scipy_modules(),
+            "gauss_nodes_built": potentials._gauss_pair.cache_info().currsize > 0}
+
+
+loaded = {"import": state()}
 runs = [
     ("critical", ["critical", "--mass", "1", "--sigma0", "1"]),
     ("tau point --no-numeric", ["tau", "--mass", "1", "--sigma0", "1", "--no-numeric"]),
@@ -326,19 +337,33 @@ runs = [
 for name, argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, name
-    loaded[name] = scipy_modules()
+    loaded[name] = state()
 print(json.dumps(loaded))
 """
 
 
-def test_closed_form_commands_do_not_load_scipy_integrate():
-    # A fresh interpreter: other test modules import scipy here.  Only the
-    # quadrature behind verify loads scipy; the ODE paths (simulate, numeric
-    # tau) run the package's own stepper and load no scipy module at all.
+@pytest.fixture(scope="module")
+def command_probe():
+    # A fresh interpreter: other test modules import scipy here.  The
+    # commands run in the order above, each state taken after its command.
     res = run_process(["-c", IMPORT_PROBE])
     assert res.returncode == 0, res.stderr
-    loaded = json.loads(res.stdout)
-    assert "scipy.integrate" in loaded.pop("verify --quick")
-    assert loaded == {
-        "import": [], "critical": [], "tau point --no-numeric": [], "tau sphere": [],
-        "sweep": [], "simulate": [], "tau point numeric": []}
+    return json.loads(res.stdout)
+
+
+def test_closed_form_commands_do_not_load_scipy_integrate(command_probe):
+    # No command, verify included, loads any scipy module: the quadrature
+    # and the ODE stepper are the package's own.
+    assert {name: state["scipy"] for name, state in command_probe.items()} == {
+        name: [] for name in command_probe}
+    # Positive control: the same probe sees scipy.integrate in a process that
+    # imports it.
+    res = run_process(["-c", SCIPY_MODULES + "import scipy.integrate\nprint(scipy_modules())"])
+    assert res.returncode == 0, res.stderr
+    assert "'scipy.integrate'" in res.stdout
+
+
+def test_only_verify_builds_the_gauss_nodes(command_probe):
+    built = {name: state["gauss_nodes_built"] for name, state in command_probe.items()}
+    assert built.pop("verify --quick")
+    assert not any(built.values()), built

@@ -2,6 +2,7 @@
 ``scipy.integrate.solve_ivp(method="RK45")``, the algorithm it ports, and the
 trajectory facts the reduction-time estimates rest on."""
 
+import itertools
 import math
 import sys
 
@@ -183,3 +184,25 @@ def test_step_below_float_spacing_is_an_integration_error():
     law = NaNForce(dynamics.LawKind.GRAVITY_POINT, PACKET, Body.point(1.0), CTX)
     with pytest.raises(IntegrationError, match="spacing of floating-point numbers"):
         dynamics.integrate(law, 1.0, 0.0, 10.0)
+
+
+
+def test_stalled_steps_end_at_the_step_budget():
+    # The gravity-point law with a force that is nan wherever r != 1.  From
+    # r = 1 with v != 0, steps shrink until all of a step's stage points
+    # round to r = 1; that step is accepted, the next one rejected, and t
+    # advances by about 1e-16 per step.  Counting the calls makes a missing
+    # step budget fail the test instead of hanging it.
+    calls = itertools.count()
+
+    class StallingForce(ForceLaw):
+        def force_at(self, r):
+            if next(calls) > 10 ** 6:
+                raise RuntimeError("integrate kept stepping past its budget")
+            return 0.0 if r == 1.0 else math.nan
+
+    law = StallingForce(dynamics.LawKind.GRAVITY_POINT, PACKET, Body.point(1.0), CTX)
+    t_end = 10.0 * law.characteristic_time()
+    budget = 10 * dynamics.MAX_STEPS_PER_CHARACTERISTIC_TIME
+    with pytest.raises(IntegrationError, match=f"took {budget} steps"):
+        dynamics.integrate(law, 1.0, 1e-3, t_end)

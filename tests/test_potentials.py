@@ -7,7 +7,7 @@ import pytest
 from gravreduce.core import Body, PhysicalContext, WavePacket
 from gravreduce.errors import (AccuracyError, BodyKindError, DomainError,
                                SingularityError)
-from gravreduce.potentials import (RegimeWarning, classical_kernel,
+from gravreduce.potentials import (RegimeWarning, _radial_quad, classical_kernel,
                                    potential_force_pairs, qg_force_object,
                                    qg_force_point, qg_potential_numeric,
                                    qg_potential_object,
@@ -249,6 +249,23 @@ class TestGradientAndOracleSweeps:
             numeric = qg_potential_numeric(
                 r, lambda rp: classical_kernel(rp, sphere, ctx), packet, ctx)
             assert closed == pytest.approx(numeric, rel=1e-9)
+
+    def test_sphere_self_energy_below_sigma0_holds_to_its_l1_scale(self, ctx):
+        # For r, R << sigma0 the five terms of the closed form are about
+        # (sigma0/R)^2 u in size and cancel to about u^3; the moment series
+        # used below r = sigma0 keeps the error at the rounding of |U|'s
+        # parts, which the L1 scale of the integrand bounds.
+        rng = np.random.default_rng(505)
+        for _ in range(200):
+            m = 10.0 ** rng.uniform(-2, 2)
+            s0 = 10.0 ** rng.uniform(-2, 2)
+            R = s0 * 10.0 ** rng.uniform(-4, 1)
+            u = 10.0 ** rng.uniform(-3, 0)
+            packet, sphere = WavePacket(s0), Body.sphere(m, R)
+            closed = qg_potential_object(u * s0, packet, sphere, ctx)
+            numeric, _, l1, _ = _radial_quad(
+                lambda rp: classical_kernel(rp, sphere, ctx), s0, u, 1e-12)
+            assert abs(closed - numeric) <= 1e-13 * l1, (m, s0, R, u)
 
     def test_opposing_forces(self, packet, point, ctx):
         # dispersion pushes out, self-gravity pulls in
