@@ -15,8 +15,8 @@ from typing import Callable
 
 from .core import Body, PhysicalContext, WavePacket
 from .errors import AccuracyError
-from .potentials import (QUAD_RELTOL, RadialField, SQRT_2_OVER_PI, TRUNCATION_SIGMAS,
-                         _radial_quad, _require_point, _require_sphere)
+from .potentials import (RadialField, SQRT_2_OVER_PI, TRUNCATION_SIGMAS, _radial_quad,
+                         _require_point, _require_sphere)
 
 EXPECT_RELTOL = 1e-10
 
@@ -48,8 +48,7 @@ def expect(observable: RadialField | Callable[[float], float],
     or the average is not finite.
     """
     fn = observable.fn if isinstance(observable, RadialField) else observable
-    value, abserr, l1, neval = _radial_quad(fn, packet.sigma0, TRUNCATION_SIGMAS,
-                                            QUAD_RELTOL)
+    value, abserr, l1, neval = _radial_quad(fn, packet.sigma0, TRUNCATION_SIGMAS)
     # A cancelling integrand can converge in absolute terms while the
     # relative criterion is ill-posed near zero; judge it against the
     # integrand's own L1 scale.

@@ -34,11 +34,16 @@ ESCAPE_RADII = 10.0   # escape event fires at r > ESCAPE_RADII * sigma0 moving o
 # (mixed-point) accepted steps per characteristic time, so the cap bounds a
 # run at a few hundred thousand steps, under a minute and a few tens of MB.
 MAX_CHARACTERISTIC_TIMES = 1e4
-# Accepted steps integrate() may take per characteristic time of t_end (and
-# for a t_end under one characteristic time).  That is 36 to 77 times what
-# RK45 takes, so only a run whose steps have stalled reaches it; the cap ends
-# such a run instead of letting it grow without bound.
-MAX_STEPS_PER_CHARACTERISTIC_TIME = 1000
+# Accepted steps integrate() may take in one run, whatever the law's time
+# scale, so that a run whose steps have stalled (or a law far stiffer than
+# t_char suggests) ends with IntegrationError instead of growing without
+# bound.  It is 100 steps per characteristic time of the longest run allowed,
+# 3.5 times what the point laws take there.  A sphere with R << sigma0 moves
+# on the time scale t_char (R / sigma0)^(3/2), about 14 (sigma0 / R)^(3/2)
+# steps per t_char: one characteristic time from r0 = sigma0 takes 11,251
+# steps at R = 0.01 sigma0 and 355,627 at R = 0.001 sigma0.  A stalled run
+# reaches the cap in about 10 s, holding about 115 MB of samples (2-CPU VM).
+MAX_STEPS = 100 * int(MAX_CHARACTERISTIC_TIMES)
 
 # Self-energy spread coefficients of the sphere evaluated at r = sigma0:
 # |U(sigma0)| = |ALPHA_OBJECT * G m^2 sigma0^2 / R^3 - BETA_OBJECT * G m^2 / R|.
@@ -395,9 +400,8 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
     beyond ``MAX_CHARACTERISTIC_TIMES`` characteristic times, or an rtol
     below 100 eps (where scipy's RK45 raises rtol with a warning), and
     :class:`IntegrationError` for a step below the floating-point spacing of
-    t, more than ``MAX_STEPS_PER_CHARACTERISTIC_TIME`` accepted steps per
-    characteristic time of t_end, a non-finite state, or an event root that
-    is not bracketed or not converged.
+    t, more than ``MAX_STEPS`` accepted steps, a non-finite state, or an
+    event root that is not bracketed or not converged.
     """
     if not all(math.isfinite(x) for x in (r0, v0, t_end)):
         raise DomainError("r0, v0 and t_end must be finite")
@@ -434,10 +438,9 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
 
     t_end = float(t_end)
     first_step = min(t_char / 1000.0, t_end / 10.0)
-    max_steps = math.ceil(MAX_STEPS_PER_CHARACTERISTIC_TIME * max(t_end / t_char, 1.0))
     ts, rs, vs, found, nfev, n_rejected = _dormand_prince(
         accel, float(r0), float(v0), t_end, first_step, rtol, atol,
-        ESCAPE_RADII * law.packet.sigma0, max_steps)
+        ESCAPE_RADII * law.packet.sigma0, MAX_STEPS)
     if not all(map(math.isfinite, rs + vs)):
         raise IntegrationError("non-finite state encountered during integration")
 

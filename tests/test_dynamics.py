@@ -186,23 +186,34 @@ def test_step_below_float_spacing_is_an_integration_error():
         dynamics.integrate(law, 1.0, 0.0, 10.0)
 
 
-
-def test_stalled_steps_end_at_the_step_budget():
+def test_stalled_steps_end_at_the_step_budget(monkeypatch):
     # The gravity-point law with a force that is nan wherever r != 1.  From
     # r = 1 with v != 0, steps shrink until all of a step's stage points
     # round to r = 1; that step is accepted, the next one rejected, and t
-    # advances by about 1e-16 per step.  Counting the calls makes a missing
-    # step budget fail the test instead of hanging it.
+    # advances by about 5e-14 per step.  A smaller budget keeps the test
+    # short (the default one is reached in about 10 s); counting the calls
+    # makes a missing budget fail the test instead of hanging it.
+    budget = 10_000
+    monkeypatch.setattr(dynamics, "MAX_STEPS", budget)
     calls = itertools.count()
 
     class StallingForce(ForceLaw):
         def force_at(self, r):
-            if next(calls) > 10 ** 6:
+            if next(calls) > 100 * budget:
                 raise RuntimeError("integrate kept stepping past its budget")
             return 0.0 if r == 1.0 else math.nan
 
     law = StallingForce(dynamics.LawKind.GRAVITY_POINT, PACKET, Body.point(1.0), CTX)
-    t_end = 10.0 * law.characteristic_time()
-    budget = 10 * dynamics.MAX_STEPS_PER_CHARACTERISTIC_TIME
     with pytest.raises(IntegrationError, match=f"took {budget} steps"):
-        dynamics.integrate(law, 1.0, 1e-3, t_end)
+        dynamics.integrate(law, 1.0, 1e-3, 10.0 * law.characteristic_time())
+
+
+def test_small_sphere_run_fits_the_step_budget():
+    # A sphere with R << sigma0 moves on the time scale t_char (R/sigma0)^1.5,
+    # so one characteristic time takes about 11,000 accepted steps here: the
+    # budget must not be counted per characteristic time.
+    law = ForceLaw.gravity_object(PACKET, Body.sphere(1.0, 0.01 * PACKET.sigma0), CTX)
+    traj = dynamics.integrate(law, PACKET.sigma0, 0.0, law.characteristic_time())
+    assert traj.t[-1] == law.characteristic_time()
+    assert traj.n_steps > 1000
+    assert traj.energy_drift < 1e-6

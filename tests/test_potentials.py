@@ -264,7 +264,7 @@ class TestGradientAndOracleSweeps:
             packet, sphere = WavePacket(s0), Body.sphere(m, R)
             closed = qg_potential_object(u * s0, packet, sphere, ctx)
             numeric, _, l1, _ = _radial_quad(
-                lambda rp: classical_kernel(rp, sphere, ctx), s0, u, 1e-12)
+                lambda rp: classical_kernel(rp, sphere, ctx), s0, u)
             assert abs(closed - numeric) <= 1e-13 * l1, (m, s0, R, u)
 
     def test_opposing_forces(self, packet, point, ctx):
