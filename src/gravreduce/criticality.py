@@ -19,8 +19,7 @@ from .averages import avg_energy_object, avg_energy_point
 from .core import Body, PhysicalContext, WavePacket, in_float_range
 from .errors import BodyKindError, DomainError
 from .minimize import minimize_bracketed
-from .potentials import (SQRT_2_OVER_PI, qg_force_object, qg_force_point,
-                         quantum_force)
+from .potentials import qg_force_object, qg_force_point, quantum_force
 
 # Tie band around the critical mass: exact equality is measure zero, so the
 # transition label applies within a narrow relative band.
@@ -98,12 +97,10 @@ def critical_mass_at(sigma0, ctx: PhysicalContext):
 
 @np.errstate(all="ignore")
 def force_ratio_at(mass, sigma0, ctx: PhysicalContext):
-    """Mean quantum force over the magnitude of the mean point self-gravity force."""
-    m = np.asarray(mass, dtype=float)
-    s0 = np.asarray(sigma0, dtype=float)
-    fq = 0.5 * SQRT_2_OVER_PI * ctx.hbar ** 2 / (m * s0 ** 3)
-    fqg = ctx.G * m ** 2 / (math.pi * s0 ** 2)
-    return in_float_range(fq / fqg, "force ratio")
+    """Mean quantum force over the magnitude of the mean point self-gravity
+    force: the force-balance width sqrt(pi/2) hbar^2 / (G m^3) over sigma0."""
+    return in_float_range(FORCE_BALANCE_POINT_CONST * _scale(mass, ctx)
+                          / np.asarray(sigma0, dtype=float), "force ratio")
 
 
 @np.errstate(all="ignore")

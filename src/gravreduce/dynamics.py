@@ -24,9 +24,7 @@ import numpy as np
 from .core import Body, PhysicalContext, WavePacket, in_float_range
 from .errors import (BodyKindError, DomainError, InsufficientDataError,
                      IntegrationError)
-from .potentials import (SQRT_2, SQRT_2_OVER_PI, _qg_potential_object_terms,
-                         qg_force_object, qg_potential_object, qg_well_potential_point,
-                         quantum_potential)
+from .potentials import SQRT_2, SQRT_2_OVER_PI, qg_potential_object
 
 ESCAPE_RADII = 10.0   # escape event fires at r > ESCAPE_RADII * sigma0 moving outward
 # Longest run integrate() accepts, in characteristic times sqrt(sigma0^3 / G m).
@@ -46,9 +44,11 @@ MAX_CHARACTERISTIC_TIMES = 1e4
 MAX_STEPS = 100 * int(MAX_CHARACTERISTIC_TIMES)
 
 # Self-energy spread coefficients of the sphere evaluated at r = sigma0:
-# |U(sigma0)| = |ALPHA_OBJECT * G m^2 sigma0^2 / R^3 - BETA_OBJECT * G m^2 / R|.
-ALPHA_OBJECT = 1.5 * math.erf(0.5 * math.sqrt(2.0)) - 2.0 * math.sqrt(2.0) * math.exp(-0.5) / math.sqrt(math.pi)
-BETA_OBJECT = 1.5 * (math.erf(0.5 * math.sqrt(2.0)) - math.sqrt(2.0) * math.exp(-0.5) / math.sqrt(math.pi))
+# |U(sigma0)| = |ALPHA_OBJECT * G m^2 sigma0^2 / R^3 - BETA_OBJECT * G m^2 / R|, correctly
+# rounded from ALPHA_OBJECT = (3/2) erf(1/sqrt 2) - 2 sqrt(2/pi) e^(-1/2) and
+# BETA_OBJECT = (3/2) (erf(1/sqrt 2) - sqrt(2/pi) e^(-1/2)).
+ALPHA_OBJECT = 0.05615134012905545
+BETA_OBJECT = 0.2981220646481988
 
 
 class LawKind(str, Enum):
@@ -69,52 +69,83 @@ class Event:
     kind: EventKind
 
 
-def force_gravity_dominant_point(r: float, packet: WavePacket, body: Body,
-                                 ctx: PhysicalContext) -> float:
-    """-sqrt(2/pi) (G m^2 / sigma0^3) r exp(-r^2 / 2 sigma0^2); odd in r."""
-    s0 = packet.sigma0
-    m = body.mass
-    return -SQRT_2_OVER_PI * ctx.G * m * m / s0 ** 3 * r * math.exp(-(r * r) / (2.0 * s0 * s0))
+def _kernels(kind: LawKind, packet: WavePacket, body: Body, ctx: PhysicalContext,
+             printed_mixed_variant: bool):
+    """The law's (force, potential), as closures over its constants.  Each
+    repeats its ``potentials`` entry point operation for operation, with the
+    factors of the parameters alone hoisted out; the sphere's potential calls it."""
+    s0, m = packet.sigma0, body.mass
+    two_s0_sq = 2.0 * s0 * s0
+    if kind is LawKind.GRAVITY_OBJECT:
+        R, R3 = body.radius, body.radius ** 3
+        c = SQRT_2_OVER_PI * (ctx.G * m ** 2) / (2.0 * s0 ** 3)
 
+        def force(r):       # odd extension through the origin
+            x = abs(r)
+            f = c * math.exp(-(x * x) / two_s0_sq) * (3.0 * x * x / R - x ** 4 / R3)
+            return f if r >= 0.0 else -f
 
-def force_mixed_point(r: float, packet: WavePacket, body: Body,
-                      ctx: PhysicalContext, printed_variant: bool = False) -> float:
-    """Quantum force plus point self-gravity; odd in r.
+        def potential(r):
+            return qg_potential_object(abs(r), packet, body, ctx)
+        return force, potential
 
-    The quantum term is hbar^2 r / (4 m sigma0^4).  With ``printed_variant``
-    the dimensionally inconsistent sigma0^2 denominator variant is used
-    instead, for side-by-side comparison runs.
-    """
-    s0 = packet.sigma0
-    quantum_denominator = s0 ** 2 if printed_variant else s0 ** 4
-    fq = ctx.hbar ** 2 * r / (4.0 * body.mass * quantum_denominator)
-    return fq + force_gravity_dominant_point(r, packet, body, ctx)
+    k = -SQRT_2_OVER_PI * ctx.G * m * m / s0 ** 3      # qg_force_point's prefactor
+    depth = SQRT_2_OVER_PI * ctx.G * m * m / s0        # the well's depth
+    if kind is LawKind.GRAVITY_POINT:
+        def force(r):
+            return k * r * math.exp(-(r * r) / two_s0_sq)
 
+        def potential(r):
+            return depth * -math.expm1(-(r * r) / two_s0_sq)
+        return force, potential
 
-def force_gravity_dominant_object(r: float, packet: WavePacket, body: Body,
-                                  ctx: PhysicalContext) -> float:
-    """Sphere self-gravity force, odd-extended through the origin.
+    hbar2 = ctx.hbar ** 2
+    if printed_mixed_variant:   # the printed sigma0^2 for sigma0^4, for comparison runs
+        force_den, neg_hbar2, potential_den = 4.0 * m * s0 ** 2, -hbar2, 8.0 * m * s0 * s0
 
-    For r >= 0 this is the negative gradient of the sphere self-energy: the
-    r^2 term pushes outward, the r^4 term pulls inward, changing sign at
-    r = sqrt(3) R.
-    """
-    if not body.is_sphere:
-        raise BodyKindError("object force law requires a homogeneous sphere")
-    x = abs(r)
-    f = qg_force_object(x, packet, body, ctx)
-    return f if r >= 0.0 else -f
+        def potential(r):
+            return neg_hbar2 * r * r / potential_den + depth * -math.expm1(-(r * r) / two_s0_sq)
+    else:
+        force_den, six_s0_sq, potential_den = 4.0 * m * s0 ** 4, 6.0 * s0 * s0, 8.0 * m * s0 ** 4
+
+        def potential(r):
+            rr = r * r
+            return hbar2 * (six_s0_sq - rr) / potential_den + depth * -math.expm1(-rr / two_s0_sq)
+
+    def force(r):
+        return hbar2 * r / force_den + k * r * math.exp(-(r * r) / two_s0_sq)
+    return force, potential
 
 
 @dataclass(frozen=True)
 class ForceLaw:
-    """A force law bound to its (packet, body, context) parameters."""
+    """A force law bound to its (packet, body, context) parameters.
+
+    Its force and potential are built once, with the law (:func:`_kernels`).
+    ``force_at`` is odd in r and ``potential_at`` even, and for r >= 0 both
+    are bit-equal to the ``potentials`` entry points; the point laws use the
+    binding well.  A point law for a sphere, or the object law for a point
+    particle, raises :class:`BodyKindError` when built.
+    """
 
     kind: LawKind
     packet: WavePacket
     body: Body
     ctx: PhysicalContext
     printed_mixed_variant: bool = False
+
+    def __post_init__(self):
+        if self.body.is_sphere != (self.kind is LawKind.GRAVITY_OBJECT):
+            raise BodyKindError(f"the {self.kind.value} force law does not apply to a "
+                                f"{'sphere' if self.body.is_sphere else 'point particle'}")
+        try:
+            force, potential = _kernels(self.kind, self.packet, self.body, self.ctx,
+                                        self.printed_mixed_variant)
+        except OverflowError:
+            raise DomainError("the force law's constants are outside the floating-point "
+                              "range for these parameters") from None
+        object.__setattr__(self, "_force", force)
+        object.__setattr__(self, "_potential", potential)
 
     @classmethod
     def gravity_point(cls, packet, body, ctx) -> "ForceLaw":
@@ -127,34 +158,14 @@ class ForceLaw:
 
     @classmethod
     def gravity_object(cls, packet, body, ctx) -> "ForceLaw":
-        if not body.is_sphere:
-            raise BodyKindError("object force law requires a homogeneous sphere")
         return cls(LawKind.GRAVITY_OBJECT, packet, body, ctx)
 
     def force_at(self, r: float) -> float:
-        if self.kind is LawKind.GRAVITY_POINT:
-            return force_gravity_dominant_point(r, self.packet, self.body, self.ctx)
-        if self.kind is LawKind.MIXED_POINT:
-            return force_mixed_point(r, self.packet, self.body, self.ctx,
-                                     self.printed_mixed_variant)
-        return force_gravity_dominant_object(r, self.packet, self.body, self.ctx)
+        return self._force(r)
 
     def potential_at(self, r: float) -> float:
-        """Potential energy whose negative gradient is ``force_at``; even in r.
-
-        Point laws use the binding-well form of the self-energy so that the
-        sum with the kinetic term is the conserved trajectory energy.
-        """
-        x = abs(r)
-        if self.kind is LawKind.GRAVITY_POINT:
-            return qg_well_potential_point(x, self.packet, self.body, self.ctx)
-        if self.kind is LawKind.MIXED_POINT:
-            grav = qg_well_potential_point(x, self.packet, self.body, self.ctx)
-            if self.printed_mixed_variant:
-                s0 = self.packet.sigma0
-                return -self.ctx.hbar ** 2 * x * x / (8.0 * self.body.mass * s0 * s0) + grav
-            return quantum_potential(x, self.packet, self.body, self.ctx) + grav
-        return qg_potential_object(x, self.packet, self.body, self.ctx)
+        """Potential energy whose negative gradient is ``force_at``."""
+        return self._potential(r)
 
     def characteristic_time(self) -> float:
         return math.sqrt(self.packet.sigma0 ** 3 / (self.ctx.G * self.body.mass))
@@ -396,6 +407,10 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
     ESCAPE_RADII * sigma0 outward (v > 0), which also terminates the run.  One
     sample is recorded per accepted step.
 
+    The law is read through ``force_at`` and ``potential_at`` only: the force
+    is odd in r and the potential even, for r >= 0 both are bit-equal to the
+    ``potentials`` entry points, and the body kind was checked with the law.
+
     Raises :class:`DomainError` for a non-finite start or end, a t_end
     beyond ``MAX_CHARACTERISTIC_TIMES`` characteristic times, or an rtol
     below 100 eps (where scipy's RK45 raises rtol with a warning), and
@@ -520,22 +535,16 @@ _ASSUMPTIONS = {
 }
 
 
-def _by_value(fn, x):
-    """A math-module function applied to an array once per distinct value
-    (numpy has no erf; the arguments here take very few values)."""
-    values, inverse = np.unique(np.ravel(x), return_inverse=True)
-    return np.array([fn(v) for v in values.tolist()])[inverse].reshape(np.shape(x))
-
-
 @np.errstate(all="ignore")
 def tau_at(method: TauMethod, mass, sigma0, ctx: PhysicalContext, radius=None):
     """Closed-form reduction time, elementwise over floats or broadcastable arrays.
 
     The point-particle methods take no radius, the sphere methods require one.
-    The object-uncertainty spread is ``|qg_potential_object(sigma0, ...)|``,
-    evaluated by the same arithmetic.  Overflow and underflow are not warned
-    about; :class:`DomainError` is raised unless every result is finite and
-    positive.
+    The object-uncertainty spread |qg_potential_object(sigma0, ...)| is
+    (G m^2 / R) |ALPHA_OBJECT x^2 - BETA_OBJECT| with x = sigma0 / R, which
+    cancels only near its zero x ~ 2.3035.  Overflow and underflow are not
+    warned about; :class:`DomainError` is raised unless every result is
+    finite and positive.
     """
     if method not in (OBJECT_CLOSED_FORMS if radius is not None else POINT_CLOSED_FORMS):
         kind = "sphere" if radius is not None else "point particle"
@@ -553,9 +562,8 @@ def tau_at(method: TauMethod, mass, sigma0, ctx: PhysicalContext, radius=None):
         R = np.asarray(radius, dtype=float)
         gm2 = G * m ** 2
         if method is TauMethod.OBJECT_UNCERTAINTY:
-            g = _by_value(math.exp, -(s0 * s0) / (2.0 * s0 * s0))
-            e = _by_value(math.erf, SQRT_2 * s0 / (2.0 * s0))
-            tau = hbar / np.abs(_qg_potential_object_terms(s0, s0, R, gm2, g, e))
+            x = s0 / R
+            tau = hbar * R / (gm2 * np.abs(ALPHA_OBJECT * x * x - BETA_OBJECT))
         else:
             tau = 1.25 * math.sqrt(2.0 * math.pi) * hbar * R / gm2
     return in_float_range(tau, f"{method.value} reduction time")

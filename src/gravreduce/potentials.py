@@ -245,12 +245,17 @@ def qg_potential_object(r: float, packet: WavePacket, body: Body,
     _require_sphere(body)
     _require_nonnegative(r)
     s0 = packet.sigma0
+    R = body.radius
     gm2 = ctx.G * body.mass ** 2
     if r < s0:
-        return _qg_potential_object_series(r / s0, s0, body.radius, gm2)
+        return _qg_potential_object_series(r / s0, s0, R, gm2)
     g = math.exp(-(r * r) / (2.0 * s0 * s0))
     e = math.erf(SQRT_2 * r / (2.0 * s0))
-    return _qg_potential_object_terms(r, s0, body.radius, gm2, g, e)
+    return (3.0 * gm2 * SQRT_2 * g * r / (2.0 * SQRT_PI * s0 * R)
+            - gm2 * SQRT_2 * r ** 3 * g / (2.0 * SQRT_PI * s0 * R ** 3)
+            - 3.0 * gm2 * SQRT_2 * s0 * r * g / (2.0 * SQRT_PI * R ** 3)
+            - 3.0 * gm2 * e / (2.0 * R)
+            + 3.0 * gm2 * s0 * s0 * e / (2.0 * R ** 3))
 
 
 def _qg_potential_object_series(u: float, s0: float, R: float, gm2: float) -> float:
@@ -281,17 +286,6 @@ def _qg_potential_object_series(u: float, s0: float, R: float, gm2: float) -> fl
         k += 1.0
     return (-gm2 / R * u ** 3 * math.exp(-x) / SQRT_2PI
             * (1.0 - 0.2 * u * u * total * ((s0 / R) ** 2 - 1.0)))
-
-
-def _qg_potential_object_terms(r, s0, R, gm2, g, e):
-    """The closed form of :func:`qg_potential_object`, given its Gaussian
-    factor g and error-function factor e.  Plain arithmetic, so every
-    argument may also be a numpy array."""
-    return (3.0 * gm2 * SQRT_2 * g * r / (2.0 * SQRT_PI * s0 * R)
-            - gm2 * SQRT_2 * r ** 3 * g / (2.0 * SQRT_PI * s0 * R ** 3)
-            - 3.0 * gm2 * SQRT_2 * s0 * r * g / (2.0 * SQRT_PI * R ** 3)
-            - 3.0 * gm2 * e / (2.0 * R)
-            + 3.0 * gm2 * s0 * s0 * e / (2.0 * R ** 3))
 
 
 def qg_force_object(r: float, packet: WavePacket, body: Body,

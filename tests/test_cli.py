@@ -194,6 +194,19 @@ def test_simulate_non_finite_start_exits_2_without_hanging(start):
     assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("law, kind", [("gravity-point", "sphere"), ("mixed-point", "sphere"),
+                                       ("gravity-object", "point")])
+def test_law_for_the_other_body_kind_is_refused_before_integrating(law, kind):
+    argv = ["simulate", "--law", law, "--kind", kind, "--mass", "1", "--sigma0", "1",
+            "--r0", "1", "--t-end", "10"]
+    if kind == "sphere":
+        argv += ["--radius", "1"]
+    code, out, err = run(argv)
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("error: ") and "does not apply" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["tau", "--mass", "1e-200", "--sigma0", "1", "--no-numeric"],
     ["tau", "--mass", "1e200", "--sigma0", "1", "--no-numeric"],

@@ -113,6 +113,15 @@ class TestRegimeClassification:
             cube = (critical_mass(packet, ctx) / m) ** 3
             assert cube == pytest.approx(ratio, rel=1e-9)
 
+    @pytest.mark.parametrize("ctx", [PhysicalContext.dimensionless(), PhysicalContext.si(),
+                                     PhysicalContext.cgs()], ids=["dimensionless", "si", "cgs"])
+    def test_force_ratio_is_the_quotient_of_the_mean_forces(self, ctx):
+        rng = np.random.default_rng(17)
+        for m, s0 in 10.0 ** rng.uniform(-3, 3, size=(500, 2)):
+            packet, point = WavePacket(s0), Body.point(m)
+            fq, fqg = avg_quantum_force(packet, point, ctx), avg_qg_force_point(packet, point, ctx)
+            assert force_ratio(packet, point, ctx) == pytest.approx(fq / abs(fqg), rel=1e-14)
+
     def test_sphere_report_carries_object_references(self, packet, sphere, ctx):
         report = classify_regime(packet, sphere, ctx)
         assert report.method is CriticalMethod.ENERGY_MINIMIZATION

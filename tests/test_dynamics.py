@@ -4,17 +4,19 @@ trajectory facts the reduction-time estimates rest on."""
 
 import itertools
 import math
+import random
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from gravreduce import dynamics
+from gravreduce import dynamics, potentials
 from gravreduce.core import Body, PhysicalContext, WavePacket
 from gravreduce.dynamics import EventKind, ForceLaw
-from gravreduce.errors import IntegrationError
+from gravreduce.errors import BodyKindError, IntegrationError
 
 CTX = PhysicalContext.dimensionless()
 PACKET = WavePacket(1.0)
@@ -217,3 +219,118 @@ def test_small_sphere_run_fits_the_step_budget():
     assert traj.t[-1] == law.characteristic_time()
     assert traj.n_steps > 1000
     assert traj.energy_drift < 1e-6
+
+
+# ---------------------------------------------------------------- the law kernels
+
+CONTEXTS = (PhysicalContext.dimensionless(), PhysicalContext.si(), PhysicalContext.cgs())
+
+
+def log_uniform(rng, lo, hi):
+    return lo * (hi / lo) ** rng.random()
+
+
+def law_draws(seed, n):
+    """n laws of each kind, the printed mixed variant included, in every unit
+    system, with m, sigma0 and R log-uniform in 1e-3..1e3, and radii of each
+    law drawn uniformly in [0, 5 sigma0], zero included."""
+    rng = random.Random(seed)
+    for ctx in CONTEXTS:
+        for _ in range(n):
+            m, s0, R = (log_uniform(rng, 1e-3, 1e3) for _ in range(3))
+            packet = WavePacket(s0)
+            radii = [0.0] + [5.0 * s0 * rng.random() for _ in range(24)]
+            for law in (ForceLaw.gravity_point(packet, Body.point(m), ctx),
+                        ForceLaw.mixed_point(packet, Body.point(m), ctx),
+                        ForceLaw.mixed_point(packet, Body.point(m), ctx, printed_variant=True),
+                        ForceLaw.gravity_object(packet, Body.sphere(m, R), ctx)):
+                yield law, radii
+
+
+def entry_points(law):
+    """The ``potentials`` functions a law's (force, potential) stands for, at r >= 0."""
+    args = (law.packet, law.body, law.ctx)
+    if law.kind is dynamics.LawKind.GRAVITY_OBJECT:
+        return (lambda r: potentials.qg_force_object(r, *args),
+                lambda r: potentials.qg_potential_object(r, *args))
+    if law.kind is dynamics.LawKind.GRAVITY_POINT:
+        return (lambda r: potentials.qg_force_point(r, *args),
+                lambda r: potentials.qg_well_potential_point(r, *args))
+    return (lambda r: potentials.quantum_force(r, *args) + potentials.qg_force_point(r, *args),
+            lambda r: (potentials.quantum_potential(r, *args)
+                       + potentials.qg_well_potential_point(r, *args)))
+
+
+def test_kernels_equal_the_potentials_entry_points_bit_for_bit():
+    checked = 0
+    for law, radii in law_draws(7, 10):
+        for r in radii:
+            force, potential = law.force_at(r), law.potential_at(r)
+            assert law.force_at(-r) == -force and law.potential_at(-r) == potential, (law, r)
+            if not law.printed_mixed_variant:
+                want_force, want_potential = entry_points(law)
+                assert force == want_force(r) and potential == want_potential(r), (law, r)
+                checked += 1
+    assert checked == 3 * 3 * 10 * 25
+
+
+def test_printed_variant_force_is_the_gradient_of_its_potential():
+    # The sigma0^2 quantum term has no entry point in ``potentials``: its
+    # potential, -hbar^2 r^2 / (8 m sigma0^2), is checked by central differences.
+    for law, radii in law_draws(11, 4):
+        if not law.printed_mixed_variant:
+            continue
+        s0 = law.packet.sigma0
+        h = 1e-5 * s0
+        scale = max(abs(law.force_at(r)) for r in radii)
+        for r in radii[1:6]:
+            fd = -(law.potential_at(r + h) - law.potential_at(r - h)) / (2.0 * h)
+            assert abs(law.force_at(r) - fd) <= 1e-7 * scale, (law, r)
+
+
+@pytest.mark.parametrize("kind, body", [
+    (dynamics.LawKind.GRAVITY_POINT, Body.sphere(1.0, 1.0)),
+    (dynamics.LawKind.MIXED_POINT, Body.sphere(1.0, 1.0)),
+    (dynamics.LawKind.GRAVITY_OBJECT, Body.point(1.0)),
+])
+def test_law_for_the_other_body_kind_is_refused_when_built(kind, body):
+    with pytest.raises(BodyKindError):
+        ForceLaw(kind, PACKET, body, CTX)
+
+
+# ---------------------------------------------------------------- object-uncertainty tau
+
+def spread_coefficients():
+    """ALPHA_OBJECT and BETA_OBJECT in mpmath, at the working precision."""
+    erf, gauss = mpmath.erf(1 / mpmath.sqrt(2)), mpmath.sqrt(2 / mpmath.pi) * mpmath.exp(-0.5)
+    return 1.5 * erf - 2 * gauss, 1.5 * (erf - gauss)
+
+
+def test_object_spread_coefficients_are_correctly_rounded():
+    with mpmath.workdps(50):
+        alpha, beta = spread_coefficients()
+        assert (dynamics.ALPHA_OBJECT, dynamics.BETA_OBJECT) == (float(alpha), float(beta))
+
+
+def test_object_uncertainty_tau_is_accurate_to_its_condition_number():
+    # tau = hbar R / (G m^2 |alpha x^2 - beta|) with x = sigma0 / R, whose
+    # condition number (alpha x^2 + beta) / |alpha x^2 - beta| is large only
+    # near the zero x* = sqrt(beta / alpha) of the spread: every other draw
+    # lies within 1% of it.
+    rng = random.Random(5)
+    with mpmath.workdps(50):
+        alpha, beta = spread_coefficients()
+        x_star = float(mpmath.sqrt(beta / alpha))
+        for i in range(3000):
+            ctx = CONTEXTS[i % 3]
+            m, R = log_uniform(rng, 1e-3, 1e3), log_uniform(rng, 1e-3, 1e3)
+            if i % 2:
+                s0 = R * x_star * (1.0 + 0.02 * (rng.random() - 0.5))
+            else:
+                s0 = R * log_uniform(rng, 1e-3, 1e3)
+            tau = dynamics.tau_at(dynamics.TauMethod.OBJECT_UNCERTAINTY, m, s0, ctx, R)
+            x = mpmath.mpf(s0) / R
+            spread = alpha * x ** 2 - beta
+            want = ctx.hbar * mpmath.mpf(R) / (ctx.G * mpmath.mpf(m) ** 2 * abs(spread))
+            cond = (alpha * x ** 2 + beta) / abs(spread)
+            assert abs(tau / want - 1) <= 4 * EPS * cond, (m, s0, R, ctx)
