@@ -8,14 +8,23 @@ Subcommands:
     verify     run the oracle verification battery
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 numerical failure.  Flags override values from an optional ``--config``
-file of ``key = value`` lines, which makes figure-reproduction runs
-self-documenting.  Keys are option names with ``-`` or ``_``.  A flag such as
-``no_numeric`` or ``quick`` takes ``true``/``yes``/``on`` or
+3 numerical failure.  Each option's default, type and choices live in the
+parser alone.  An optional ``--config`` file of ``key = value`` lines, which
+makes figure-reproduction runs self-documenting, supplies new defaults: its
+values become the subcommand's defaults and the command line is parsed again,
+so a flag wins over the file.  Keys are option names with ``-`` or ``_``.  A
+flag such as ``no_numeric`` or ``quick`` takes ``true``/``yes``/``on`` or
 ``false``/``no``/``off``.  ``grid`` may be given on several lines, one spec
 per line, as ``--grid`` may be repeated; any ``--grid`` on the command line
 replaces all of them.  For any other key the last line wins.  Values pass
-through the same type and choice checks as the flags they stand for.
+through the same type and choice checks as the flags they stand for, and a
+key the subcommand has no option for is refused.
+
+``critical``, ``simulate``, ``tau`` and ``sweep`` take the unit options
+(``--units``, ``--dimensionless``, ``--hbar``, ``--G``), ``--format`` and
+the body options (``--mass``, ``--sigma0``, ``--kind``, ``--radius``).
+``verify`` takes only ``--perturb``, ``--quick``, ``--out`` and
+``--config``.
 
 ``sweep`` writes one row per point of the cartesian product of its grids,
 in ``itertools.product`` order: the first ``--grid`` varies slowest.  CSV
@@ -37,6 +46,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
+import inspect
 import json
 import math
 import sys
@@ -45,21 +56,23 @@ from pathlib import Path
 import numpy as np
 
 from . import criticality, dynamics, verify
-from .core import Body, PhysicalContext, UnitSystem, WavePacket
-from .errors import (AccuracyError, DomainError, GravreduceError,
-                     InsufficientDataError, IntegrationError)
+from .core import Body, PhysicalContext, WavePacket
+from .errors import AccuracyError, GravreduceError, InsufficientDataError, IntegrationError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-# Config keys of action="append" options: each line adds one value.
+# Config keys of action="append" options: each line adds one value.  argparse
+# appends command-line values onto a list default, so the file's lines become
+# the default only when the command line has none.
 REPEATABLE = frozenset({"grid"})
 TRUE_WORDS = ("true", "yes", "on")
 FALSE_WORDS = ("false", "no", "off")
 # Rows joined per write when a sweep is streamed to its output.
 SWEEP_ROWS_PER_WRITE = 4096
+_INTEGRATE = inspect.signature(dynamics.integrate).parameters
 
 
 class ConfigError(GravreduceError, ValueError):
@@ -111,41 +124,28 @@ def _typed(action: argparse.Action, key: str, raw: str):
     return value
 
 
-def _apply_config(args: argparse.Namespace):
-    if not getattr(args, "config", None):
-        return
+def _config_defaults(args: argparse.Namespace) -> dict:
+    """The --config file's values, typed, as defaults for the subcommand's parser."""
     actions: dict[str, argparse.Action] = {}
     for action in args.parser._actions:
         actions.setdefault(action.dest, action)
+    defaults = {}
     for key, raws in _parse_config_file(args.config).items():
         if key not in actions or not hasattr(args, key):
             raise ConfigError(f"unknown config key: {key}")
-        if getattr(args, key) is not None:
-            continue
         action = actions[key]
-        if key in REPEATABLE:
-            setattr(args, key, [_typed(action, key, raw) for raw in raws])
-        else:
-            setattr(args, key, _typed(action, key, raws[-1]))
+        if key not in REPEATABLE:
+            defaults[key] = _typed(action, key, raws[-1])
+        elif getattr(args, key) is None:
+            defaults[key] = [_typed(action, key, raw) for raw in raws]
+    return defaults
 
 
 def _context(args) -> PhysicalContext:
-    units = (args.units or "dimensionless").lower()
-    try:
-        system = UnitSystem(units)
-    except ValueError:
-        raise ConfigError(f"unknown unit system: {units}") from None
-    if system is UnitSystem.SI:
-        ctx = PhysicalContext.si()
-    elif system is UnitSystem.CGS:
-        ctx = PhysicalContext.cgs()
-    else:
-        ctx = PhysicalContext.dimensionless()
-    if args.hbar is not None or args.G is not None:
-        ctx = PhysicalContext(hbar=args.hbar if args.hbar is not None else ctx.hbar,
-                              G=args.G if args.G is not None else ctx.G,
-                              unit_system=system)
-    return ctx
+    ctx = getattr(PhysicalContext, args.units)()
+    overrides = {name: getattr(args, name) for name in ("hbar", "G")
+                 if getattr(args, name) is not None}
+    return dataclasses.replace(ctx, **overrides)
 
 
 def _require(args, *names):
@@ -155,16 +155,13 @@ def _require(args, *names):
 
 
 def _body(args) -> Body:
-    kind = (args.kind or "point").lower()
-    if kind == "point":
-        if getattr(args, "radius", None) is not None:
+    if args.kind == "point":
+        if args.radius is not None:
             raise ConfigError("--radius only applies to --kind sphere")
         return Body.point(args.mass)
-    if kind == "sphere":
-        if getattr(args, "radius", None) is None:
-            raise ConfigError("--kind sphere requires --radius")
-        return Body.sphere(args.mass, args.radius)
-    raise ConfigError(f"unknown body kind: {kind}")
+    if args.radius is None:
+        raise ConfigError("--kind sphere requires --radius")
+    return Body.sphere(args.mass, args.radius)
 
 
 def _emit(text: str, out: str | None):
@@ -193,8 +190,8 @@ def _flatten(payload, prefix=""):
 
 
 def _emit_mapping(payload: dict, args, ctx: PhysicalContext):
-    """JSON by default; --format csv flattens to key,value lines."""
-    if (args.format or "json") == "json":
+    """JSON, or with --format csv key,value lines of the flattened keys."""
+    if args.format == "json":
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
         lines = [_units_comment(ctx), "key,value\n"]
@@ -229,18 +226,6 @@ def cmd_critical(args) -> int:
 
 # ---------------------------------------------------------------- simulate
 
-def _make_law(args, packet, body, ctx) -> dynamics.ForceLaw:
-    law = (args.law or "").lower()
-    if law == "gravity-point":
-        return dynamics.ForceLaw.gravity_point(packet, body, ctx)
-    if law == "mixed-point":
-        return dynamics.ForceLaw.mixed_point(
-            packet, body, ctx, printed_variant=bool(args.printed_mixed_variant))
-    if law == "gravity-object":
-        return dynamics.ForceLaw.gravity_object(packet, body, ctx)
-    raise ConfigError(f"unknown law: {args.law!r}")
-
-
 def _gnuplot_script(csv_path: str) -> str:
     return (
         "set datafile separator ','\n"
@@ -259,18 +244,18 @@ def _trajectory_csv(traj: dynamics.Trajectory, ctx: PhysicalContext) -> str:
 
 def cmd_simulate(args) -> int:
     _require(args, "mass", "sigma0", "r0", "t_end")
-    if args.t_end is not None and args.t_end <= 0:
-        raise ConfigError("--t-end must be positive")
+    if args.gnuplot_script and not (args.out and args.format == "csv"):
+        raise ConfigError("--gnuplot-script plots the CSV written to --out: "
+                          "it needs --out and --format csv")
     ctx = _context(args)
-    if (args.law or "") == "gravity-object" and args.kind is None:
-        args.kind = "sphere"
+    if args.kind is None:
+        args.kind = "sphere" if args.law == "gravity-object" else "point"
     body = _body(args)
     packet = WavePacket(args.sigma0)
-    law = _make_law(args, packet, body, ctx)
-    rtol = 1e-9 if args.rtol is None else args.rtol
-    atol = 1e-12 if args.atol is None else args.atol
-    traj = dynamics.integrate(law, r0=args.r0, v0=args.v0 or 0.0, t_end=args.t_end,
-                              rtol=rtol, atol=atol)
+    law = dynamics.ForceLaw(dynamics.LawKind(args.law), packet, body, ctx,
+                            args.printed_mixed_variant)
+    traj = dynamics.integrate(law, r0=args.r0, v0=args.v0, t_end=args.t_end,
+                              rtol=args.rtol, atol=args.atol)
     try:
         period = dynamics.detect_period(traj)
     except InsufficientDataError:
@@ -281,10 +266,10 @@ def cmd_simulate(args) -> int:
         "events": [{"time": e.time, "kind": e.kind.value} for e in traj.events],
         "period": period,
         "energy_drift": traj.energy_drift,
-        "solver": {"method": dynamics.SOLVER_METHOD, "rtol": rtol, "atol": atol,
+        "solver": {"method": dynamics.SOLVER_METHOD, "rtol": args.rtol, "atol": args.atol,
                    "nfev": traj.nfev, "steps": traj.n_steps, "rejected": traj.n_rejected},
     }
-    if (args.format or "csv") == "json":
+    if args.format == "json":
         payload = dict(sidecar)
         payload["units"] = ctx.unit_system.value
         payload["samples"] = {"t": traj.t.tolist(), "r": traj.r.tolist(),
@@ -296,7 +281,7 @@ def cmd_simulate(args) -> int:
             Path(str(args.out) + ".events.json").write_text(
                 json.dumps(sidecar, indent=2) + "\n")
     if args.gnuplot_script:
-        Path(args.gnuplot_script).write_text(_gnuplot_script(args.out or "trajectory.csv"))
+        Path(args.gnuplot_script).write_text(_gnuplot_script(args.out))
     return EXIT_OK
 
 
@@ -431,13 +416,13 @@ def cmd_sweep(args) -> int:
     if not args.grid:
         raise ConfigError("sweep requires at least one --grid spec")
     grids = dict(_parse_grid(spec) for spec in args.grid)
-    sphere = (args.kind or "point").lower() == "sphere"
+    sphere = args.kind == "sphere"
     ctx = _context(args)
     axes = _sweep_axes(args, grids, sphere)
     columns = _sweep_columns(axes, ctx, sphere)
     shape = tuple(len(values) for values in grids.values())
 
-    as_json = (args.format or "csv") == "json"
+    as_json = args.format == "json"
     labels = [r.value for r in criticality.REGIMES]
     if as_json:
         labels = [json.dumps(label) for label in labels]
@@ -469,33 +454,40 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------- verify
 
 def cmd_verify(args) -> int:
-    report = verify.run_all(perturb=args.perturb or 0.0, quick=bool(args.quick))
+    report = verify.run_all(perturb=args.perturb, quick=args.quick)
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     return EXIT_OK if report["passed"] else EXIT_VERIFY_FAILED
 
 
 # ---------------------------------------------------------------- parser
 
-def _add_common(sub):
-    sub.add_argument("--units", choices=["si", "cgs", "dimensionless"], default=None)
-    sub.add_argument("--dimensionless", dest="units", action="store_const",
-                     const="dimensionless", help="shorthand for --units dimensionless")
-    sub.add_argument("--hbar", type=float, default=None,
-                     help="override hbar in the chosen unit system")
-    sub.add_argument("--G", type=float, default=None,
-                     help="override G in the chosen unit system")
-    sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--format", choices=["csv", "json"], default=None,
-                     help="serialization format where a choice exists")
-    sub.add_argument("--config", default=None,
-                     help="key = value file; flags take precedence")
+def _subcommand(subs, name, fn, **kwargs):
+    """A subparser that runs fn, with the --out and --config every subcommand takes."""
+    p = subs.add_parser(name, **kwargs)
+    p.set_defaults(fn=fn, parser=p)
+    p.add_argument("--out", help="output path (default: stdout)")
+    p.add_argument("--config", help="key = value file of option defaults; "
+                                    "flags take precedence (default: none)")
+    return p
 
 
-def _add_body(sub):
-    sub.add_argument("--mass", type=float, default=None)
-    sub.add_argument("--sigma0", type=float, default=None)
-    sub.add_argument("--kind", choices=["point", "sphere"], default=None)
-    sub.add_argument("--radius", type=float, default=None)
+def _add_model(p, fmt: str, kind: str | None = "point"):
+    """The unit, --format and body options of every subcommand but verify."""
+    p.add_argument("--units", choices=["si", "cgs", "dimensionless"], default="dimensionless",
+                   help="unit system (default: %(default)s)")
+    p.add_argument("--dimensionless", dest="units", action="store_const",
+                   const="dimensionless", help="shorthand for --units dimensionless")
+    p.add_argument("--hbar", type=float,
+                   help="override hbar (default: the unit system's value)")
+    p.add_argument("--G", type=float, help="override G (default: the unit system's value)")
+    p.add_argument("--format", choices=["csv", "json"], default=fmt,
+                   help="output format (default: %(default)s)")
+    p.add_argument("--mass", type=float, help="body mass (no default)")
+    p.add_argument("--sigma0", type=float, help="initial packet width (no default)")
+    p.add_argument("--kind", choices=["point", "sphere"], default=kind, help=(
+        f"body kind (default: {kind or 'sphere for --law gravity-object, else point'})"))
+    p.add_argument("--radius", type=float,
+                   help="sphere radius, --kind sphere only (no default)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -505,56 +497,50 @@ def build_parser() -> argparse.ArgumentParser:
                     "trajectories, and reduction times.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("critical", help="critical mass/width and regime report")
-    _add_common(p)
-    _add_body(p)
-    p.set_defaults(fn=cmd_critical, parser=p)
+    p = _subcommand(subs, "critical", cmd_critical,
+                    help="critical mass/width and regime report")
+    _add_model(p, "json")
 
-    p = subs.add_parser("simulate", help="integrate a force law to CSV")
-    _add_common(p)
-    _add_body(p)
-    p.add_argument("--law", choices=["gravity-point", "mixed-point", "gravity-object"],
-                   default="gravity-point")
-    p.add_argument("--r0", type=float, default=None)
-    p.add_argument("--v0", type=float, default=None)
-    p.add_argument("--t-end", dest="t_end", type=float, default=None)
-    p.add_argument("--rtol", type=float, default=None)
-    p.add_argument("--atol", type=float, default=None)
-    p.add_argument("--printed-mixed-variant", action="store_true", default=None,
-                   help="use the uncorrected quantum-term denominator")
-    p.add_argument("--gnuplot-script", default=None,
-                   help="also write a gnuplot script to this path")
-    p.set_defaults(fn=cmd_simulate, parser=p)
+    p = _subcommand(subs, "simulate", cmd_simulate, help="integrate a force law to CSV")
+    _add_model(p, "csv", kind=None)
+    p.add_argument("--law", choices=[law.value for law in dynamics.LawKind],
+                   default="gravity-point", help="force law (default: %(default)s)")
+    p.add_argument("--r0", type=float, help="initial position (no default)")
+    p.add_argument("--v0", type=float, default=0.0, help="initial velocity (default: 0)")
+    p.add_argument("--t-end", dest="t_end", type=float, help="end time (no default)")
+    p.add_argument("--rtol", type=float, default=_INTEGRATE["rtol"].default,
+                   help="solver relative tolerance (default: %(default)s)")
+    p.add_argument("--atol", type=float, default=_INTEGRATE["atol"].default,
+                   help="solver absolute tolerance (default: %(default)s)")
+    p.add_argument("--printed-mixed-variant", action="store_true",
+                   help="mixed-point law only: use the uncorrected quantum-term "
+                        "denominator (default: off)")
+    p.add_argument("--gnuplot-script",
+                   help="also write a gnuplot script plotting the CSV written to --out "
+                        "(default: none)")
 
-    p = subs.add_parser("tau", help="reduction-time estimates")
-    _add_common(p)
-    _add_body(p)
-    p.add_argument("--no-numeric", action="store_true", default=None,
-                   help="skip the quarter-period integration estimate")
-    p.set_defaults(fn=cmd_tau, parser=p)
+    p = _subcommand(subs, "tau", cmd_tau, help="reduction-time estimates")
+    _add_model(p, "json")
+    p.add_argument("--no-numeric", action="store_true",
+                   help="skip the quarter-period integration estimate (default: off)")
 
-    p = subs.add_parser(
-        "sweep", help="grid sweep to CSV or JSON",
+    p = _subcommand(
+        subs, "sweep", cmd_sweep, help="grid sweep to CSV or JSON",
         description="One row per point of the cartesian product of the --grid specs, "
                     "the first --grid varying slowest.  CSV by default, or "
                     "{units, columns, rows} with --format json.  Values are "
                     "evaluated as arrays and agree with the scalar closed forms "
                     "to 1e-12 relative.")
-    _add_common(p)
-    _add_body(p)
-    p.add_argument("--grid", action="append", default=None,
-                   metavar="VAR=LO:HI:N[:log|lin]",
-                   help="sweep variable (repeatable; cartesian product)")
-    p.set_defaults(fn=cmd_sweep, parser=p)
+    _add_model(p, "csv")
+    p.add_argument("--grid", action="append", metavar="VAR=LO:HI:N[:log|lin]",
+                   help="sweep variable (repeatable; cartesian product; no default)")
 
-    p = subs.add_parser("verify", help="run the oracle verification battery")
-    _add_common(p)
-    p.add_argument("--perturb", type=float, default=None,
+    p = _subcommand(subs, "verify", cmd_verify, help="run the oracle verification battery")
+    p.add_argument("--perturb", type=float, default=0.0,
                    help="inject a relative perturbation into closed forms "
-                        "(negative control)")
-    p.add_argument("--quick", action="store_true", default=None,
-                   help="smaller sample counts")
-    p.set_defaults(fn=cmd_verify, parser=p)
+                        "(negative control; default: 0)")
+    p.add_argument("--quick", action="store_true",
+                   help="smaller sample counts (default: off)")
 
     return parser
 
@@ -563,11 +549,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        if args.config:
+            args.parser.set_defaults(**_config_defaults(args))
+            args = parser.parse_args(argv)
         return args.fn(args)
-    except (ConfigError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (IntegrationError, AccuracyError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

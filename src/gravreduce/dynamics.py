@@ -125,7 +125,9 @@ class ForceLaw:
     ``force_at`` is odd in r and ``potential_at`` even, and for r >= 0 both
     are bit-equal to the ``potentials`` entry points; the point laws use the
     binding well.  A point law for a sphere, or the object law for a point
-    particle, raises :class:`BodyKindError` when built.
+    particle, raises :class:`BodyKindError` when built, and
+    ``printed_mixed_variant`` on a law other than mixed-point raises
+    :class:`DomainError`.
     """
 
     kind: LawKind
@@ -138,6 +140,9 @@ class ForceLaw:
         if self.body.is_sphere != (self.kind is LawKind.GRAVITY_OBJECT):
             raise BodyKindError(f"the {self.kind.value} force law does not apply to a "
                                 f"{'sphere' if self.body.is_sphere else 'point particle'}")
+        if self.printed_mixed_variant and self.kind is not LawKind.MIXED_POINT:
+            raise DomainError(f"the printed mixed variant does not apply to the "
+                              f"{self.kind.value} force law")
         try:
             force, potential = _kernels(self.kind, self.packet, self.body, self.ctx,
                                         self.printed_mixed_variant)

@@ -333,7 +333,9 @@ def qg_potential_numeric(r: float, kernel: RadialField | Callable[[float], float
     Gauss-Legendre pair of :func:`_radial_quad`, bisected where it disagrees.
 
     Raises :class:`AccuracyError` (carrying the partial result and achieved
-    error estimate) if the quadrature does not converge, and
+    error estimate) if that estimate exceeds 1e-8 * max(|value|, L1), L1
+    being the integral of the integrand's magnitude, which bounds the rule's
+    error where the value itself cancels to near zero; and
     :class:`DomainError` if the integrand or the result is not finite.
     """
     _require_nonnegative(r)
@@ -342,8 +344,8 @@ def qg_potential_numeric(r: float, kernel: RadialField | Callable[[float], float
     upper = min(r / s0, TRUNCATION_SIGMAS)
     if upper <= 0.0:
         return 0.0
-    value, abserr, _, _ = _radial_quad(kern, s0, upper)
-    if abserr > 1e-8 * max(abs(value), 1e-300):
+    value, abserr, l1, _ = _radial_quad(kern, s0, upper)
+    if abserr > 1e-8 * max(abs(value), l1):
         raise AccuracyError("self-energy quadrature did not converge",
                             value=value, error_estimate=abserr)
     return value

@@ -182,6 +182,89 @@ def test_command_line_overrides_config(tmp_path):
     assert (period["method"], period["tau"]) == ("period-formula", 1.0)
 
 
+# Config parity: for every option of these subcommands that a config line can
+# set, the line and the flag give the same run.  Each option is left out of
+# its subcommand's base argv and given one value, plus the argv that value
+# needs; {dir} is the run's output directory.
+PARITY_BASE = {
+    "critical": {"mass": "1", "sigma0": "1"},
+    "simulate": {"mass": "1", "sigma0": "1", "r0": "1", "t_end": "10"},
+    "tau": {"mass": "1", "sigma0": "1"},
+    "sweep": {"sigma0": "1", "grid": "mass=0.1:10:3"},
+}
+PARITY_VALUES = {
+    "units": ("cgs", []),
+    "hbar": ("1e-34", ["--units", "si"]),
+    "G": ("6e-11", ["--units", "si"]),
+    "out": ("{dir}/out.txt", []),
+    "mass": ("2", []),
+    "sigma0": ("2", []),
+    "kind": ("sphere", ["--radius", "0.5"]),
+    "radius": ("0.5", ["--kind", "sphere"]),
+    "law": ("gravity-object", ["--radius", "0.5"]),
+    "r0": ("2", []),
+    "v0": ("0.1", []),
+    "t_end": ("5", []),
+    "rtol": ("1e-8", []),
+    "atol": ("1e-10", []),
+    "printed_mixed_variant": ("true", ["--law", "mixed-point"]),
+    "gnuplot_script": ("{dir}/plot.gp", ["--out", "{dir}/traj.csv"]),
+    "no_numeric": ("true", []),
+    "grid": ("mass=1:2:2", []),
+}
+PARITY_OVERRIDES = {
+    ("critical", "format"): ("csv", []),
+    ("tau", "format"): ("csv", []),
+    ("simulate", "format"): ("json", []),
+    ("sweep", "format"): ("json", []),
+    ("simulate", "kind"): ("sphere", ["--radius", "0.5", "--law", "gravity-object"]),
+    ("simulate", "radius"): ("0.5", ["--law", "gravity-object"]),
+}
+
+
+def config_keys(command):
+    """Every option of the subcommand a config line can set."""
+    actions = cli.build_parser().parse_args([command]).parser._actions
+    dests = [a.dest for a in actions if a.option_strings and a.dest not in ("help", "config")]
+    return list(dict.fromkeys(dests))       # --dimensionless sets units
+
+
+def run_with_files(argv, outdir):
+    """(exit code, stdout, stderr, {name: text} of the files the run wrote)."""
+    result = run(argv)
+    files = {}
+    for path in sorted(outdir.iterdir()):
+        files[path.name] = path.read_text()
+        path.unlink()
+    return result + (files,)
+
+
+@pytest.mark.parametrize("command, key", [(command, key) for command in PARITY_BASE
+                                          for key in config_keys(command)])
+def test_config_line_gives_the_same_run_as_its_flag(command, key, tmp_path):
+    outdir = tmp_path / "outputs"
+    outdir.mkdir()
+    value, extra = PARITY_OVERRIDES.get((command, key)) or PARITY_VALUES[key]
+    value = value.replace("{dir}", str(outdir))
+    base = [command] + [arg for name, given in PARITY_BASE[command].items() if name != key
+                        for arg in (f"--{name.replace('_', '-')}", given)]
+    base += [arg.replace("{dir}", str(outdir)) for arg in extra]
+    flag = [f"--{key.replace('_', '-')}"] + ([] if value == "true" else [value])
+
+    as_flag = run_with_files(base + flag, outdir)
+    config = write_config(tmp_path, f"{key} = {value}\n")
+    assert run_with_files(base + ["--config", config], outdir) == as_flag
+    assert (as_flag[0], as_flag[2]) == (cli.EXIT_OK, "")
+
+
+@pytest.mark.parametrize("option", [["--units", "si"], ["--dimensionless"], ["--hbar", "2"],
+                                    ["--G", "2"], ["--format", "csv"]])
+def test_verify_refuses_the_options_it_has_no_use_for(option):
+    code, out, err = run(["verify", "--quick"] + option)
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert "unrecognized arguments" in err
+
+
 # ---------------------------------------------------------------- robustness
 
 @pytest.mark.parametrize("start", [["--t-end", "inf"], ["--t-end", "nan"],
@@ -276,6 +359,40 @@ def test_simulate_reports_the_solver_effort(tmp_path):
 def test_simulate_tolerance_out_of_range_exits_2(flags, message):
     code, out, err = run(SIMULATE + flags)
     assert (code, out, err) == (cli.EXIT_CONFIG, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("t_end", ["0", "-1"])
+def test_simulate_t_end_must_be_positive(t_end):
+    code, out, err = run(["simulate", "--mass", "1", "--sigma0", "1", "--r0", "1",
+                          "--t-end", t_end])
+    assert (code, out, err) == (cli.EXIT_CONFIG, "", "error: t_end must be positive\n")
+
+
+@pytest.mark.parametrize("outputs", [["--format", "json", "--out", "traj.json"], []])
+def test_gnuplot_script_without_a_csv_out_is_refused(outputs, tmp_path):
+    script = tmp_path / "plot.gp"
+    outputs = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in outputs]
+    code, out, err = run(SIMULATE + outputs + ["--gnuplot-script", str(script)])
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err.startswith("error: --gnuplot-script ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_gnuplot_script_plots_the_csv_out(tmp_path):
+    csv_path, script = tmp_path / "traj.csv", tmp_path / "plot.gp"
+    code, _, err = run(SIMULATE + ["--out", str(csv_path), "--gnuplot-script", str(script)])
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert f"plot '{csv_path}' " in script.read_text()
+
+
+@pytest.mark.parametrize("law", ["gravity-point", "gravity-object"])
+def test_printed_variant_of_another_law_exits_2(law):
+    argv = SIMULATE + ["--law", law, "--printed-mixed-variant"]
+    if law == "gravity-object":
+        argv += ["--radius", "0.5"]
+    code, out, err = run(argv)
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err == f"error: the printed mixed variant does not apply to the {law} force law\n"
 
 
 def test_trajectory_csv_is_the_per_row_formatting():

@@ -16,7 +16,7 @@ from scipy.optimize import brentq
 from gravreduce import dynamics, potentials
 from gravreduce.core import Body, PhysicalContext, WavePacket
 from gravreduce.dynamics import EventKind, ForceLaw
-from gravreduce.errors import BodyKindError, IntegrationError
+from gravreduce.errors import BodyKindError, DomainError, IntegrationError
 
 CTX = PhysicalContext.dimensionless()
 PACKET = WavePacket(1.0)
@@ -296,6 +296,16 @@ def test_printed_variant_force_is_the_gradient_of_its_potential():
 def test_law_for_the_other_body_kind_is_refused_when_built(kind, body):
     with pytest.raises(BodyKindError):
         ForceLaw(kind, PACKET, body, CTX)
+
+
+@pytest.mark.parametrize("kind, body", [
+    (dynamics.LawKind.GRAVITY_POINT, Body.point(1.0)),
+    (dynamics.LawKind.GRAVITY_OBJECT, Body.sphere(1.0, 1.0)),
+])
+def test_printed_variant_of_another_law_is_refused_when_built(kind, body):
+    with pytest.raises(DomainError, match="printed mixed variant does not apply"):
+        ForceLaw(kind, PACKET, body, CTX, printed_mixed_variant=True)
+    assert not ForceLaw(kind, PACKET, body, CTX).printed_mixed_variant
 
 
 # ---------------------------------------------------------------- object-uncertainty tau

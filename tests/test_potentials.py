@@ -207,6 +207,18 @@ class TestNumericOracle:
             0.0, lambda rp: classical_kernel(rp, sphere, ctx), packet, ctx)
         assert got == 0.0
 
+    def test_near_a_zero_of_the_self_energy_converges_to_its_l1_scale(self, packet, ctx):
+        # 1e-9 relative from the sphere self-energy's sign change the value
+        # is 1.6e-9 while the integrand's L1 scale is 0.35; the rule's error
+        # is judged against the larger of the two, as expect judges it.
+        sphere = Body.sphere(1.0, 0.5)
+        r = 1.165330291911023
+        kernel = lambda rp: classical_kernel(rp, sphere, ctx)
+        _, _, l1, _ = _radial_quad(kernel, packet.sigma0, r / packet.sigma0)
+        got = qg_potential_numeric(r, kernel, packet, ctx)
+        assert abs(got) < 1e-8 * l1
+        assert abs(got - qg_potential_object(r, packet, sphere, ctx)) <= 1e-12 * l1
+
     def test_nonconvergence_raises_accuracy_error(self, packet, ctx):
         # A wildly oscillatory kernel defeats the fixed refinement budget.
         kernel = lambda rp: math.sin(1e9 * rp) / (rp + 1e-12) ** 2
