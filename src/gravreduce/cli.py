@@ -40,6 +40,12 @@ package's own Gauss-Legendre rule, whose nodes are built on first use, and
 ``simulate`` and the numeric quarter-period ``tau`` integrate with its own
 Dormand-Prince stepper; ``critical``, ``sweep`` and the closed-form ``tau``
 run on the closed forms alone.
+
+Only the commands that build arrays load numpy.  ``critical``, ``tau`` and
+``sweep`` load it with ``criticality``'s array-native closed forms, and
+``verify`` with its battery; each command imports the modules it runs.
+``simulate`` loads no numpy: its stepper and energy column run on Python
+floats, and its samples are stdlib ``array('d')``.
 """
 
 from __future__ import annotations
@@ -53,9 +59,7 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import criticality, dynamics, verify
+from . import dynamics
 from .core import Body, PhysicalContext, WavePacket
 from .errors import AccuracyError, GravreduceError, InsufficientDataError, IntegrationError
 
@@ -133,6 +137,8 @@ def _config_defaults(args: argparse.Namespace) -> dict:
     for key, raws in _parse_config_file(args.config).items():
         if key not in actions or not hasattr(args, key):
             raise ConfigError(f"unknown config key: {key}")
+        if key == "config":
+            raise ConfigError("config key config is refused: a config file cannot name another")
         action = actions[key]
         if key not in REPEATABLE:
             defaults[key] = _typed(action, key, raws[-1])
@@ -202,6 +208,8 @@ def _emit_mapping(payload: dict, args, ctx: PhysicalContext):
 # ---------------------------------------------------------------- critical
 
 def cmd_critical(args) -> int:
+    from . import criticality
+
     _require(args, "mass", "sigma0")
     ctx = _context(args)
     body = _body(args)
@@ -288,6 +296,8 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------- tau
 
 def cmd_tau(args) -> int:
+    from . import criticality
+
     _require(args, "mass", "sigma0")
     ctx = _context(args)
     body = _body(args)
@@ -344,6 +354,8 @@ def _parse_grid(spec: str):
 def _sweep_axes(args, grids: dict[str, list[float]], sphere: bool) -> dict:
     """mass, sigma0 and (for spheres) radius: a fixed float, or a grid's values
     as an array along that grid's own broadcast dimension."""
+    import numpy as np
+
     fixed = {"mass": args.mass, "sigma0": args.sigma0, "radius": args.radius}
     for name in ("mass", "sigma0"):
         if name not in grids and fixed[name] is None:
@@ -374,6 +386,8 @@ def _sweep_axes(args, grids: dict[str, list[float]], sphere: bool) -> dict:
 
 def _sweep_columns(axes: dict, ctx: PhysicalContext, sphere: bool) -> dict:
     """Every sweep column, each evaluated once at the shape of the axes it depends on."""
+    from . import criticality
+
     m, s0, R = axes["mass"], axes["sigma0"], axes.get("radius")
     m_c = criticality.critical_mass_at(s0, ctx)
     columns = dict(axes)
@@ -390,7 +404,7 @@ def _sweep_columns(axes: dict, ctx: PhysicalContext, sphere: bool) -> dict:
     return columns
 
 
-def _write_rows(fh, cells: list[np.ndarray], first: str, sep: str, last: str, between: str):
+def _write_rows(fh, cells: list, first: str, sep: str, last: str, between: str):
     """Stream rows first + sep.join(row) + last, separated by ``between``.
 
     ``cells`` holds one grid-shaped (broadcast) string array per column; only
@@ -413,6 +427,10 @@ def _output(out: str | None):
 
 
 def cmd_sweep(args) -> int:
+    import numpy as np
+
+    from . import criticality
+
     if not args.grid:
         raise ConfigError("sweep requires at least one --grid spec")
     grids = dict(_parse_grid(spec) for spec in args.grid)
@@ -454,6 +472,8 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------- verify
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     report = verify.run_all(perturb=args.perturb, quick=args.quick)
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     return EXIT_OK if report["passed"] else EXIT_VERIFY_FAILED

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import DomainError
 
 # CODATA 2018 values.
@@ -118,6 +116,8 @@ def in_float_range(value, what: str):
     infinity or a NaN can only come from a power or quotient that left the
     double range; that raises :class:`DomainError` naming ``what``.
     """
+    import numpy as np
+
     if not np.all(np.isfinite(value) & (np.asarray(value) > 0.0)):
         raise DomainError(f"{what} is outside the floating-point range for these parameters")
     return value

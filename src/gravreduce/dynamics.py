@@ -15,11 +15,11 @@ and uncertainty-based estimates built from the self-energy spread.
 from __future__ import annotations
 
 import math
+import operator
 import sys
+from array import array
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .core import Body, PhysicalContext, WavePacket, in_float_range
 from .errors import (BodyKindError, DomainError, InsufficientDataError,
@@ -180,14 +180,18 @@ class ForceLaw:
 class Trajectory:
     """Accepted solver steps of one integration, with located events.
 
+    ``t``, ``r``, ``v`` and ``energy`` hold one sample per accepted step as
+    stdlib ``array('d')``, so that a run loads no numpy.  They index, slice
+    and ``tolist()`` like lists; for arithmetic take ``np.asarray(traj.r)``,
+    which shares their memory, since ``traj.r * 2`` repeats an ``array``.
     ``nfev`` counts right-hand-side evaluations (one ``force_at`` call each),
     ``n_steps`` accepted steps and ``n_rejected`` rejected step attempts.
     """
 
-    t: np.ndarray
-    r: np.ndarray
-    v: np.ndarray
-    energy: np.ndarray
+    t: array
+    r: array
+    v: array
+    energy: array
     events: list[Event]
     energy_drift: float
     law: ForceLaw
@@ -410,7 +414,9 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
     scipy runs per step.  Events are located by Brent's method on the dense
     output: r = 0 and v = 0 crossings, plus an escape event when r crosses
     ESCAPE_RADII * sigma0 outward (v > 0), which also terminates the run.  One
-    sample is recorded per accepted step.
+    sample is recorded per accepted step.  The energy column and
+    ``energy_drift``, max |E - E0| over max(|E0|, max kinetic, 1e-300), are
+    computed in Python floats, so ``integrate`` loads no numpy either.
 
     The law is read through ``force_at`` and ``potential_at`` only: the force
     is odd in r and the potential even, for r >= 0 both are bit-equal to the
@@ -444,11 +450,9 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
     m = law.body.mass
     if r0 == 0.0 and v0 == 0.0:
         # Equilibrium point: the solution is identically zero, no step is taken.
-        t = np.array([0.0, t_end])
-        zero = np.zeros(2)
         e0 = law.potential_at(0.0)
-        return Trajectory(t=t, r=zero.copy(), v=zero.copy(),
-                          energy=np.array([e0, e0]), events=[],
+        return Trajectory(t=array("d", [0.0, t_end]), r=array("d", [0.0, 0.0]),
+                          v=array("d", [0.0, 0.0]), energy=array("d", [e0, e0]), events=[],
                           energy_drift=0.0, law=law, nfev=0, n_steps=0, n_rejected=0)
 
     force = law.force_at
@@ -464,11 +468,12 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
     if not all(map(math.isfinite, rs + vs)):
         raise IntegrationError("non-finite state encountered during integration")
 
-    energy = np.array([0.5 * m * vi * vi + law.potential_at(ri) for ri, vi in zip(rs, vs)])
-    v = np.array(vs)
-    scale = max(abs(energy[0]), float(np.max(0.5 * m * v * v)), 1e-300)
-    drift = float(np.max(np.abs(energy - energy[0])) / scale)
-    return Trajectory(t=np.array(ts), r=np.array(rs), v=v, energy=energy,
+    kinetic = [0.5 * m * vi * vi for vi in vs]
+    energy = array("d", map(operator.add, kinetic, map(law.potential_at, rs)))
+    e0 = energy[0]
+    scale = max(abs(e0), max(kinetic), 1e-300)
+    drift = max(abs(e - e0) for e in energy) / scale
+    return Trajectory(t=array("d", ts), r=array("d", rs), v=array("d", vs), energy=energy,
                       events=[Event(time=ti, kind=kind) for ti, kind in found],
                       energy_drift=drift, law=law, nfev=nfev, n_steps=len(ts) - 1,
                       n_rejected=n_rejected)
@@ -540,7 +545,6 @@ _ASSUMPTIONS = {
 }
 
 
-@np.errstate(all="ignore")
 def tau_at(method: TauMethod, mass, sigma0, ctx: PhysicalContext, radius=None):
     """Closed-form reduction time, elementwise over floats or broadcastable arrays.
 
@@ -554,24 +558,27 @@ def tau_at(method: TauMethod, mass, sigma0, ctx: PhysicalContext, radius=None):
     if method not in (OBJECT_CLOSED_FORMS if radius is not None else POINT_CLOSED_FORMS):
         kind = "sphere" if radius is not None else "point particle"
         raise BodyKindError(f"method {method} does not apply to a {kind}")
+    import numpy as np
+
     G, hbar = ctx.G, ctx.hbar
-    m = np.asarray(mass, dtype=float)
-    s0 = np.asarray(sigma0, dtype=float)
-    if method is TauMethod.PERIOD_FORMULA:
-        tau = np.sqrt(s0 ** 3 / (G * m))
-    elif method is TauMethod.SHORT_TIME:
-        tau = hbar ** 3 / (G ** 2 * m ** 5)
-    elif method is TauMethod.UNCERTAINTY:
-        tau = hbar / (SQRT_2_OVER_PI * (-math.expm1(-0.5)) * G * m * m / s0)
-    else:
-        R = np.asarray(radius, dtype=float)
-        gm2 = G * m ** 2
-        if method is TauMethod.OBJECT_UNCERTAINTY:
-            x = s0 / R
-            tau = hbar * R / (gm2 * np.abs(ALPHA_OBJECT * x * x - BETA_OBJECT))
+    with np.errstate(all="ignore"):
+        m = np.asarray(mass, dtype=float)
+        s0 = np.asarray(sigma0, dtype=float)
+        if method is TauMethod.PERIOD_FORMULA:
+            tau = np.sqrt(s0 ** 3 / (G * m))
+        elif method is TauMethod.SHORT_TIME:
+            tau = hbar ** 3 / (G ** 2 * m ** 5)
+        elif method is TauMethod.UNCERTAINTY:
+            tau = hbar / (SQRT_2_OVER_PI * (-math.expm1(-0.5)) * G * m * m / s0)
         else:
-            tau = 1.25 * math.sqrt(2.0 * math.pi) * hbar * R / gm2
-    return in_float_range(tau, f"{method.value} reduction time")
+            R = np.asarray(radius, dtype=float)
+            gm2 = G * m ** 2
+            if method is TauMethod.OBJECT_UNCERTAINTY:
+                x = s0 / R
+                tau = hbar * R / (gm2 * np.abs(ALPHA_OBJECT * x * x - BETA_OBJECT))
+            else:
+                tau = 1.25 * math.sqrt(2.0 * math.pi) * hbar * R / gm2
+        return in_float_range(tau, f"{method.value} reduction time")
 
 
 def tau_point(method: TauMethod, packet: WavePacket, body: Body,

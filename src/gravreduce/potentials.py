@@ -10,7 +10,9 @@ directly and serves as the oracle for every closed form here.
 That fallback, and the ensemble averages of ``averages.expect``, integrate
 against the Gaussian's radial weight with one fixed rule: 48-node
 Gauss-Legendre, checked against the 40-node rule on the same panel and
-bisected only where the two disagree.
+bisected only where the two disagree.  numpy is imported by the rule's
+functions alone, so importing this module, as ``simulate`` does, loads no
+numpy.
 
 Sign convention: the self-gravitational potentials are the running integral
 of (classical kernel) * density * 4 pi r'^2, which is negative wherever the
@@ -26,8 +28,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from .core import Body, PhysicalContext, WavePacket
 from .errors import AccuracyError, BodyKindError, DomainError, SingularityError
@@ -75,6 +75,8 @@ def _panel_rule(t, w, a: float, b: float):
     so the Gaussian never has to be evaluated per call.  w holds one row of
     weights per rule, zero at the other rule's nodes.
     """
+    import numpy as np
+
     half = 0.5 * (b - a)
     u = (a + half) + half * t
     return u, half * w * (SQRT_2_OVER_PI * u * u * np.exp(-0.5 * u * u))
@@ -93,6 +95,7 @@ def _gauss_pair():
     Built on first use, so that the commands which never integrate do not
     pay for it.
     """
+    import numpy as np
     from numpy.polynomial.legendre import leggauss, legder, legval
 
     def weights(nodes):
@@ -110,7 +113,6 @@ def _gauss_pair():
     return t, w, fixed
 
 
-@np.errstate(all="ignore")
 def _radial_quad(fn: Callable[[float], float], s0: float,
                  upper: float) -> tuple[float, float, float, int]:
     """Integral of rho(u) fn(u s0) over u in [0, upper], with rho the radial
@@ -125,6 +127,8 @@ def _radial_quad(fn: Callable[[float], float], s0: float,
     Raises :class:`DomainError` when fn, or the result, leaves the
     floating-point range.
     """
+    import numpy as np
+
     t, w, fixed = _gauss_pair()
 
     def panel(a, b):
@@ -146,14 +150,15 @@ def _radial_quad(fn: Callable[[float], float], s0: float,
         neg_err, _, _, value, l1 = map(sum, zip(*panels))
         return value, -neg_err, l1
 
-    panels = [panel(0.0, upper)]
-    value, err, l1 = totals()
-    while err > QUAD_RELTOL * max(abs(value), l1) and len(panels) < MAX_PANELS:
-        _, a, b, _, _ = heapq.heappop(panels)
-        mid = 0.5 * (a + b)
-        heapq.heappush(panels, panel(a, mid))
-        heapq.heappush(panels, panel(mid, b))
+    with np.errstate(all="ignore"):
+        panels = [panel(0.0, upper)]
         value, err, l1 = totals()
+        while err > QUAD_RELTOL * max(abs(value), l1) and len(panels) < MAX_PANELS:
+            _, a, b, _, _ = heapq.heappop(panels)
+            mid = 0.5 * (a + b)
+            heapq.heappush(panels, panel(a, mid))
+            heapq.heappush(panels, panel(mid, b))
+            value, err, l1 = totals()
     if not (math.isfinite(value) and math.isfinite(err) and math.isfinite(l1)):
         raise DomainError(_NOT_FINITE)
     return value, err, l1, (2 * len(panels) - 1) * (GAUSS_NODES + COMPARISON_NODES)

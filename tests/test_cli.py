@@ -1,6 +1,6 @@
 """Command-line contract: exit codes, stderr, the --config merge, the simulate
-outputs, and that no command loads scipy or builds the quadrature nodes
-before it needs them."""
+outputs, that no command loads scipy or builds the quadrature nodes before it
+needs them, and that simulate loads no numpy."""
 
 import json
 import os
@@ -140,10 +140,22 @@ def test_config_quick_is_applied(tmp_path, monkeypatch):
         seen.update(kwargs)
         return {"passed": True}
 
-    monkeypatch.setattr(cli.verify, "run_all", fake_run_all)
+    monkeypatch.setattr("gravreduce.verify.run_all", fake_run_all)
     config = write_config(tmp_path, "quick = yes\n")
     assert run(["verify", "--config", config])[0] == cli.EXIT_OK
     assert seen["quick"] is True
+
+
+@pytest.mark.parametrize("command", sorted(VALID))
+def test_config_file_cannot_name_another(command, tmp_path):
+    # The command line's --config always wins, so the line could only be
+    # ignored; it is refused even when the file it names is valid.
+    nested = tmp_path / "nested.cfg"
+    nested.write_text("mass = 2\n")
+    config = write_config(tmp_path, f"config = {nested}\n")
+    code, out, err = run(VALID[command] + ["--config", config])
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err == "error: config key config is refused: a config file cannot name another\n"
 
 
 def test_config_flag_takes_a_boolean_word(tmp_path):
@@ -432,7 +444,7 @@ def test_reduction_estimate_requires_finite_positive_tau():
             dynamics.ReductionEstimate(tau, dynamics.TauMethod.SHORT_TIME)
 
 
-# ---------------------------------------------------------------- no scipy, lazy quadrature nodes
+# ---------------------------------------------------------------- modules loaded, lazy quadrature nodes
 
 SCIPY_MODULES = """
 import sys
@@ -449,36 +461,57 @@ from gravreduce import potentials
 
 
 def state():
-    return {"scipy": scipy_modules(),
+    return {"scipy": scipy_modules(), "numpy": "numpy" in sys.modules,
             "gauss_nodes_built": potentials._gauss_pair.cache_info().currsize > 0}
 
 
 loaded = {"import": state()}
-runs = [
-    ("critical", ["critical", "--mass", "1", "--sigma0", "1"]),
-    ("tau point --no-numeric", ["tau", "--mass", "1", "--sigma0", "1", "--no-numeric"]),
-    ("tau sphere", ["tau", "--mass", "1", "--sigma0", "1", "--kind", "sphere",
-                    "--radius", "0.5"]),
-    ("sweep", ["sweep", "--sigma0", "1", "--grid", "mass=0.1:10:3"]),
-    ("simulate", ["simulate", "--mass", "1", "--sigma0", "1", "--r0", "1", "--t-end", "10"]),
-    ("tau point numeric", ["tau", "--mass", "1", "--sigma0", "1"]),
-    ("verify --quick", ["verify", "--quick"]),
-]
-for name, argv in runs:
+for name, argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, name
     loaded[name] = state()
 print(json.dumps(loaded))
 """
 
+# Each command that loads numpy runs in a process of its own.
+NUMPY_RUNS = [
+    ("critical", ["critical", "--mass", "1", "--sigma0", "1"]),
+    ("tau point --no-numeric", ["tau", "--mass", "1", "--sigma0", "1", "--no-numeric"]),
+    ("tau sphere", ["tau", "--mass", "1", "--sigma0", "1", "--kind", "sphere",
+                    "--radius", "0.5"]),
+    ("tau point numeric", ["tau", "--mass", "1", "--sigma0", "1"]),
+    ("sweep", ["sweep", "--sigma0", "1", "--grid", "mass=0.1:10:3"]),
+    ("verify --quick", ["verify", "--quick"]),
+]
+LAWS = {"gravity-point": [], "mixed-point": ["--printed-mixed-variant"],
+        "gravity-object": ["--radius", "0.5"]}
+
+
+def simulate_runs(outdir):
+    """Every law, written as CSV to stdout, as JSON, and as CSV to --out with
+    a gnuplot script."""
+    runs = []
+    for law, extra in LAWS.items():
+        argv = SIMULATE + ["--law", law] + extra
+        csv_out = ["--out", str(outdir / f"{law}.csv"),
+                   "--gnuplot-script", str(outdir / f"{law}.gp")]
+        runs += [(f"simulate {law} csv", argv),
+                 (f"simulate {law} json", argv + ["--format", "json"]),
+                 (f"simulate {law} csv --out --gnuplot-script", argv + csv_out)]
+    return runs
+
 
 @pytest.fixture(scope="module")
-def command_probe():
-    # A fresh interpreter: other test modules import scipy here.  The
-    # commands run in the order above, each state taken after its command.
-    res = run_process(["-c", IMPORT_PROBE])
-    assert res.returncode == 0, res.stderr
-    return json.loads(res.stdout)
+def command_probe(tmp_path_factory):
+    # Fresh interpreters: other test modules import scipy and numpy here.
+    # The simulate runs share one, each state taken after its command, so a
+    # module loaded by any of them shows in the states of those after it.
+    states = {}
+    for runs in [simulate_runs(tmp_path_factory.mktemp("probe"))] + [[r] for r in NUMPY_RUNS]:
+        res = run_process(["-c", IMPORT_PROBE, json.dumps(runs)])
+        assert res.returncode == 0, res.stderr
+        states.update(json.loads(res.stdout))
+    return states
 
 
 def test_closed_form_commands_do_not_load_scipy_integrate(command_probe):
@@ -491,6 +524,14 @@ def test_closed_form_commands_do_not_load_scipy_integrate(command_probe):
     res = run_process(["-c", SCIPY_MODULES + "import scipy.integrate\nprint(scipy_modules())"])
     assert res.returncode == 0, res.stderr
     assert "'scipy.integrate'" in res.stdout
+
+
+def test_simulate_loads_no_numpy(command_probe):
+    # Importing the CLI and all nine simulate runs leave numpy unloaded;
+    # positive control: every command that builds arrays loads it.
+    loaded = {name: state["numpy"] for name, state in command_probe.items()}
+    assert sum(name.startswith("simulate ") for name in loaded) == 3 * len(LAWS)
+    assert loaded == {name: name in dict(NUMPY_RUNS) for name in loaded}
 
 
 def test_only_verify_builds_the_gauss_nodes(command_probe):

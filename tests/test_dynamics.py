@@ -41,13 +41,17 @@ def scipy_rk45(law, r0, v0, t_end, rtol=1e-9, atol=1e-12):
                      events=[lambda t, y: y[0], lambda t, y: y[1], ev_escape])
 
 
-def scipy_drift(law, sol):
-    """``Trajectory.energy_drift`` of a solve_ivp solution."""
+def numpy_energy(law, r, v):
+    """The energy column and ``energy_drift`` of states r, v, recomputed with numpy."""
     m = law.body.mass
-    r, v = sol.y
     energy = 0.5 * m * v * v + np.array([law.potential_at(x) for x in r])
     scale = max(abs(energy[0]), float(np.max(0.5 * m * v * v)), 1e-300)
-    return float(np.max(np.abs(energy - energy[0])) / scale)
+    return energy, float(np.max(np.abs(energy - energy[0])) / scale)
+
+
+def scipy_drift(law, sol):
+    """``Trajectory.energy_drift`` of a solve_ivp solution."""
+    return numpy_energy(law, *sol.y)[1]
 
 
 CASES = {
@@ -91,6 +95,17 @@ def test_steps_and_events_match_scipy_rk45(case):
     assert [e.kind for e in traj.events] == [kind for _, kind in expected]
     np.testing.assert_allclose([e.time for e in traj.events], [te for te, _ in expected],
                                rtol=0, atol=1e-12 * t_end)
+
+
+@pytest.mark.parametrize("case", sorted(CASES) + ["equilibrium"])
+def test_energy_column_is_the_numpy_recomputation_bit_for_bit(case):
+    law, r0, v0, t_end = CASES.get(case, (GRAVITY_POINT, 0.0, 0.0, 5.0))
+    traj = dynamics.integrate(law, r0, v0, t_end)
+    r = np.asarray(traj.r)
+    assert np.shares_memory(r, traj.r)
+    energy, drift = numpy_energy(law, r, np.asarray(traj.v))
+    assert traj.energy.tolist() == energy.tolist()
+    assert traj.energy_drift == drift
 
 
 def test_escape_ends_the_run_at_its_root():
