@@ -17,8 +17,9 @@ flag such as ``no_numeric`` or ``quick`` takes ``true``/``yes``/``on`` or
 ``false``/``no``/``off``.  ``grid`` may be given on several lines, one spec
 per line, as ``--grid`` may be repeated; any ``--grid`` on the command line
 replaces all of them.  For any other key the last line wins.  Values pass
-through the same type and choice checks as the flags they stand for, and a
-key the subcommand has no option for is refused.
+through the same type and choice checks as the flags they stand for.  A key
+the subcommand has no option for is refused, and so is ``config``: the
+command line names the one file read.
 
 ``critical``, ``simulate``, ``tau`` and ``sweep`` take the unit options
 (``--units``, ``--dimensionless``, ``--hbar``, ``--G``), ``--format`` and
