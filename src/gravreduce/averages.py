@@ -15,8 +15,8 @@ from typing import Callable
 
 from .core import Body, PhysicalContext, WavePacket
 from .errors import AccuracyError
-from .potentials import (RadialField, SQRT_2_OVER_PI, TRUNCATION_SIGMAS, _radial_quad,
-                         _require_point, _require_sphere)
+from .potentials import (SQRT_2_OVER_PI, TRUNCATION_SIGMAS, _radial_quad, _require_point,
+                         _require_sphere)
 
 EXPECT_RELTOL = 1e-10
 
@@ -36,8 +36,8 @@ class Expectation:
             raise ValueError("error estimate must be non-negative")
 
 
-def expect(observable: RadialField | Callable[[float], float],
-           packet: WavePacket, ctx: PhysicalContext) -> Expectation:
+def expect(observable: Callable[[float], float], packet: WavePacket,
+           ctx: PhysicalContext) -> Expectation:
     """Quadrature of density * observable * 4 pi r^2 over [0, 12 sigma0].
 
     The integration variable is r / sigma0, so the Gaussian weight is folded
@@ -47,8 +47,7 @@ def expect(observable: RadialField | Callable[[float], float],
     tolerance cannot be certified, and :class:`DomainError` if the observable
     or the average is not finite.
     """
-    fn = observable.fn if isinstance(observable, RadialField) else observable
-    value, abserr, l1, neval = _radial_quad(fn, packet.sigma0, TRUNCATION_SIGMAS)
+    value, abserr, l1, neval = _radial_quad(observable, packet.sigma0, TRUNCATION_SIGMAS)
     # A cancelling integrand can converge in absolute terms while the
     # relative criterion is ill-posed near zero; judge it against the
     # integrand's own L1 scale.

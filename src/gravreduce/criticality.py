@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .averages import avg_energy_object, avg_energy_point
+from .averages import avg_energy_point
 from .core import Body, PhysicalContext, WavePacket, in_float_range
 from .errors import BodyKindError, DomainError
 from .minimize import minimize_bracketed
@@ -63,7 +63,6 @@ class WidthEstimate:
 @dataclass(frozen=True)
 class RegimeReport:
     critical_mass: float
-    critical_width: float
     force_ratio: float          # mean quantum force / |mean self-gravity force|
     regime: Regime
     method: CriticalMethod
@@ -115,13 +114,6 @@ def regime_index(mass, critical_mass):
     return (m <= m_c * (1.0 + TIE_BAND)).astype(int) + (m < m_c * (1.0 - TIE_BAND))
 
 
-@np.errstate(all="ignore")
-def critical_width_point_at(mass, ctx: PhysicalContext):
-    """Width at which the averaged point forces balance: sqrt(pi/2) hbar^2 / (G m^3)."""
-    return in_float_range(FORCE_BALANCE_POINT_CONST * _scale(mass, ctx),
-                          "force-balance critical width")
-
-
 _OBJECT_WIDTH_CONST = {ObjectRegime.MACRO: FORCE_BALANCE_MACRO_CONST,
                        ObjectRegime.MICRO: FORCE_BALANCE_MICRO_CONST,
                        ObjectRegime.INTERMEDIATE: 1.0}
@@ -151,11 +143,13 @@ def transition_width_object_at(mass, radius, ctx: PhysicalContext,
                          paper_form=in_float_range(base, what), label=regime.value)
 
 
+@np.errstate(all="ignore")
 def critical_width_force_balance_at(mass, ctx: PhysicalContext, radius=None):
-    """Force-balance transition width: the point law without a radius, the
-    macro sphere law with one."""
+    """Force-balance transition width: the point law sqrt(pi/2) hbar^2 / (G m^3)
+    without a radius, the macro sphere law with one."""
     if radius is None:
-        return critical_width_point_at(mass, ctx)
+        return in_float_range(FORCE_BALANCE_POINT_CONST * _scale(mass, ctx),
+                              "force-balance critical width")
     return transition_width_object_at(mass, radius, ctx, ObjectRegime.MACRO).value
 
 
@@ -169,13 +163,6 @@ def critical_width_energy_min_at(mass, ctx: PhysicalContext, radius=None):
     else:
         width = ENERGY_MIN_OBJECT_CONST * (scale * np.asarray(radius, dtype=float) ** 3) ** 0.25
     return in_float_range(width, "energy-minimum critical width")
-
-
-def critical_width_point(body: Body, ctx: PhysicalContext) -> float:
-    """Width at which the averaged forces balance: sqrt(pi/2) hbar^2 / (G m^3)."""
-    if not body.is_point:
-        raise BodyKindError("critical_width_point requires a point particle")
-    return float(critical_width_point_at(body.mass, ctx))
 
 
 def critical_width_force_balance(body: Body, ctx: PhysicalContext) -> float:
@@ -194,50 +181,40 @@ def force_ratio(packet: WavePacket, body: Body, ctx: PhysicalContext) -> float:
     return float(force_ratio_at(body.mass, packet.sigma0, ctx))
 
 
-def classify_regime(packet: WavePacket, body: Body, ctx: PhysicalContext,
-                    method: CriticalMethod | None = None) -> RegimeReport:
+def classify_regime(packet: WavePacket, body: Body, ctx: PhysicalContext) -> RegimeReport:
     """Classify quantum- vs gravity-dominance of a (body, packet) pair.
 
     Gravity dominates when the mass exceeds the critical mass (equivalently,
     when the cube-law force ratio drops below one); a relative tie band of
-    ``TIE_BAND`` around the critical mass maps to the transition label.
+    ``TIE_BAND`` around the critical mass maps to the transition label.  The
+    reported method is the route that defines the body's critical width:
+    force balance for a point particle, energy minimization for a sphere.
     """
     m_c = critical_mass(packet, ctx)
-    if method is None:
-        method = (CriticalMethod.FORCE_BALANCE if body.is_point
-                  else CriticalMethod.ENERGY_MINIMIZATION)
-    if method is CriticalMethod.FORCE_BALANCE:
-        width = critical_width_force_balance(body, ctx)
-    else:
-        width = critical_width_energy_min_exact(body, ctx)
-    return RegimeReport(critical_mass=m_c, critical_width=width,
-                        force_ratio=force_ratio(packet, body, ctx),
+    method = (CriticalMethod.FORCE_BALANCE if body.is_point
+              else CriticalMethod.ENERGY_MINIMIZATION)
+    return RegimeReport(critical_mass=m_c, force_ratio=force_ratio(packet, body, ctx),
                         regime=REGIMES[int(regime_index(body.mass, m_c))], method=method,
                         reference_values=reference_formulas(body, packet, ctx))
 
 
-def _energy_profile(body: Body, ctx: PhysicalContext):
-    """Mean energy as a function of width, with its analytic derivative."""
+def _energy_derivative(body: Body, ctx: PhysicalContext):
+    """d<E>/d sigma0 of the mean energy of ``averages.avg_energy_point`` or
+    ``avg_energy_object``, as a function of the width."""
     m = body.mass
     c2 = 3.0 * ctx.hbar ** 2 / (8.0 * m)
     if body.is_point:
         c1 = -(2.0 * math.sqrt(2.0) - 1.0) * ctx.G * m * m / (2.0 * math.sqrt(math.pi))
-
-        def energy(s0):
-            return avg_energy_point(WavePacket(s0), body, ctx)
 
         def derivative(s0):
             return -c1 / s0 ** 2 - 2.0 * c2 / s0 ** 3
     else:
         a = ctx.G * m * m * (0.75 - 1.0 / math.pi) / body.radius ** 3
 
-        def energy(s0):
-            return avg_energy_object(WavePacket(s0), body, ctx)
-
         def derivative(s0):
             return 2.0 * a * s0 - 2.0 * c2 / s0 ** 3
 
-    return energy, derivative
+    return derivative
 
 
 def critical_width_energy_min_exact(body: Body, ctx: PhysicalContext) -> float:
@@ -247,19 +224,20 @@ def critical_width_energy_min_exact(body: Body, ctx: PhysicalContext) -> float:
 
 def critical_width_energy_min(body: Body, ctx: PhysicalContext,
                               bracket: tuple[float, float] | None = None) -> float:
-    """Minimize the mean energy over the packet width by derivative-sign bisection.
+    """Minimize the mean energy over the packet width by bisection on the sign
+    of its analytic derivative (:func:`minimize.minimize_bracketed`).
 
-    The bracket must contain the single stationary point; by default it spans
-    a factor of ten either side of the closed-form minimizer.
+    The result is the midpoint of a final bracket 1e-12 of it wide.  The
+    bracket must contain the single stationary point; by default it spans a
+    factor of ten either side of the closed-form minimizer.
     """
-    energy, derivative = _energy_profile(body, ctx)
     if bracket is None:
         guess = critical_width_energy_min_exact(body, ctx)
         bracket = (0.1 * guess, 10.0 * guess)
     lo, hi = bracket
     if not (0.0 < lo < hi):
         raise DomainError("bracket must satisfy 0 < lo < hi")
-    return minimize_bracketed(energy, lo, hi, rel_tol=1e-12, dfdx=derivative)
+    return minimize_bracketed(_energy_derivative(body, ctx), lo, hi)
 
 
 def stationary_energy(body: Body, ctx: PhysicalContext) -> float:

@@ -146,7 +146,7 @@ class ForceLaw:
         try:
             force, potential = _kernels(self.kind, self.packet, self.body, self.ctx,
                                         self.printed_mixed_variant)
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):
             raise DomainError("the force law's constants are outside the floating-point "
                               "range for these parameters") from None
         object.__setattr__(self, "_force", force)
@@ -426,7 +426,8 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
     beyond ``MAX_CHARACTERISTIC_TIMES`` characteristic times, or an rtol
     below 100 eps (where scipy's RK45 raises rtol with a warning), and
     :class:`IntegrationError` for a step below the floating-point spacing of
-    t, more than ``MAX_STEPS`` accepted steps, a non-finite state, or an
+    t, more than ``MAX_STEPS`` accepted steps, a non-finite state, energy or
+    drift, a force or potential that overflows or divides by zero, or an
     event root that is not bracketed or not converged.
     """
     if not all(math.isfinite(x) for x in (r0, v0, t_end)):
@@ -441,8 +442,10 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
     try:
         t_char = law.characteristic_time()
     except (OverflowError, ZeroDivisionError):
+        t_char = math.nan
+    if not t_char > 0.0:        # nan, or sigma0^3 underflowed to zero
         raise DomainError("the characteristic time is outside the floating-point range "
-                          "for these parameters") from None
+                          "for these parameters")
     if not t_end <= MAX_CHARACTERISTIC_TIMES * t_char:
         raise DomainError(f"t_end is {t_end / t_char:.3g} characteristic times; "
                           f"the limit is {MAX_CHARACTERISTIC_TIMES:g}")
@@ -462,17 +465,22 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
 
     t_end = float(t_end)
     first_step = min(t_char / 1000.0, t_end / 10.0)
-    ts, rs, vs, found, nfev, n_rejected = _dormand_prince(
-        accel, float(r0), float(v0), t_end, first_step, rtol, atol,
-        ESCAPE_RADII * law.packet.sigma0, MAX_STEPS)
-    if not all(map(math.isfinite, rs + vs)):
-        raise IntegrationError("non-finite state encountered during integration")
-
-    kinetic = [0.5 * m * vi * vi for vi in vs]
-    energy = array("d", map(operator.add, kinetic, map(law.potential_at, rs)))
+    try:
+        ts, rs, vs, found, nfev, n_rejected = _dormand_prince(
+            accel, float(r0), float(v0), t_end, first_step, rtol, atol,
+            ESCAPE_RADII * law.packet.sigma0, MAX_STEPS)
+        if not all(map(math.isfinite, rs + vs)):
+            raise IntegrationError("non-finite state encountered during integration")
+        kinetic = [0.5 * m * vi * vi for vi in vs]
+        energy = array("d", map(operator.add, kinetic, map(law.potential_at, rs)))
+    except (OverflowError, ZeroDivisionError):
+        raise IntegrationError("the force or potential left the floating-point range "
+                               "during integration") from None
     e0 = energy[0]
     scale = max(abs(e0), max(kinetic), 1e-300)
     drift = max(abs(e - e0) for e in energy) / scale
+    if not (all(map(math.isfinite, energy)) and math.isfinite(drift)):
+        raise IntegrationError("the trajectory's energy is not finite")
     return Trajectory(t=array("d", ts), r=array("d", rs), v=array("d", vs), energy=energy,
                       events=[Event(time=ti, kind=kind) for ti, kind in found],
                       energy_drift=drift, law=law, nfev=nfev, n_steps=len(ts) - 1,

@@ -1,73 +1,45 @@
 """Bracketed one-dimensional minimization.
 
-Strategy: bisection on the sign of the derivative (analytic when supplied,
-central differences otherwise) pins the stationary point to near machine
-precision, after which a short golden-section pass over the final bracket
-confirms the minimum.  Robust for the smooth convex energy profiles this
-package minimizes.
+Strategy: bisection on the sign of the analytic derivative halves the
+bracket until its width is 1e-12 of its midpoint, which is returned.  The
+energy itself is never compared: two widths within sqrt(eps) of a smooth
+minimum have energies equal to rounding, so a comparison of values cannot
+place the minimum any closer (Numerical Recipes, section 10.1), while the
+derivative's sign can, down to the bracket width.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Optional
+from typing import Callable
 
 from .errors import BracketError
 
-GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
+REL_WIDTH = 1e-12    # final bracket width over its midpoint
 
 
-def _central_difference(f, x, h):
-    return (f(x + h) - f(x - h)) / (2.0 * h)
-
-
-def minimize_bracketed(f: Callable[[float], float], lo: float, hi: float,
-                       rel_tol: float = 1e-12,
-                       dfdx: Optional[Callable[[float], float]] = None,
-                       max_iter: int = 200) -> float:
-    """Locate the minimizer of f inside [lo, hi] to the given relative tolerance.
+def minimize_bracketed(dfdx: Callable[[float], float], lo: float, hi: float) -> float:
+    """Minimizer of a function inside [lo, hi], from its derivative ``dfdx``.
 
     The bracket must contain exactly one stationary point: the derivative has
     to change sign from negative at lo to positive at hi, otherwise a
-    :class:`BracketError` is raised.
+    :class:`BracketError` is raised.  Returns the midpoint of the final
+    bracket, whose width is ``REL_WIDTH`` of it.
     """
     if not (0.0 < lo < hi):
         raise BracketError("bracket must satisfy 0 < lo < hi")
-    deriv = dfdx if dfdx is not None else (
-        lambda x: _central_difference(f, x, 1e-6 * x))
-    d_lo = deriv(lo)
-    d_hi = deriv(hi)
+    d_lo = dfdx(lo)
+    d_hi = dfdx(hi)
     if not (d_lo < 0.0 < d_hi):
         raise BracketError(
             f"derivative does not change sign over bracket: f'({lo})={d_lo}, f'({hi})={d_hi}")
 
     a, b = lo, hi
-    for _ in range(max_iter):
-        mid = 0.5 * (a + b)
-        if deriv(mid) < 0.0:
+    mid = 0.5 * (a + b)
+    # a < mid < b fails only once a and b are adjacent floats (subnormal brackets)
+    while b - a > REL_WIDTH * mid and a < mid < b:
+        if dfdx(mid) < 0.0:
             a = mid
         else:
             b = mid
-        if b - a <= rel_tol * mid:
-            break
-
-    return _golden_polish(f, a, b)
-
-
-def _golden_polish(f, a, b, max_iter=60):
-    # Golden-section pass over the (already tight) bisection bracket.
-    x1 = b - GOLDEN_RATIO * (b - a)
-    x2 = a + GOLDEN_RATIO * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(max_iter):
-        if b - a <= 1e-15 * max(abs(a), abs(b)):
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - GOLDEN_RATIO * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + GOLDEN_RATIO * (b - a)
-            f2 = f(x2)
-    return 0.5 * (a + b)
+        mid = 0.5 * (a + b)
+    return mid

@@ -26,7 +26,6 @@ import functools
 import heapq
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Callable
 
 from .core import Body, PhysicalContext, WavePacket
@@ -53,18 +52,6 @@ _NOT_FINITE = "the integrand or its integral is not finite for these parameters"
 
 class RegimeWarning(UserWarning):
     """An asymptotic form was evaluated outside its validity regime."""
-
-
-@dataclass(frozen=True)
-class RadialField:
-    """A scalar field of the radius: either a potential or its paired force."""
-
-    fn: Callable[[float], float]
-    kind: str          # "potential" | "force"
-    label: str
-
-    def __call__(self, r: float) -> float:
-        return self.fn(r)
 
 
 def _panel_rule(t, w, a: float, b: float):
@@ -328,7 +315,7 @@ def qg_potential_object_asymptotic(r: float, packet: WavePacket, body: Body,
             * gm2 * r ** 3 / (body.radius * packet.sigma0 ** 3))
 
 
-def qg_potential_numeric(r: float, kernel: RadialField | Callable[[float], float],
+def qg_potential_numeric(r: float, kernel: Callable[[float], float],
                          packet: WavePacket, ctx: PhysicalContext) -> float:
     """Self-energy by quadrature of kernel * density * 4 pi r'^2 on [0, r].
 
@@ -345,11 +332,10 @@ def qg_potential_numeric(r: float, kernel: RadialField | Callable[[float], float
     """
     _require_nonnegative(r)
     s0 = packet.sigma0
-    kern = kernel.fn if isinstance(kernel, RadialField) else kernel
     upper = min(r / s0, TRUNCATION_SIGMAS)
     if upper <= 0.0:
         return 0.0
-    value, abserr, l1, _ = _radial_quad(kern, s0, upper)
+    value, abserr, l1, _ = _radial_quad(kernel, s0, upper)
     if abserr > 1e-8 * max(abs(value), l1):
         raise AccuracyError("self-energy quadrature did not converge",
                             value=value, error_estimate=abserr)
@@ -370,38 +356,27 @@ def qg_well_potential_point(r: float, packet: WavePacket, body: Body,
 
 
 def potential_force_pairs(packet: WavePacket, body: Body, ctx: PhysicalContext):
-    """The (potential, force) pairs applicable to this body, for gradient checks.
+    """The (label, potential, force) triples applicable to this body, for
+    gradient checks; the label names the force.
 
     Always includes the quantum pair; adds the point or sphere gravitational
     pair, and for points also the combined (quantum + gravitational) pair that
     drives the mixed-regime dynamics.  Each pair satisfies force = -dU/dr.
     """
-    pairs = [(
-        RadialField(lambda r: quantum_potential(r, packet, body, ctx),
-                    "potential", "quantum-potential"),
-        RadialField(lambda r: quantum_force(r, packet, body, ctx),
-                    "force", "quantum-force"),
-    )]
+    pairs = [("quantum-force",
+              lambda r: quantum_potential(r, packet, body, ctx),
+              lambda r: quantum_force(r, packet, body, ctx))]
     if body.is_point:
-        pairs.append((
-            RadialField(lambda r: qg_well_potential_point(r, packet, body, ctx),
-                        "potential", "self-gravity-well-point"),
-            RadialField(lambda r: qg_force_point(r, packet, body, ctx),
-                        "force", "self-gravity-force-point"),
-        ))
-        pairs.append((
-            RadialField(lambda r: quantum_potential(r, packet, body, ctx)
-                        + qg_well_potential_point(r, packet, body, ctx),
-                        "potential", "mixed-well-point"),
-            RadialField(lambda r: quantum_force(r, packet, body, ctx)
-                        + qg_force_point(r, packet, body, ctx),
-                        "force", "mixed-force-point"),
-        ))
+        pairs.append(("self-gravity-force-point",
+                      lambda r: qg_well_potential_point(r, packet, body, ctx),
+                      lambda r: qg_force_point(r, packet, body, ctx)))
+        pairs.append(("mixed-force-point",
+                      lambda r: (quantum_potential(r, packet, body, ctx)
+                                 + qg_well_potential_point(r, packet, body, ctx)),
+                      lambda r: (quantum_force(r, packet, body, ctx)
+                                 + qg_force_point(r, packet, body, ctx))))
     else:
-        pairs.append((
-            RadialField(lambda r: qg_potential_object(r, packet, body, ctx),
-                        "potential", "self-gravity-potential-object"),
-            RadialField(lambda r: qg_force_object(r, packet, body, ctx),
-                        "force", "self-gravity-force-object"),
-        ))
+        pairs.append(("self-gravity-force-object",
+                      lambda r: qg_potential_object(r, packet, body, ctx),
+                      lambda r: qg_force_object(r, packet, body, ctx)))
     return pairs

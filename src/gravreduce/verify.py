@@ -16,7 +16,6 @@ import numpy as np
 
 from . import averages, criticality, dynamics, potentials
 from .core import Body, PhysicalContext, WavePacket
-from .potentials import RadialField
 
 RNG_SEED = 20240811
 
@@ -76,12 +75,11 @@ def check_gradient_consistency(n_points: int = 100, tol: float = 1e-6) -> list[C
             pairs = potentials.potential_force_pairs(packet, body, ctx)
             r = float(rng.uniform(0.1, 3.0)) * s0
             h = 1e-6 * s0
-            for pot, force in pairs:
+            for label, pot, force in pairs:
                 fd = -(pot(r + h) - pot(r - h)) / (2.0 * h)
                 f = force(r)
                 rel = abs(f - fd) / max(abs(f), abs(fd), 1e-300)
-                key = force.label
-                worst_by_label[key] = max(worst_by_label.get(key, 0.0), rel)
+                worst_by_label[label] = max(worst_by_label.get(label, 0.0), rel)
     for label, worst in sorted(worst_by_label.items()):
         out.append(Check(f"gradient-{label}", worst < tol, worst, tol,
                          f"worst of {n_points} random parameter sets"))
@@ -197,10 +195,10 @@ def check_critical_constants(tol: float = 1e-9) -> list[Check]:
         exact = criticality.critical_width_energy_min_exact(body, ctx)
         rel = _rel(numeric, exact)
         out.append(Check(f"energy-min-width-{name}", rel < tol, rel, tol,
-                         f"bisection+golden vs closed form {exact!r}"))
+                         f"derivative bisection vs closed form {exact!r}"))
     # force balance: averaged residual must vanish at the critical width
     body = Body.point(1.0)
-    w = criticality.critical_width_point(body, ctx)
+    w = criticality.critical_width_force_balance(body, ctx)
     packet = WavePacket(w)
     resid = averages.expect(
         lambda r: criticality.force_balance_residual(r, packet, body, ctx),

@@ -326,6 +326,8 @@ def test_tau_outside_float_range_is_a_one_line_error(argv):
     ["sweep", "--sigma0", "1", "--kind", "sphere", "--radius", "1",
      "--grid", "mass=1:1e200:3", "--format", "json"],
     ["simulate", "--mass", "1", "--sigma0", "1e200", "--r0", "1", "--t-end", "1"],
+    # sigma0^3 underflows to zero in the force law's constants
+    ["simulate", "--mass", "1", "--sigma0", "1e-120", "--r0", "1e-120", "--t-end", "1e-100"],
 ])
 def test_closed_forms_outside_float_range_are_a_one_line_error(argv):
     code, out, err = run(argv)

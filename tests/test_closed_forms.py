@@ -21,7 +21,7 @@ CLOSED_FORMS = {
     "critical_mass": lambda m, s0, R, ctx: c.critical_mass_at(s0, ctx),
     "force_ratio": lambda m, s0, R, ctx: c.force_ratio_at(m, s0, ctx),
     "regime_index": lambda m, s0, R, ctx: c.regime_index(m, c.critical_mass_at(s0, ctx)),
-    "critical_width_point": lambda m, s0, R, ctx: c.critical_width_point_at(m, ctx),
+    "critical_width_point": lambda m, s0, R, ctx: c.critical_width_force_balance_at(m, ctx),
     "force_balance_width_sphere": lambda m, s0, R, ctx: c.critical_width_force_balance_at(m, ctx, R),
     "energy_min_width_point": lambda m, s0, R, ctx: c.critical_width_energy_min_at(m, ctx),
     "energy_min_width_sphere": lambda m, s0, R, ctx: c.critical_width_energy_min_at(m, ctx, R),
@@ -76,7 +76,7 @@ def test_scalar_entry_points_return_python_floats():
     ctx = CONTEXTS[0]
     packet, point, sphere = WavePacket(0.5), Body.point(2.0), Body.sphere(2.0, 0.3)
     values = [c.critical_mass(packet, ctx), c.force_ratio(packet, point, ctx),
-              c.critical_width_point(point, ctx), c.critical_width_force_balance(sphere, ctx),
+              c.critical_width_force_balance(point, ctx), c.critical_width_force_balance(sphere, ctx),
               c.critical_width_energy_min_exact(sphere, ctx),
               c.transition_width_object(sphere, ctx, c.ObjectRegime.MICRO).value,
               *c.reference_formulas(sphere, packet, ctx).values(),

@@ -86,8 +86,9 @@ def test_dimensionless_matches_general_form_bitwise(packet, point):
     general = PhysicalContext(hbar=1.0, G=1.0, unit_system=UnitSystem.SI)
     dimless = PhysicalContext.dimensionless()
     from gravreduce.averages import avg_energy_point
-    from gravreduce.criticality import critical_mass, critical_width_point
-    assert critical_width_point(point, general) == critical_width_point(point, dimless)
+    from gravreduce.criticality import critical_mass, critical_width_force_balance
+    assert (critical_width_force_balance(point, general)
+            == critical_width_force_balance(point, dimless))
     assert critical_mass(packet, general) == critical_mass(packet, dimless)
     assert avg_energy_point(packet, point, general) == avg_energy_point(packet, point, dimless)
 

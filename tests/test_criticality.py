@@ -3,17 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from gravreduce.averages import avg_qg_force_point, avg_quantum_force, expect
+from gravreduce.averages import (avg_energy_object, avg_energy_point, avg_qg_force_point,
+                                 avg_qg_potential_object, avg_qg_potential_point,
+                                 avg_quantum_force, avg_quantum_potential, expect)
 from gravreduce.core import Body, PhysicalContext, WavePacket
-from gravreduce.criticality import (CriticalMethod, ObjectRegime, Regime,
+from gravreduce.criticality import (CriticalMethod, ObjectRegime, Regime, _energy_derivative,
                                     classify_regime, critical_mass,
                                     critical_width_energy_min,
                                     critical_width_energy_min_exact,
-                                    critical_width_point, force_balance_residual,
+                                    critical_width_force_balance, force_balance_residual,
                                     force_ratio, reference_formulas,
                                     stationary_energy, transition_width_object)
 from gravreduce.errors import BodyKindError, BracketError, DomainError
-from gravreduce.minimize import minimize_bracketed
+from gravreduce.minimize import REL_WIDTH, minimize_bracketed
 
 # Frozen from a 50-digit oracle.
 FORCE_BALANCE_CONST = 1.2533141373155003        # sqrt(pi/2)
@@ -30,7 +32,7 @@ PROTON_MASS = 1.67262192369e-27                 # kg
 
 class TestForceBalanceWidth:
     def test_unit_constant(self, point, ctx):
-        assert critical_width_point(point, ctx) == pytest.approx(
+        assert critical_width_force_balance(point, ctx) == pytest.approx(
             FORCE_BALANCE_CONST, rel=1e-12)
 
     def test_proton_order_of_magnitude(self):
@@ -38,22 +40,18 @@ class TestForceBalanceWidth:
         proton = Body.point(PROTON_MASS)
         scale = si.hbar ** 2 / (si.G * PROTON_MASS ** 3)
         assert scale == pytest.approx(3.5608464e22, rel=1e-5)
-        width = critical_width_point(proton, si)
+        width = critical_width_force_balance(proton, si)
         assert abs(math.log10(width) - 22.0) <= 1.0
 
     def test_forces_balance_at_critical_width(self, point, ctx):
-        packet = WavePacket(critical_width_point(point, ctx))
+        packet = WavePacket(critical_width_force_balance(point, ctx))
         fq = avg_quantum_force(packet, point, ctx)
         fqg = avg_qg_force_point(packet, point, ctx)
         assert fq == pytest.approx(abs(fqg), rel=1e-9)
 
     def test_monotone_decreasing_in_mass(self, ctx):
-        widths = [critical_width_point(Body.point(m), ctx) for m in (0.5, 1.0, 2.0, 8.0)]
+        widths = [critical_width_force_balance(Body.point(m), ctx) for m in (0.5, 1.0, 2.0, 8.0)]
         assert all(a > b for a, b in zip(widths, widths[1:]))
-
-    def test_kind_guard(self, sphere, ctx):
-        with pytest.raises(BodyKindError):
-            critical_width_point(sphere, ctx)
 
 
 class TestCriticalMass:
@@ -69,7 +67,7 @@ class TestCriticalMass:
 
     def test_round_trip_with_width(self, ctx):
         for m in (0.1, 1.0, 25.0):
-            width = critical_width_point(Body.point(m), ctx)
+            width = critical_width_force_balance(Body.point(m), ctx)
             assert critical_mass(WavePacket(width), ctx) == pytest.approx(m, rel=1e-12)
 
     def test_monotone_decreasing_in_width(self, ctx):
@@ -147,7 +145,7 @@ class TestEnergyMinimization:
         assert 1.0 / 1.5 < got / 1.0 < 1.5
 
     def test_agreement_between_routes(self, point, ctx):
-        fb = critical_width_point(point, ctx)
+        fb = critical_width_force_balance(point, ctx)
         em = critical_width_energy_min_exact(point, ctx)
         assert 1.0 < em / fb < 1.2
 
@@ -168,6 +166,37 @@ class TestEnergyMinimization:
     def test_minimizer_requires_sign_change(self):
         with pytest.raises(BracketError):
             minimize_bracketed(lambda x: x, 1.0, 2.0)
+
+    def test_within_half_the_final_bracket_of_the_closed_form(self, ctx):
+        rng = np.random.default_rng(29)
+        for m, R in 10.0 ** rng.uniform(-3, 3, size=(300, 2)):
+            for body in (Body.point(m), Body.sphere(m, R)):
+                got = critical_width_energy_min(body, ctx)
+                exact = critical_width_energy_min_exact(body, ctx)
+                assert abs(got - exact) <= 0.5 * REL_WIDTH * exact
+
+    def test_bisection_ends_on_a_subnormal_bracket(self):
+        # 1e-12 of a subnormal midpoint is below the float spacing there
+        got = minimize_bracketed(lambda x: x - 3e-320, 1e-320, 5e-320)
+        assert 2.9e-320 <= got <= 3.1e-320
+
+    @pytest.mark.parametrize("kind", ["point", "sphere"])
+    def test_derivative_is_the_slope_of_the_mean_energy(self, kind, ctx):
+        # The minimizer reads only the derivative: tie it to averages.py.
+        rng = np.random.default_rng(31)
+        for m, s0, R in 10.0 ** rng.uniform(-3, 3, size=(300, 3)):
+            if kind == "point":
+                body, energy, gravity = Body.point(m), avg_energy_point, avg_qg_potential_point
+            else:
+                body, energy, gravity = (Body.sphere(m, R), avg_energy_object,
+                                         avg_qg_potential_object)
+            h = 1e-4 * s0
+            slope = (energy(WavePacket(s0 + h), body, ctx)
+                     - energy(WavePacket(s0 - h), body, ctx)) / (2.0 * h)
+            # the size of the terms bounds both the rounding and the truncation error
+            scale = max(abs(avg_quantum_potential(WavePacket(s), body, ctx))
+                        + abs(gravity(WavePacket(s), body, ctx)) for s in (s0 - h, s0 + h)) / s0
+            assert abs(_energy_derivative(body, ctx)(s0) - slope) <= 1e-6 * scale
 
 
 class TestStationaryEnergy:
@@ -250,7 +279,7 @@ class TestForceBalanceResidual:
         assert got == pytest.approx(RESIDUAL_AT_ONE, rel=1e-13)
 
     def test_mean_residual_vanishes_at_critical_width(self, point, ctx):
-        packet = WavePacket(critical_width_point(point, ctx))
+        packet = WavePacket(critical_width_force_balance(point, ctx))
         mean = expect(lambda r: force_balance_residual(r, packet, point, ctx),
                       packet, ctx).value
         scale = avg_quantum_force(packet, point, ctx)

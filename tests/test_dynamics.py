@@ -10,13 +10,14 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from gravreduce import dynamics, potentials
 from gravreduce.core import Body, PhysicalContext, WavePacket
 from gravreduce.dynamics import EventKind, ForceLaw
-from gravreduce.errors import BodyKindError, DomainError, IntegrationError
+from gravreduce.errors import BodyKindError, DomainError, GravreduceError, IntegrationError
 
 CTX = PhysicalContext.dimensionless()
 PACKET = WavePacket(1.0)
@@ -234,6 +235,25 @@ def test_small_sphere_run_fits_the_step_budget():
     assert traj.t[-1] == law.characteristic_time()
     assert traj.n_steps > 1000
     assert traj.energy_drift < 1e-6
+
+
+log_uniform = st.floats(-150.0, 150.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(dynamics.LawKind), m=log_uniform, s0=log_uniform)
+def test_integrate_returns_finite_columns_or_a_gravreduce_error(kind, m, s0):
+    # One characteristic time from rest at r0 = sigma0, the sphere as wide as
+    # the packet; t_end is sqrt(sigma0^3 / G m) in a form that stays finite.
+    body = Body.sphere(m, s0) if kind is dynamics.LawKind.GRAVITY_OBJECT else Body.point(m)
+    try:
+        law = ForceLaw(kind, WavePacket(s0), body, CTX)
+        traj = dynamics.integrate(law, s0, 0.0, s0 ** 1.5 / math.sqrt(m))
+    except GravreduceError:
+        return
+    for column in (traj.t, traj.r, traj.v, traj.energy):
+        assert all(map(math.isfinite, column))
+    assert math.isfinite(traj.energy_drift)
 
 
 # ---------------------------------------------------------------- the law kernels

@@ -238,7 +238,7 @@ class TestGradientAndOracleSweeps:
             body = Body.sphere(m, R) if rng.random() < 0.5 else Body.point(m)
             r = float(rng.uniform(0.05, 3.0)) * s0
             h = 1e-6 * s0
-            for pot, force in potential_force_pairs(packet, body, ctx):
+            for _, pot, force in potential_force_pairs(packet, body, ctx):
                 fd = -(pot(r + h) - pot(r - h)) / (2.0 * h)
                 f = force(r)
                 assert f == pytest.approx(fd, rel=1e-6, abs=1e-6 * max(abs(f), abs(fd), 1e-30))
