@@ -38,9 +38,10 @@ digits, by at most 1e-12 relative; the regime labels are the same.
 
 No command imports scipy.  ``verify``'s quadrature oracles use the
 package's own Gauss-Legendre rule, whose nodes are built on first use, and
-``simulate`` and the numeric quarter-period ``tau`` integrate with its own
-Dormand-Prince stepper; ``critical``, ``sweep`` and the closed-form ``tau``
-run on the closed forms alone.
+``simulate`` and ``verify``'s energy checks integrate with its own
+Dormand-Prince stepper; ``critical``, ``sweep`` and ``tau`` run on the closed
+forms alone, the quarter period of ``tau`` included: it is an exact constant
+times the characteristic time.
 
 Only the commands that build arrays load numpy.  ``critical``, ``tau`` and
 ``sweep`` load it with ``criticality``'s array-native closed forms, and
@@ -543,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _subcommand(subs, "tau", cmd_tau, help="reduction-time estimates")
     _add_model(p, "json")
     p.add_argument("--no-numeric", action="store_true",
-                   help="skip the quarter-period integration estimate (default: off)")
+                   help="leave out the quarter-period-numeric estimate (default: off)")
 
     p = _subcommand(
         subs, "sweep", cmd_sweep, help="grid sweep to CSV or JSON",

@@ -229,7 +229,8 @@ def critical_width_energy_min(body: Body, ctx: PhysicalContext,
 
     The result is the midpoint of a final bracket 1e-12 of it wide.  The
     bracket must contain the single stationary point; by default it spans a
-    factor of ten either side of the closed-form minimizer.
+    factor of ten either side of the closed-form minimizer.  A derivative
+    that leaves the floating-point range raises :class:`DomainError`.
     """
     if bracket is None:
         guess = critical_width_energy_min_exact(body, ctx)
@@ -237,7 +238,11 @@ def critical_width_energy_min(body: Body, ctx: PhysicalContext,
     lo, hi = bracket
     if not (0.0 < lo < hi):
         raise DomainError("bracket must satisfy 0 < lo < hi")
-    return minimize_bracketed(_energy_derivative(body, ctx), lo, hi)
+    try:
+        return minimize_bracketed(_energy_derivative(body, ctx), lo, hi)
+    except (OverflowError, ZeroDivisionError):
+        raise DomainError("the mean energy's derivative is outside the floating-point "
+                          "range for these parameters") from None
 
 
 def stationary_energy(body: Body, ctx: PhysicalContext) -> float:

@@ -7,9 +7,9 @@ sphere.  The radial coordinate is extended through the origin with an
 odd-symmetric force (equivalently, an even potential), so oscillations may
 cross r = 0 the way the reference trajectories do.
 
-Reduction-time estimators come in four flavors: the numerically detected
-quarter period, the closed-form period law, the short-time objective formula,
-and uncertainty-based estimates built from the self-energy spread.
+Reduction-time estimators are closed forms of four flavors: the gravity-point
+law's exact quarter period with its unit-constant approximation, the short-time
+objective formula, and uncertainty-based estimates from the self-energy spread.
 """
 
 from __future__ import annotations
@@ -49,6 +49,12 @@ MAX_STEPS = 100 * int(MAX_CHARACTERISTIC_TIMES)
 # BETA_OBJECT = (3/2) (erf(1/sqrt 2) - sqrt(2/pi) e^(-1/2)).
 ALPHA_OBJECT = 0.05615134012905545
 BETA_OBJECT = 0.2981220646481988
+# First origin crossing of the gravity-point law from rest at r0 = sigma0 in
+# characteristic times, correctly rounded from the energy integral with
+# r = sigma0 sin(theta) (Landau & Lifshitz, Mechanics, sections 11-12): the
+# integral over [0, pi/2] of cos(theta) / sqrt(2 c expm1(cos(theta)^2 / 2)),
+# c = sqrt(2/pi) e^(-1/2).  In x = r / sigma0 the law has no parameter.
+QUARTER_PERIOD_POINT = 2.1193028269432572
 
 
 class LawKind(str, Enum):
@@ -69,6 +75,12 @@ class Event:
     kind: EventKind
 
 
+def _finite(*constants: float) -> None:
+    """Raise OverflowError for a constant that overflowed without raising (m * m)."""
+    if not all(map(math.isfinite, constants)):
+        raise OverflowError("non-finite force-law constant")
+
+
 def _kernels(kind: LawKind, packet: WavePacket, body: Body, ctx: PhysicalContext,
              printed_mixed_variant: bool):
     """The law's (force, potential), as closures over its constants.  Each
@@ -79,6 +91,7 @@ def _kernels(kind: LawKind, packet: WavePacket, body: Body, ctx: PhysicalContext
     if kind is LawKind.GRAVITY_OBJECT:
         R, R3 = body.radius, body.radius ** 3
         c = SQRT_2_OVER_PI * (ctx.G * m ** 2) / (2.0 * s0 ** 3)
+        _finite(two_s0_sq, R3, c)
 
         def force(r):       # odd extension through the origin
             x = abs(r)
@@ -91,6 +104,7 @@ def _kernels(kind: LawKind, packet: WavePacket, body: Body, ctx: PhysicalContext
 
     k = -SQRT_2_OVER_PI * ctx.G * m * m / s0 ** 3      # qg_force_point's prefactor
     depth = SQRT_2_OVER_PI * ctx.G * m * m / s0        # the well's depth
+    _finite(two_s0_sq, k, depth)
     if kind is LawKind.GRAVITY_POINT:
         def force(r):
             return k * r * math.exp(-(r * r) / two_s0_sq)
@@ -111,6 +125,7 @@ def _kernels(kind: LawKind, packet: WavePacket, body: Body, ctx: PhysicalContext
         def potential(r):
             rr = r * r
             return hbar2 * (six_s0_sq - rr) / potential_den + depth * -math.expm1(-rr / two_s0_sq)
+    _finite(hbar2, force_den, potential_den)
 
     def force(r):
         return hbar2 * r / force_den + k * r * math.exp(-(r * r) / two_s0_sq)
@@ -126,8 +141,8 @@ class ForceLaw:
     are bit-equal to the ``potentials`` entry points; the point laws use the
     binding well.  A point law for a sphere, or the object law for a point
     particle, raises :class:`BodyKindError` when built, and
-    ``printed_mixed_variant`` on a law other than mixed-point raises
-    :class:`DomainError`.
+    ``printed_mixed_variant`` on a law other than mixed-point, or a constant
+    of the law outside the floating-point range, raises :class:`DomainError`.
     """
 
     kind: LawKind
@@ -507,15 +522,10 @@ def detect_period(traj: Trajectory) -> float:
     return dedup[2] - dedup[0]
 
 
-def angular_frequency_linearized(packet: WavePacket, body: Body,
-                                 ctx: PhysicalContext) -> float:
-    """(2/pi)^(1/4) sqrt(G m / sigma0^3): small-amplitude rate of the point law."""
-    return (2.0 / math.pi) ** 0.25 * math.sqrt(ctx.G * body.mass / packet.sigma0 ** 3)
-
-
 def period_linearized(packet: WavePacket, body: Body, ctx: PhysicalContext) -> float:
-    """2 pi over the linearized small-amplitude rate."""
-    return 2.0 * math.pi / angular_frequency_linearized(packet, body, ctx)
+    """2 pi over the point law's small-amplitude rate (2/pi)^(1/4) sqrt(G m / sigma0^3)."""
+    rate = (2.0 / math.pi) ** 0.25 * math.sqrt(ctx.G * body.mass / packet.sigma0 ** 3)
+    return 2.0 * math.pi / rate
 
 
 class TauMethod(str, Enum):
@@ -539,6 +549,7 @@ class ReductionEstimate:
 
 
 POINT_CLOSED_FORMS = (TauMethod.PERIOD_FORMULA, TauMethod.SHORT_TIME, TauMethod.UNCERTAINTY)
+POINT_METHODS = POINT_CLOSED_FORMS + (TauMethod.QUARTER_PERIOD_NUMERIC,)
 OBJECT_CLOSED_FORMS = (TauMethod.OBJECT_UNCERTAINTY, TauMethod.OBJECT_MICRO)
 
 _ASSUMPTIONS = {
@@ -554,16 +565,17 @@ _ASSUMPTIONS = {
 
 
 def tau_at(method: TauMethod, mass, sigma0, ctx: PhysicalContext, radius=None):
-    """Closed-form reduction time, elementwise over floats or broadcastable arrays.
+    """Reduction time by ``method``, elementwise over floats or broadcastable arrays.
 
     The point-particle methods take no radius, the sphere methods require one.
-    The object-uncertainty spread |qg_potential_object(sigma0, ...)| is
+    The quarter period is ``QUARTER_PERIOD_POINT`` characteristic times.  The
+    object-uncertainty spread |qg_potential_object(sigma0, ...)| is
     (G m^2 / R) |ALPHA_OBJECT x^2 - BETA_OBJECT| with x = sigma0 / R, which
     cancels only near its zero x ~ 2.3035.  Overflow and underflow are not
     warned about; :class:`DomainError` is raised unless every result is
     finite and positive.
     """
-    if method not in (OBJECT_CLOSED_FORMS if radius is not None else POINT_CLOSED_FORMS):
+    if method not in (OBJECT_CLOSED_FORMS if radius is not None else POINT_METHODS):
         kind = "sphere" if radius is not None else "point particle"
         raise BodyKindError(f"method {method} does not apply to a {kind}")
     import numpy as np
@@ -574,6 +586,8 @@ def tau_at(method: TauMethod, mass, sigma0, ctx: PhysicalContext, radius=None):
         s0 = np.asarray(sigma0, dtype=float)
         if method is TauMethod.PERIOD_FORMULA:
             tau = np.sqrt(s0 ** 3 / (G * m))
+        elif method is TauMethod.QUARTER_PERIOD_NUMERIC:
+            tau = QUARTER_PERIOD_POINT * np.sqrt(s0 ** 3 / (G * m))
         elif method is TauMethod.SHORT_TIME:
             tau = hbar ** 3 / (G ** 2 * m ** 5)
         elif method is TauMethod.UNCERTAINTY:
@@ -589,37 +603,12 @@ def tau_at(method: TauMethod, mass, sigma0, ctx: PhysicalContext, radius=None):
         return in_float_range(tau, f"{method.value} reduction time")
 
 
-def tau_point(method: TauMethod, packet: WavePacket, body: Body,
-              ctx: PhysicalContext) -> ReductionEstimate:
-    """Reduction-time estimate for a point particle by the chosen method."""
-    if not body.is_point:
-        raise BodyKindError("tau_point requires a point particle")
-    if method is TauMethod.QUARTER_PERIOD_NUMERIC:
-        law = ForceLaw.gravity_point(packet, body, ctx)
-        traj = integrate(law, r0=packet.sigma0, v0=0.0, t_end=4.0 * law.characteristic_time())
-        zeros = traj.events_of(EventKind.R_ZERO)
-        if not zeros:
-            raise InsufficientDataError("no origin crossing found")
-        return ReductionEstimate(zeros[0].time, method, _ASSUMPTIONS[method])
-    tau = tau_at(method, body.mass, packet.sigma0, ctx)
-    return ReductionEstimate(float(tau), method, _ASSUMPTIONS[method])
-
-
-def tau_object(method: TauMethod, packet: WavePacket, body: Body,
-               ctx: PhysicalContext) -> ReductionEstimate:
-    """Reduction-time estimate for a homogeneous sphere by the chosen method."""
-    if not body.is_sphere:
-        raise BodyKindError("tau_object requires a homogeneous sphere")
-    tau = tau_at(method, body.mass, packet.sigma0, ctx, body.radius)
-    return ReductionEstimate(float(tau), method, _ASSUMPTIONS[method])
-
-
 def tau_estimates(packet: WavePacket, body: Body, ctx: PhysicalContext,
                   include_numeric: bool = True) -> list[ReductionEstimate]:
     """All applicable reduction-time estimates for this (packet, body) pair."""
     if body.is_sphere:
-        return [tau_object(method, packet, body, ctx) for method in OBJECT_CLOSED_FORMS]
-    methods = POINT_CLOSED_FORMS
-    if include_numeric:
-        methods += (TauMethod.QUARTER_PERIOD_NUMERIC,)
-    return [tau_point(method, packet, body, ctx) for method in methods]
+        methods = OBJECT_CLOSED_FORMS
+    else:
+        methods = POINT_METHODS if include_numeric else POINT_CLOSED_FORMS
+    return [ReductionEstimate(float(tau_at(method, body.mass, packet.sigma0, ctx, body.radius)),
+                              method, _ASSUMPTIONS[method]) for method in methods]

@@ -228,13 +228,13 @@ def _reference_order_cases():
          criticality.transition_width_object(
              proton_sphere, si, criticality.ObjectRegime.MICRO).value * 1e2, 6),
         ("proton-micro-tau-s",
-         dynamics.tau_object(dynamics.TauMethod.OBJECT_MICRO,
-                             WavePacket(1.0), proton_sphere, si).tau, 15),
+         float(dynamics.tau_at(dynamics.TauMethod.OBJECT_MICRO, proton_sphere.mass, 1.0, si,
+                               proton_sphere.radius)), 15),
     ]
     for name, body, power in (("ball-tau-s", ball, -23), ("flea-egg-tau-s", flea_egg, -11)):
         width = criticality.critical_width_energy_min_exact(body, si)
-        tau = dynamics.tau_object(dynamics.TauMethod.OBJECT_UNCERTAINTY,
-                                  WavePacket(width), body, si).tau
+        tau = float(dynamics.tau_at(dynamics.TauMethod.OBJECT_UNCERTAINTY, body.mass, width,
+                                    si, body.radius))
         cases.append((name, tau, power))
     return cases
 

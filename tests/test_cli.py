@@ -328,6 +328,8 @@ def test_tau_outside_float_range_is_a_one_line_error(argv):
     ["simulate", "--mass", "1", "--sigma0", "1e200", "--r0", "1", "--t-end", "1"],
     # sigma0^3 underflows to zero in the force law's constants
     ["simulate", "--mass", "1", "--sigma0", "1e-120", "--r0", "1e-120", "--t-end", "1e-100"],
+    # m * m overflows to inf without raising, and the equilibrium start takes no step
+    ["simulate", "--mass", "1e200", "--sigma0", "1", "--r0", "0", "--t-end", "1e-100"],
 ])
 def test_closed_forms_outside_float_range_are_a_one_line_error(argv):
     code, out, err = run(argv)
@@ -438,6 +440,20 @@ def test_step_budget_is_in_characteristic_times():
         dynamics.integrate(law, r0=4.0, v0=0.0, t_end=1.01 * limit)
     # runs of 1000 characteristic times stay well inside the budget
     assert dynamics.MAX_CHARACTERISTIC_TIMES >= 10 * 1000
+
+
+def test_tau_runs_no_integration(monkeypatch):
+    def integrate(*args, **kwargs):
+        raise AssertionError("tau integrated a trajectory")
+
+    monkeypatch.setattr(dynamics, "integrate", integrate)
+    code, out, err = run(["tau", "--mass", "1", "--sigma0", "1"])
+    assert (code, err) == (cli.EXIT_OK, "")
+    numeric = [e for e in json.loads(out)["estimates"]
+               if e["method"] == "quarter-period-numeric"]
+    assert numeric == [{"method": "quarter-period-numeric",
+                        "tau": dynamics.QUARTER_PERIOD_POINT,
+                        "assumptions": "first origin crossing from rest at r0 = sigma0"}]
 
 
 def test_reduction_estimate_requires_finite_positive_tau():

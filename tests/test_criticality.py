@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gravreduce.averages import (avg_energy_object, avg_energy_point, avg_qg_force_point,
                                  avg_qg_potential_object, avg_qg_potential_point,
@@ -14,7 +15,7 @@ from gravreduce.criticality import (CriticalMethod, ObjectRegime, Regime, _energ
                                     critical_width_force_balance, force_balance_residual,
                                     force_ratio, reference_formulas,
                                     stationary_energy, transition_width_object)
-from gravreduce.errors import BodyKindError, BracketError, DomainError
+from gravreduce.errors import BodyKindError, BracketError, DomainError, GravreduceError
 from gravreduce.minimize import REL_WIDTH, minimize_bracketed
 
 # Frozen from a 50-digit oracle.
@@ -197,6 +198,25 @@ class TestEnergyMinimization:
             scale = max(abs(avg_quantum_potential(WavePacket(s), body, ctx))
                         + abs(gravity(WavePacket(s), body, ctx)) for s in (s0 - h, s0 + h)) / s0
             assert abs(_energy_derivative(body, ctx)(s0) - slope) <= 1e-6 * scale
+
+    @pytest.mark.parametrize("m", [1e60, 1e-100])
+    def test_derivative_out_of_range_is_a_domain_error(self, m, ctx):
+        # s0 ** 3 at a bracket end underflows to zero (m = 1e60) or overflows
+        # (m = 1e-100), while the closed-form minimizer is still in range.
+        with pytest.raises(DomainError, match="outside the floating-point range"):
+            critical_width_energy_min(Body.point(m), ctx)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["point", "sphere"]),
+           m=st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
+           R=st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e))
+    def test_finite_width_or_a_gravreduce_error(self, kind, m, R):
+        body = Body.point(m) if kind == "point" else Body.sphere(m, R)
+        try:
+            width = critical_width_energy_min(body, PhysicalContext.dimensionless())
+        except GravreduceError:
+            return
+        assert math.isfinite(width) and width > 0.0
 
 
 class TestStationaryEnergy:

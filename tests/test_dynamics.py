@@ -140,15 +140,44 @@ def test_small_amplitude_period_is_the_linearized_one():
 
 
 def test_period_from_one_width():
+    # 2.6e-10 relative measured: the run's rtol, not the constant, sets it
     traj = dynamics.integrate(GRAVITY_POINT, PACKET.sigma0, 0.0, 40.0)
-    assert dynamics.detect_period(traj) == pytest.approx(8.4772, abs=5e-5)
+    period = dynamics.detect_period(traj)
+    assert abs(period / (4.0 * dynamics.QUARTER_PERIOD_POINT) - 1.0) < 1e-9
 
 
-def test_drift_over_1000_characteristic_times_is_scipys():
+@pytest.fixture(scope="module")
+def long_run():
+    """The unit packet from rest at r0 = sigma0 for 1000 characteristic times."""
     t_end = 1000.0 * GRAVITY_POINT.characteristic_time()
-    traj = dynamics.integrate(GRAVITY_POINT, 1.0, 0.0, t_end)
+    return dynamics.integrate(GRAVITY_POINT, PACKET.sigma0, 0.0, t_end)
+
+
+def test_drift_over_1000_characteristic_times_is_scipys(long_run):
+    t_end = long_run.t[-1]
     reference = scipy_drift(GRAVITY_POINT, scipy_rk45(GRAVITY_POINT, 1.0, 0.0, t_end))
-    assert 0.0 < traj.energy_drift <= 1.25 * reference
+    assert 0.0 < long_run.energy_drift <= 1.25 * reference
+
+
+def test_origin_crossings_are_odd_multiples_of_the_quarter_period(long_run):
+    # The k-th crossing is (2k + 1) C t_char; the phase error grows with the
+    # run, to 2.9e-8 t_end at the end of this one.
+    t_end = long_run.t[-1]
+    crossings = [e.time for e in long_run.events_of(EventKind.R_ZERO)]
+    assert len(crossings) == int(t_end / (2.0 * dynamics.QUARTER_PERIOD_POINT) + 0.5)
+    for k, t in enumerate(crossings):
+        assert abs(t - (2 * k + 1) * dynamics.QUARTER_PERIOD_POINT) <= 1e-7 * t_end, k
+
+
+def test_quarter_period_constant_is_correctly_rounded():
+    # The energy integral with r = sigma0 sin(theta), which has no endpoint
+    # singularity: expm1(cos^2 / 2) ~ cos^2 / 2 as theta -> pi/2.
+    with mpmath.workdps(40):
+        c = mpmath.sqrt(2 / mpmath.pi) * mpmath.exp(-0.5)
+        quarter = mpmath.quad(
+            lambda th: mpmath.cos(th) / mpmath.sqrt(2 * c * mpmath.expm1(mpmath.cos(th) ** 2 / 2)),
+            [0, mpmath.pi / 2])
+        assert float(quarter) == dynamics.QUARTER_PERIOD_POINT
 
 
 ROOT_PROBLEMS = [
@@ -341,6 +370,35 @@ def test_printed_variant_of_another_law_is_refused_when_built(kind, body):
     with pytest.raises(DomainError, match="printed mixed variant does not apply"):
         ForceLaw(kind, PACKET, body, CTX, printed_mixed_variant=True)
     assert not ForceLaw(kind, PACKET, body, CTX).printed_mixed_variant
+
+
+@pytest.mark.parametrize("kind, packet, body", [
+    (dynamics.LawKind.GRAVITY_POINT, PACKET, Body.point(1e200)),       # m * m
+    (dynamics.LawKind.MIXED_POINT, PACKET, Body.point(1e200)),
+    (dynamics.LawKind.GRAVITY_OBJECT, WavePacket(1e-2), Body.sphere(1e154, 1.0)),
+])
+def test_law_with_a_non_finite_constant_is_refused_when_built(kind, packet, body):
+    # The products overflow to inf without raising an exception of their own.
+    with pytest.raises(DomainError, match="outside the floating-point range"):
+        ForceLaw(kind, packet, body, CTX)
+
+
+# ---------------------------------------------------------------- reduction times
+
+def test_numeric_tau_is_the_quarter_period_in_every_unit_system():
+    # One proton at sigma0 = 1 angstrom, in SI and in CGS: an integrated
+    # estimate would depend on the solver's absolute tolerance in each.
+    proton_kg, sigma0_m = 1.67262192369e-27, 1e-10
+    taus = []
+    for ctx, m, s0 in ((PhysicalContext.si(), proton_kg, sigma0_m),
+                       (PhysicalContext.cgs(), 1e3 * proton_kg, 1e2 * sigma0_m)):
+        estimate = dynamics.tau_estimates(WavePacket(s0), Body.point(m), ctx)[-1]
+        assert estimate.method is dynamics.TauMethod.QUARTER_PERIOD_NUMERIC
+        law = ForceLaw.gravity_point(WavePacket(s0), Body.point(m), ctx)
+        exact = dynamics.QUARTER_PERIOD_POINT * law.characteristic_time()
+        assert abs(estimate.tau / exact - 1.0) <= 2 * EPS
+        taus.append(estimate.tau)
+    assert abs(taus[0] / taus[1] - 1.0) <= 4 * EPS
 
 
 # ---------------------------------------------------------------- object-uncertainty tau
