@@ -43,11 +43,13 @@ Dormand-Prince stepper; ``critical``, ``sweep`` and ``tau`` run on the closed
 forms alone, the quarter period of ``tau`` included: it is an exact constant
 times the characteristic time.
 
-Only the commands that build arrays load numpy.  ``critical``, ``tau`` and
-``sweep`` load it with ``criticality``'s array-native closed forms, and
-``verify`` with its battery; each command imports the modules it runs.
-``simulate`` loads no numpy: its stepper and energy column run on Python
-floats, and its samples are stdlib ``array('d')``.
+Only the commands that build arrays load numpy: ``sweep``, whose closed forms
+broadcast over its grid, and ``verify``, with its battery; each command
+imports the modules it runs.  ``critical``, ``tau`` and ``simulate`` load no
+numpy.  The closed forms of ``critical`` and ``tau`` take Python floats and
+run on Python arithmetic, the same code that runs on numpy for ``sweep``'s
+arrays; ``simulate``'s stepper and energy column run on Python floats, and
+its samples are stdlib ``array('d')``.
 """
 
 from __future__ import annotations

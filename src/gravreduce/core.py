@@ -12,6 +12,7 @@ of density * 4 pi r^2 equals one.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -40,6 +41,10 @@ class PhysicalContext:
     unit_system: UnitSystem = UnitSystem.DIMENSIONLESS
 
     def __post_init__(self):
+        # Python floats, so that the closed forms run on Python arithmetic
+        # (see closed_form) whatever number type the constants came as.
+        object.__setattr__(self, "hbar", float(self.hbar))
+        object.__setattr__(self, "G", float(self.G))
         if not (self.hbar > 0.0 and self.G > 0.0):
             raise DomainError("hbar and G must be positive")
         if self.unit_system is UnitSystem.DIMENSIONLESS:
@@ -109,18 +114,57 @@ class WavePacket:
             raise DomainError("sigma0 must be positive")
 
 
+def _range_error(what: str) -> DomainError:
+    return DomainError(f"{what} is outside the floating-point range for these parameters")
+
+
 def in_float_range(value, what: str):
     """``value`` itself if every element is finite and positive.
 
     The closed forms are positive for positive parameters, so a zero, an
     infinity or a NaN can only come from a power or quotient that left the
-    double range; that raises :class:`DomainError` naming ``what``.
+    double range; that raises :class:`DomainError` naming ``what``.  A Python
+    float is checked with :mod:`math`, an array with numpy.
     """
-    import numpy as np
+    if type(value) is float:
+        ok = math.isfinite(value) and value > 0.0
+    elif type(value) is complex:        # a fractional power of a negative parameter
+        ok = False
+    else:
+        import numpy as np
 
-    if not np.all(np.isfinite(value) & (np.asarray(value) > 0.0)):
-        raise DomainError(f"{what} is outside the floating-point range for these parameters")
+        ok = np.all(np.isfinite(value) & (np.asarray(value) > 0.0))
+    if not ok:
+        raise _range_error(what)
     return value
+
+
+@contextlib.contextmanager
+def closed_form(what: str, *params):
+    """Scope in which a closed form is evaluated on ``params``; yields them
+    ready for arithmetic, one bare and several as a tuple.
+
+    Python floats (exactly ``float``; ``None``, an absent radius, passes
+    through) are yielded as they are and run on Python arithmetic, which loads
+    no numpy.  Anything else, numpy scalars included (``np.float64``
+    subclasses ``float`` but only warns on overflow), becomes a float array
+    and runs under ``np.errstate(all="ignore")``.  Python arithmetic raises
+    ``OverflowError`` or ``ZeroDivisionError`` where numpy returns an
+    infinity; either becomes the :class:`DomainError` of
+    :func:`in_float_range` naming ``what``.
+    """
+    if all(type(p) is float or p is None for p in params):
+        values, errstate = params, contextlib.nullcontext()
+    else:
+        import numpy as np
+
+        values = tuple(p if p is None else np.asarray(p, dtype=float) for p in params)
+        errstate = np.errstate(all="ignore")
+    try:
+        with errstate:
+            yield values[0] if len(values) == 1 else values
+    except (OverflowError, ZeroDivisionError):
+        raise _range_error(what) from None
 
 
 def density(r: float, packet: WavePacket) -> float:
@@ -132,7 +176,8 @@ def density(r: float, packet: WavePacket) -> float:
     if r < 0.0:
         raise DomainError("radius must be non-negative")
     s0 = packet.sigma0
-    return (2.0 * math.pi * s0 * s0) ** -1.5 * math.exp(-(r * r) / (2.0 * s0 * s0))
+    x = r / s0
+    return (2.0 * math.pi * s0 * s0) ** -1.5 * math.exp(-0.5 * x * x)
 
 
 def width_at(t: float, packet: WavePacket, body: Body, ctx: PhysicalContext) -> float:

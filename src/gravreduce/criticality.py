@@ -13,10 +13,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
 from .averages import avg_energy_point
-from .core import Body, PhysicalContext, WavePacket, in_float_range
+from .core import Body, PhysicalContext, WavePacket, closed_form, in_float_range
 from .errors import BodyKindError, DomainError
 from .minimize import minimize_bracketed
 from .potentials import qg_force_object, qg_force_point, quantum_force
@@ -71,8 +69,10 @@ class RegimeReport:
 
 # The closed forms below come in two layers.  Each ``*_at`` function takes the
 # bare parameters (mass, sigma0, radius) as floats or broadcastable numpy
-# arrays and is the one implementation of its formula; the result has the
-# broadcast shape of the parameters it depends on.  Overflow and underflow are
+# arrays and is the one implementation of its formula, written with operators
+# alone: Python floats run on Python arithmetic and load no numpy, arrays run
+# on numpy, and the result has the broadcast shape of the parameters it
+# depends on.  ``core.closed_form`` sets up either; overflow and underflow are
 # not warned about: every result must be finite and positive, or the call
 # raises DomainError.  The Body / WavePacket entry points validate their
 # records and return floats.
@@ -82,36 +82,31 @@ REGIMES = tuple(Regime)     # regime_index() indexes into this
 
 def _scale(mass, ctx: PhysicalContext):
     """hbar^2 / (G m^3), the elementary-particle transition width."""
-    with np.errstate(all="ignore"):
-        return ctx.hbar ** 2 / (ctx.G * np.asarray(mass, dtype=float) ** 3)
+    return ctx.hbar ** 2 / (ctx.G * mass ** 3)
 
 
-@np.errstate(all="ignore")
 def critical_mass_at(sigma0, ctx: PhysicalContext):
     """(pi/2)^(1/6) (hbar^2 / G sigma0)^(1/3), elementwise."""
-    s0 = np.asarray(sigma0, dtype=float)
-    return in_float_range(CRITICAL_MASS_CONST * (ctx.hbar ** 2 / (ctx.G * s0)) ** (1.0 / 3.0),
-                          "critical mass")
+    with closed_form("critical mass", sigma0) as s0:
+        return in_float_range(CRITICAL_MASS_CONST * (ctx.hbar ** 2 / (ctx.G * s0)) ** (1.0 / 3.0),
+                              "critical mass")
 
 
-@np.errstate(all="ignore")
 def force_ratio_at(mass, sigma0, ctx: PhysicalContext):
     """Mean quantum force over the magnitude of the mean point self-gravity
     force: the force-balance width sqrt(pi/2) hbar^2 / (G m^3) over sigma0."""
-    return in_float_range(FORCE_BALANCE_POINT_CONST * _scale(mass, ctx)
-                          / np.asarray(sigma0, dtype=float), "force ratio")
+    with closed_form("force ratio", mass, sigma0) as (m, s0):
+        return in_float_range(FORCE_BALANCE_POINT_CONST * _scale(m, ctx) / s0, "force ratio")
 
 
-@np.errstate(all="ignore")
 def regime_index(mass, critical_mass):
     """Index into ``REGIMES`` of each mass against its critical mass.
 
     Gravity dominates above the critical mass and quantum dispersion below
     it; a relative tie band of ``TIE_BAND`` around it maps to the transition.
     """
-    m = np.asarray(mass, dtype=float)
-    m_c = np.asarray(critical_mass, dtype=float)
-    return (m <= m_c * (1.0 + TIE_BAND)).astype(int) + (m < m_c * (1.0 - TIE_BAND))
+    with closed_form("regime", mass, critical_mass) as (m, m_c):
+        return (m <= m_c * (1.0 + TIE_BAND)) * 1 + (m < m_c * (1.0 - TIE_BAND))
 
 
 _OBJECT_WIDTH_CONST = {ObjectRegime.MACRO: FORCE_BALANCE_MACRO_CONST,
@@ -119,7 +114,6 @@ _OBJECT_WIDTH_CONST = {ObjectRegime.MACRO: FORCE_BALANCE_MACRO_CONST,
                        ObjectRegime.INTERMEDIATE: 1.0}
 
 
-@np.errstate(all="ignore")
 def transition_width_object_at(mass, radius, ctx: PhysicalContext,
                                regime: ObjectRegime) -> WidthEstimate:
     """Transition width of a homogeneous sphere in the given size regime.
@@ -130,39 +124,40 @@ def transition_width_object_at(mass, radius, ctx: PhysicalContext,
     ``value`` carries the exact constant from the force balance; ``paper_form``
     drops it for order-of-magnitude work.  Both are arrays for array input.
     """
-    scale = _scale(mass, ctx)
-    R = np.asarray(radius, dtype=float)
-    if regime is ObjectRegime.MACRO:
-        base = (scale * R ** 3) ** 0.25
-    elif regime is ObjectRegime.MICRO:
-        base = (scale * R) ** 0.5
-    else:
-        base = scale
     what = f"{regime.value} transition width"
-    return WidthEstimate(value=in_float_range(_OBJECT_WIDTH_CONST[regime] * base, what),
-                         paper_form=in_float_range(base, what), label=regime.value)
+    with closed_form(what, mass, radius) as (m, R):
+        scale = _scale(m, ctx)
+        if regime is ObjectRegime.MACRO:
+            base = (scale * R ** 3) ** 0.25
+        elif regime is ObjectRegime.MICRO:
+            base = (scale * R) ** 0.5
+        else:
+            base = scale
+        return WidthEstimate(value=in_float_range(_OBJECT_WIDTH_CONST[regime] * base, what),
+                             paper_form=in_float_range(base, what), label=regime.value)
 
 
-@np.errstate(all="ignore")
 def critical_width_force_balance_at(mass, ctx: PhysicalContext, radius=None):
     """Force-balance transition width: the point law sqrt(pi/2) hbar^2 / (G m^3)
     without a radius, the macro sphere law with one."""
-    if radius is None:
-        return in_float_range(FORCE_BALANCE_POINT_CONST * _scale(mass, ctx),
+    if radius is not None:
+        return transition_width_object_at(mass, radius, ctx, ObjectRegime.MACRO).value
+    with closed_form("force-balance critical width", mass) as m:
+        return in_float_range(FORCE_BALANCE_POINT_CONST * _scale(m, ctx),
                               "force-balance critical width")
-    return transition_width_object_at(mass, radius, ctx, ObjectRegime.MACRO).value
 
 
-@np.errstate(all="ignore")
 def critical_width_energy_min_at(mass, ctx: PhysicalContext, radius=None):
     """Closed-form minimizer of the mean energy, point law without a radius
     and sphere law with one (the oracle for the numeric route)."""
-    scale = _scale(mass, ctx)
-    if radius is None:
-        width = ENERGY_MIN_POINT_CONST * scale
-    else:
-        width = ENERGY_MIN_OBJECT_CONST * (scale * np.asarray(radius, dtype=float) ** 3) ** 0.25
-    return in_float_range(width, "energy-minimum critical width")
+    what = "energy-minimum critical width"
+    with closed_form(what, mass, radius) as (m, R):
+        scale = _scale(m, ctx)
+        if R is None:
+            width = ENERGY_MIN_POINT_CONST * scale
+        else:
+            width = ENERGY_MIN_OBJECT_CONST * (scale * R ** 3) ** 0.25
+        return in_float_range(width, what)
 
 
 def critical_width_force_balance(body: Body, ctx: PhysicalContext) -> float:
@@ -250,7 +245,11 @@ def stationary_energy(body: Body, ctx: PhysicalContext) -> float:
     if not body.is_point:
         raise BodyKindError("stationary_energy requires a point particle")
     s_min = critical_width_energy_min_exact(body, ctx)
-    return avg_energy_point(WavePacket(s_min), body, ctx)
+    with closed_form("stationary energy", body.mass, s_min):
+        # negative: in_float_range checks its magnitude
+        energy = -in_float_range(-avg_energy_point(WavePacket(s_min), body, ctx),
+                                 "stationary energy")
+    return float(energy)
 
 
 def transition_width_object(body: Body, ctx: PhysicalContext,
@@ -280,6 +279,12 @@ def force_balance_residual(r: float, packet: WavePacket, body: Body,
     return fq + fqg
 
 
+# The sphere's reference widths, scale^p R^q with scale = hbar^2 / (G m^3).
+_OBJECT_REFERENCE_POWERS = (("karolyhazy_object_width", 1.0 / 3.0, 2.0 / 3.0),
+                            ("diosi_macro_width", 0.25, 0.75),
+                            ("diosi_micro_width", 0.5, 0.5))
+
+
 def reference_formulas(body: Body, packet: WavePacket, ctx: PhysicalContext) -> dict:
     """Literature reference widths and times (unit constants dropped).
 
@@ -287,17 +292,14 @@ def reference_formulas(body: Body, packet: WavePacket, ctx: PhysicalContext) -> 
     associated localization time m sigma_c^2 / hbar; spheres additionally get
     the three object widths built from R.
     """
-    m = body.mass
-    scale = _scale(m, ctx)
-    with np.errstate(all="ignore"):
-        out = {
-            "karolyhazy_width": scale,
-            "karolyhazy_time": m * scale ** 2 / ctx.hbar,
-        }
-        if body.is_sphere:
-            R = body.radius
-            out["karolyhazy_object_width"] = scale ** (1.0 / 3.0) * R ** (2.0 / 3.0)
-            out["diosi_macro_width"] = scale ** 0.25 * R ** 0.75
-            out["diosi_micro_width"] = scale ** 0.5 * R ** 0.5
-    return {name: float(in_float_range(value, name.replace("_", " ")))
-            for name, value in out.items()}
+    with closed_form("karolyhazy width", body.mass) as m:
+        scale = in_float_range(_scale(m, ctx), "karolyhazy width")
+    with closed_form("karolyhazy time", body.mass, scale) as (m, s):
+        out = {"karolyhazy_width": scale,
+               "karolyhazy_time": in_float_range(m * s ** 2 / ctx.hbar, "karolyhazy time")}
+    if body.is_sphere:
+        for name, p, q in _OBJECT_REFERENCE_POWERS:
+            what = name.replace("_", " ")
+            with closed_form(what, scale, body.radius) as (s, R):
+                out[name] = in_float_range(s ** p * R ** q, what)
+    return {name: float(value) for name, value in out.items()}

@@ -21,7 +21,7 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import Body, PhysicalContext, WavePacket, in_float_range
+from .core import Body, PhysicalContext, WavePacket, closed_form, in_float_range
 from .errors import (BodyKindError, DomainError, InsufficientDataError,
                      IntegrationError)
 from .potentials import SQRT_2, SQRT_2_OVER_PI, qg_potential_object
@@ -110,7 +110,8 @@ def _kernels(kind: LawKind, packet: WavePacket, body: Body, ctx: PhysicalContext
             return k * r * math.exp(-(r * r) / two_s0_sq)
 
         def potential(r):
-            return depth * -math.expm1(-(r * r) / two_s0_sq)
+            x = r / s0
+            return depth * -math.expm1(-0.5 * x * x)
         return force, potential
 
     hbar2 = ctx.hbar ** 2
@@ -118,13 +119,15 @@ def _kernels(kind: LawKind, packet: WavePacket, body: Body, ctx: PhysicalContext
         force_den, neg_hbar2, potential_den = 4.0 * m * s0 ** 2, -hbar2, 8.0 * m * s0 * s0
 
         def potential(r):
-            return neg_hbar2 * r * r / potential_den + depth * -math.expm1(-(r * r) / two_s0_sq)
+            x = r / s0
+            return neg_hbar2 * r * r / potential_den + depth * -math.expm1(-0.5 * x * x)
     else:
         force_den, six_s0_sq, potential_den = 4.0 * m * s0 ** 4, 6.0 * s0 * s0, 8.0 * m * s0 ** 4
 
         def potential(r):
-            rr = r * r
-            return hbar2 * (six_s0_sq - rr) / potential_den + depth * -math.expm1(-rr / two_s0_sq)
+            x = r / s0
+            return (hbar2 * (six_s0_sq - r * r) / potential_den
+                    + depth * -math.expm1(-0.5 * x * x))
     _finite(hbar2, force_den, potential_den)
 
     def force(r):
@@ -567,40 +570,37 @@ _ASSUMPTIONS = {
 def tau_at(method: TauMethod, mass, sigma0, ctx: PhysicalContext, radius=None):
     """Reduction time by ``method``, elementwise over floats or broadcastable arrays.
 
-    The point-particle methods take no radius, the sphere methods require one.
-    The quarter period is ``QUARTER_PERIOD_POINT`` characteristic times.  The
-    object-uncertainty spread |qg_potential_object(sigma0, ...)| is
-    (G m^2 / R) |ALPHA_OBJECT x^2 - BETA_OBJECT| with x = sigma0 / R, which
-    cancels only near its zero x ~ 2.3035.  Overflow and underflow are not
-    warned about; :class:`DomainError` is raised unless every result is
-    finite and positive.
+    Python floats run on Python arithmetic and load no numpy; arrays run on
+    numpy (see :func:`core.closed_form`).  The point-particle methods take no
+    radius, the sphere methods require one.  The quarter period is
+    ``QUARTER_PERIOD_POINT`` characteristic times.  The object-uncertainty
+    spread |qg_potential_object(sigma0, ...)| is (G m^2 / R)
+    |ALPHA_OBJECT x^2 - BETA_OBJECT| with x = sigma0 / R, which cancels only
+    near its zero x ~ 2.3035.  Overflow and underflow are not warned about;
+    :class:`DomainError` is raised unless every result is finite and positive.
     """
     if method not in (OBJECT_CLOSED_FORMS if radius is not None else POINT_METHODS):
         kind = "sphere" if radius is not None else "point particle"
         raise BodyKindError(f"method {method} does not apply to a {kind}")
-    import numpy as np
-
     G, hbar = ctx.G, ctx.hbar
-    with np.errstate(all="ignore"):
-        m = np.asarray(mass, dtype=float)
-        s0 = np.asarray(sigma0, dtype=float)
+    what = f"{method.value} reduction time"
+    with closed_form(what, mass, sigma0, radius) as (m, s0, R):
         if method is TauMethod.PERIOD_FORMULA:
-            tau = np.sqrt(s0 ** 3 / (G * m))
+            tau = (s0 ** 3 / (G * m)) ** 0.5
         elif method is TauMethod.QUARTER_PERIOD_NUMERIC:
-            tau = QUARTER_PERIOD_POINT * np.sqrt(s0 ** 3 / (G * m))
+            tau = QUARTER_PERIOD_POINT * (s0 ** 3 / (G * m)) ** 0.5
         elif method is TauMethod.SHORT_TIME:
             tau = hbar ** 3 / (G ** 2 * m ** 5)
         elif method is TauMethod.UNCERTAINTY:
             tau = hbar / (SQRT_2_OVER_PI * (-math.expm1(-0.5)) * G * m * m / s0)
         else:
-            R = np.asarray(radius, dtype=float)
-            gm2 = G * m ** 2
+            gm2 = G * (m * m)
             if method is TauMethod.OBJECT_UNCERTAINTY:
                 x = s0 / R
-                tau = hbar * R / (gm2 * np.abs(ALPHA_OBJECT * x * x - BETA_OBJECT))
+                tau = hbar * R / (gm2 * abs(ALPHA_OBJECT * x * x - BETA_OBJECT))
             else:
                 tau = 1.25 * math.sqrt(2.0 * math.pi) * hbar * R / gm2
-        return in_float_range(tau, f"{method.value} reduction time")
+        return in_float_range(tau, what)
 
 
 def tau_estimates(packet: WavePacket, body: Body, ctx: PhysicalContext,

@@ -212,7 +212,8 @@ def qg_potential_point(r: float, packet: WavePacket, body: Body,
     _require_nonnegative(r)
     s0 = packet.sigma0
     m = body.mass
-    return -SQRT_2_OVER_PI * ctx.G * m * m / s0 * (-math.expm1(-(r * r) / (2.0 * s0 * s0)))
+    x = r / s0
+    return -SQRT_2_OVER_PI * ctx.G * m * m / s0 * (-math.expm1(-0.5 * x * x))
 
 
 def qg_force_point(r: float, packet: WavePacket, body: Body,
@@ -241,7 +242,8 @@ def qg_potential_object(r: float, packet: WavePacket, body: Body,
     gm2 = ctx.G * body.mass ** 2
     if r < s0:
         return _qg_potential_object_series(r / s0, s0, R, gm2)
-    g = math.exp(-(r * r) / (2.0 * s0 * s0))
+    x = r / s0
+    g = math.exp(-0.5 * x * x)
     e = math.erf(SQRT_2 * r / (2.0 * s0))
     return (3.0 * gm2 * SQRT_2 * g * r / (2.0 * SQRT_PI * s0 * R)
             - gm2 * SQRT_2 * r ** 3 * g / (2.0 * SQRT_PI * s0 * R ** 3)

@@ -1,6 +1,6 @@
 """Command-line contract: exit codes, stderr, the --config merge, the simulate
 outputs, that no command loads scipy or builds the quadrature nodes before it
-needs them, and that simulate loads no numpy."""
+needs them, and that only the commands that build arrays load numpy."""
 
 import json
 import os
@@ -491,13 +491,16 @@ for name, argv in json.loads(sys.argv[1]):
 print(json.dumps(loaded))
 """
 
-# Each command that loads numpy runs in a process of its own.
-NUMPY_RUNS = [
+# The closed-form commands run on Python floats and load no numpy.
+CLOSED_FORM_RUNS = [
     ("critical", ["critical", "--mass", "1", "--sigma0", "1"]),
     ("tau point --no-numeric", ["tau", "--mass", "1", "--sigma0", "1", "--no-numeric"]),
     ("tau sphere", ["tau", "--mass", "1", "--sigma0", "1", "--kind", "sphere",
                     "--radius", "0.5"]),
     ("tau point numeric", ["tau", "--mass", "1", "--sigma0", "1"]),
+]
+# Each command that builds arrays, and so loads numpy, runs in a process of its own.
+NUMPY_RUNS = [
     ("sweep", ["sweep", "--sigma0", "1", "--grid", "mass=0.1:10:3"]),
     ("verify --quick", ["verify", "--quick"]),
 ]
@@ -522,10 +525,12 @@ def simulate_runs(outdir):
 @pytest.fixture(scope="module")
 def command_probe(tmp_path_factory):
     # Fresh interpreters: other test modules import scipy and numpy here.
-    # The simulate runs share one, each state taken after its command, so a
-    # module loaded by any of them shows in the states of those after it.
+    # The closed-form and simulate runs share one, each state taken after its
+    # command, so a module loaded by any of them shows in the states of those
+    # after it.
     states = {}
-    for runs in [simulate_runs(tmp_path_factory.mktemp("probe"))] + [[r] for r in NUMPY_RUNS]:
+    shared = CLOSED_FORM_RUNS + simulate_runs(tmp_path_factory.mktemp("probe"))
+    for runs in [shared] + [[r] for r in NUMPY_RUNS]:
         res = run_process(["-c", IMPORT_PROBE, json.dumps(runs)])
         assert res.returncode == 0, res.stderr
         states.update(json.loads(res.stdout))
@@ -544,11 +549,13 @@ def test_closed_form_commands_do_not_load_scipy_integrate(command_probe):
     assert "'scipy.integrate'" in res.stdout
 
 
-def test_simulate_loads_no_numpy(command_probe):
-    # Importing the CLI and all nine simulate runs leave numpy unloaded;
-    # positive control: every command that builds arrays loads it.
+def test_only_array_commands_load_numpy(command_probe):
+    # Importing the CLI, critical, the three tau runs and all nine simulate
+    # runs leave numpy unloaded; positive control: sweep and verify, which
+    # build arrays, load it.
     loaded = {name: state["numpy"] for name, state in command_probe.items()}
     assert sum(name.startswith("simulate ") for name in loaded) == 3 * len(LAWS)
+    assert set(dict(CLOSED_FORM_RUNS)) <= set(loaded)
     assert loaded == {name: name in dict(NUMPY_RUNS) for name in loaded}
 
 

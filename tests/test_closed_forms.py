@@ -1,10 +1,14 @@
-"""Property tests of the array-native closed forms.
+"""Property tests of the closed forms, one body for floats and arrays.
 
-Masses, widths and radii are drawn log-uniform over 1e-300..1e300.  Every
-closed form, called with floats and with arrays, must return finite positive
-values or raise a GravreduceError, and the array results must match the
-scalar ones elementwise to 1e-12 relative.
+Python floats run on Python arithmetic and arrays on numpy; numpy scalars
+take the array path.  Masses, widths and radii are drawn log-uniform over
+1e-300..1e300.  Every closed form, called with floats, with np.float64 scalars
+and with arrays, must return finite positive values or raise a
+GravreduceError (floats and numpy scalars without a warning), and the numpy
+results must match the float ones elementwise to 1e-12 relative.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from gravreduce import criticality as c, dynamics as d
 from gravreduce.core import PhysicalContext
-from gravreduce.errors import GravreduceError
+from gravreduce.errors import DomainError, GravreduceError
 
 VALUE_RTOL = 1e-12
 CONTEXTS = [PhysicalContext.dimensionless(), PhysicalContext.si(), PhysicalContext.cgs()]
@@ -69,6 +73,41 @@ def test_finite_or_gravreduce_error_and_arrays_match_scalars(name, sets, ctx):
         assert array.tolist() == [int(v) for v in scalars]
     else:
         np.testing.assert_allclose(array, scalars, rtol=VALUE_RTOL, atol=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(params=st.tuples(log_uniform, log_uniform, log_uniform), ctx=st.sampled_from(CONTEXTS))
+def test_numpy_scalars_take_the_array_path_without_warnings(name, params, ctx):
+    # np.float64 subclasses float, but its arithmetic warns where Python's
+    # raises: it must not run on the float path.
+    fn = CLOSED_FORMS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = evaluate(fn, *map(np.float64, params), ctx)
+        want = evaluate(fn, *params, ctx)
+    assert (value is None) == (want is None)
+    if value is not None:
+        assert np.isfinite(value) and value >= 0
+        np.testing.assert_allclose(value, want, rtol=VALUE_RTOL, atol=0.0)
+
+
+@pytest.mark.parametrize("mass", [1e200, 1e-200])
+@pytest.mark.parametrize("ctx", [CONTEXTS[0], PhysicalContext.si(np.float64(1.0), np.float64(1.0))],
+                         ids=["float-constants", "numpy-constants"])
+def test_numpy_scalar_overflow_is_a_domain_error_without_a_warning(mass, ctx):
+    for args in [(mass, 1.0), (np.float64(mass), 1.0), (mass, np.float64(1.0))]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="force ratio is outside the floating-point"):
+                c.force_ratio_at(*args, ctx)
+
+
+@pytest.mark.parametrize("sigma0", [-1.0, np.array([-1.0])])
+def test_fractional_power_of_a_negative_parameter_is_a_domain_error(sigma0):
+    # Python's ** gives a complex there, numpy's a NaN.
+    with pytest.raises(DomainError, match="critical mass is outside the floating-point"):
+        c.critical_mass_at(sigma0, CONTEXTS[0])
 
 
 def test_scalar_entry_points_return_python_floats():

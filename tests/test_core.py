@@ -24,6 +24,11 @@ def test_density_vanishes_at_large_radius(packet):
     assert density(40.0, packet) < 1e-300
 
 
+def test_density_finite_where_r_squared_and_sigma0_squared_overflow():
+    # r * r / (2 sigma0^2) was inf / inf = nan; the exact density underflows to 0.
+    assert density(1e200, WavePacket(1e200)) == 0.0
+
+
 def test_density_rejects_negative_radius(packet):
     with pytest.raises(DomainError):
         density(-0.1, packet)

@@ -237,6 +237,16 @@ class TestStationaryEnergy:
         with pytest.raises(BodyKindError):
             stationary_energy(sphere, ctx)
 
+    @pytest.mark.parametrize("m", [9.03e90, 8.6e-69])
+    def test_out_of_range_is_a_domain_error(self, m):
+        # In CGS the minimizing width's sigma0^2 underflows (9.03e90 g, a
+        # ZeroDivisionError) or overflows (8.6e-69 g, an OverflowError) in the
+        # quantum term while the width itself is in range.
+        ctx = PhysicalContext.cgs()
+        critical_width_energy_min_exact(Body.point(m), ctx)
+        with pytest.raises(DomainError, match="stationary energy is outside the floating-point"):
+            stationary_energy(Body.point(m), ctx)
+
 
 class TestObjectTransitionWidths:
     def test_constants(self, sphere, ctx):

@@ -87,6 +87,13 @@ class TestPointSelfGravity:
         assert all(a > b for a, b in zip(vals, vals[1:]))
         assert all(v >= -SQRT_2_OVER_PI for v in vals)
 
+    def test_finite_where_r_squared_and_sigma0_squared_overflow(self, packet, point, ctx):
+        # r * r / (2 sigma0^2) was inf / inf = nan past r, sigma0 ~ 1e154.
+        big = 1e200
+        assert qg_potential_point(big, WavePacket(big), Body.point(1e-200), ctx) == 0.0
+        got = qg_potential_point(big, WavePacket(big), Body.point(1e100), ctx)
+        assert got == pytest.approx(qg_potential_point(1.0, packet, point, ctx), rel=1e-14)
+
     def test_force_values(self, packet, point, ctx):
         assert qg_force_point(0.0, packet, point, ctx) == 0.0
         assert qg_force_point(1.0, packet, point, ctx) == pytest.approx(F_POINT_AT_ONE, rel=1e-14)
@@ -116,6 +123,12 @@ class TestObjectSelfGravity:
         r, s0, R = args
         got = qg_potential_object(r, WavePacket(s0), Body.sphere(1.0, R), ctx)
         assert got == pytest.approx(want, rel=1e-12)
+
+    def test_finite_where_sigma0_squared_underflows(self, ctx):
+        # r * r / (2 sigma0^2) was 0 / 0, a ZeroDivisionError, below sigma0 ~ 1e-162.
+        tiny = 1e-170
+        got = qg_potential_object(tiny, WavePacket(tiny), Body.sphere(1.0, 1.0), ctx)
+        assert math.isfinite(got) and got < 0.0
 
     def test_matches_quadrature(self, ctx):
         packet = WavePacket(1.0)
