@@ -38,10 +38,12 @@ digits, by at most 1e-12 relative; the regime labels are the same.
 
 No command imports scipy.  ``verify``'s quadrature oracles use the
 package's own Gauss-Legendre rule, whose nodes are built on first use, and
-``simulate`` and ``verify``'s energy checks integrate with its own
-Dormand-Prince stepper; ``critical``, ``sweep`` and ``tau`` run on the closed
-forms alone, the quarter period of ``tau`` included: it is an exact constant
-times the characteristic time.
+``simulate`` and ``verify``'s energy checks integrate with its own DOP853
+stepper, in the packet's units (``--atol`` is in units of sigma0 for r and of
+sigma0/t_char for v, and ``simulate`` reports t_char in its ``solver``
+block); ``critical``, ``sweep`` and ``tau`` run on the closed forms alone, the
+quarter period of ``tau`` included: it is an exact constant times the
+characteristic time.
 
 Only the commands that build arrays load numpy: ``sweep``, whose closed forms
 broadcast over its grid, and ``verify``, with its battery; each command
@@ -279,7 +281,8 @@ def cmd_simulate(args) -> int:
         "period": period,
         "energy_drift": traj.energy_drift,
         "solver": {"method": dynamics.SOLVER_METHOD, "rtol": args.rtol, "atol": args.atol,
-                   "nfev": traj.nfev, "steps": traj.n_steps, "rejected": traj.n_rejected},
+                   "t_char": law.characteristic_time(), "nfev": traj.nfev,
+                   "steps": traj.n_steps, "rejected": traj.n_rejected},
     }
     if args.format == "json":
         payload = dict(sidecar)
@@ -535,7 +538,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rtol", type=float, default=_INTEGRATE["rtol"].default,
                    help="solver relative tolerance (default: %(default)s)")
     p.add_argument("--atol", type=float, default=_INTEGRATE["atol"].default,
-                   help="solver absolute tolerance (default: %(default)s)")
+                   help="solver absolute tolerance, in units of sigma0 for r and of "
+                        "sigma0/t_char for v, t_char = sqrt(sigma0^3/(G m)) "
+                        "(default: %(default)s)")
     p.add_argument("--printed-mixed-variant", action="store_true",
                    help="mixed-point law only: use the uncorrected quantum-term "
                         "denominator (default: off)")

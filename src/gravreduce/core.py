@@ -30,6 +30,8 @@ class UnitSystem(str, Enum):
     SI = "si"
     CGS = "cgs"
     DIMENSIONLESS = "dimensionless"
+    # sigma0 = m = G = 1 for one packet: the units dynamics.integrate steps in
+    PACKET = "packet"
 
 
 @dataclass(frozen=True)
@@ -118,6 +120,15 @@ def _range_error(what: str) -> DomainError:
     return DomainError(f"{what} is outside the floating-point range for these parameters")
 
 
+def not_finite(what: str) -> DomainError:
+    """The error of a scalar entry point (:func:`density`, the closed forms of
+    ``potentials``) whose value is not finite, whether its arithmetic
+    overflowed to an infinity or raised ``OverflowError`` or
+    ``ZeroDivisionError``.  Each maps those raw errors inside its own
+    ``try``, which costs nothing when nothing is raised."""
+    return DomainError(f"{what} is not finite for these parameters")
+
+
 def in_float_range(value, what: str):
     """``value`` itself if every element is finite and positive.
 
@@ -176,8 +187,14 @@ def density(r: float, packet: WavePacket) -> float:
     if r < 0.0:
         raise DomainError("radius must be non-negative")
     s0 = packet.sigma0
-    x = r / s0
-    return (2.0 * math.pi * s0 * s0) ** -1.5 * math.exp(-0.5 * x * x)
+    try:
+        x = r / s0
+        rho = (2.0 * math.pi * s0 * s0) ** -1.5 * math.exp(-0.5 * x * x)
+        if math.isfinite(rho):
+            return rho
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise not_finite("the density")
 
 
 def width_at(t: float, packet: WavePacket, body: Body, ctx: PhysicalContext) -> float:

@@ -7,6 +7,12 @@ sphere.  The radial coordinate is extended through the origin with an
 odd-symmetric force (equivalently, an even potential), so oscillations may
 cross r = 0 the way the reference trajectories do.
 
+Trajectories are integrated by a scalar port of scipy's DOP853
+(:mod:`gravreduce.dop853`) in the packet's own units, x = r / sigma0 against
+tau = t / t_char, so the solver's tolerances, step sizes and event roots are
+the same in every unit system; samples and events are scaled back, and the
+energy is computed in the law's units.
+
 Reduction-time estimators are closed forms of four flavors: the gravity-point
 law's exact quarter period with its unit-constant approximation, the short-time
 objective formula, and uncertainty-based estimates from the self-energy spread.
@@ -18,29 +24,30 @@ import math
 import operator
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
-from .core import Body, PhysicalContext, WavePacket, closed_form, in_float_range
+from .core import (Body, PhysicalContext, UnitSystem, WavePacket, closed_form,
+                   in_float_range)
 from .errors import (BodyKindError, DomainError, InsufficientDataError,
                      IntegrationError)
-from .potentials import SQRT_2, SQRT_2_OVER_PI, qg_potential_object
+from .potentials import SQRT_2_OVER_PI, qg_potential_object
 
 ESCAPE_RADII = 10.0   # escape event fires at r > ESCAPE_RADII * sigma0 moving outward
 # Longest run integrate() accepts, in characteristic times sqrt(sigma0^3 / G m).
-# RK45 at the default tolerances takes about 13 (gravity-point) to 28
-# (mixed-point) accepted steps per characteristic time, so the cap bounds a
-# run at a few hundred thousand steps, under a minute and a few tens of MB.
+# DOP853 at the default tolerances takes about 2.6 (gravity-object) to 2.8
+# (gravity-point) accepted steps per characteristic time, and 15 to 17 force
+# calls per step, rejected attempts included, so the cap bounds a run at a
+# few tens of thousands of steps and about a second.
 MAX_CHARACTERISTIC_TIMES = 1e4
 # Accepted steps integrate() may take in one run, whatever the law's time
 # scale, so that a run whose steps have stalled (or a law far stiffer than
 # t_char suggests) ends with IntegrationError instead of growing without
-# bound.  It is 100 steps per characteristic time of the longest run allowed,
-# 3.5 times what the point laws take there.  A sphere with R << sigma0 moves
-# on the time scale t_char (R / sigma0)^(3/2), about 14 (sigma0 / R)^(3/2)
-# steps per t_char: one characteristic time from r0 = sigma0 takes 11,251
-# steps at R = 0.01 sigma0 and 355,627 at R = 0.001 sigma0.  A stalled run
-# reaches the cap in about 10 s, holding about 115 MB of samples (2-CPU VM).
+# bound.  It is 100 steps per characteristic time of the longest run allowed.
+# A sphere with R << sigma0 moves on the time scale t_char (R / sigma0)^(3/2):
+# one characteristic time from r0 = sigma0 takes 2,216 steps at
+# R = 0.01 sigma0 and 70,065 at R = 0.001 sigma0.  A stalled run reaches the
+# cap holding about 115 MB of samples.
 MAX_STEPS = 100 * int(MAX_CHARACTERISTIC_TIMES)
 
 # Self-energy spread coefficients of the sphere evaluated at r = sigma0:
@@ -202,8 +209,10 @@ class Trajectory:
     stdlib ``array('d')``, so that a run loads no numpy.  They index, slice
     and ``tolist()`` like lists; for arithmetic take ``np.asarray(traj.r)``,
     which shares their memory, since ``traj.r * 2`` repeats an ``array``.
-    ``nfev`` counts right-hand-side evaluations (one ``force_at`` call each),
-    ``n_steps`` accepted steps and ``n_rejected`` rejected step attempts.
+    ``nfev`` counts right-hand-side evaluations, one ``force_at`` call each:
+    one at the start, 12 per step attempt, and 3 more for the dense output of
+    each step in which an event fires.  ``n_steps`` counts accepted steps and
+    ``n_rejected`` rejected step attempts.
     """
 
     t: array
@@ -221,232 +230,66 @@ class Trajectory:
         return [e for e in self.events if e.kind is kind]
 
 
-# Dormand-Prince 5(4) pair with Shampine's quartic dense output (Hairer,
-# Norsett & Wanner, Solving ODEs I, sections II.4-II.6), with the
-# coefficients, error norm and step-size controller of scipy.integrate.RK45:
-# the step advances with the 5th-order solution, E weights the 4th-order
-# error estimate, and y(t_old + x h) = y_old + h sum_k Q_k x^(k+1) with
-# Q = K^T P over the seven stage slopes K.  The stage times C are not needed:
-# m r'' = F(r) is autonomous.
-_A = ((1 / 5,),
-      (3 / 40, 9 / 40),
-      (44 / 45, -56 / 15, 32 / 9),
-      (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-      (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656))
-_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_E = (-71 / 57600, 0.0, 71 / 16695, -71 / 1920, 17253 / 339200, -22 / 525, 1 / 40)
-_P = ((1.0, -8048581381 / 2820520608, 8663915743 / 2820520608,
-       -12715105075 / 11282082432),
-      (0.0, 0.0, 0.0, 0.0),
-      (0.0, 131558114200 / 32700410799, -68118460800 / 10900136933,
-       87487479700 / 32700410799),
-      (0.0, -1754552775 / 470086768, 14199869525 / 1410260304,
-       -10690763975 / 1880347072),
-      (0.0, 127303824393 / 49829197408, -318862633887 / 49829197408,
-       701980252875 / 199316789632),
-      (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
-      (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423))
-_SAFETY = 0.9
-_MIN_FACTOR = 0.2
-_MAX_FACTOR = 10.0
-_ERROR_EXPONENT = -1.0 / 5.0          # -1 / (order of the error estimate + 1)
 _MIN_RTOL = 100.0 * sys.float_info.epsilon   # smaller relative errors are round-off
-_ROOT_TOL = 4.0 * sys.float_info.epsilon     # absolute and relative, per event root
-_ROOT_MAXITER = 100
-SOLVER_METHOD = "RK45"
+SOLVER_METHOD = "DOP853"                      # the stepper of gravreduce.dop853
+_EVENT_KINDS = (EventKind.R_ZERO, EventKind.V_ZERO, EventKind.ESCAPE)   # dop853's events 0-2
 
 
-def _brentq(f, xa: float, xb: float) -> float:
-    """A zero of f in [xa, xb] by Brent's method (Brent, Algorithms for
-    Minimization without Derivatives, 1973, ch. 4), step for step as
-    scipy.optimize.brentq, with xtol = rtol = 4 eps.
+def _in_packet_units(law: ForceLaw) -> ForceLaw:
+    """``law`` with sigma0 = m = G = 1: the same motion in x = r / sigma0
+    against tau = t / t_char, with u = v t_char / sigma0.
 
-    A zero division, where C arithmetic would give inf or nan, falls back to
-    bisection as the comparisons on those values do there.
+    Only hbar and a sphere's radius remain: hbar / sqrt(G m^3 sigma0), which
+    makes the mixed law's quantum slope q / 4 with q = hbar^2 / (G m^3 sigma0),
+    and R / sigma0.  The printed mixed variant, whose sigma0^2 in place of
+    sigma0^4 is not dimensionally consistent, keeps its own slope with
+    hbar / sqrt(G m^3 / sigma0).  A subclass stays a subclass.
     """
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise IntegrationError(f"event root is not bracketed on [{xa!r}, {xb!r}]")
-    for _ in range(_ROOT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_ROOT_TOL + _ROOT_TOL * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        stry = math.nan          # bisect unless interpolation is possible and good
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:         # secant
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:                    # inverse quadratic
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                pass
-        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-            spre, scur = scur, stry
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = f(xcur)
-    raise IntegrationError(f"event root search did not converge in {_ROOT_MAXITER} "
-                           f"iterations on [{xa!r}, {xb!r}]")
-
-
-def _dense(t_old: float, h: float, y_old: float, k: tuple):
-    """One component of the step's quartic dense output, from its 7 stage slopes."""
-    q0, q1, q2, q3 = (sum(p[j] * kj for p, kj in zip(_P, k)) for j in range(4))
-
-    def y(t: float) -> float:
-        x = (t - t_old) / h
-        x2 = x * x
-        x3 = x2 * x
-        return h * (q0 * x + q1 * x2 + q2 * x3 + q3 * (x3 * x)) + y_old
-    return y
-
-
-def _dormand_prince(accel, r: float, v: float, t_end: float, h_abs: float,
-                    rtol: float, atol: float, escape_radius: float, max_steps: int):
-    """Integrate r' = v, v' = accel(r) from t = 0 with first step ``h_abs``,
-    in at most ``max_steps`` accepted steps.
-
-    Returns the accepted (t, r, v) samples, the events as sorted (time, kind)
-    pairs, the number of accel calls and the number of rejected attempts.
-    Events fire where an event function (r, v, r - escape_radius) is <= 0 at
-    one end of a step and >= 0 at the other, so a zero at a step end fires in
-    both adjacent steps; the escape event fires only upward and ends the run
-    at its root, with the state taken from the dense output.
-    """
-    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
-        (a61, a62, a63, a64, a65) = _A
-    b1, _, b3, b4, b5, b6 = _B
-    e1, _, e3, e4, e5, e6, e7 = _E
-    t = 0.0
-    a = accel(r)
-    nfev, n_rejected = 1, 0
-    ts, rs, vs = [t], [r], [v]
-    events: list[tuple[float, EventKind]] = []
-    while t < t_end:
-        min_step = 10.0 * abs(math.nextafter(t, math.inf) - t)
-        h_abs = max(h_abs, min_step)
-        rejected = False
-        while True:
-            if h_abs < min_step:
-                raise IntegrationError(f"solver failed at t={t!r}: the required step "
-                                       "is below the spacing of floating-point numbers")
-            t_new = min(t + h_abs, t_end)
-            h = t_new - t
-            h_abs = h
-            # The stage slopes of r are velocities (p), those of v accelerations (q).
-            p1, q1 = v, a
-            r2 = r + (a21 * p1) * h
-            p2 = v + (a21 * q1) * h
-            q2 = accel(r2)
-            r3 = r + (a31 * p1 + a32 * p2) * h
-            p3 = v + (a31 * q1 + a32 * q2) * h
-            q3 = accel(r3)
-            r4 = r + (a41 * p1 + a42 * p2 + a43 * p3) * h
-            p4 = v + (a41 * q1 + a42 * q2 + a43 * q3) * h
-            q4 = accel(r4)
-            r5 = r + (a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4) * h
-            p5 = v + (a51 * q1 + a52 * q2 + a53 * q3 + a54 * q4) * h
-            q5 = accel(r5)
-            r6 = r + (a61 * p1 + a62 * p2 + a63 * p3 + a64 * p4 + a65 * p5) * h
-            p6 = v + (a61 * q1 + a62 * q2 + a63 * q3 + a64 * q4 + a65 * q5) * h
-            q6 = accel(r6)
-            r_new = r + h * (b1 * p1 + b3 * p3 + b4 * p4 + b5 * p5 + b6 * p6)
-            v_new = v + h * (b1 * q1 + b3 * q3 + b4 * q4 + b5 * q5 + b6 * q6)
-            p7, q7 = v_new, accel(r_new)
-            nfev += 6
-            err_r = (e1 * p1 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * p7) * h
-            err_v = (e1 * q1 + e3 * q3 + e4 * q4 + e5 * q5 + e6 * q6 + e7 * q7) * h
-            err_r /= atol + max(abs(r), abs(r_new)) * rtol
-            err_v /= atol + max(abs(v), abs(v_new)) * rtol
-            error_norm = math.sqrt(err_r * err_r + err_v * err_v) / SQRT_2
-            if error_norm < 1.0:
-                if error_norm == 0.0:
-                    factor = _MAX_FACTOR
-                else:
-                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
-                if rejected:
-                    factor = min(1.0, factor)
-                h_abs *= factor
-                break
-            # nan compares false, so a non-finite error shrinks the step by MIN_FACTOR
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
-            rejected = True
-            n_rejected += 1
-
-        r_zero = (r <= 0.0 <= r_new) or (r >= 0.0 >= r_new)
-        v_zero = (v <= 0.0 <= v_new) or (v >= 0.0 >= v_new)
-        escaped = r - escape_radius <= 0.0 <= r_new - escape_radius
-        if r_zero or v_zero or escaped:
-            r_of = _dense(t, h, r, (p1, p2, p3, p4, p5, p6, p7))
-            v_of = _dense(t, h, v, (q1, q2, q3, q4, q5, q6, q7))
-            found = []
-            if r_zero:
-                found.append((_brentq(r_of, t, t_new), EventKind.R_ZERO))
-            if v_zero:
-                found.append((_brentq(v_of, t, t_new), EventKind.V_ZERO))
-            if escaped:
-                t_esc = _brentq(lambda ti: r_of(ti) - escape_radius, t, t_new)
-                # the run ends at the terminal root: later roots never happen
-                found = [e for e in found if e[0] <= t_esc] + [(t_esc, EventKind.ESCAPE)]
-                t_new, r_new, v_new = t_esc, r_of(t_esc), v_of(t_esc)
-            events.extend(found)
-        t, r, v, a = t_new, r_new, v_new, q7
-        ts.append(t)
-        rs.append(r)
-        vs.append(v)
-        if escaped:
-            break
-        if len(ts) > max_steps and t < t_end:
-            raise IntegrationError(f"solver took {max_steps} steps and reached only "
-                                   f"t={t!r} of t_end={t_end!r}")
-    events.sort(key=lambda e: (e[0], e[1].value))
-    return ts, rs, vs, events, nfev, n_rejected
+    s0, m, ctx = law.packet.sigma0, law.body.mass, law.ctx
+    gm_s0 = ctx.G * m / s0 if law.printed_mixed_variant else ctx.G * m * s0
+    try:
+        hbar = ctx.hbar / (m * math.sqrt(gm_s0))
+    except ZeroDivisionError:       # G m sigma0 underflowed to zero
+        hbar = math.inf
+    body = Body.sphere(1.0, law.body.radius / s0) if law.body.is_sphere else Body.point(1.0)
+    ctx = PhysicalContext(in_float_range(hbar, "hbar in units of the packet"), 1.0,
+                          UnitSystem.PACKET)
+    return replace(law, packet=WavePacket(1.0), body=body, ctx=ctx)
 
 
 def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
               rtol: float = 1e-9, atol: float = 1e-12) -> Trajectory:
-    """Integrate m r'' = F(r) with the adaptive Dormand-Prince 5(4) pair.
+    """Integrate m r'' = F(r) with the adaptive Dormand-Prince 8(5,3) method.
 
-    The stepper is a scalar port of scipy.integrate.RK45 (first step
-    min(t_char / 1000, t_end / 10), no maximum step), so neither numpy nor
-    scipy runs per step.  Events are located by Brent's method on the dense
-    output: r = 0 and v = 0 crossings, plus an escape event when r crosses
-    ESCAPE_RADII * sigma0 outward (v > 0), which also terminates the run.  One
-    sample is recorded per accepted step.  The energy column and
-    ``energy_drift``, max |E - E0| over max(|E0|, max kinetic, 1e-300), are
-    computed in Python floats, so ``integrate`` loads no numpy either.
+    The stepper (:mod:`gravreduce.dop853`) is a scalar port of
+    scipy.integrate.DOP853, so neither numpy nor scipy runs per step.  It runs
+    in the packet's own units (:func:`_in_packet_units`): x = r / sigma0
+    against tau = t / t_char, with u = v t_char / sigma0, first step
+    min(1/1000, tau_end / 10) and no maximum step.  So ``rtol`` and ``atol``
+    mean the same in every unit system: atol is in units of sigma0 for r and
+    of sigma0 / t_char for v.  Events are located by Brent's method on the
+    dense output: r = 0 and v = 0 crossings, plus an escape event when r
+    crosses ESCAPE_RADII * sigma0 outward (v > 0), which also terminates the
+    run.  One sample is recorded per accepted step, with t, r, v and the
+    event times scaled back to the law's units; a run that reaches t_end ends
+    exactly there.  The energy column and ``energy_drift``, max |E - E0| over
+    max(|E0|, max kinetic, 1e-300), are computed in the law's units and in
+    Python floats, so ``integrate`` loads no numpy either.
 
     The law is read through ``force_at`` and ``potential_at`` only: the force
     is odd in r and the potential even, for r >= 0 both are bit-equal to the
     ``potentials`` entry points, and the body kind was checked with the law.
 
     Raises :class:`DomainError` for a non-finite start or end, a t_end
-    beyond ``MAX_CHARACTERISTIC_TIMES`` characteristic times, or an rtol
-    below 100 eps (where scipy's RK45 raises rtol with a warning), and
-    :class:`IntegrationError` for a step below the floating-point spacing of
-    t, more than ``MAX_STEPS`` accepted steps, a non-finite state, energy or
-    drift, a force or potential that overflows or divides by zero, or an
-    event root that is not bracketed or not converged.
+    beyond ``MAX_CHARACTERISTIC_TIMES`` characteristic times, an rtol below
+    100 eps (where scipy's solvers raise rtol with a warning), or a start or
+    a constant of the law that leaves the floating-point range in the
+    packet's units, and :class:`IntegrationError` for a step below the
+    floating-point spacing of tau, more than ``MAX_STEPS`` accepted steps, a
+    non-finite state, energy or drift, a force or potential that overflows or
+    divides by zero, or an event root that is not bracketed or not converged.
+    The sphere's potential is ``qg_potential_object``, whose own
+    :class:`DomainError` passes through.
     """
     if not all(math.isfinite(x) for x in (r0, v0, t_end)):
         raise DomainError("r0, v0 and t_end must be finite")
@@ -476,17 +319,25 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
                           v=array("d", [0.0, 0.0]), energy=array("d", [e0, e0]), events=[],
                           energy_drift=0.0, law=law, nfev=0, n_steps=0, n_rejected=0)
 
-    force = law.force_at
+    s0 = law.packet.sigma0
+    v_unit = s0 / t_char
+    t_end, tau_end = float(t_end), t_end / t_char
+    x0, u0 = r0 / s0, v0 / v_unit
+    if not all(map(math.isfinite, (x0, u0))):
+        raise DomainError("r0 and v0 are outside the floating-point range in units of "
+                          "sigma0 and sigma0 / t_char")
+    from . import dop853     # here, so that critical, tau and sweep do not compile it
 
-    def accel(x):
-        return force(x) / m
-
-    t_end = float(t_end)
-    first_step = min(t_char / 1000.0, t_end / 10.0)
+    accel = _in_packet_units(law).force_at     # the unit mass: no division
     try:
-        ts, rs, vs, found, nfev, n_rejected = _dormand_prince(
-            accel, float(r0), float(v0), t_end, first_step, rtol, atol,
-            ESCAPE_RADII * law.packet.sigma0, MAX_STEPS)
+        taus, xs, us, found, nfev, n_rejected = dop853.solve(
+            accel, x0, u0, tau_end, min(1e-3, tau_end / 10.0), rtol, atol,
+            ESCAPE_RADII, MAX_STEPS)
+        ts = [tau * t_char for tau in taus]
+        if taus[-1] == tau_end:
+            ts[-1] = t_end
+        rs = [x * s0 for x in xs]
+        vs = [u * v_unit for u in us]
         if not all(map(math.isfinite, rs + vs)):
             raise IntegrationError("non-finite state encountered during integration")
         kinetic = [0.5 * m * vi * vi for vi in vs]
@@ -499,8 +350,10 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
     drift = max(abs(e - e0) for e in energy) / scale
     if not (all(map(math.isfinite, energy)) and math.isfinite(drift)):
         raise IntegrationError("the trajectory's energy is not finite")
+    events = sorted((Event(time=tau * t_char, kind=_EVENT_KINDS[i]) for tau, i in found),
+                    key=lambda e: (e.time, e.kind.value))
     return Trajectory(t=array("d", ts), r=array("d", rs), v=array("d", vs), energy=energy,
-                      events=[Event(time=ti, kind=kind) for ti, kind in found],
+                      events=events,
                       energy_drift=drift, law=law, nfev=nfev, n_steps=len(ts) - 1,
                       n_rejected=n_rejected)
 
@@ -513,9 +366,10 @@ def detect_period(traj: Trajectory) -> float:
     fewer than three.
     """
     times = [e.time for e in traj.events_of(EventKind.V_ZERO)]
-    # collapse root-refinement duplicates
+    # collapse root-refinement duplicates, within a window relative to the
+    # run, so that it means the same in every unit system
     dedup: list[float] = []
-    eps = 1e-9 * max(traj.t[-1], 1.0)
+    eps = 1e-9 * traj.t[-1]
     for ti in times:
         if not dedup or ti - dedup[-1] > eps:
             dedup.append(ti)

@@ -28,7 +28,7 @@ import math
 import warnings
 from typing import Callable
 
-from .core import Body, PhysicalContext, WavePacket
+from .core import Body, PhysicalContext, WavePacket, not_finite
 from .errors import AccuracyError, BodyKindError, DomainError, SingularityError
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -161,25 +161,39 @@ def _require_sphere(body: Body):
         raise BodyKindError("operation requires a homogeneous sphere")
 
 
-def _require_nonnegative(r: float):
-    if r < 0.0:
-        raise DomainError("radius must be non-negative")
+# Checked inline, not by a helper: the scalar entry points run at every
+# quadrature node, and the call it saves pays for their finiteness check.
+_NEGATIVE_RADIUS = "radius must be non-negative"
 
 
 def quantum_potential(r: float, packet: WavePacket, body: Body,
                       ctx: PhysicalContext) -> float:
     """Quantum potential of the Gaussian packet: hbar^2 (6 sigma0^2 - r^2) / (8 m sigma0^4)."""
-    _require_nonnegative(r)
+    if r < 0.0:
+        raise DomainError(_NEGATIVE_RADIUS)
     s0 = packet.sigma0
-    return ctx.hbar ** 2 * (6.0 * s0 * s0 - r * r) / (8.0 * body.mass * s0 ** 4)
+    try:
+        u = ctx.hbar ** 2 * (6.0 * s0 * s0 - r * r) / (8.0 * body.mass * s0 ** 4)
+        if math.isfinite(u):
+            return u
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise not_finite("the quantum potential")
 
 
 def quantum_force(r: float, packet: WavePacket, body: Body,
                   ctx: PhysicalContext) -> float:
     """Dispersive quantum force hbar^2 r / (4 m sigma0^4), the negative gradient
     of :func:`quantum_potential`.  Positive (outward) for r > 0."""
-    _require_nonnegative(r)
-    return ctx.hbar ** 2 * r / (4.0 * body.mass * packet.sigma0 ** 4)
+    if r < 0.0:
+        raise DomainError(_NEGATIVE_RADIUS)
+    try:
+        f = ctx.hbar ** 2 * r / (4.0 * body.mass * packet.sigma0 ** 4)
+        if math.isfinite(f):
+            return f
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise not_finite("the quantum force")
 
 
 def classical_kernel(r: float, body: Body, ctx: PhysicalContext) -> float:
@@ -195,10 +209,18 @@ def classical_kernel(r: float, body: Body, ctx: PhysicalContext) -> float:
             raise SingularityError("point kernel is singular at r = 0")
         if r < 0.0:
             raise DomainError("radius must be positive for the point kernel")
-        return -ctx.G * m * m / r
-    _require_nonnegative(r)
-    R = body.radius
-    return -(ctx.G * m * m / R) * (1.5 - r * r / (2.0 * R * R))
+        k = -ctx.G * m * m / r
+    else:
+        if r < 0.0:
+            raise DomainError(_NEGATIVE_RADIUS)
+        R = body.radius
+        try:
+            k = -(ctx.G * m * m / R) * (1.5 - r * r / (2.0 * R * R))
+        except ZeroDivisionError:   # R * R underflowed to zero
+            k = math.nan
+    if not math.isfinite(k):        # products and quotients overflow without raising
+        raise not_finite("the classical kernel")
+    return k
 
 
 def qg_potential_point(r: float, packet: WavePacket, body: Body,
@@ -209,22 +231,33 @@ def qg_potential_point(r: float, packet: WavePacket, body: Body,
     origin, monotone decreasing, bounded below by -sqrt(2/pi) G m^2 / sigma0.
     """
     _require_point(body)
-    _require_nonnegative(r)
+    if r < 0.0:
+        raise DomainError(_NEGATIVE_RADIUS)
     s0 = packet.sigma0
     m = body.mass
     x = r / s0
-    return -SQRT_2_OVER_PI * ctx.G * m * m / s0 * (-math.expm1(-0.5 * x * x))
+    u = -SQRT_2_OVER_PI * ctx.G * m * m / s0 * (-math.expm1(-0.5 * x * x))
+    if not math.isfinite(u):        # products and quotients overflow without raising
+        raise not_finite("the point self-gravity potential")
+    return u
 
 
 def qg_force_point(r: float, packet: WavePacket, body: Body,
                    ctx: PhysicalContext) -> float:
     """-sqrt(2/pi) (G m^2 / sigma0^3) r exp(-r^2 / 2 sigma0^2); always attractive."""
     _require_point(body)
-    _require_nonnegative(r)
+    if r < 0.0:
+        raise DomainError(_NEGATIVE_RADIUS)
     s0 = packet.sigma0
     m = body.mass
-    return (-SQRT_2_OVER_PI * ctx.G * m * m / s0 ** 3
-            * r * math.exp(-(r * r) / (2.0 * s0 * s0)))
+    try:
+        f = (-SQRT_2_OVER_PI * ctx.G * m * m / s0 ** 3
+             * r * math.exp(-(r * r) / (2.0 * s0 * s0)))
+        if math.isfinite(f):
+            return f
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise not_finite("the point self-gravity force")
 
 
 def qg_potential_object(r: float, packet: WavePacket, body: Body,
@@ -236,20 +269,28 @@ def qg_potential_object(r: float, packet: WavePacket, body: Body,
     the origin; negative throughout the attractive region r < sqrt(3) R.
     """
     _require_sphere(body)
-    _require_nonnegative(r)
+    if r < 0.0:
+        raise DomainError(_NEGATIVE_RADIUS)
     s0 = packet.sigma0
     R = body.radius
-    gm2 = ctx.G * body.mass ** 2
-    if r < s0:
-        return _qg_potential_object_series(r / s0, s0, R, gm2)
-    x = r / s0
-    g = math.exp(-0.5 * x * x)
-    e = math.erf(SQRT_2 * r / (2.0 * s0))
-    return (3.0 * gm2 * SQRT_2 * g * r / (2.0 * SQRT_PI * s0 * R)
-            - gm2 * SQRT_2 * r ** 3 * g / (2.0 * SQRT_PI * s0 * R ** 3)
-            - 3.0 * gm2 * SQRT_2 * s0 * r * g / (2.0 * SQRT_PI * R ** 3)
-            - 3.0 * gm2 * e / (2.0 * R)
-            + 3.0 * gm2 * s0 * s0 * e / (2.0 * R ** 3))
+    try:
+        gm2 = ctx.G * body.mass ** 2
+        if r < s0:
+            u = _qg_potential_object_series(r / s0, s0, R, gm2)
+        else:
+            x = r / s0
+            g = math.exp(-0.5 * x * x)
+            e = math.erf(SQRT_2 * r / (2.0 * s0))
+            u = (3.0 * gm2 * SQRT_2 * g * r / (2.0 * SQRT_PI * s0 * R)
+                 - gm2 * SQRT_2 * r ** 3 * g / (2.0 * SQRT_PI * s0 * R ** 3)
+                 - 3.0 * gm2 * SQRT_2 * s0 * r * g / (2.0 * SQRT_PI * R ** 3)
+                 - 3.0 * gm2 * e / (2.0 * R)
+                 + 3.0 * gm2 * s0 * s0 * e / (2.0 * R ** 3))
+        if math.isfinite(u):
+            return u
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise not_finite("the sphere self-gravity potential")
 
 
 def _qg_potential_object_series(u: float, s0: float, R: float, gm2: float) -> float:
@@ -291,13 +332,20 @@ def qg_force_object(r: float, packet: WavePacket, body: Body,
     at r = sqrt(3) R.
     """
     _require_sphere(body)
-    _require_nonnegative(r)
+    if r < 0.0:
+        raise DomainError(_NEGATIVE_RADIUS)
     s0 = packet.sigma0
     R = body.radius
-    gm2 = ctx.G * body.mass ** 2
-    g = math.exp(-(r * r) / (2.0 * s0 * s0))
-    c = SQRT_2_OVER_PI * gm2 / (2.0 * s0 ** 3)
-    return c * g * (3.0 * r * r / R - r ** 4 / R ** 3)
+    try:
+        gm2 = ctx.G * body.mass ** 2
+        g = math.exp(-(r * r) / (2.0 * s0 * s0))
+        c = SQRT_2_OVER_PI * gm2 / (2.0 * s0 ** 3)
+        f = c * g * (3.0 * r * r / R - r ** 4 / R ** 3)
+        if math.isfinite(f):
+            return f
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise not_finite("the sphere self-gravity force")
 
 
 def qg_potential_object_asymptotic(r: float, packet: WavePacket, body: Body,
@@ -312,9 +360,15 @@ def qg_potential_object_asymptotic(r: float, packet: WavePacket, body: Body,
     if packet.sigma0 < 10.0 * body.radius:
         warnings.warn("asymptotic form evaluated with sigma0 < 10 R",
                       RegimeWarning, stacklevel=2)
-    gm2 = ctx.G * body.mass ** 2
-    return (-2.0 * math.sqrt(2.0) / (5.0 * math.sqrt(math.pi))
-            * gm2 * r ** 3 / (body.radius * packet.sigma0 ** 3))
+    try:
+        gm2 = ctx.G * body.mass ** 2
+        u = (-2.0 * math.sqrt(2.0) / (5.0 * math.sqrt(math.pi))
+             * gm2 * r ** 3 / (body.radius * packet.sigma0 ** 3))
+        if math.isfinite(u):
+            return u
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise not_finite("the asymptotic sphere self-gravity potential")
 
 
 def qg_potential_numeric(r: float, kernel: Callable[[float], float],
@@ -332,7 +386,8 @@ def qg_potential_numeric(r: float, kernel: Callable[[float], float],
     error where the value itself cancels to near zero; and
     :class:`DomainError` if the integrand or the result is not finite.
     """
-    _require_nonnegative(r)
+    if r < 0.0:
+        raise DomainError(_NEGATIVE_RADIUS)
     s0 = packet.sigma0
     upper = min(r / s0, TRUNCATION_SIGMAS)
     if upper <= 0.0:

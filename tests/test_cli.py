@@ -2,6 +2,7 @@
 outputs, that no command loads scipy or builds the quadrature nodes before it
 needs them, and that only the commands that build arrays load numpy."""
 
+import bisect
 import json
 import os
 import subprocess
@@ -355,9 +356,15 @@ def test_simulate_reports_the_solver_effort(tmp_path):
     assert list(payload) == ["law", "events", "period", "energy_drift", "solver",
                              "units", "samples"]
     solver = payload["solver"]
-    assert (solver["method"], solver["rtol"], solver["atol"]) == ("RK45", 1e-8, 1e-12)
-    assert solver["steps"] == len(payload["samples"]["t"]) - 1
-    assert solver["nfev"] == 1 + 6 * (solver["steps"] + solver["rejected"])
+    assert (solver["method"], solver["rtol"], solver["atol"]) == ("DOP853", 1e-8, 1e-12)
+    assert solver["t_char"] == 1.0
+    t = payload["samples"]["t"]
+    assert solver["steps"] == len(t) - 1
+    # 12 force calls per attempted step, and 3 more for the dense output of
+    # each step in which an event fires
+    event_steps = {max(1, bisect.bisect_left(t, e["time"])) for e in payload["events"]}
+    assert solver["nfev"] == (1 + 12 * (solver["steps"] + solver["rejected"])
+                              + 3 * len(event_steps))
 
     csv_path = str(tmp_path / "traj.csv")
     assert run(SIMULATE + ["--rtol", "1e-8", "--out", csv_path])[0] == cli.EXIT_OK
@@ -480,7 +487,8 @@ from gravreduce import potentials
 
 def state():
     return {"scipy": scipy_modules(), "numpy": "numpy" in sys.modules,
-            "gauss_nodes_built": potentials._gauss_pair.cache_info().currsize > 0}
+            "gauss_nodes_built": potentials._gauss_pair.cache_info().currsize > 0,
+            "stepper": "gravreduce.dop853" in sys.modules}
 
 
 loaded = {"import": state()}
@@ -557,6 +565,13 @@ def test_only_array_commands_load_numpy(command_probe):
     assert sum(name.startswith("simulate ") for name in loaded) == 3 * len(LAWS)
     assert set(dict(CLOSED_FORM_RUNS)) <= set(loaded)
     assert loaded == {name: name in dict(NUMPY_RUNS) for name in loaded}
+
+
+def test_only_integrating_commands_load_the_stepper(command_probe):
+    # critical, tau and sweep do not compile the DOP853 module; simulate and
+    # verify's energy checks load it.
+    loaded = {name: state["stepper"] for name, state in command_probe.items()}
+    assert loaded == {name: name.startswith(("simulate ", "verify")) for name in loaded}
 
 
 def test_only_verify_builds_the_gauss_nodes(command_probe):

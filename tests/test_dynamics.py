@@ -1,7 +1,9 @@
-"""The scalar Dormand-Prince stepper of ``dynamics.integrate`` against
-``scipy.integrate.solve_ivp(method="RK45")``, the algorithm it ports, and the
+"""The scalar DOP853 stepper of ``dynamics.integrate`` against
+``scipy.integrate.solve_ivp(method="DOP853")`` on the same problem in the
+packet's units (the algorithm it ports), the units themselves, and the
 trajectory facts the reduction-time estimates rest on."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -14,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from gravreduce import dynamics, potentials
+from gravreduce import dop853, dynamics, potentials
 from gravreduce.core import Body, PhysicalContext, WavePacket
 from gravreduce.dynamics import EventKind, ForceLaw
 from gravreduce.errors import BodyKindError, DomainError, GravreduceError, IntegrationError
@@ -25,21 +27,28 @@ GRAVITY_POINT = ForceLaw.gravity_point(PACKET, Body.point(1.0), CTX)
 EPS = sys.float_info.epsilon
 
 
-def scipy_rk45(law, r0, v0, t_end, rtol=1e-9, atol=1e-12):
-    """The same problem through solve_ivp: first step, events and tolerances
-    as ``integrate`` sets them."""
-    m = law.body.mass
-    escape_radius = dynamics.ESCAPE_RADII * law.packet.sigma0
+def scipy_solve(law, r0, v0, t_end, method="DOP853", rtol=1e-9, atol=1e-12):
+    """The same problem through solve_ivp, in the packet's units x = r / sigma0,
+    tau = t / t_char, u = v t_char / sigma0, with first step, events and
+    tolerances as ``integrate`` sets them; the force is the law's own, scaled.
+    Times and states come back in the law's units."""
+    s0, t_char = law.packet.sigma0, law.characteristic_time()
+    c = t_char * t_char / (s0 * law.body.mass)
 
     def ev_escape(t, y):
-        return y[0] - escape_radius
+        return y[0] - dynamics.ESCAPE_RADII
 
     ev_escape.direction = 1.0
     ev_escape.terminal = True
-    first_step = min(law.characteristic_time() / 1000.0, t_end / 10.0)
-    return solve_ivp(lambda t, y: (y[1], law.force_at(y[0]) / m), (0.0, t_end), [r0, v0],
-                     method="RK45", rtol=rtol, atol=atol, first_step=first_step,
-                     events=[lambda t, y: y[0], lambda t, y: y[1], ev_escape])
+    tau_end = t_end / t_char
+    sol = solve_ivp(lambda t, y: (y[1], c * law.force_at(s0 * y[0])), (0.0, tau_end),
+                    [r0 / s0, v0 * t_char / s0], method=method, rtol=rtol, atol=atol,
+                    first_step=min(1e-3, tau_end / 10.0),
+                    events=[lambda t, y: y[0], lambda t, y: y[1], ev_escape])
+    sol.t = sol.t * t_char
+    sol.y = sol.y * np.array([[s0], [s0 / t_char]])
+    sol.t_events = [te * t_char for te in sol.t_events]
+    return sol
 
 
 def numpy_energy(law, r, v):
@@ -67,35 +76,60 @@ CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_steps_and_events_match_scipy_rk45(case):
+def test_steps_and_events_match_scipy_dop853(case):
     law, r0, v0, t_end = CASES[case]
     traj = dynamics.integrate(law, r0, v0, t_end)
-    sol = scipy_rk45(law, r0, v0, t_end)
+    sol = scipy_solve(law, r0, v0, t_end)
 
-    # Same accepted and rejected steps: nfev = 1 + 6 per attempted step.
+    # Same accepted and rejected steps: nfev = 1 + 12 per attempted step + 3
+    # per step with an event, whose dense output takes three more stages.
     assert traj.n_steps == len(sol.t) - 1
-    assert traj.nfev == sol.nfev == 1 + 6 * (traj.n_steps + traj.n_rejected)
+    assert traj.nfev == sol.nfev
+    assert (traj.nfev - 1 - 12 * (traj.n_steps + traj.n_rejected)) % 3 == 0
 
     # The step-size controller amplifies last-bit differences in the stage
-    # sums (numpy's dot may fuse multiply-adds, the port does not): the error
-    # estimate is a sum that cancels to 1e-8 or less of its terms, so step
-    # sizes differ by 1e-9 (median) to 3e-6 (steps whose error is at rounding
-    # level) relative, and sample times by up to 1.3e-8 of the run; a
-    # different step sequence would move them by a whole step.  The states
-    # are compared along the curve: scipy's state moved to the port's sample
-    # time to first order, which is exact to about 1e-18 here.
+    # sums (numpy's dot may fuse multiply-adds, the port does not), and
+    # DOP853's error estimate, whose stage weights reach 43 in size, feels
+    # them more than RK45's did: on the mixed-point case it differs from
+    # scipy's by up to 1.4e-5 relative on a step near rounding level.  Step
+    # sizes then differ by 1e-10 to 2.5e-7 (median of a case) and at most
+    # 2.4e-6 relative, and sample times by up to 7.3e-8 of the run (1.7e-8
+    # to 8.1e-8 over OpenBLAS's Prescott, Sandybridge, Haswell and SkylakeX
+    # kernels); a different step sequence would move them by a whole step.
+    # The states are compared along the curve: scipy's state moved to the
+    # port's sample time to second order, whose remainder is below 2e-18 here.
     dt = traj.t - sol.t
     assert np.max(np.abs(dt)) <= 1e-7 * t_end
     r, v = sol.y
-    a = np.array([law.force_at(x) for x in r]) / law.body.mass
-    np.testing.assert_allclose(traj.r, r + v * dt, rtol=0, atol=1e-12 * np.max(np.abs(r)))
-    np.testing.assert_allclose(traj.v, v + a * dt, rtol=0, atol=1e-12 * np.max(np.abs(v)))
+
+    def accel(x):
+        return np.array([law.force_at(xi) for xi in x]) / law.body.mass
+
+    a = accel(r)
+    h = 1e-6 * law.packet.sigma0
+    jerk = (accel(r + h) - accel(r - h)) / (2.0 * h) * v
+    np.testing.assert_allclose(traj.r, r + v * dt + a * dt * dt / 2.0,
+                               rtol=0, atol=1e-12 * np.max(np.abs(r)))
+    np.testing.assert_allclose(traj.v, v + a * dt + jerk * dt * dt / 2.0,
+                               rtol=0, atol=1e-12 * np.max(np.abs(v)))
 
     expected = sorted((float(te), kind) for kind, times in zip(EventKind, sol.t_events)
                       for te in times)
     assert [e.kind for e in traj.events] == [kind for _, kind in expected]
     np.testing.assert_allclose([e.time for e in traj.events], [te for te, _ in expected],
                                rtol=0, atol=1e-12 * t_end)
+
+
+def test_tables_are_scipys_bit_for_bit():
+    from scipy.integrate._ivp import dop853_coefficients as c
+    n = c.N_STAGES
+    nonzero = [[float(a) for a in row[:s] if a != 0.0] for s, row in enumerate(c.A[1:n + 1], 1)]
+    assert [list(row) for row in dop853._A] == nonzero
+    for ours, theirs in ((dop853._E5, c.E5), (dop853._E3, c.E3)):
+        assert list(ours) == [float(e) for e in theirs[:n] if e != 0.0]
+    assert [list(row) for row in dop853._A_DENSE] == [
+        [float(a) for a in c.A[s, :s]] for s in range(n + 1, c.N_STAGES_EXTENDED)]
+    assert [list(row) for row in dop853._D] == c.D.tolist()
 
 
 @pytest.mark.parametrize("case", sorted(CASES) + ["equilibrium"])
@@ -155,7 +189,8 @@ def long_run():
 
 def test_drift_over_1000_characteristic_times_is_scipys(long_run):
     t_end = long_run.t[-1]
-    reference = scipy_drift(GRAVITY_POINT, scipy_rk45(GRAVITY_POINT, 1.0, 0.0, t_end))
+    reference = scipy_drift(GRAVITY_POINT,
+                            scipy_solve(GRAVITY_POINT, 1.0, 0.0, t_end, method="RK45"))
     assert 0.0 < long_run.energy_drift <= 1.25 * reference
 
 
@@ -203,19 +238,19 @@ def evaluations(f, log):
 def test_brent_port_steps_as_brentq(i):
     f, a, b = ROOT_PROBLEMS[i]
     ours, theirs = [], []
-    root = dynamics._brentq(evaluations(f, ours), a, b)
+    root = dop853._brentq(evaluations(f, ours), a, b)
     assert root == brentq(evaluations(f, theirs), a, b, xtol=4 * EPS, rtol=4 * EPS)
     assert ours == theirs
 
 
 def test_unbracketed_or_unconverged_root_is_an_integration_error():
     with pytest.raises(IntegrationError, match="not bracketed"):
-        dynamics._brentq(lambda x: x * x + 1.0, -1.0, 1.0)
+        dop853._brentq(lambda x: x * x + 1.0, -1.0, 1.0)
     # a triple root: brentq stops after 100 iterations too
     with pytest.raises(RuntimeError):
         brentq(lambda x: (x - 0.3) ** 3, 0.0, 1.0, xtol=4 * EPS, rtol=4 * EPS)
     with pytest.raises(IntegrationError, match="did not converge"):
-        dynamics._brentq(lambda x: (x - 0.3) ** 3, 0.0, 1.0)
+        dop853._brentq(lambda x: (x - 0.3) ** 3, 0.0, 1.0)
 
 
 class NaNForce(ForceLaw):
@@ -381,6 +416,109 @@ def test_law_with_a_non_finite_constant_is_refused_when_built(kind, packet, body
     # The products overflow to inf without raising an exception of their own.
     with pytest.raises(DomainError, match="outside the floating-point range"):
         ForceLaw(kind, packet, body, CTX)
+
+
+# ---------------------------------------------------------------- the packet's units
+
+def test_packet_units_law_is_the_scaled_law():
+    # x'' = (t_char^2 / sigma0) F(sigma0 x) / m in every unit system, the
+    # printed variant (whose sigma0^2 is not dimensionally consistent)
+    # included: the two differ only by rounding, at most 4.3 eps of the
+    # largest force here.
+    for law, radii in law_draws(13, 6):
+        s0, t_char = law.packet.sigma0, law.characteristic_time()
+        scaled = dynamics._in_packet_units(law)
+        assert type(scaled) is type(law) and scaled.characteristic_time() == 1.0
+        c = t_char * t_char / (s0 * law.body.mass)
+        for r in radii:
+            want = c * law.force_at(r)
+            assert abs(scaled.force_at(r / s0) - want) <= 16 * EPS * c * max(
+                abs(law.force_at(x)) for x in radii), (law, r)
+
+
+PROTON_KG, ANGSTROM_M = 1.67262192369e-27, 1e-10
+
+
+def test_proton_period_is_exact_in_si_and_cgs():
+    # A proton at sigma0 = 1 angstrom for 869 characteristic times.  With the
+    # absolute tolerance in the user's units, SI took 93 steps to a drift of
+    # 0.71 and a period of 25522.03 s; the exact one is 25371.80 s.
+    periods = []
+    for ctx, m, s0 in ((PhysicalContext.si(), PROTON_KG, ANGSTROM_M),
+                       (PhysicalContext.cgs(), 1e3 * PROTON_KG, 1e2 * ANGSTROM_M)):
+        law = ForceLaw.gravity_point(WavePacket(s0), Body.point(m), ctx)
+        t_char = law.characteristic_time()
+        traj = dynamics.integrate(law, s0, 0.0, 869.0 * t_char)
+        exact = 4.0 * dynamics.QUARTER_PERIOD_POINT * t_char
+        assert exact == pytest.approx(25371.80, abs=0.005)
+        period = dynamics.detect_period(traj)
+        assert abs(period / exact - 1.0) <= 1e-8
+        assert traj.energy_drift < 1e-7
+        periods.append(period)
+    assert abs(periods[0] / periods[1] - 1.0) <= 1e-9
+
+
+def test_period_of_a_fast_packet_is_found():
+    # 1 kg at sigma0 = 1 fm in SI: every turning point lies within 1e-9 s, so
+    # a duplicate window with an absolute floor of 1e-9 merged them all.
+    law = ForceLaw.gravity_point(WavePacket(1e-15), Body.point(1.0), PhysicalContext.si())
+    traj = dynamics.integrate(law, 1e-15, 0.0, 1e-16)
+    exact = 4.0 * dynamics.QUARTER_PERIOD_POINT * law.characteristic_time()
+    assert exact == pytest.approx(3.28e-17, rel=1e-3)
+    assert abs(dynamics.detect_period(traj) / exact - 1.0) <= 1e-8
+
+
+def rescaled(law, lam_l, lam_m, lam_t):
+    """``law`` with lengths, masses and times in units lam_l, lam_m and lam_t
+    times smaller: hbar and G take their dimensions."""
+    ctx = PhysicalContext.si(hbar=law.ctx.hbar * lam_m * lam_l * lam_l / lam_t,
+                             G=law.ctx.G * lam_l ** 3 / (lam_m * lam_t * lam_t))
+    m = law.body.mass * lam_m
+    body = (Body.sphere(m, law.body.radius * lam_l) if law.body.is_sphere
+            else Body.point(m))
+    return dataclasses.replace(law, packet=WavePacket(law.packet.sigma0 * lam_l),
+                               body=body, ctx=ctx)
+
+
+def si_laws():
+    """One law of each kind in SI, with r0 in its bound well: the proton at
+    1 angstrom, a sphere as wide as 0.9 of its packet, and a mixed-point mass
+    whose gravitational slope at the origin is 200 times the quantum one."""
+    ctx, packet = PhysicalContext.si(), WavePacket(ANGSTROM_M)
+    s0 = packet.sigma0
+    k = 200.0
+    mixed_mass = (k * ctx.hbar ** 2 / (4.0 * potentials.SQRT_2_OVER_PI * ctx.G * s0)) ** (1 / 3)
+    return [(ForceLaw.gravity_point(packet, Body.point(PROTON_KG), ctx), s0),
+            (ForceLaw.gravity_object(packet, Body.sphere(PROTON_KG, 0.9 * s0), ctx),
+             1.3 * s0),
+            (ForceLaw.mixed_point(packet, Body.point(mixed_mass), ctx),
+             0.4 * s0 * math.sqrt(2.0 * math.log(k)))]
+
+
+unit_scale = st.floats(-12.0, 12.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(case=st.sampled_from(range(3)), lam=st.tuples(unit_scale, unit_scale, unit_scale))
+def test_integrate_is_invariant_under_a_change_of_units(case, lam):
+    # Negative control: with the solver's absolute tolerance in the user's
+    # units this fails for every draw of the proton.  Measured here over 45
+    # draws: event times agree to 1.7e-11 of the run, periods to 2.2e-10
+    # t_char and drifts to 7.8e-11.
+    law, r0 = si_laws()[case]
+    other = rescaled(law, *lam)
+    runs = []
+    for lw, x0 in ((law, r0), (other, r0 * lam[0])):
+        t_char = lw.characteristic_time()
+        t_end = 100.0 * t_char
+        traj = dynamics.integrate(lw, x0, 0.0, t_end)
+        runs.append(([e.kind for e in traj.events], [e.time / t_end for e in traj.events],
+                     dynamics.detect_period(traj) / t_char, traj.energy_drift))
+    (kinds, times, period, drift), (kinds2, times2, period2, drift2) = runs
+    assert kinds == kinds2
+    assert max(abs(a - b) for a, b in zip(times, times2)) <= 1e-9
+    assert abs(period - period2) <= 1e-9
+    assert drift < 1e-7 and abs(drift - drift2) <= 1e-9
 
 
 # ---------------------------------------------------------------- reduction times

@@ -3,10 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gravreduce.core import Body, PhysicalContext, WavePacket
+from gravreduce.core import Body, PhysicalContext, WavePacket, density
 from gravreduce.errors import (AccuracyError, BodyKindError, DomainError,
-                               SingularityError)
+                               GravreduceError, SingularityError)
 from gravreduce.potentials import (RegimeWarning, _radial_quad, classical_kernel,
                                    potential_force_pairs, qg_force_object,
                                    qg_force_point, qg_potential_numeric,
@@ -297,3 +298,60 @@ class TestGradientAndOracleSweeps:
         for r in (0.2, 1.0, 2.5):
             assert quantum_force(r, packet, point, ctx) > 0.0
             assert qg_force_point(r, packet, point, ctx) < 0.0
+
+
+# ---------------------------------------------------------------- the float range
+
+CONTEXTS = (PhysicalContext.dimensionless(), PhysicalContext.si(), PhysicalContext.cgs())
+log_uniform = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+
+
+def scalar_entry_points(packet, point, sphere, ctx):
+    """The closed forms of ``potentials`` and the density, as functions of r."""
+    return {
+        "density": lambda r: density(r, packet),
+        "quantum_potential": lambda r: quantum_potential(r, packet, point, ctx),
+        "quantum_force": lambda r: quantum_force(r, packet, point, ctx),
+        "classical_kernel point": lambda r: classical_kernel(r, point, ctx),
+        "classical_kernel sphere": lambda r: classical_kernel(r, sphere, ctx),
+        "qg_potential_point": lambda r: qg_potential_point(r, packet, point, ctx),
+        "qg_well_potential_point": lambda r: qg_well_potential_point(r, packet, point, ctx),
+        "qg_force_point": lambda r: qg_force_point(r, packet, point, ctx),
+        "qg_potential_object": lambda r: qg_potential_object(r, packet, sphere, ctx),
+        "qg_force_object": lambda r: qg_force_object(r, packet, sphere, ctx),
+        "qg_potential_object_asymptotic":
+            lambda r: qg_potential_object_asymptotic(r, packet, sphere, ctx),
+    }
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(m=log_uniform, s0=log_uniform, R=log_uniform, r=log_uniform,
+       u=st.floats(-3.0, 1.0).map(lambda e: 10.0 ** e), ctx=st.sampled_from(CONTEXTS))
+def test_scalar_entry_points_return_a_finite_float_or_a_gravreduce_error(m, s0, R, r, u, ctx):
+    # Radii independent of sigma0, and near it (u sigma0), where each closed
+    # form has its Gaussian weight.  Negative control: qg_force_point at
+    # m = sigma0 = 1e200 raised a raw OverflowError, and returned inf or nan
+    # where G m^2 overflowed.
+    entry_points = scalar_entry_points(WavePacket(s0), Body.point(m), Body.sphere(m, R), ctx)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RegimeWarning)
+        for name, fn in entry_points.items():
+            for radius in (r, u * s0):
+                try:
+                    value = fn(radius)
+                except GravreduceError:
+                    continue
+                assert type(value) is float and math.isfinite(value), (name, radius, value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda ctx: qg_force_point(1e200, WavePacket(1e200), Body.point(1e-200), ctx),
+    lambda ctx: qg_potential_object(1e200, WavePacket(1e200), Body.sphere(1e-200, 1.0), ctx),
+    lambda ctx: qg_force_point(1e-170, WavePacket(1e-170), Body.point(1.0), ctx),
+    lambda ctx: qg_force_object(1e-170, WavePacket(1e-170), Body.sphere(1.0, 1.0), ctx),
+    lambda ctx: density(1e-170, WavePacket(1e-170)),
+    lambda ctx: qg_force_point(1.0, WavePacket(1.0), Body.point(1e200), ctx),   # G m^2 = inf
+])
+def test_raw_float_errors_are_domain_errors(call, ctx):
+    with pytest.raises(DomainError, match="is not finite for these parameters"):
+        call(ctx)
