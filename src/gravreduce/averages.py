@@ -13,10 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import Body, PhysicalContext, WavePacket
+from .core import SQRT_2_OVER_PI, Body, PhysicalContext, WavePacket, not_finite
 from .errors import AccuracyError
-from .potentials import (SQRT_2_OVER_PI, TRUNCATION_SIGMAS, _radial_quad, _require_point,
-                         _require_sphere)
+from .potentials import TRUNCATION_SIGMAS, _radial_quad, _require_point, _require_sphere
 
 EXPECT_RELTOL = 1e-10
 
@@ -58,31 +57,59 @@ def expect(observable: Callable[[float], float], packet: WavePacket,
                        neval=neval)
 
 
+# Each closed form below returns a finite float or raises DomainError
+# (see core.not_finite).
+
 def avg_quantum_force(packet: WavePacket, body: Body, ctx: PhysicalContext) -> float:
     """(1/2) sqrt(2/pi) hbar^2 / (m sigma0^3)."""
-    return 0.5 * SQRT_2_OVER_PI * ctx.hbar ** 2 / (body.mass * packet.sigma0 ** 3)
+    try:
+        f = 0.5 * SQRT_2_OVER_PI * ctx.hbar ** 2 / (body.mass * packet.sigma0 ** 3)
+        if math.isfinite(f):
+            return f
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise not_finite("the mean quantum force")
 
 
 def avg_qg_force_point(packet: WavePacket, body: Body, ctx: PhysicalContext) -> float:
     """-(1/pi) G m^2 / sigma0^2."""
     _require_point(body)
-    return -ctx.G * body.mass ** 2 / (math.pi * packet.sigma0 ** 2)
+    try:
+        f = -ctx.G * body.mass ** 2 / (math.pi * packet.sigma0 ** 2)
+        if math.isfinite(f):
+            return f
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise not_finite("the mean point self-gravity force")
 
 
 def avg_quantum_potential(packet: WavePacket, body: Body, ctx: PhysicalContext) -> float:
     """3 hbar^2 / (8 m sigma0^2)."""
-    return 3.0 * ctx.hbar ** 2 / (8.0 * body.mass * packet.sigma0 ** 2)
+    try:
+        u = 3.0 * ctx.hbar ** 2 / (8.0 * body.mass * packet.sigma0 ** 2)
+        if math.isfinite(u):
+            return u
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise not_finite("the mean quantum potential")
 
 
 def avg_qg_potential_point(packet: WavePacket, body: Body, ctx: PhysicalContext) -> float:
     """-(2 sqrt2 - 1) G m^2 / (2 sqrt(pi) sigma0)."""
     _require_point(body)
-    gm2 = ctx.G * body.mass ** 2
-    return -(2.0 * math.sqrt(2.0) - 1.0) * gm2 / (2.0 * math.sqrt(math.pi) * packet.sigma0)
+    try:
+        gm2 = ctx.G * body.mass ** 2
+        u = -(2.0 * math.sqrt(2.0) - 1.0) * gm2 / (2.0 * math.sqrt(math.pi) * packet.sigma0)
+        if math.isfinite(u):
+            return u
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise not_finite("the mean point self-gravity potential")
 
 
 def avg_energy_point(packet: WavePacket, body: Body, ctx: PhysicalContext) -> float:
     """Stationary-packet mean energy: gravitational plus quantum average."""
+    # a negative plus a positive finite float: the sum is finite
     return (avg_qg_potential_point(packet, body, ctx)
             + avg_quantum_potential(packet, body, ctx))
 
@@ -90,16 +117,24 @@ def avg_energy_point(packet: WavePacket, body: Body, ctx: PhysicalContext) -> fl
 def avg_qg_potential_object(packet: WavePacket, body: Body, ctx: PhysicalContext) -> float:
     """-3 G m^2 / (4 R) + (G m^2 sigma0^2 / R^3) (3/4 - 1/pi)."""
     _require_sphere(body)
-    gm2 = ctx.G * body.mass ** 2
-    R = body.radius
-    s0 = packet.sigma0
-    return -3.0 * gm2 / (4.0 * R) + gm2 * s0 * s0 / R ** 3 * (0.75 - 1.0 / math.pi)
+    try:
+        gm2 = ctx.G * body.mass ** 2
+        R = body.radius
+        s0 = packet.sigma0
+        u = -3.0 * gm2 / (4.0 * R) + gm2 * s0 * s0 / R ** 3 * (0.75 - 1.0 / math.pi)
+        if math.isfinite(u):
+            return u
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise not_finite("the mean sphere self-gravity potential")
 
 
 def avg_energy_object(packet: WavePacket, body: Body, ctx: PhysicalContext) -> float:
     """Mean total energy of the sphere's stationary packet."""
-    return (avg_qg_potential_object(packet, body, ctx)
-            + avg_quantum_potential(packet, body, ctx))
+    e = avg_qg_potential_object(packet, body, ctx) + avg_quantum_potential(packet, body, ctx)
+    if math.isfinite(e):        # two positive terms can overflow
+        return e
+    raise not_finite("the mean sphere energy")
 
 
 def avg_qg_force_object(packet: WavePacket, body: Body, ctx: PhysicalContext) -> float:
@@ -109,29 +144,53 @@ def avg_qg_force_object(packet: WavePacket, body: Body, ctx: PhysicalContext) ->
     the two asymptotic magnitudes below are exactly its two terms.
     """
     _require_sphere(body)
-    gm2 = ctx.G * body.mass ** 2
-    R = body.radius
-    s0 = packet.sigma0
-    sqrtpi = math.sqrt(math.pi)
-    return 9.0 * gm2 / (8.0 * sqrtpi * s0 * R) - 15.0 * gm2 * s0 / (16.0 * sqrtpi * R ** 3)
+    try:
+        gm2 = ctx.G * body.mass ** 2
+        R = body.radius
+        s0 = packet.sigma0
+        sqrtpi = math.sqrt(math.pi)
+        f = 9.0 * gm2 / (8.0 * sqrtpi * s0 * R) - 15.0 * gm2 * s0 / (16.0 * sqrtpi * R ** 3)
+        if math.isfinite(f):
+            return f
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise not_finite("the mean sphere self-gravity force")
 
 
 def avg_qg_force_object_micro(packet: WavePacket, body: Body, ctx: PhysicalContext) -> float:
     """Wide-packet magnitude 9 G m^2 / (8 sqrt(pi) sigma0 R)."""
     _require_sphere(body)
-    return 9.0 * ctx.G * body.mass ** 2 / (8.0 * math.sqrt(math.pi)
-                                           * packet.sigma0 * body.radius)
+    try:
+        f = 9.0 * ctx.G * body.mass ** 2 / (8.0 * math.sqrt(math.pi)
+                                            * packet.sigma0 * body.radius)
+        if math.isfinite(f):
+            return f
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise not_finite("the wide-packet mean sphere force")
 
 
 def avg_qg_force_object_macro(packet: WavePacket, body: Body, ctx: PhysicalContext) -> float:
     """Narrow-packet magnitude (15 / 16 sqrt(pi)) G m^2 sigma0 / R^3."""
     _require_sphere(body)
-    return (15.0 / (16.0 * math.sqrt(math.pi))
-            * ctx.G * body.mass ** 2 * packet.sigma0 / body.radius ** 3)
+    try:
+        f = (15.0 / (16.0 * math.sqrt(math.pi))
+             * ctx.G * body.mass ** 2 * packet.sigma0 / body.radius ** 3)
+        if math.isfinite(f):
+            return f
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise not_finite("the narrow-packet mean sphere force")
 
 
 def avg_qg_force_object_intermediate(packet: WavePacket, body: Body,
                                      ctx: PhysicalContext) -> float:
     """Order-of-magnitude force G m^2 / R^2 for the sigma0 = R crossover."""
     _require_sphere(body)
-    return ctx.G * body.mass ** 2 / body.radius ** 2
+    try:
+        f = ctx.G * body.mass ** 2 / body.radius ** 2
+        if math.isfinite(f):
+            return f
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise not_finite("the crossover sphere force")

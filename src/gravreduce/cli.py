@@ -45,13 +45,20 @@ block); ``critical``, ``sweep`` and ``tau`` run on the closed forms alone, the
 quarter period of ``tau`` included: it is an exact constant times the
 characteristic time.
 
+Each command imports the package modules it runs and no others, so that a
+short command does not compile code it never calls.  Importing this module
+loads ``gravreduce``, ``core`` and ``errors``.  ``critical``, ``tau`` and
+``sweep`` add ``criticality`` alone, where the closed forms of all three
+live.  ``simulate`` adds ``dynamics`` and its stepper ``dop853``, and
+``potentials`` for the gravity-object law alone, whose potential it
+evaluates.  ``verify`` loads every module.
+
 Only the commands that build arrays load numpy: ``sweep``, whose closed forms
-broadcast over its grid, and ``verify``, with its battery; each command
-imports the modules it runs.  ``critical``, ``tau`` and ``simulate`` load no
-numpy.  The closed forms of ``critical`` and ``tau`` take Python floats and
-run on Python arithmetic, the same code that runs on numpy for ``sweep``'s
-arrays; ``simulate``'s stepper and energy column run on Python floats, and
-its samples are stdlib ``array('d')``.
+broadcast over its grid, and ``verify``, with its battery.  ``critical``,
+``tau`` and ``simulate`` load no numpy.  The closed forms of ``critical`` and
+``tau`` take Python floats and run on Python arithmetic, the same code that
+runs on numpy for ``sweep``'s arrays; ``simulate``'s stepper and energy column
+run on Python floats, and its samples are stdlib ``array('d')``.
 """
 
 from __future__ import annotations
@@ -59,14 +66,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import inspect
 import json
 import math
 import sys
 from pathlib import Path
 
-from . import dynamics
-from .core import Body, PhysicalContext, WavePacket
+from .core import DEFAULT_ATOL, DEFAULT_RTOL, Body, LawKind, PhysicalContext, WavePacket
 from .errors import AccuracyError, GravreduceError, InsufficientDataError, IntegrationError
 
 EXIT_OK = 0
@@ -82,7 +87,6 @@ TRUE_WORDS = ("true", "yes", "on")
 FALSE_WORDS = ("false", "no", "off")
 # Rows joined per write when a sweep is streamed to its output.
 SWEEP_ROWS_PER_WRITE = 4096
-_INTEGRATE = inspect.signature(dynamics.integrate).parameters
 
 
 class ConfigError(GravreduceError, ValueError):
@@ -249,14 +253,17 @@ def _gnuplot_script(csv_path: str) -> str:
     )
 
 
-def _trajectory_csv(traj: dynamics.Trajectory, ctx: PhysicalContext) -> str:
-    """Units comment, header and one t,r,v,energy row per sample, each value its repr."""
+def _trajectory_csv(traj, ctx: PhysicalContext) -> str:
+    """Units comment, header and one t,r,v,energy row per sample of the
+    ``dynamics.Trajectory`` ``traj``, each value its repr."""
     rows = zip(traj.t.tolist(), traj.r.tolist(), traj.v.tolist(), traj.energy.tolist())
     return "".join([_units_comment(ctx), "t,r,v,energy\n"]
                    + [f"{t!r},{r!r},{v!r},{e!r}\n" for t, r, v, e in rows])
 
 
 def cmd_simulate(args) -> int:
+    from . import dynamics
+
     _require(args, "mass", "sigma0", "r0", "t_end")
     if args.gnuplot_script and not (args.out and args.format == "csv"):
         raise ConfigError("--gnuplot-script plots the CSV written to --out: "
@@ -266,7 +273,7 @@ def cmd_simulate(args) -> int:
         args.kind = "sphere" if args.law == "gravity-object" else "point"
     body = _body(args)
     packet = WavePacket(args.sigma0)
-    law = dynamics.ForceLaw(dynamics.LawKind(args.law), packet, body, ctx,
+    law = dynamics.ForceLaw(LawKind(args.law), packet, body, ctx,
                             args.printed_mixed_variant)
     traj = dynamics.integrate(law, r0=args.r0, v0=args.v0, t_end=args.t_end,
                               rtol=args.rtol, atol=args.atol)
@@ -309,8 +316,8 @@ def cmd_tau(args) -> int:
     ctx = _context(args)
     body = _body(args)
     packet = WavePacket(args.sigma0)
-    estimates = dynamics.tau_estimates(packet, body, ctx,
-                                       include_numeric=not args.no_numeric)
+    estimates = criticality.tau_estimates(packet, body, ctx,
+                                          include_numeric=not args.no_numeric)
     payload = {
         "units": ctx.unit_system.value,
         "estimates": [{"method": e.method.value, "tau": e.tau,
@@ -405,9 +412,10 @@ def _sweep_columns(axes: dict, ctx: PhysicalContext, sphere: bool) -> dict:
         "force_ratio": criticality.force_ratio_at(m, s0, ctx),
         "regime": criticality.regime_index(m, m_c),
     })
-    methods = dynamics.OBJECT_CLOSED_FORMS if sphere else dynamics.POINT_CLOSED_FORMS
+    methods = criticality.OBJECT_CLOSED_FORMS if sphere else criticality.POINT_CLOSED_FORMS
     for method in methods:
-        columns[f"tau_{method.value.replace('-', '_')}"] = dynamics.tau_at(method, m, s0, ctx, R)
+        name = f"tau_{method.value.replace('-', '_')}"
+        columns[name] = criticality.tau_at(method, m, s0, ctx, R)
     return columns
 
 
@@ -530,14 +538,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _subcommand(subs, "simulate", cmd_simulate, help="integrate a force law to CSV")
     _add_model(p, "csv", kind=None)
-    p.add_argument("--law", choices=[law.value for law in dynamics.LawKind],
+    p.add_argument("--law", choices=[law.value for law in LawKind],
                    default="gravity-point", help="force law (default: %(default)s)")
     p.add_argument("--r0", type=float, help="initial position (no default)")
     p.add_argument("--v0", type=float, default=0.0, help="initial velocity (default: 0)")
     p.add_argument("--t-end", dest="t_end", type=float, help="end time (no default)")
-    p.add_argument("--rtol", type=float, default=_INTEGRATE["rtol"].default,
+    p.add_argument("--rtol", type=float, default=DEFAULT_RTOL,
                    help="solver relative tolerance (default: %(default)s)")
-    p.add_argument("--atol", type=float, default=_INTEGRATE["atol"].default,
+    p.add_argument("--atol", type=float, default=DEFAULT_ATOL,
                    help="solver absolute tolerance, in units of sigma0 for r and of "
                         "sigma0/t_char for v, t_char = sqrt(sigma0^3/(G m)) "
                         "(default: %(default)s)")

@@ -25,6 +25,13 @@ G_SI = 6.67430e-11             # m^3 kg^-1 s^-2
 HBAR_CGS = 1.054571817e-27     # erg s
 G_CGS = 6.67430e-8             # cm^3 g^-1 s^-2
 
+SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+
+# Default relative and absolute tolerances of dynamics.integrate and of the
+# CLI's simulate, which reads them without loading the integrator.
+DEFAULT_RTOL = 1e-9
+DEFAULT_ATOL = 1e-12
+
 
 class UnitSystem(str, Enum):
     SI = "si"
@@ -69,6 +76,14 @@ class PhysicalContext:
 class BodyKind(str, Enum):
     POINT_PARTICLE = "point"
     HOMOGENEOUS_SPHERE = "sphere"
+
+
+class LawKind(str, Enum):
+    """The force laws of ``dynamics.ForceLaw``."""
+
+    GRAVITY_POINT = "gravity-point"
+    MIXED_POINT = "mixed-point"
+    GRAVITY_OBJECT = "gravity-object"
 
 
 @dataclass(frozen=True)
@@ -122,8 +137,8 @@ def _range_error(what: str) -> DomainError:
 
 def not_finite(what: str) -> DomainError:
     """The error of a scalar entry point (:func:`density`, the closed forms of
-    ``potentials``) whose value is not finite, whether its arithmetic
-    overflowed to an infinity or raised ``OverflowError`` or
+    ``potentials`` and ``averages``) whose value is not finite, whether its
+    arithmetic overflowed to an infinity or raised ``OverflowError`` or
     ``ZeroDivisionError``.  Each maps those raw errors inside its own
     ``try``, which costs nothing when nothing is raised."""
     return DomainError(f"{what} is not finite for these parameters")

@@ -1,10 +1,19 @@
-"""Critical widths and masses for the quantum-to-classical transition.
+"""Critical widths and masses for the quantum-to-classical transition, and
+reduction-time estimators.
 
 Two independent routes give the transition scale: balancing the averaged
 quantum force against the averaged self-gravitational force, and minimizing
 the mean stationary energy over the packet width.  Both are implemented with
 their exact unit constants; literature reference formulas (which drop O(1)
 constants) are provided alongside for order-of-magnitude comparisons.
+
+Reduction-time estimators are closed forms of four flavors: the gravity-point
+law's exact quarter period with its unit-constant approximation, the short-time
+objective formula, and uncertainty-based estimates from the self-energy spread.
+
+Only the closed forms load with this module, so that ``critical``, ``tau`` and
+``sweep`` compile nothing else of the package: the three functions that
+evaluate ``averages``, ``minimize`` or ``potentials`` import them when called.
 """
 
 from __future__ import annotations
@@ -13,11 +22,9 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .averages import avg_energy_point
-from .core import Body, PhysicalContext, WavePacket, closed_form, in_float_range
+from .core import (SQRT_2_OVER_PI, Body, PhysicalContext, WavePacket, closed_form,
+                   in_float_range)
 from .errors import BodyKindError, DomainError
-from .minimize import minimize_bracketed
-from .potentials import qg_force_object, qg_force_point, quantum_force
 
 # Tie band around the critical mass: exact equality is measure zero, so the
 # transition label applies within a narrow relative band.
@@ -30,6 +37,19 @@ ENERGY_MIN_POINT_CONST = 3.0 * math.sqrt(math.pi) / (2.0 * (2.0 * math.sqrt(2.0)
 ENERGY_MIN_OBJECT_CONST = (3.0 / (8.0 * (0.75 - 1.0 / math.pi))) ** 0.25
 FORCE_BALANCE_MACRO_CONST = (8.0 * math.sqrt(2.0) / 15.0) ** 0.25
 FORCE_BALANCE_MICRO_CONST = math.sqrt(4.0 * math.sqrt(2.0) / 9.0)
+
+# Self-energy spread coefficients of the sphere evaluated at r = sigma0:
+# |U(sigma0)| = |ALPHA_OBJECT * G m^2 sigma0^2 / R^3 - BETA_OBJECT * G m^2 / R|, correctly
+# rounded from ALPHA_OBJECT = (3/2) erf(1/sqrt 2) - 2 sqrt(2/pi) e^(-1/2) and
+# BETA_OBJECT = (3/2) (erf(1/sqrt 2) - sqrt(2/pi) e^(-1/2)).
+ALPHA_OBJECT = 0.05615134012905545
+BETA_OBJECT = 0.2981220646481988
+# First origin crossing of the gravity-point law from rest at r0 = sigma0 in
+# characteristic times, correctly rounded from the energy integral with
+# r = sigma0 sin(theta) (Landau & Lifshitz, Mechanics, sections 11-12): the
+# integral over [0, pi/2] of cos(theta) / sqrt(2 c expm1(cos(theta)^2 / 2)),
+# c = sqrt(2/pi) e^(-1/2).  In x = r / sigma0 the law has no parameter.
+QUARTER_PERIOD_POINT = 2.1193028269432572
 
 
 class Regime(str, Enum):
@@ -233,6 +253,8 @@ def critical_width_energy_min(body: Body, ctx: PhysicalContext,
     lo, hi = bracket
     if not (0.0 < lo < hi):
         raise DomainError("bracket must satisfy 0 < lo < hi")
+    from .minimize import minimize_bracketed
+
     try:
         return minimize_bracketed(_energy_derivative(body, ctx), lo, hi)
     except (OverflowError, ZeroDivisionError):
@@ -244,11 +266,16 @@ def stationary_energy(body: Body, ctx: PhysicalContext) -> float:
     """Mean energy at the minimizing width; negative (bound), of order G^2 m^5 / hbar^2."""
     if not body.is_point:
         raise BodyKindError("stationary_energy requires a point particle")
+    from .averages import avg_energy_point
+
     s_min = critical_width_energy_min_exact(body, ctx)
     with closed_form("stationary energy", body.mass, s_min):
+        try:
+            energy = avg_energy_point(WavePacket(s_min), body, ctx)
+        except DomainError:     # one of its terms is not finite
+            energy = math.nan
         # negative: in_float_range checks its magnitude
-        energy = -in_float_range(-avg_energy_point(WavePacket(s_min), body, ctx),
-                                 "stationary energy")
+        energy = -in_float_range(-energy, "stationary energy")
     return float(energy)
 
 
@@ -271,6 +298,8 @@ def force_balance_residual(r: float, packet: WavePacket, body: Body,
     """
     if r < 0.0:
         raise DomainError("radius must be non-negative")
+    from .potentials import qg_force_object, qg_force_point, quantum_force
+
     fq = quantum_force(r, packet, body, ctx)
     if body.is_point:
         fqg = qg_force_point(r, packet, body, ctx)
@@ -303,3 +332,86 @@ def reference_formulas(body: Body, packet: WavePacket, ctx: PhysicalContext) -> 
             with closed_form(what, scale, body.radius) as (s, R):
                 out[name] = in_float_range(s ** p * R ** q, what)
     return {name: float(value) for name, value in out.items()}
+
+
+class TauMethod(str, Enum):
+    QUARTER_PERIOD_NUMERIC = "quarter-period-numeric"
+    PERIOD_FORMULA = "period-formula"
+    SHORT_TIME = "short-time"
+    UNCERTAINTY = "uncertainty"
+    OBJECT_UNCERTAINTY = "object-uncertainty"
+    OBJECT_MICRO = "object-micro"
+
+
+@dataclass(frozen=True)
+class ReductionEstimate:
+    tau: float
+    method: TauMethod
+    assumptions: str = ""
+
+    def __post_init__(self):
+        if not (self.tau > 0.0 and math.isfinite(self.tau)):
+            raise DomainError(f"reduction time must be finite and positive, got {self.tau!r}")
+
+
+POINT_CLOSED_FORMS = (TauMethod.PERIOD_FORMULA, TauMethod.SHORT_TIME, TauMethod.UNCERTAINTY)
+POINT_METHODS = POINT_CLOSED_FORMS + (TauMethod.QUARTER_PERIOD_NUMERIC,)
+OBJECT_CLOSED_FORMS = (TauMethod.OBJECT_UNCERTAINTY, TauMethod.OBJECT_MICRO)
+
+_ASSUMPTIONS = {
+    TauMethod.QUARTER_PERIOD_NUMERIC: "first origin crossing from rest at r0 = sigma0",
+    TauMethod.PERIOD_FORMULA: "unit-constant quarter-period law",
+    TauMethod.SHORT_TIME: "width fixed at its critical value",
+    TauMethod.UNCERTAINTY: "hbar over the self-energy spread across one width",
+    TauMethod.OBJECT_UNCERTAINTY: ("hbar over the exact self-energy spread across one width; "
+                                   f"implied spread coefficients alpha={ALPHA_OBJECT:.6f}, "
+                                   f"beta={BETA_OBJECT:.6f}"),
+    TauMethod.OBJECT_MICRO: "wide-packet cubic self-energy evaluated at one width",
+}
+
+
+def tau_at(method: TauMethod, mass, sigma0, ctx: PhysicalContext, radius=None):
+    """Reduction time by ``method``, elementwise over floats or broadcastable arrays.
+
+    Python floats run on Python arithmetic and load no numpy; arrays run on
+    numpy (see :func:`core.closed_form`).  The point-particle methods take no
+    radius, the sphere methods require one.  The quarter period is
+    ``QUARTER_PERIOD_POINT`` characteristic times.  The object-uncertainty
+    spread |qg_potential_object(sigma0, ...)| is (G m^2 / R)
+    |ALPHA_OBJECT x^2 - BETA_OBJECT| with x = sigma0 / R, which cancels only
+    near its zero x ~ 2.3035.  Overflow and underflow are not warned about;
+    :class:`DomainError` is raised unless every result is finite and positive.
+    """
+    if method not in (OBJECT_CLOSED_FORMS if radius is not None else POINT_METHODS):
+        kind = "sphere" if radius is not None else "point particle"
+        raise BodyKindError(f"method {method} does not apply to a {kind}")
+    G, hbar = ctx.G, ctx.hbar
+    what = f"{method.value} reduction time"
+    with closed_form(what, mass, sigma0, radius) as (m, s0, R):
+        if method is TauMethod.PERIOD_FORMULA:
+            tau = (s0 ** 3 / (G * m)) ** 0.5
+        elif method is TauMethod.QUARTER_PERIOD_NUMERIC:
+            tau = QUARTER_PERIOD_POINT * (s0 ** 3 / (G * m)) ** 0.5
+        elif method is TauMethod.SHORT_TIME:
+            tau = hbar ** 3 / (G ** 2 * m ** 5)
+        elif method is TauMethod.UNCERTAINTY:
+            tau = hbar / (SQRT_2_OVER_PI * (-math.expm1(-0.5)) * G * m * m / s0)
+        else:
+            gm2 = G * (m * m)
+            if method is TauMethod.OBJECT_UNCERTAINTY:
+                x = s0 / R
+                tau = hbar * R / (gm2 * abs(ALPHA_OBJECT * x * x - BETA_OBJECT))
+            else:
+                tau = 1.25 * math.sqrt(2.0 * math.pi) * hbar * R / gm2
+        return in_float_range(tau, what)
+
+
+def tau_estimates(packet: WavePacket, body: Body, ctx: PhysicalContext,
+                  include_numeric: bool = True) -> list[ReductionEstimate]:
+    """All applicable reduction-time estimates for this (packet, body) pair."""
+    if body.is_sphere:
+        methods = OBJECT_CLOSED_FORMS
+    else:
+        methods = POINT_METHODS if include_numeric else POINT_CLOSED_FORMS
+    return [ReductionEstimate(float(tau_at(method, body.mass, packet.sigma0, ctx, body.radius)),
+                              method, _ASSUMPTIONS[method]) for method in methods]

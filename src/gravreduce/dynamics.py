@@ -1,4 +1,4 @@
-"""Radial trajectory integration and reduction-time estimators.
+"""Radial trajectory integration.
 
 The center of mass moves through its own probability distribution under one
 of three conservative force laws: pure self-gravity of a point packet, the
@@ -12,10 +12,6 @@ Trajectories are integrated by a scalar port of scipy's DOP853
 tau = t / t_char, so the solver's tolerances, step sizes and event roots are
 the same in every unit system; samples and events are scaled back, and the
 energy is computed in the law's units.
-
-Reduction-time estimators are closed forms of four flavors: the gravity-point
-law's exact quarter period with its unit-constant approximation, the short-time
-objective formula, and uncertainty-based estimates from the self-energy spread.
 """
 
 from __future__ import annotations
@@ -27,11 +23,10 @@ from array import array
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .core import (Body, PhysicalContext, UnitSystem, WavePacket, closed_form,
-                   in_float_range)
+from .core import (DEFAULT_ATOL, DEFAULT_RTOL, SQRT_2_OVER_PI, Body, LawKind,
+                   PhysicalContext, UnitSystem, WavePacket, in_float_range)
 from .errors import (BodyKindError, DomainError, InsufficientDataError,
                      IntegrationError)
-from .potentials import SQRT_2_OVER_PI, qg_potential_object
 
 ESCAPE_RADII = 10.0   # escape event fires at r > ESCAPE_RADII * sigma0 moving outward
 # Longest run integrate() accepts, in characteristic times sqrt(sigma0^3 / G m).
@@ -49,25 +44,6 @@ MAX_CHARACTERISTIC_TIMES = 1e4
 # R = 0.01 sigma0 and 70,065 at R = 0.001 sigma0.  A stalled run reaches the
 # cap holding about 115 MB of samples.
 MAX_STEPS = 100 * int(MAX_CHARACTERISTIC_TIMES)
-
-# Self-energy spread coefficients of the sphere evaluated at r = sigma0:
-# |U(sigma0)| = |ALPHA_OBJECT * G m^2 sigma0^2 / R^3 - BETA_OBJECT * G m^2 / R|, correctly
-# rounded from ALPHA_OBJECT = (3/2) erf(1/sqrt 2) - 2 sqrt(2/pi) e^(-1/2) and
-# BETA_OBJECT = (3/2) (erf(1/sqrt 2) - sqrt(2/pi) e^(-1/2)).
-ALPHA_OBJECT = 0.05615134012905545
-BETA_OBJECT = 0.2981220646481988
-# First origin crossing of the gravity-point law from rest at r0 = sigma0 in
-# characteristic times, correctly rounded from the energy integral with
-# r = sigma0 sin(theta) (Landau & Lifshitz, Mechanics, sections 11-12): the
-# integral over [0, pi/2] of cos(theta) / sqrt(2 c expm1(cos(theta)^2 / 2)),
-# c = sqrt(2/pi) e^(-1/2).  In x = r / sigma0 the law has no parameter.
-QUARTER_PERIOD_POINT = 2.1193028269432572
-
-
-class LawKind(str, Enum):
-    GRAVITY_POINT = "gravity-point"
-    MIXED_POINT = "mixed-point"
-    GRAVITY_OBJECT = "gravity-object"
 
 
 class EventKind(str, Enum):
@@ -99,6 +75,8 @@ def _kernels(kind: LawKind, packet: WavePacket, body: Body, ctx: PhysicalContext
         R, R3 = body.radius, body.radius ** 3
         c = SQRT_2_OVER_PI * (ctx.G * m ** 2) / (2.0 * s0 ** 3)
         _finite(two_s0_sq, R3, c)
+        # here, so that the point laws do not load potentials
+        from .potentials import qg_potential_object
 
         def force(r):       # odd extension through the origin
             x = abs(r)
@@ -258,7 +236,7 @@ def _in_packet_units(law: ForceLaw) -> ForceLaw:
 
 
 def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
-              rtol: float = 1e-9, atol: float = 1e-12) -> Trajectory:
+              rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> Trajectory:
     """Integrate m r'' = F(r) with the adaptive Dormand-Prince 8(5,3) method.
 
     The stepper (:mod:`gravreduce.dop853`) is a scalar port of
@@ -304,7 +282,9 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
         t_char = law.characteristic_time()
     except (OverflowError, ZeroDivisionError):
         t_char = math.nan
-    if not t_char > 0.0:        # nan, or sigma0^3 underflowed to zero
+    # nan, sigma0^3 underflowed to zero, or sigma0^3 / (G m) overflowed to inf
+    # (which would make the unit of velocity, sigma0 / t_char, zero)
+    if not 0.0 < t_char < math.inf:
         raise DomainError("the characteristic time is outside the floating-point range "
                           "for these parameters")
     if not t_end <= MAX_CHARACTERISTIC_TIMES * t_char:
@@ -383,86 +363,3 @@ def period_linearized(packet: WavePacket, body: Body, ctx: PhysicalContext) -> f
     """2 pi over the point law's small-amplitude rate (2/pi)^(1/4) sqrt(G m / sigma0^3)."""
     rate = (2.0 / math.pi) ** 0.25 * math.sqrt(ctx.G * body.mass / packet.sigma0 ** 3)
     return 2.0 * math.pi / rate
-
-
-class TauMethod(str, Enum):
-    QUARTER_PERIOD_NUMERIC = "quarter-period-numeric"
-    PERIOD_FORMULA = "period-formula"
-    SHORT_TIME = "short-time"
-    UNCERTAINTY = "uncertainty"
-    OBJECT_UNCERTAINTY = "object-uncertainty"
-    OBJECT_MICRO = "object-micro"
-
-
-@dataclass(frozen=True)
-class ReductionEstimate:
-    tau: float
-    method: TauMethod
-    assumptions: str = ""
-
-    def __post_init__(self):
-        if not (self.tau > 0.0 and math.isfinite(self.tau)):
-            raise DomainError(f"reduction time must be finite and positive, got {self.tau!r}")
-
-
-POINT_CLOSED_FORMS = (TauMethod.PERIOD_FORMULA, TauMethod.SHORT_TIME, TauMethod.UNCERTAINTY)
-POINT_METHODS = POINT_CLOSED_FORMS + (TauMethod.QUARTER_PERIOD_NUMERIC,)
-OBJECT_CLOSED_FORMS = (TauMethod.OBJECT_UNCERTAINTY, TauMethod.OBJECT_MICRO)
-
-_ASSUMPTIONS = {
-    TauMethod.QUARTER_PERIOD_NUMERIC: "first origin crossing from rest at r0 = sigma0",
-    TauMethod.PERIOD_FORMULA: "unit-constant quarter-period law",
-    TauMethod.SHORT_TIME: "width fixed at its critical value",
-    TauMethod.UNCERTAINTY: "hbar over the self-energy spread across one width",
-    TauMethod.OBJECT_UNCERTAINTY: ("hbar over the exact self-energy spread across one width; "
-                                   f"implied spread coefficients alpha={ALPHA_OBJECT:.6f}, "
-                                   f"beta={BETA_OBJECT:.6f}"),
-    TauMethod.OBJECT_MICRO: "wide-packet cubic self-energy evaluated at one width",
-}
-
-
-def tau_at(method: TauMethod, mass, sigma0, ctx: PhysicalContext, radius=None):
-    """Reduction time by ``method``, elementwise over floats or broadcastable arrays.
-
-    Python floats run on Python arithmetic and load no numpy; arrays run on
-    numpy (see :func:`core.closed_form`).  The point-particle methods take no
-    radius, the sphere methods require one.  The quarter period is
-    ``QUARTER_PERIOD_POINT`` characteristic times.  The object-uncertainty
-    spread |qg_potential_object(sigma0, ...)| is (G m^2 / R)
-    |ALPHA_OBJECT x^2 - BETA_OBJECT| with x = sigma0 / R, which cancels only
-    near its zero x ~ 2.3035.  Overflow and underflow are not warned about;
-    :class:`DomainError` is raised unless every result is finite and positive.
-    """
-    if method not in (OBJECT_CLOSED_FORMS if radius is not None else POINT_METHODS):
-        kind = "sphere" if radius is not None else "point particle"
-        raise BodyKindError(f"method {method} does not apply to a {kind}")
-    G, hbar = ctx.G, ctx.hbar
-    what = f"{method.value} reduction time"
-    with closed_form(what, mass, sigma0, radius) as (m, s0, R):
-        if method is TauMethod.PERIOD_FORMULA:
-            tau = (s0 ** 3 / (G * m)) ** 0.5
-        elif method is TauMethod.QUARTER_PERIOD_NUMERIC:
-            tau = QUARTER_PERIOD_POINT * (s0 ** 3 / (G * m)) ** 0.5
-        elif method is TauMethod.SHORT_TIME:
-            tau = hbar ** 3 / (G ** 2 * m ** 5)
-        elif method is TauMethod.UNCERTAINTY:
-            tau = hbar / (SQRT_2_OVER_PI * (-math.expm1(-0.5)) * G * m * m / s0)
-        else:
-            gm2 = G * (m * m)
-            if method is TauMethod.OBJECT_UNCERTAINTY:
-                x = s0 / R
-                tau = hbar * R / (gm2 * abs(ALPHA_OBJECT * x * x - BETA_OBJECT))
-            else:
-                tau = 1.25 * math.sqrt(2.0 * math.pi) * hbar * R / gm2
-        return in_float_range(tau, what)
-
-
-def tau_estimates(packet: WavePacket, body: Body, ctx: PhysicalContext,
-                  include_numeric: bool = True) -> list[ReductionEstimate]:
-    """All applicable reduction-time estimates for this (packet, body) pair."""
-    if body.is_sphere:
-        methods = OBJECT_CLOSED_FORMS
-    else:
-        methods = POINT_METHODS if include_numeric else POINT_CLOSED_FORMS
-    return [ReductionEstimate(float(tau_at(method, body.mass, packet.sigma0, ctx, body.radius)),
-                              method, _ASSUMPTIONS[method]) for method in methods]

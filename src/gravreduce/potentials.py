@@ -28,10 +28,9 @@ import math
 import warnings
 from typing import Callable
 
-from .core import Body, PhysicalContext, WavePacket, not_finite
+from .core import SQRT_2_OVER_PI, Body, PhysicalContext, WavePacket, not_finite
 from .errors import AccuracyError, BodyKindError, DomainError, SingularityError
 
-SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 SQRT_2 = math.sqrt(2.0)
 SQRT_PI = math.sqrt(math.pi)
 SQRT_2PI = math.sqrt(2.0 * math.pi)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gravreduce.averages import (Expectation, avg_energy_object,
                                  avg_energy_point, avg_qg_force_object,
@@ -11,8 +12,8 @@ from gravreduce.averages import (Expectation, avg_energy_object,
                                  avg_qg_potential_object,
                                  avg_qg_potential_point, avg_quantum_force,
                                  avg_quantum_potential, expect)
-from gravreduce.core import Body, WavePacket
-from gravreduce.errors import BodyKindError
+from gravreduce.core import Body, PhysicalContext, UnitSystem, WavePacket
+from gravreduce.errors import BodyKindError, DomainError, GravreduceError
 from gravreduce.potentials import (qg_force_object, qg_force_point,
                                    qg_potential_object, qg_potential_point,
                                    quantum_force, quantum_potential)
@@ -223,3 +224,45 @@ class TestAsymptoticRegimes:
         exact = abs(avg_qg_force_object(packet, sphere, ctx))
         order = avg_qg_force_object_intermediate(packet, sphere, ctx)
         assert 1.0 < order / exact < 10.0
+
+
+# ---------------------------------------------------------------- the float range
+
+CONTEXTS = (PhysicalContext.dimensionless(), PhysicalContext.si(), PhysicalContext.cgs())
+log_uniform = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+POINT_AVERAGES = (avg_quantum_force, avg_qg_force_point, avg_quantum_potential,
+                  avg_qg_potential_point, avg_energy_point)
+SPHERE_AVERAGES = (avg_qg_potential_object, avg_energy_object, avg_qg_force_object,
+                   avg_qg_force_object_micro, avg_qg_force_object_macro,
+                   avg_qg_force_object_intermediate)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(m=log_uniform, s0=log_uniform, R=log_uniform, ctx=st.sampled_from(CONTEXTS))
+def test_averages_return_a_finite_float_or_a_gravreduce_error(m, s0, R, ctx):
+    # Negative control: before the averages mapped their arithmetic, this
+    # failed, and each case of the next test raised ZeroDivisionError or
+    # OverflowError or returned an infinity.
+    packet = WavePacket(s0)
+    calls = ([(fn, Body.point(m)) for fn in POINT_AVERAGES]
+             + [(fn, Body.sphere(m, R)) for fn in SPHERE_AVERAGES])
+    for fn, body in calls:
+        try:
+            value = fn(packet, body, ctx)
+        except GravreduceError:
+            continue
+        assert type(value) is float and math.isfinite(value), (fn.__name__, value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda ctx: avg_quantum_force(WavePacket(1e-170), Body.point(1.0), ctx),      # sigma0^3 = 0
+    lambda ctx: avg_qg_potential_object(WavePacket(1.0), Body.sphere(1.0, 1e-120), ctx),
+    lambda ctx: avg_qg_force_object(WavePacket(1.0), Body.sphere(1e200, 1e-100), ctx),
+    lambda ctx: avg_qg_potential_point(WavePacket(1e-300), Body.point(1e10), ctx),  # -inf
+    # two finite positive terms whose sum overflows
+    lambda ctx: avg_energy_object(WavePacket(1.0), Body.sphere(0.156, 5.3e-104),
+                                  PhysicalContext(7e153, 1.0, UnitSystem.SI)),
+])
+def test_raw_float_errors_are_domain_errors(call, ctx):
+    with pytest.raises(DomainError, match="is not finite for these parameters"):
+        call(ctx)

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import gravreduce
-from gravreduce import cli, dynamics
+from gravreduce import cli, criticality, dynamics
 from gravreduce.core import Body, PhysicalContext, WavePacket
 from gravreduce.errors import DomainError
 
@@ -459,14 +459,14 @@ def test_tau_runs_no_integration(monkeypatch):
     numeric = [e for e in json.loads(out)["estimates"]
                if e["method"] == "quarter-period-numeric"]
     assert numeric == [{"method": "quarter-period-numeric",
-                        "tau": dynamics.QUARTER_PERIOD_POINT,
+                        "tau": criticality.QUARTER_PERIOD_POINT,
                         "assumptions": "first origin crossing from rest at r0 = sigma0"}]
 
 
 def test_reduction_estimate_requires_finite_positive_tau():
     for tau in (0.0, -1.0, float("inf"), float("nan")):
         with pytest.raises(DomainError):
-            dynamics.ReductionEstimate(tau, dynamics.TauMethod.SHORT_TIME)
+            criticality.ReductionEstimate(tau, criticality.TauMethod.SHORT_TIME)
 
 
 # ---------------------------------------------------------------- modules loaded, lazy quadrature nodes
@@ -578,3 +578,36 @@ def test_only_verify_builds_the_gauss_nodes(command_probe):
     built = {name: state["gauss_nodes_built"] for name, state in command_probe.items()}
     assert built.pop("verify --quick")
     assert not any(built.values()), built
+
+
+MODULE_PROBE = """
+import contextlib, io, json, sys
+import gravreduce.cli as cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(json.loads(sys.argv[1])) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "gravreduce")))
+"""
+# What critical and tau run: the closed forms, and the CLI around them.
+CLOSED_FORM_MODULES = {"gravreduce", "gravreduce.cli", "gravreduce.core", "gravreduce.errors",
+                       "gravreduce.criticality"}
+POINT_LAW_MODULES = (CLOSED_FORM_MODULES - {"gravreduce.criticality"}
+                     | {"gravreduce.dynamics", "gravreduce.dop853"})
+MODULE_SETS = (
+    [(name, argv, CLOSED_FORM_MODULES) for name, argv in CLOSED_FORM_RUNS]
+    + [(f"simulate {law}", SIMULATE + ["--law", law] + extra,
+        POINT_LAW_MODULES | ({"gravreduce.potentials"} if law == "gravity-object" else set()))
+       for law, extra in LAWS.items()]
+    + [("sweep", dict(NUMPY_RUNS)["sweep"], CLOSED_FORM_MODULES)])
+
+
+@pytest.mark.parametrize("argv, modules", [case[1:] for case in MODULE_SETS],
+                         ids=[case[0] for case in MODULE_SETS])
+def test_each_command_loads_only_the_modules_it_runs(argv, modules):
+    # A fresh interpreter per command: the set is exactly what it imported.
+    # critical and tau compile no module of the trajectories, the averages,
+    # the minimizer or the potentials; a point-law simulate none of the
+    # closed forms or the potentials; sweep neither dynamics nor dop853.
+    res = run_process(["-c", MODULE_PROBE, json.dumps(argv)])
+    assert res.returncode == 0, res.stderr
+    assert set(json.loads(res.stdout)) == modules

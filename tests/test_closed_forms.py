@@ -5,16 +5,20 @@ take the array path.  Masses, widths and radii are drawn log-uniform over
 1e-300..1e300.  Every closed form, called with floats, with np.float64 scalars
 and with arrays, must return finite positive values or raise a
 GravreduceError (floats and numpy scalars without a warning), and the numpy
-results must match the float ones elementwise to 1e-12 relative.
+results must match the float ones elementwise to 1e-12 relative.  Under a
+change of units each closed form scales with its dimension, to within a few
+eps times its condition number.
 """
 
+import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gravreduce import criticality as c, dynamics as d
+from gravreduce import criticality as c
 from gravreduce.core import PhysicalContext
 from gravreduce.errors import DomainError, GravreduceError
 
@@ -36,12 +40,12 @@ for _regime in c.ObjectRegime:
     CLOSED_FORMS[f"transition_width_{_regime.value}_paper_form"] = (
         lambda m, s0, R, ctx, regime=_regime:
         c.transition_width_object_at(m, R, ctx, regime).paper_form)
-for _method in d.POINT_CLOSED_FORMS:
+for _method in c.POINT_CLOSED_FORMS:
     CLOSED_FORMS[f"tau_{_method.value}"] = (
-        lambda m, s0, R, ctx, method=_method: d.tau_at(method, m, s0, ctx))
-for _method in d.OBJECT_CLOSED_FORMS:
+        lambda m, s0, R, ctx, method=_method: c.tau_at(method, m, s0, ctx))
+for _method in c.OBJECT_CLOSED_FORMS:
     CLOSED_FORMS[f"tau_{_method.value}"] = (
-        lambda m, s0, R, ctx, method=_method: d.tau_at(method, m, s0, ctx, R))
+        lambda m, s0, R, ctx, method=_method: c.tau_at(method, m, s0, ctx, R))
 
 log_uniform = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
 parameter_sets = st.lists(st.tuples(log_uniform, log_uniform, log_uniform),
@@ -119,6 +123,73 @@ def test_scalar_entry_points_return_python_floats():
               c.critical_width_energy_min_exact(sphere, ctx),
               c.transition_width_object(sphere, ctx, c.ObjectRegime.MICRO).value,
               *c.reference_formulas(sphere, packet, ctx).values(),
-              *(e.tau for e in d.tau_estimates(packet, point, ctx, include_numeric=False)),
-              *(e.tau for e in d.tau_estimates(packet, sphere, ctx))]
+              *(e.tau for e in c.tau_estimates(packet, point, ctx, include_numeric=False)),
+              *(e.tau for e in c.tau_estimates(packet, sphere, ctx))]
     assert all(type(v) is float for v in values)
+
+
+# ---------------------------------------------------------------- change of units
+
+EPS = sys.float_info.epsilon
+# Bound on the relative change of an output under a change of units, in eps
+# times its condition number.  Measured worst over 2e5 random draws: 1.3.
+UNIT_RTOL = 3.0
+unit_scale = st.floats(-12.0, 12.0).map(lambda e: 10.0 ** e)
+parameter = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)
+POWER_SUMS = {c.TauMethod.PERIOD_FORMULA: 2.5, c.TauMethod.QUARTER_PERIOD_NUMERIC: 2.5,
+              c.TauMethod.SHORT_TIME: 10.0, c.TauMethod.UNCERTAINTY: 5.0,
+              c.TauMethod.OBJECT_UNCERTAINTY: 5.0, c.TauMethod.OBJECT_MICRO: 5.0}
+
+
+def dimensional_outputs(m, s0, R, ctx):
+    """name -> (value, dimension, condition number) of each closed form.
+
+    The condition number bounds the output's relative error per unit of
+    relative error in its inputs: the sum of the magnitudes of the powers of
+    hbar, G, m, sigma0 and R in it.  The critical mass adds its sensitivity
+    to its rounded exponent 1/3, |ln(hbar^2 / (G sigma0))| / 3.  The
+    object-uncertainty time adds 5 (alpha x^2 + beta) / |alpha x^2 - beta|,
+    x = sigma0 / R, for the powers of sigma0 and R in its spread and the
+    spread's cancellation.
+    """
+    x2 = (s0 / R) ** 2
+    spread = 5.0 * (c.ALPHA_OBJECT * x2 + c.BETA_OBJECT) / abs(c.ALPHA_OBJECT * x2 - c.BETA_OBJECT)
+    out = {}
+    for method in c.POINT_METHODS + c.OBJECT_CLOSED_FORMS:
+        radius = R if method in c.OBJECT_CLOSED_FORMS else None
+        cond = POWER_SUMS[method] + (spread if method is c.TauMethod.OBJECT_UNCERTAINTY else 0.0)
+        out[method.value] = (c.tau_at(method, m, s0, ctx, radius), "time", cond)
+    out["critical_mass"] = (c.critical_mass_at(s0, ctx), "mass",
+                            4.0 / 3.0 + abs(math.log(ctx.hbar ** 2 / (ctx.G * s0))) / 3.0)
+    for radius, cond in ((None, 6.0), (R, 2.25)):
+        kind = "point" if radius is None else "sphere"
+        out[f"force_balance_width_{kind}"] = (
+            c.critical_width_force_balance_at(m, ctx, radius), "length", cond)
+        out[f"energy_min_width_{kind}"] = (
+            c.critical_width_energy_min_at(m, ctx, radius), "length", cond)
+    out["force_ratio"] = (c.force_ratio_at(m, s0, ctx), "none", 7.0)
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(params=st.tuples(parameter, parameter, parameter),
+       lam=st.tuples(unit_scale, unit_scale, unit_scale), ctx=st.sampled_from(CONTEXTS))
+def test_closed_forms_scale_with_their_dimensions(params, lam, ctx):
+    # Lengths, masses and times in units lam_l, lam_m and lam_t times
+    # smaller: hbar and G take their dimensions, and no regime moves.
+    # Negative controls: sigma0^1.000001 in place of sigma0 in the
+    # uncertainty time fails, and so does a bound of 0.5 eps per unit of
+    # condition number.
+    (m, s0, R), (lam_l, lam_m, lam_t) = params, lam
+    rescaled = PhysicalContext.si(hbar=ctx.hbar * lam_m * lam_l * lam_l / lam_t,
+                                  G=ctx.G * lam_l ** 3 / (lam_m * lam_t * lam_t))
+    m2, s02, R2 = m * lam_m, s0 * lam_l, R * lam_l
+    before = dimensional_outputs(m, s0, R, ctx)
+    after = dimensional_outputs(m2, s02, R2, rescaled)
+    scale = {"time": lam_t, "mass": lam_m, "length": lam_l, "none": 1.0}
+    for name, (value, dimension, cond) in before.items():
+        got, _, cond2 = after[name]
+        want = scale[dimension] * value
+        assert abs(got - want) <= UNIT_RTOL * EPS * max(cond, cond2) * want, name
+    assert (c.regime_index(m, c.critical_mass_at(s0, ctx))
+            == c.regime_index(m2, c.critical_mass_at(s02, rescaled)))

@@ -12,12 +12,12 @@ import sys
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from gravreduce import dop853, dynamics, potentials
-from gravreduce.core import Body, PhysicalContext, WavePacket
+from gravreduce import criticality, dop853, dynamics, potentials
+from gravreduce.core import SQRT_2_OVER_PI, Body, LawKind, PhysicalContext, WavePacket
 from gravreduce.dynamics import EventKind, ForceLaw
 from gravreduce.errors import BodyKindError, DomainError, GravreduceError, IntegrationError
 
@@ -177,7 +177,7 @@ def test_period_from_one_width():
     # 2.6e-10 relative measured: the run's rtol, not the constant, sets it
     traj = dynamics.integrate(GRAVITY_POINT, PACKET.sigma0, 0.0, 40.0)
     period = dynamics.detect_period(traj)
-    assert abs(period / (4.0 * dynamics.QUARTER_PERIOD_POINT) - 1.0) < 1e-9
+    assert abs(period / (4.0 * criticality.QUARTER_PERIOD_POINT) - 1.0) < 1e-9
 
 
 @pytest.fixture(scope="module")
@@ -199,9 +199,9 @@ def test_origin_crossings_are_odd_multiples_of_the_quarter_period(long_run):
     # run, to 2.9e-8 t_end at the end of this one.
     t_end = long_run.t[-1]
     crossings = [e.time for e in long_run.events_of(EventKind.R_ZERO)]
-    assert len(crossings) == int(t_end / (2.0 * dynamics.QUARTER_PERIOD_POINT) + 0.5)
+    assert len(crossings) == int(t_end / (2.0 * criticality.QUARTER_PERIOD_POINT) + 0.5)
     for k, t in enumerate(crossings):
-        assert abs(t - (2 * k + 1) * dynamics.QUARTER_PERIOD_POINT) <= 1e-7 * t_end, k
+        assert abs(t - (2 * k + 1) * criticality.QUARTER_PERIOD_POINT) <= 1e-7 * t_end, k
 
 
 def test_quarter_period_constant_is_correctly_rounded():
@@ -212,7 +212,7 @@ def test_quarter_period_constant_is_correctly_rounded():
         quarter = mpmath.quad(
             lambda th: mpmath.cos(th) / mpmath.sqrt(2 * c * mpmath.expm1(mpmath.cos(th) ** 2 / 2)),
             [0, mpmath.pi / 2])
-        assert float(quarter) == dynamics.QUARTER_PERIOD_POINT
+        assert float(quarter) == criticality.QUARTER_PERIOD_POINT
 
 
 ROOT_PROBLEMS = [
@@ -263,7 +263,7 @@ class NaNForce(ForceLaw):
 def test_step_below_float_spacing_is_an_integration_error():
     # Every attempt has a nan error estimate and is rejected, so the step
     # shrinks by MIN_FACTOR until it is below the spacing of t.
-    law = NaNForce(dynamics.LawKind.GRAVITY_POINT, PACKET, Body.point(1.0), CTX)
+    law = NaNForce(LawKind.GRAVITY_POINT, PACKET, Body.point(1.0), CTX)
     with pytest.raises(IntegrationError, match="spacing of floating-point numbers"):
         dynamics.integrate(law, 1.0, 0.0, 10.0)
 
@@ -285,7 +285,7 @@ def test_stalled_steps_end_at_the_step_budget(monkeypatch):
                 raise RuntimeError("integrate kept stepping past its budget")
             return 0.0 if r == 1.0 else math.nan
 
-    law = StallingForce(dynamics.LawKind.GRAVITY_POINT, PACKET, Body.point(1.0), CTX)
+    law = StallingForce(LawKind.GRAVITY_POINT, PACKET, Body.point(1.0), CTX)
     with pytest.raises(IntegrationError, match=f"took {budget} steps"):
         dynamics.integrate(law, 1.0, 1e-3, 10.0 * law.characteristic_time())
 
@@ -305,11 +305,12 @@ log_uniform = st.floats(-150.0, 150.0).map(lambda e: 10.0 ** e)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(kind=st.sampled_from(dynamics.LawKind), m=log_uniform, s0=log_uniform)
+@given(kind=st.sampled_from(LawKind), m=log_uniform, s0=log_uniform)
+@example(kind=LawKind.GRAVITY_POINT, m=1e-111, s0=1e66)     # t_char overflows to inf
 def test_integrate_returns_finite_columns_or_a_gravreduce_error(kind, m, s0):
     # One characteristic time from rest at r0 = sigma0, the sphere as wide as
     # the packet; t_end is sqrt(sigma0^3 / G m) in a form that stays finite.
-    body = Body.sphere(m, s0) if kind is dynamics.LawKind.GRAVITY_OBJECT else Body.point(m)
+    body = Body.sphere(m, s0) if kind is LawKind.GRAVITY_OBJECT else Body.point(m)
     try:
         law = ForceLaw(kind, WavePacket(s0), body, CTX)
         traj = dynamics.integrate(law, s0, 0.0, s0 ** 1.5 / math.sqrt(m))
@@ -349,10 +350,10 @@ def law_draws(seed, n):
 def entry_points(law):
     """The ``potentials`` functions a law's (force, potential) stands for, at r >= 0."""
     args = (law.packet, law.body, law.ctx)
-    if law.kind is dynamics.LawKind.GRAVITY_OBJECT:
+    if law.kind is LawKind.GRAVITY_OBJECT:
         return (lambda r: potentials.qg_force_object(r, *args),
                 lambda r: potentials.qg_potential_object(r, *args))
-    if law.kind is dynamics.LawKind.GRAVITY_POINT:
+    if law.kind is LawKind.GRAVITY_POINT:
         return (lambda r: potentials.qg_force_point(r, *args),
                 lambda r: potentials.qg_well_potential_point(r, *args))
     return (lambda r: potentials.quantum_force(r, *args) + potentials.qg_force_point(r, *args),
@@ -388,9 +389,9 @@ def test_printed_variant_force_is_the_gradient_of_its_potential():
 
 
 @pytest.mark.parametrize("kind, body", [
-    (dynamics.LawKind.GRAVITY_POINT, Body.sphere(1.0, 1.0)),
-    (dynamics.LawKind.MIXED_POINT, Body.sphere(1.0, 1.0)),
-    (dynamics.LawKind.GRAVITY_OBJECT, Body.point(1.0)),
+    (LawKind.GRAVITY_POINT, Body.sphere(1.0, 1.0)),
+    (LawKind.MIXED_POINT, Body.sphere(1.0, 1.0)),
+    (LawKind.GRAVITY_OBJECT, Body.point(1.0)),
 ])
 def test_law_for_the_other_body_kind_is_refused_when_built(kind, body):
     with pytest.raises(BodyKindError):
@@ -398,8 +399,8 @@ def test_law_for_the_other_body_kind_is_refused_when_built(kind, body):
 
 
 @pytest.mark.parametrize("kind, body", [
-    (dynamics.LawKind.GRAVITY_POINT, Body.point(1.0)),
-    (dynamics.LawKind.GRAVITY_OBJECT, Body.sphere(1.0, 1.0)),
+    (LawKind.GRAVITY_POINT, Body.point(1.0)),
+    (LawKind.GRAVITY_OBJECT, Body.sphere(1.0, 1.0)),
 ])
 def test_printed_variant_of_another_law_is_refused_when_built(kind, body):
     with pytest.raises(DomainError, match="printed mixed variant does not apply"):
@@ -408,9 +409,9 @@ def test_printed_variant_of_another_law_is_refused_when_built(kind, body):
 
 
 @pytest.mark.parametrize("kind, packet, body", [
-    (dynamics.LawKind.GRAVITY_POINT, PACKET, Body.point(1e200)),       # m * m
-    (dynamics.LawKind.MIXED_POINT, PACKET, Body.point(1e200)),
-    (dynamics.LawKind.GRAVITY_OBJECT, WavePacket(1e-2), Body.sphere(1e154, 1.0)),
+    (LawKind.GRAVITY_POINT, PACKET, Body.point(1e200)),       # m * m
+    (LawKind.MIXED_POINT, PACKET, Body.point(1e200)),
+    (LawKind.GRAVITY_OBJECT, WavePacket(1e-2), Body.sphere(1e154, 1.0)),
 ])
 def test_law_with_a_non_finite_constant_is_refused_when_built(kind, packet, body):
     # The products overflow to inf without raising an exception of their own.
@@ -449,7 +450,7 @@ def test_proton_period_is_exact_in_si_and_cgs():
         law = ForceLaw.gravity_point(WavePacket(s0), Body.point(m), ctx)
         t_char = law.characteristic_time()
         traj = dynamics.integrate(law, s0, 0.0, 869.0 * t_char)
-        exact = 4.0 * dynamics.QUARTER_PERIOD_POINT * t_char
+        exact = 4.0 * criticality.QUARTER_PERIOD_POINT * t_char
         assert exact == pytest.approx(25371.80, abs=0.005)
         period = dynamics.detect_period(traj)
         assert abs(period / exact - 1.0) <= 1e-8
@@ -463,7 +464,7 @@ def test_period_of_a_fast_packet_is_found():
     # a duplicate window with an absolute floor of 1e-9 merged them all.
     law = ForceLaw.gravity_point(WavePacket(1e-15), Body.point(1.0), PhysicalContext.si())
     traj = dynamics.integrate(law, 1e-15, 0.0, 1e-16)
-    exact = 4.0 * dynamics.QUARTER_PERIOD_POINT * law.characteristic_time()
+    exact = 4.0 * criticality.QUARTER_PERIOD_POINT * law.characteristic_time()
     assert exact == pytest.approx(3.28e-17, rel=1e-3)
     assert abs(dynamics.detect_period(traj) / exact - 1.0) <= 1e-8
 
@@ -487,7 +488,7 @@ def si_laws():
     ctx, packet = PhysicalContext.si(), WavePacket(ANGSTROM_M)
     s0 = packet.sigma0
     k = 200.0
-    mixed_mass = (k * ctx.hbar ** 2 / (4.0 * potentials.SQRT_2_OVER_PI * ctx.G * s0)) ** (1 / 3)
+    mixed_mass = (k * ctx.hbar ** 2 / (4.0 * SQRT_2_OVER_PI * ctx.G * s0)) ** (1 / 3)
     return [(ForceLaw.gravity_point(packet, Body.point(PROTON_KG), ctx), s0),
             (ForceLaw.gravity_object(packet, Body.sphere(PROTON_KG, 0.9 * s0), ctx),
              1.3 * s0),
@@ -530,10 +531,10 @@ def test_numeric_tau_is_the_quarter_period_in_every_unit_system():
     taus = []
     for ctx, m, s0 in ((PhysicalContext.si(), proton_kg, sigma0_m),
                        (PhysicalContext.cgs(), 1e3 * proton_kg, 1e2 * sigma0_m)):
-        estimate = dynamics.tau_estimates(WavePacket(s0), Body.point(m), ctx)[-1]
-        assert estimate.method is dynamics.TauMethod.QUARTER_PERIOD_NUMERIC
+        estimate = criticality.tau_estimates(WavePacket(s0), Body.point(m), ctx)[-1]
+        assert estimate.method is criticality.TauMethod.QUARTER_PERIOD_NUMERIC
         law = ForceLaw.gravity_point(WavePacket(s0), Body.point(m), ctx)
-        exact = dynamics.QUARTER_PERIOD_POINT * law.characteristic_time()
+        exact = criticality.QUARTER_PERIOD_POINT * law.characteristic_time()
         assert abs(estimate.tau / exact - 1.0) <= 2 * EPS
         taus.append(estimate.tau)
     assert abs(taus[0] / taus[1] - 1.0) <= 4 * EPS
@@ -550,7 +551,7 @@ def spread_coefficients():
 def test_object_spread_coefficients_are_correctly_rounded():
     with mpmath.workdps(50):
         alpha, beta = spread_coefficients()
-        assert (dynamics.ALPHA_OBJECT, dynamics.BETA_OBJECT) == (float(alpha), float(beta))
+        assert (criticality.ALPHA_OBJECT, criticality.BETA_OBJECT) == (float(alpha), float(beta))
 
 
 def test_object_uncertainty_tau_is_accurate_to_its_condition_number():
@@ -569,7 +570,7 @@ def test_object_uncertainty_tau_is_accurate_to_its_condition_number():
                 s0 = R * x_star * (1.0 + 0.02 * (rng.random() - 0.5))
             else:
                 s0 = R * log_uniform(rng, 1e-3, 1e3)
-            tau = dynamics.tau_at(dynamics.TauMethod.OBJECT_UNCERTAINTY, m, s0, ctx, R)
+            tau = criticality.tau_at(criticality.TauMethod.OBJECT_UNCERTAINTY, m, s0, ctx, R)
             x = mpmath.mpf(s0) / R
             spread = alpha * x ** 2 - beta
             want = ctx.hbar * mpmath.mpf(R) / (ctx.G * mpmath.mpf(m) ** 2 * abs(spread))

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from gravreduce import cli, criticality, dynamics
+from gravreduce import cli, criticality
 from gravreduce.core import Body, PhysicalContext, WavePacket
 
 VALUE_RTOL = 1e-12
@@ -87,8 +87,8 @@ def scalar_rows(kind, masses, widths, radius, ctx):
             body = Body.point(m) if kind == "point" else Body.sphere(m, radius)
             packet = WavePacket(s0)
             report = criticality.classify_regime(packet, body, ctx)
-            taus = [e.tau for e in dynamics.tau_estimates(packet, body, ctx,
-                                                          include_numeric=False)]
+            taus = [e.tau for e in criticality.tau_estimates(packet, body, ctx,
+                                                             include_numeric=False)]
             rows.append([m, s0] + ([radius] if kind == "sphere" else [])
                         + [report.critical_mass, criticality.critical_width_force_balance(body, ctx),
                            criticality.critical_width_energy_min_exact(body, ctx),
