@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import SQRT_2_OVER_PI, Body, PhysicalContext, WavePacket, not_finite
+from .core import SQRT_2_OVER_PI, Body, PhysicalContext, WavePacket, closed_form, finite
 from .errors import AccuracyError
 from .potentials import TRUNCATION_SIGMAS, _radial_quad, _require_point, _require_sphere
 
@@ -44,7 +44,7 @@ def expect(observable: Callable[[float], float], packet: WavePacket,
     panels included, and ``neval`` counts those calls.  Raises
     :class:`AccuracyError` with the partial result if the requested relative
     tolerance cannot be certified, and :class:`DomainError` if the observable
-    or the average is not finite.
+    or the average leaves the floating-point range.
     """
     value, abserr, l1, neval = _radial_quad(observable, packet.sigma0, TRUNCATION_SIGMAS)
     # A cancelling integrand can converge in absolute terms while the
@@ -57,54 +57,37 @@ def expect(observable: Callable[[float], float], packet: WavePacket,
                        neval=neval)
 
 
-# Each closed form below returns a finite float or raises DomainError
-# (see core.not_finite).
-
 def avg_quantum_force(packet: WavePacket, body: Body, ctx: PhysicalContext) -> float:
     """(1/2) sqrt(2/pi) hbar^2 / (m sigma0^3)."""
-    try:
-        f = 0.5 * SQRT_2_OVER_PI * ctx.hbar ** 2 / (body.mass * packet.sigma0 ** 3)
-        if math.isfinite(f):
-            return f
-    except (OverflowError, ZeroDivisionError):
-        pass
-    raise not_finite("the mean quantum force")
+    what = "the mean quantum force"
+    with closed_form(what):
+        return finite(0.5 * SQRT_2_OVER_PI * ctx.hbar ** 2
+                      / (body.mass * packet.sigma0 ** 3), what)
 
 
 def avg_qg_force_point(packet: WavePacket, body: Body, ctx: PhysicalContext) -> float:
     """-(1/pi) G m^2 / sigma0^2."""
     _require_point(body)
-    try:
-        f = -ctx.G * body.mass ** 2 / (math.pi * packet.sigma0 ** 2)
-        if math.isfinite(f):
-            return f
-    except (OverflowError, ZeroDivisionError):
-        pass
-    raise not_finite("the mean point self-gravity force")
+    what = "the mean point self-gravity force"
+    with closed_form(what):
+        return finite(-ctx.G * body.mass ** 2 / (math.pi * packet.sigma0 ** 2), what)
 
 
 def avg_quantum_potential(packet: WavePacket, body: Body, ctx: PhysicalContext) -> float:
     """3 hbar^2 / (8 m sigma0^2)."""
-    try:
-        u = 3.0 * ctx.hbar ** 2 / (8.0 * body.mass * packet.sigma0 ** 2)
-        if math.isfinite(u):
-            return u
-    except (OverflowError, ZeroDivisionError):
-        pass
-    raise not_finite("the mean quantum potential")
+    what = "the mean quantum potential"
+    with closed_form(what):
+        return finite(3.0 * ctx.hbar ** 2 / (8.0 * body.mass * packet.sigma0 ** 2), what)
 
 
 def avg_qg_potential_point(packet: WavePacket, body: Body, ctx: PhysicalContext) -> float:
     """-(2 sqrt2 - 1) G m^2 / (2 sqrt(pi) sigma0)."""
     _require_point(body)
-    try:
+    what = "the mean point self-gravity potential"
+    with closed_form(what):
         gm2 = ctx.G * body.mass ** 2
-        u = -(2.0 * math.sqrt(2.0) - 1.0) * gm2 / (2.0 * math.sqrt(math.pi) * packet.sigma0)
-        if math.isfinite(u):
-            return u
-    except (OverflowError, ZeroDivisionError):
-        pass
-    raise not_finite("the mean point self-gravity potential")
+        return finite(-(2.0 * math.sqrt(2.0) - 1.0) * gm2
+                      / (2.0 * math.sqrt(math.pi) * packet.sigma0), what)
 
 
 def avg_energy_point(packet: WavePacket, body: Body, ctx: PhysicalContext) -> float:
@@ -117,24 +100,20 @@ def avg_energy_point(packet: WavePacket, body: Body, ctx: PhysicalContext) -> fl
 def avg_qg_potential_object(packet: WavePacket, body: Body, ctx: PhysicalContext) -> float:
     """-3 G m^2 / (4 R) + (G m^2 sigma0^2 / R^3) (3/4 - 1/pi)."""
     _require_sphere(body)
-    try:
+    what = "the mean sphere self-gravity potential"
+    with closed_form(what):
         gm2 = ctx.G * body.mass ** 2
         R = body.radius
         s0 = packet.sigma0
-        u = -3.0 * gm2 / (4.0 * R) + gm2 * s0 * s0 / R ** 3 * (0.75 - 1.0 / math.pi)
-        if math.isfinite(u):
-            return u
-    except (OverflowError, ZeroDivisionError):
-        pass
-    raise not_finite("the mean sphere self-gravity potential")
+        return finite(-3.0 * gm2 / (4.0 * R)
+                      + gm2 * s0 * s0 / R ** 3 * (0.75 - 1.0 / math.pi), what)
 
 
 def avg_energy_object(packet: WavePacket, body: Body, ctx: PhysicalContext) -> float:
     """Mean total energy of the sphere's stationary packet."""
-    e = avg_qg_potential_object(packet, body, ctx) + avg_quantum_potential(packet, body, ctx)
-    if math.isfinite(e):        # two positive terms can overflow
-        return e
-    raise not_finite("the mean sphere energy")
+    # two positive terms can overflow
+    return finite(avg_qg_potential_object(packet, body, ctx)
+                  + avg_quantum_potential(packet, body, ctx), "the mean sphere energy")
 
 
 def avg_qg_force_object(packet: WavePacket, body: Body, ctx: PhysicalContext) -> float:
@@ -144,53 +123,38 @@ def avg_qg_force_object(packet: WavePacket, body: Body, ctx: PhysicalContext) ->
     the two asymptotic magnitudes below are exactly its two terms.
     """
     _require_sphere(body)
-    try:
+    what = "the mean sphere self-gravity force"
+    with closed_form(what):
         gm2 = ctx.G * body.mass ** 2
         R = body.radius
         s0 = packet.sigma0
         sqrtpi = math.sqrt(math.pi)
-        f = 9.0 * gm2 / (8.0 * sqrtpi * s0 * R) - 15.0 * gm2 * s0 / (16.0 * sqrtpi * R ** 3)
-        if math.isfinite(f):
-            return f
-    except (OverflowError, ZeroDivisionError):
-        pass
-    raise not_finite("the mean sphere self-gravity force")
+        return finite(9.0 * gm2 / (8.0 * sqrtpi * s0 * R)
+                      - 15.0 * gm2 * s0 / (16.0 * sqrtpi * R ** 3), what)
 
 
 def avg_qg_force_object_micro(packet: WavePacket, body: Body, ctx: PhysicalContext) -> float:
     """Wide-packet magnitude 9 G m^2 / (8 sqrt(pi) sigma0 R)."""
     _require_sphere(body)
-    try:
-        f = 9.0 * ctx.G * body.mass ** 2 / (8.0 * math.sqrt(math.pi)
-                                            * packet.sigma0 * body.radius)
-        if math.isfinite(f):
-            return f
-    except (OverflowError, ZeroDivisionError):
-        pass
-    raise not_finite("the wide-packet mean sphere force")
+    what = "the wide-packet mean sphere force"
+    with closed_form(what):
+        return finite(9.0 * ctx.G * body.mass ** 2
+                      / (8.0 * math.sqrt(math.pi) * packet.sigma0 * body.radius), what)
 
 
 def avg_qg_force_object_macro(packet: WavePacket, body: Body, ctx: PhysicalContext) -> float:
     """Narrow-packet magnitude (15 / 16 sqrt(pi)) G m^2 sigma0 / R^3."""
     _require_sphere(body)
-    try:
-        f = (15.0 / (16.0 * math.sqrt(math.pi))
-             * ctx.G * body.mass ** 2 * packet.sigma0 / body.radius ** 3)
-        if math.isfinite(f):
-            return f
-    except (OverflowError, ZeroDivisionError):
-        pass
-    raise not_finite("the narrow-packet mean sphere force")
+    what = "the narrow-packet mean sphere force"
+    with closed_form(what):
+        return finite(15.0 / (16.0 * math.sqrt(math.pi))
+                      * ctx.G * body.mass ** 2 * packet.sigma0 / body.radius ** 3, what)
 
 
 def avg_qg_force_object_intermediate(packet: WavePacket, body: Body,
                                      ctx: PhysicalContext) -> float:
     """Order-of-magnitude force G m^2 / R^2 for the sigma0 = R crossover."""
     _require_sphere(body)
-    try:
-        f = ctx.G * body.mass ** 2 / body.radius ** 2
-        if math.isfinite(f):
-            return f
-    except (OverflowError, ZeroDivisionError):
-        pass
-    raise not_finite("the crossover sphere force")
+    what = "the crossover sphere force"
+    with closed_form(what):
+        return finite(ctx.G * body.mass ** 2 / body.radius ** 2, what)

@@ -8,6 +8,20 @@ at the CLI boundary.
 The probability density is always that of a spherically symmetric Gaussian
 wave packet of initial width sigma0, normalized so that the radial integral
 of density * 4 pi r^2 equals one.
+
+Float range.  Every public function returns a finite value or raises a
+``GravreduceError``; a value that leaves the double range, as the paper's
+parameters can in SI and CGS units, raises :func:`range_error`.  A closed
+form runs inside :func:`closed_form`, which maps ``OverflowError`` and
+``ZeroDivisionError``, and checks its result with :func:`finite` (either
+sign) or :func:`in_float_range` (positive).  Seven entry points of
+``potentials`` run once per quadrature node and keep an inline ``try``
+raising the same error, because a scope costs ten times their arithmetic
+(``quantum_force``: 0.23 us inline, 2.4 us in a scope on Python 3.11 and a
+2-CPU Xeon): ``quantum_potential``, ``quantum_force``,
+``classical_kernel``, ``qg_potential_point``, ``qg_force_point``,
+``qg_potential_object`` (also once per trajectory sample) and
+``qg_force_object``.
 """
 
 from __future__ import annotations
@@ -131,17 +145,17 @@ class WavePacket:
             raise DomainError("sigma0 must be positive")
 
 
-def _range_error(what: str) -> DomainError:
+def range_error(what: str) -> DomainError:
+    """The one error of a value outside the double range; see the module docstring."""
     return DomainError(f"{what} is outside the floating-point range for these parameters")
 
 
-def not_finite(what: str) -> DomainError:
-    """The error of a scalar entry point (:func:`density`, the closed forms of
-    ``potentials`` and ``averages``) whose value is not finite, whether its
-    arithmetic overflowed to an infinity or raised ``OverflowError`` or
-    ``ZeroDivisionError``.  Each maps those raw errors inside its own
-    ``try``, which costs nothing when nothing is raised."""
-    return DomainError(f"{what} is not finite for these parameters")
+def finite(value: float, what: str) -> float:
+    """``value`` itself if it is a finite float, of either sign; otherwise
+    raises the :func:`range_error` naming ``what``."""
+    if math.isfinite(value):
+        return value
+    raise range_error(what)
 
 
 def in_float_range(value, what: str):
@@ -149,8 +163,8 @@ def in_float_range(value, what: str):
 
     The closed forms are positive for positive parameters, so a zero, an
     infinity or a NaN can only come from a power or quotient that left the
-    double range; that raises :class:`DomainError` naming ``what``.  A Python
-    float is checked with :mod:`math`, an array with numpy.
+    double range; that raises the :func:`range_error` naming ``what``.  A
+    Python float is checked with :mod:`math`, an array with numpy.
     """
     if type(value) is float:
         ok = math.isfinite(value) and value > 0.0
@@ -161,7 +175,7 @@ def in_float_range(value, what: str):
 
         ok = np.all(np.isfinite(value) & (np.asarray(value) > 0.0))
     if not ok:
-        raise _range_error(what)
+        raise range_error(what)
     return value
 
 
@@ -176,8 +190,9 @@ def closed_form(what: str, *params):
     subclasses ``float`` but only warns on overflow), becomes a float array
     and runs under ``np.errstate(all="ignore")``.  Python arithmetic raises
     ``OverflowError`` or ``ZeroDivisionError`` where numpy returns an
-    infinity; either becomes the :class:`DomainError` of
-    :func:`in_float_range` naming ``what``.
+    infinity; either becomes the :func:`range_error` naming ``what``.  A
+    product that overflows without raising is caught by checking the result
+    with :func:`finite` or :func:`in_float_range` (see the module docstring).
     """
     if all(type(p) is float or p is None for p in params):
         values, errstate = params, contextlib.nullcontext()
@@ -190,7 +205,7 @@ def closed_form(what: str, *params):
         with errstate:
             yield values[0] if len(values) == 1 else values
     except (OverflowError, ZeroDivisionError):
-        raise _range_error(what) from None
+        raise range_error(what) from None
 
 
 def density(r: float, packet: WavePacket) -> float:
@@ -202,14 +217,9 @@ def density(r: float, packet: WavePacket) -> float:
     if r < 0.0:
         raise DomainError("radius must be non-negative")
     s0 = packet.sigma0
-    try:
+    with closed_form("the density"):
         x = r / s0
-        rho = (2.0 * math.pi * s0 * s0) ** -1.5 * math.exp(-0.5 * x * x)
-        if math.isfinite(rho):
-            return rho
-    except (OverflowError, ZeroDivisionError):
-        pass
-    raise not_finite("the density")
+        return finite((2.0 * math.pi * s0 * s0) ** -1.5 * math.exp(-0.5 * x * x), "the density")
 
 
 def width_at(t: float, packet: WavePacket, body: Body, ctx: PhysicalContext) -> float:
@@ -221,5 +231,6 @@ def width_at(t: float, packet: WavePacket, body: Body, ctx: PhysicalContext) -> 
     if t < 0.0:
         raise DomainError("time must be non-negative")
     s0 = packet.sigma0
-    x = ctx.hbar * t / (2.0 * body.mass * s0 * s0)
-    return s0 * math.sqrt(1.0 + x * x)
+    with closed_form("the packet width"):
+        x = ctx.hbar * t / (2.0 * body.mass * s0 * s0)
+        return in_float_range(s0 * math.sqrt(1.0 + x * x), "the packet width")

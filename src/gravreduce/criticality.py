@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .core import (SQRT_2_OVER_PI, Body, PhysicalContext, WavePacket, closed_form,
-                   in_float_range)
+                   in_float_range, range_error)
 from .errors import BodyKindError, DomainError
 
 # Tie band around the critical mass: exact equality is measure zero, so the
@@ -90,12 +90,9 @@ class RegimeReport:
 # The closed forms below come in two layers.  Each ``*_at`` function takes the
 # bare parameters (mass, sigma0, radius) as floats or broadcastable numpy
 # arrays and is the one implementation of its formula, written with operators
-# alone: Python floats run on Python arithmetic and load no numpy, arrays run
-# on numpy, and the result has the broadcast shape of the parameters it
-# depends on.  ``core.closed_form`` sets up either; overflow and underflow are
-# not warned about: every result must be finite and positive, or the call
-# raises DomainError.  The Body / WavePacket entry points validate their
-# records and return floats.
+# alone inside ``core.closed_form``; the result has the broadcast shape of the
+# parameters it depends on.  The Body / WavePacket entry points validate
+# their records and return floats.
 
 REGIMES = tuple(Regime)     # regime_index() indexes into this
 
@@ -255,11 +252,8 @@ def critical_width_energy_min(body: Body, ctx: PhysicalContext,
         raise DomainError("bracket must satisfy 0 < lo < hi")
     from .minimize import minimize_bracketed
 
-    try:
+    with closed_form("the mean energy's derivative"):
         return minimize_bracketed(_energy_derivative(body, ctx), lo, hi)
-    except (OverflowError, ZeroDivisionError):
-        raise DomainError("the mean energy's derivative is outside the floating-point "
-                          "range for these parameters") from None
 
 
 def stationary_energy(body: Body, ctx: PhysicalContext) -> float:
@@ -268,15 +262,11 @@ def stationary_energy(body: Body, ctx: PhysicalContext) -> float:
         raise BodyKindError("stationary_energy requires a point particle")
     from .averages import avg_energy_point
 
-    s_min = critical_width_energy_min_exact(body, ctx)
-    with closed_form("stationary energy", body.mass, s_min):
-        try:
-            energy = avg_energy_point(WavePacket(s_min), body, ctx)
-        except DomainError:     # one of its terms is not finite
-            energy = math.nan
-        # negative: in_float_range checks its magnitude
-        energy = -in_float_range(-energy, "stationary energy")
-    return float(energy)
+    packet = WavePacket(critical_width_energy_min_exact(body, ctx))
+    try:
+        return float(avg_energy_point(packet, body, ctx))
+    except DomainError:         # one of its terms left the floating-point range
+        raise range_error("stationary energy") from None
 
 
 def transition_width_object(body: Body, ctx: PhysicalContext,
@@ -373,14 +363,11 @@ _ASSUMPTIONS = {
 def tau_at(method: TauMethod, mass, sigma0, ctx: PhysicalContext, radius=None):
     """Reduction time by ``method``, elementwise over floats or broadcastable arrays.
 
-    Python floats run on Python arithmetic and load no numpy; arrays run on
-    numpy (see :func:`core.closed_form`).  The point-particle methods take no
-    radius, the sphere methods require one.  The quarter period is
-    ``QUARTER_PERIOD_POINT`` characteristic times.  The object-uncertainty
-    spread |qg_potential_object(sigma0, ...)| is (G m^2 / R)
-    |ALPHA_OBJECT x^2 - BETA_OBJECT| with x = sigma0 / R, which cancels only
-    near its zero x ~ 2.3035.  Overflow and underflow are not warned about;
-    :class:`DomainError` is raised unless every result is finite and positive.
+    The point-particle methods take no radius, the sphere methods require
+    one.  The quarter period is ``QUARTER_PERIOD_POINT`` characteristic
+    times.  The object-uncertainty spread |qg_potential_object(sigma0, ...)|
+    is (G m^2 / R) |ALPHA_OBJECT x^2 - BETA_OBJECT| with x = sigma0 / R,
+    which cancels only near its zero x ~ 2.3035.
     """
     if method not in (OBJECT_CLOSED_FORMS if radius is not None else POINT_METHODS):
         kind = "sphere" if radius is not None else "point particle"

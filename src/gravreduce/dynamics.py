@@ -24,7 +24,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .core import (DEFAULT_ATOL, DEFAULT_RTOL, SQRT_2_OVER_PI, Body, LawKind,
-                   PhysicalContext, UnitSystem, WavePacket, in_float_range)
+                   PhysicalContext, UnitSystem, WavePacket, closed_form, finite,
+                   in_float_range)
 from .errors import (BodyKindError, DomainError, InsufficientDataError,
                      IntegrationError)
 
@@ -58,23 +59,21 @@ class Event:
     kind: EventKind
 
 
-def _finite(*constants: float) -> None:
-    """Raise OverflowError for a constant that overflowed without raising (m * m)."""
-    if not all(map(math.isfinite, constants)):
-        raise OverflowError("non-finite force-law constant")
+_LAW_CONSTANT = "a constant of the force law"
 
 
 def _kernels(kind: LawKind, packet: WavePacket, body: Body, ctx: PhysicalContext,
              printed_mixed_variant: bool):
     """The law's (force, potential), as closures over its constants.  Each
     repeats its ``potentials`` entry point operation for operation, with the
-    factors of the parameters alone hoisted out; the sphere's potential calls it."""
+    factors of the parameters alone hoisted out; the sphere's potential calls it.
+    Each constant is checked with :func:`core.finite`: a product overflows
+    without raising."""
     s0, m = packet.sigma0, body.mass
-    two_s0_sq = 2.0 * s0 * s0
+    two_s0_sq = finite(2.0 * s0 * s0, _LAW_CONSTANT)
     if kind is LawKind.GRAVITY_OBJECT:
-        R, R3 = body.radius, body.radius ** 3
-        c = SQRT_2_OVER_PI * (ctx.G * m ** 2) / (2.0 * s0 ** 3)
-        _finite(two_s0_sq, R3, c)
+        R, R3 = body.radius, finite(body.radius ** 3, _LAW_CONSTANT)
+        c = finite(SQRT_2_OVER_PI * (ctx.G * m ** 2) / (2.0 * s0 ** 3), _LAW_CONSTANT)
         # here, so that the point laws do not load potentials
         from .potentials import qg_potential_object
 
@@ -87,9 +86,9 @@ def _kernels(kind: LawKind, packet: WavePacket, body: Body, ctx: PhysicalContext
             return qg_potential_object(abs(r), packet, body, ctx)
         return force, potential
 
-    k = -SQRT_2_OVER_PI * ctx.G * m * m / s0 ** 3      # qg_force_point's prefactor
-    depth = SQRT_2_OVER_PI * ctx.G * m * m / s0        # the well's depth
-    _finite(two_s0_sq, k, depth)
+    # qg_force_point's prefactor and the well's depth
+    k = finite(-SQRT_2_OVER_PI * ctx.G * m * m / s0 ** 3, _LAW_CONSTANT)
+    depth = finite(SQRT_2_OVER_PI * ctx.G * m * m / s0, _LAW_CONSTANT)
     if kind is LawKind.GRAVITY_POINT:
         def force(r):
             return k * r * math.exp(-(r * r) / two_s0_sq)
@@ -113,7 +112,8 @@ def _kernels(kind: LawKind, packet: WavePacket, body: Body, ctx: PhysicalContext
             x = r / s0
             return (hbar2 * (six_s0_sq - r * r) / potential_den
                     + depth * -math.expm1(-0.5 * x * x))
-    _finite(hbar2, force_den, potential_den)
+    for constant in (hbar2, force_den, potential_den):
+        finite(constant, _LAW_CONSTANT)
 
     def force(r):
         return hbar2 * r / force_den + k * r * math.exp(-(r * r) / two_s0_sq)
@@ -146,12 +146,9 @@ class ForceLaw:
         if self.printed_mixed_variant and self.kind is not LawKind.MIXED_POINT:
             raise DomainError(f"the printed mixed variant does not apply to the "
                               f"{self.kind.value} force law")
-        try:
+        with closed_form(_LAW_CONSTANT):
             force, potential = _kernels(self.kind, self.packet, self.body, self.ctx,
                                         self.printed_mixed_variant)
-        except (OverflowError, ZeroDivisionError):
-            raise DomainError("the force law's constants are outside the floating-point "
-                              "range for these parameters") from None
         object.__setattr__(self, "_force", force)
         object.__setattr__(self, "_potential", potential)
 
@@ -224,14 +221,12 @@ def _in_packet_units(law: ForceLaw) -> ForceLaw:
     hbar / sqrt(G m^3 / sigma0).  A subclass stays a subclass.
     """
     s0, m, ctx = law.packet.sigma0, law.body.mass, law.ctx
-    gm_s0 = ctx.G * m / s0 if law.printed_mixed_variant else ctx.G * m * s0
-    try:
+    what = "hbar in units of the packet"
+    with closed_form(what):
+        gm_s0 = ctx.G * m / s0 if law.printed_mixed_variant else ctx.G * m * s0
         hbar = ctx.hbar / (m * math.sqrt(gm_s0))
-    except ZeroDivisionError:       # G m sigma0 underflowed to zero
-        hbar = math.inf
     body = Body.sphere(1.0, law.body.radius / s0) if law.body.is_sphere else Body.point(1.0)
-    ctx = PhysicalContext(in_float_range(hbar, "hbar in units of the packet"), 1.0,
-                          UnitSystem.PACKET)
+    ctx = PhysicalContext(in_float_range(hbar, what), 1.0, UnitSystem.PACKET)
     return replace(law, packet=WavePacket(1.0), body=body, ctx=ctx)
 
 
@@ -278,15 +273,9 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
     if rtol < _MIN_RTOL:
         raise DomainError(f"rtol must be at least {_MIN_RTOL:.3g}, 100 times the "
                           "double-precision epsilon")
-    try:
-        t_char = law.characteristic_time()
-    except (OverflowError, ZeroDivisionError):
-        t_char = math.nan
-    # nan, sigma0^3 underflowed to zero, or sigma0^3 / (G m) overflowed to inf
-    # (which would make the unit of velocity, sigma0 / t_char, zero)
-    if not 0.0 < t_char < math.inf:
-        raise DomainError("the characteristic time is outside the floating-point range "
-                          "for these parameters")
+    # positive and finite, as the unit of velocity sigma0 / t_char must be
+    with closed_form("the characteristic time"):
+        t_char = in_float_range(law.characteristic_time(), "the characteristic time")
     if not t_end <= MAX_CHARACTERISTIC_TIMES * t_char:
         raise DomainError(f"t_end is {t_end / t_char:.3g} characteristic times; "
                           f"the limit is {MAX_CHARACTERISTIC_TIMES:g}")
@@ -302,10 +291,8 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
     s0 = law.packet.sigma0
     v_unit = s0 / t_char
     t_end, tau_end = float(t_end), t_end / t_char
-    x0, u0 = r0 / s0, v0 / v_unit
-    if not all(map(math.isfinite, (x0, u0))):
-        raise DomainError("r0 and v0 are outside the floating-point range in units of "
-                          "sigma0 and sigma0 / t_char")
+    x0 = finite(r0 / s0, "r0 in units of sigma0")
+    u0 = finite(v0 / v_unit, "v0 in units of sigma0 / t_char")
     from . import dop853     # here, so that critical, tau and sweep do not compile it
 
     accel = _in_packet_units(law).force_at     # the unit mass: no division
@@ -361,5 +348,7 @@ def detect_period(traj: Trajectory) -> float:
 
 def period_linearized(packet: WavePacket, body: Body, ctx: PhysicalContext) -> float:
     """2 pi over the point law's small-amplitude rate (2/pi)^(1/4) sqrt(G m / sigma0^3)."""
-    rate = (2.0 / math.pi) ** 0.25 * math.sqrt(ctx.G * body.mass / packet.sigma0 ** 3)
-    return 2.0 * math.pi / rate
+    what = "the linearized period"
+    with closed_form(what):
+        rate = (2.0 / math.pi) ** 0.25 * math.sqrt(ctx.G * body.mass / packet.sigma0 ** 3)
+        return in_float_range(2.0 * math.pi / rate, what)

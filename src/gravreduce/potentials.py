@@ -28,7 +28,8 @@ import math
 import warnings
 from typing import Callable
 
-from .core import SQRT_2_OVER_PI, Body, PhysicalContext, WavePacket, not_finite
+from .core import (SQRT_2_OVER_PI, Body, PhysicalContext, WavePacket, closed_form, finite,
+                   range_error)
 from .errors import AccuracyError, BodyKindError, DomainError, SingularityError
 
 SQRT_2 = math.sqrt(2.0)
@@ -46,7 +47,7 @@ QUAD_RELTOL = 1e-12
 GAUSS_NODES = 48
 COMPARISON_NODES = 40
 MAX_PANELS = 64
-_NOT_FINITE = "the integrand or its integral is not finite for these parameters"
+_INTEGRAL = "the integrand or its integral"
 
 
 class RegimeWarning(UserWarning):
@@ -123,13 +124,13 @@ def _radial_quad(fn: Callable[[float], float], s0: float,
         try:
             f = np.fromiter(map(fn, (u * s0).tolist()), float, u.size)
         except OverflowError:
-            raise DomainError(_NOT_FINITE) from None
+            raise range_error(_INTEGRAL) from None
         # every node has a positive weight in one row (and 0 * inf is nan),
         # so a node value that is not finite leaves a sum not finite
         value, comparison = weights @ f
         l1 = weights[0] @ np.abs(f)
         if not (math.isfinite(value) and math.isfinite(comparison) and math.isfinite(l1)):
-            raise DomainError(_NOT_FINITE)
+            raise range_error(_INTEGRAL)
         return -float(abs(value - comparison)), a, b, float(value), float(l1)
 
     def totals():
@@ -146,7 +147,7 @@ def _radial_quad(fn: Callable[[float], float], s0: float,
             heapq.heappush(panels, panel(mid, b))
             value, err, l1 = totals()
     if not (math.isfinite(value) and math.isfinite(err) and math.isfinite(l1)):
-        raise DomainError(_NOT_FINITE)
+        raise range_error(_INTEGRAL)
     return value, err, l1, (2 * len(panels) - 1) * (GAUSS_NODES + COMPARISON_NODES)
 
 
@@ -160,8 +161,6 @@ def _require_sphere(body: Body):
         raise BodyKindError("operation requires a homogeneous sphere")
 
 
-# Checked inline, not by a helper: the scalar entry points run at every
-# quadrature node, and the call it saves pays for their finiteness check.
 _NEGATIVE_RADIUS = "radius must be non-negative"
 
 
@@ -177,7 +176,7 @@ def quantum_potential(r: float, packet: WavePacket, body: Body,
             return u
     except (OverflowError, ZeroDivisionError):
         pass
-    raise not_finite("the quantum potential")
+    raise range_error("the quantum potential")
 
 
 def quantum_force(r: float, packet: WavePacket, body: Body,
@@ -192,7 +191,7 @@ def quantum_force(r: float, packet: WavePacket, body: Body,
             return f
     except (OverflowError, ZeroDivisionError):
         pass
-    raise not_finite("the quantum force")
+    raise range_error("the quantum force")
 
 
 def classical_kernel(r: float, body: Body, ctx: PhysicalContext) -> float:
@@ -218,7 +217,7 @@ def classical_kernel(r: float, body: Body, ctx: PhysicalContext) -> float:
         except ZeroDivisionError:   # R * R underflowed to zero
             k = math.nan
     if not math.isfinite(k):        # products and quotients overflow without raising
-        raise not_finite("the classical kernel")
+        raise range_error("the classical kernel")
     return k
 
 
@@ -237,7 +236,7 @@ def qg_potential_point(r: float, packet: WavePacket, body: Body,
     x = r / s0
     u = -SQRT_2_OVER_PI * ctx.G * m * m / s0 * (-math.expm1(-0.5 * x * x))
     if not math.isfinite(u):        # products and quotients overflow without raising
-        raise not_finite("the point self-gravity potential")
+        raise range_error("the point self-gravity potential")
     return u
 
 
@@ -256,7 +255,7 @@ def qg_force_point(r: float, packet: WavePacket, body: Body,
             return f
     except (OverflowError, ZeroDivisionError):
         pass
-    raise not_finite("the point self-gravity force")
+    raise range_error("the point self-gravity force")
 
 
 def qg_potential_object(r: float, packet: WavePacket, body: Body,
@@ -289,7 +288,7 @@ def qg_potential_object(r: float, packet: WavePacket, body: Body,
             return u
     except (OverflowError, ZeroDivisionError):
         pass
-    raise not_finite("the sphere self-gravity potential")
+    raise range_error("the sphere self-gravity potential")
 
 
 def _qg_potential_object_series(u: float, s0: float, R: float, gm2: float) -> float:
@@ -344,7 +343,7 @@ def qg_force_object(r: float, packet: WavePacket, body: Body,
             return f
     except (OverflowError, ZeroDivisionError):
         pass
-    raise not_finite("the sphere self-gravity force")
+    raise range_error("the sphere self-gravity force")
 
 
 def qg_potential_object_asymptotic(r: float, packet: WavePacket, body: Body,
@@ -359,15 +358,11 @@ def qg_potential_object_asymptotic(r: float, packet: WavePacket, body: Body,
     if packet.sigma0 < 10.0 * body.radius:
         warnings.warn("asymptotic form evaluated with sigma0 < 10 R",
                       RegimeWarning, stacklevel=2)
-    try:
+    what = "the asymptotic sphere self-gravity potential"
+    with closed_form(what):
         gm2 = ctx.G * body.mass ** 2
-        u = (-2.0 * math.sqrt(2.0) / (5.0 * math.sqrt(math.pi))
-             * gm2 * r ** 3 / (body.radius * packet.sigma0 ** 3))
-        if math.isfinite(u):
-            return u
-    except (OverflowError, ZeroDivisionError):
-        pass
-    raise not_finite("the asymptotic sphere self-gravity potential")
+        return finite(-2.0 * math.sqrt(2.0) / (5.0 * math.sqrt(math.pi))
+                      * gm2 * r ** 3 / (body.radius * packet.sigma0 ** 3), what)
 
 
 def qg_potential_numeric(r: float, kernel: Callable[[float], float],
@@ -383,7 +378,8 @@ def qg_potential_numeric(r: float, kernel: Callable[[float], float],
     error estimate) if that estimate exceeds 1e-8 * max(|value|, L1), L1
     being the integral of the integrand's magnitude, which bounds the rule's
     error where the value itself cancels to near zero; and
-    :class:`DomainError` if the integrand or the result is not finite.
+    :class:`DomainError` if the integrand or the result leaves the
+    floating-point range.
     """
     if r < 0.0:
         raise DomainError(_NEGATIVE_RADIUS)

@@ -21,6 +21,12 @@ from . import averages, criticality, dop853, dynamics, potentials  # noqa: F401
 from .core import Body, PhysicalContext, WavePacket
 
 RNG_SEED = 20240811
+# Bounds on the worst relative discrepancy of each battery
+GRADIENT_TOL = 1e-6          # central differences of every (potential, force) pair
+SELF_ENERGY_TOL = 1e-9       # closed-form self-energies against quadrature
+AVERAGE_TOL = 1e-8           # closed-form averages against expect
+ENERGY_DRIFT_TOL = 1e-7      # energy drift of integrate
+MINIMIZER_TOL = 1e-9         # numeric energy minimizers against their closed forms
 
 
 @dataclass(frozen=True)
@@ -63,7 +69,7 @@ def check_erf_accuracy() -> Check:
                  "platform erf against Maclaurin series at 10 points")
 
 
-def check_gradient_consistency(n_points: int = 100, tol: float = 1e-6) -> list[Check]:
+def check_gradient_consistency(n_points: int = 100) -> list[Check]:
     """Central-difference checks of every (potential, force) pair."""
     rng = np.random.default_rng(RNG_SEED)
     ctx = PhysicalContext.dimensionless()
@@ -84,13 +90,12 @@ def check_gradient_consistency(n_points: int = 100, tol: float = 1e-6) -> list[C
                 rel = abs(f - fd) / max(abs(f), abs(fd), 1e-300)
                 worst_by_label[label] = max(worst_by_label.get(label, 0.0), rel)
     for label, worst in sorted(worst_by_label.items()):
-        out.append(Check(f"gradient-{label}", worst < tol, worst, tol,
+        out.append(Check(f"gradient-{label}", worst < GRADIENT_TOL, worst, GRADIENT_TOL,
                          f"worst of {n_points} random parameter sets"))
     return out
 
 
-def check_potential_oracles(n_radii: int = 50, tol: float = 1e-9,
-                            perturb: float = 0.0) -> list[Check]:
+def check_potential_oracles(n_radii: int = 50, perturb: float = 0.0) -> list[Check]:
     """Closed-form self-energies against direct quadrature of the definition."""
     rng = np.random.default_rng(RNG_SEED + 1)
     ctx = PhysicalContext.dimensionless()
@@ -115,16 +120,12 @@ def check_potential_oracles(n_radii: int = 50, tol: float = 1e-9,
         numeric = potentials.qg_potential_numeric(
             r, lambda rp: potentials.classical_kernel(rp, sphere, ctx), packet, ctx)
         worst_object = max(worst_object, _rel(closed, numeric))
-    return [
-        Check("self-energy-point-vs-quadrature", worst_point < tol, worst_point, tol,
-              f"{n_radii} random radii over 4 decades"),
-        Check("self-energy-object-vs-quadrature", worst_object < tol, worst_object, tol,
-              f"{n_radii} random radii over 4 decades"),
-    ]
+    return [Check(f"self-energy-{kind}-vs-quadrature", worst < SELF_ENERGY_TOL, worst,
+                  SELF_ENERGY_TOL, f"{n_radii} random radii over 4 decades")
+            for kind, worst in (("point", worst_point), ("object", worst_object))]
 
 
-def check_average_oracles(n_sets: int = 20, tol: float = 1e-8,
-                          perturb: float = 0.0) -> list[Check]:
+def check_average_oracles(n_sets: int = 20, perturb: float = 0.0) -> list[Check]:
     """Every closed-form ensemble average against the quadrature expectation."""
     rng = np.random.default_rng(RNG_SEED + 2)
     ctx = PhysicalContext.dimensionless()
@@ -165,11 +166,12 @@ def check_average_oracles(n_sets: int = 20, tol: float = 1e-8,
         for name, closed, observable in cases:
             got = averages.expect(observable, packet, ctx).value
             worst[name] = max(worst.get(name, 0.0), _rel(closed * factor, got))
-    return [Check(name, w < tol, w, tol, f"{n_sets} random parameter sets over 6 decades")
+    return [Check(name, w < AVERAGE_TOL, w, AVERAGE_TOL,
+                  f"{n_sets} random parameter sets over 6 decades")
             for name, w in sorted(worst.items())]
 
 
-def check_energy_conservation(tol: float = 1e-7) -> list[Check]:
+def check_energy_conservation() -> list[Check]:
     ctx = PhysicalContext.dimensionless()
     packet = WavePacket(1.0)
     runs = [
@@ -184,12 +186,13 @@ def check_energy_conservation(tol: float = 1e-7) -> list[Check]:
     out = []
     for name, law, r0, v0, t_end in runs:
         traj = dynamics.integrate(law, r0, v0, t_end)
-        out.append(Check(f"energy-drift-{name}", traj.energy_drift < tol,
-                         traj.energy_drift, tol, f"r0={r0}, v0={v0}, t_end={t_end}"))
+        out.append(Check(f"energy-drift-{name}", traj.energy_drift < ENERGY_DRIFT_TOL,
+                         traj.energy_drift, ENERGY_DRIFT_TOL,
+                         f"r0={r0}, v0={v0}, t_end={t_end}"))
     return out
 
 
-def check_critical_constants(tol: float = 1e-9) -> list[Check]:
+def check_critical_constants() -> list[Check]:
     """Numeric energy minimizers against their closed-form roots."""
     ctx = PhysicalContext.dimensionless()
     out = []
@@ -197,7 +200,7 @@ def check_critical_constants(tol: float = 1e-9) -> list[Check]:
         numeric = criticality.critical_width_energy_min(body, ctx)
         exact = criticality.critical_width_energy_min_exact(body, ctx)
         rel = _rel(numeric, exact)
-        out.append(Check(f"energy-min-width-{name}", rel < tol, rel, tol,
+        out.append(Check(f"energy-min-width-{name}", rel < MINIMIZER_TOL, rel, MINIMIZER_TOL,
                          f"derivative bisection vs closed form {exact!r}"))
     # force balance: averaged residual must vanish at the critical width
     body = Body.point(1.0)
