@@ -273,8 +273,7 @@ def cmd_simulate(args) -> int:
         args.kind = "sphere" if args.law == "gravity-object" else "point"
     body = _body(args)
     packet = WavePacket(args.sigma0)
-    law = dynamics.ForceLaw(LawKind(args.law), packet, body, ctx,
-                            args.printed_mixed_variant)
+    law = dynamics.ForceLaw(LawKind(args.law), packet, body, ctx)
     traj = dynamics.integrate(law, r0=args.r0, v0=args.v0, t_end=args.t_end,
                               rtol=args.rtol, atol=args.atol)
     try:
@@ -549,9 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="solver absolute tolerance, in units of sigma0 for r and of "
                         "sigma0/t_char for v, t_char = sqrt(sigma0^3/(G m)) "
                         "(default: %(default)s)")
-    p.add_argument("--printed-mixed-variant", action="store_true",
-                   help="mixed-point law only: use the uncorrected quantum-term "
-                        "denominator (default: off)")
     p.add_argument("--gnuplot-script",
                    help="also write a gnuplot script plotting the CSV written to --out "
                         "(default: none)")

@@ -102,13 +102,20 @@ class LawKind(str, Enum):
 
 @dataclass(frozen=True)
 class Body:
-    """A point particle, or a homogeneous sphere of the given radius."""
+    """A point particle, or a homogeneous sphere of the given radius.
+
+    The mass and a radius are stored as Python floats, as in
+    :class:`PhysicalContext`, so a numpy scalar runs on Python arithmetic.
+    """
 
     mass: float
     kind: BodyKind = BodyKind.POINT_PARTICLE
     radius: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "mass", float(self.mass))
+        if self.radius is not None:
+            object.__setattr__(self, "radius", float(self.radius))
         if not self.mass > 0.0:
             raise DomainError("mass must be positive")
         if self.kind is BodyKind.HOMOGENEOUS_SPHERE:
@@ -136,11 +143,15 @@ class Body:
 
 @dataclass(frozen=True)
 class WavePacket:
-    """Spherically symmetric Gaussian packet of initial width sigma0, centered at r = 0."""
+    """Spherically symmetric Gaussian packet of initial width sigma0, centered at r = 0.
+
+    sigma0 is stored as a Python float, as in :class:`PhysicalContext`.
+    """
 
     sigma0: float
 
     def __post_init__(self):
+        object.__setattr__(self, "sigma0", float(self.sigma0))
         if not self.sigma0 > 0.0:
             raise DomainError("sigma0 must be positive")
 

@@ -234,26 +234,20 @@ def critical_width_energy_min_exact(body: Body, ctx: PhysicalContext) -> float:
     return float(critical_width_energy_min_at(body.mass, ctx, body.radius))
 
 
-def critical_width_energy_min(body: Body, ctx: PhysicalContext,
-                              bracket: tuple[float, float] | None = None) -> float:
+def critical_width_energy_min(body: Body, ctx: PhysicalContext) -> float:
     """Minimize the mean energy over the packet width by bisection on the sign
     of its analytic derivative (:func:`minimize.minimize_bracketed`).
 
-    The result is the midpoint of a final bracket 1e-12 of it wide.  The
-    bracket must contain the single stationary point; by default it spans a
-    factor of ten either side of the closed-form minimizer.  A derivative
-    that leaves the floating-point range raises :class:`DomainError`.
+    The result is the midpoint of a final bracket 1e-12 of it wide; the
+    bracket spans a factor of ten either side of the closed-form minimizer.
+    A derivative that leaves the floating-point range raises
+    :class:`DomainError`.
     """
-    if bracket is None:
-        guess = critical_width_energy_min_exact(body, ctx)
-        bracket = (0.1 * guess, 10.0 * guess)
-    lo, hi = bracket
-    if not (0.0 < lo < hi):
-        raise DomainError("bracket must satisfy 0 < lo < hi")
+    guess = critical_width_energy_min_exact(body, ctx)
     from .minimize import minimize_bracketed
 
     with closed_form("the mean energy's derivative"):
-        return minimize_bracketed(_energy_derivative(body, ctx), lo, hi)
+        return minimize_bracketed(_energy_derivative(body, ctx), 0.1 * guess, 10.0 * guess)
 
 
 def stationary_energy(body: Body, ctx: PhysicalContext) -> float:
@@ -367,7 +361,9 @@ def tau_at(method: TauMethod, mass, sigma0, ctx: PhysicalContext, radius=None):
     one.  The quarter period is ``QUARTER_PERIOD_POINT`` characteristic
     times.  The object-uncertainty spread |qg_potential_object(sigma0, ...)|
     is (G m^2 / R) |ALPHA_OBJECT x^2 - BETA_OBJECT| with x = sigma0 / R,
-    which cancels only near its zero x ~ 2.3035.
+    which cancels only near its zero x ~ 2.3035.  The object-micro spread is
+    the wide-packet (sigma0 >> R) cubic self-energy
+    (2 sqrt2 / 5 sqrt pi) G m^2 r^3 / (R sigma0^3) at r = sigma0.
     """
     if method not in (OBJECT_CLOSED_FORMS if radius is not None else POINT_METHODS):
         kind = "sphere" if radius is not None else "point particle"

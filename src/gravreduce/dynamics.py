@@ -62,8 +62,7 @@ class Event:
 _LAW_CONSTANT = "a constant of the force law"
 
 
-def _kernels(kind: LawKind, packet: WavePacket, body: Body, ctx: PhysicalContext,
-             printed_mixed_variant: bool):
+def _kernels(kind: LawKind, packet: WavePacket, body: Body, ctx: PhysicalContext):
     """The law's (force, potential), as closures over its constants.  Each
     repeats its ``potentials`` entry point operation for operation, with the
     factors of the parameters alone hoisted out; the sphere's potential calls it.
@@ -99,24 +98,16 @@ def _kernels(kind: LawKind, packet: WavePacket, body: Body, ctx: PhysicalContext
         return force, potential
 
     hbar2 = ctx.hbar ** 2
-    if printed_mixed_variant:   # the printed sigma0^2 for sigma0^4, for comparison runs
-        force_den, neg_hbar2, potential_den = 4.0 * m * s0 ** 2, -hbar2, 8.0 * m * s0 * s0
-
-        def potential(r):
-            x = r / s0
-            return neg_hbar2 * r * r / potential_den + depth * -math.expm1(-0.5 * x * x)
-    else:
-        force_den, six_s0_sq, potential_den = 4.0 * m * s0 ** 4, 6.0 * s0 * s0, 8.0 * m * s0 ** 4
-
-        def potential(r):
-            x = r / s0
-            return (hbar2 * (six_s0_sq - r * r) / potential_den
-                    + depth * -math.expm1(-0.5 * x * x))
+    force_den, six_s0_sq, potential_den = 4.0 * m * s0 ** 4, 6.0 * s0 * s0, 8.0 * m * s0 ** 4
     for constant in (hbar2, force_den, potential_den):
         finite(constant, _LAW_CONSTANT)
 
     def force(r):
         return hbar2 * r / force_den + k * r * math.exp(-(r * r) / two_s0_sq)
+
+    def potential(r):
+        x = r / s0
+        return hbar2 * (six_s0_sq - r * r) / potential_den + depth * -math.expm1(-0.5 * x * x)
     return force, potential
 
 
@@ -128,27 +119,21 @@ class ForceLaw:
     ``force_at`` is odd in r and ``potential_at`` even, and for r >= 0 both
     are bit-equal to the ``potentials`` entry points; the point laws use the
     binding well.  A point law for a sphere, or the object law for a point
-    particle, raises :class:`BodyKindError` when built, and
-    ``printed_mixed_variant`` on a law other than mixed-point, or a constant
-    of the law outside the floating-point range, raises :class:`DomainError`.
+    particle, raises :class:`BodyKindError` when built, and a constant of the
+    law outside the floating-point range raises :class:`DomainError`.
     """
 
     kind: LawKind
     packet: WavePacket
     body: Body
     ctx: PhysicalContext
-    printed_mixed_variant: bool = False
 
     def __post_init__(self):
         if self.body.is_sphere != (self.kind is LawKind.GRAVITY_OBJECT):
             raise BodyKindError(f"the {self.kind.value} force law does not apply to a "
                                 f"{'sphere' if self.body.is_sphere else 'point particle'}")
-        if self.printed_mixed_variant and self.kind is not LawKind.MIXED_POINT:
-            raise DomainError(f"the printed mixed variant does not apply to the "
-                              f"{self.kind.value} force law")
         with closed_form(_LAW_CONSTANT):
-            force, potential = _kernels(self.kind, self.packet, self.body, self.ctx,
-                                        self.printed_mixed_variant)
+            force, potential = _kernels(self.kind, self.packet, self.body, self.ctx)
         object.__setattr__(self, "_force", force)
         object.__setattr__(self, "_potential", potential)
 
@@ -157,9 +142,8 @@ class ForceLaw:
         return cls(LawKind.GRAVITY_POINT, packet, body, ctx)
 
     @classmethod
-    def mixed_point(cls, packet, body, ctx, printed_variant=False) -> "ForceLaw":
-        return cls(LawKind.MIXED_POINT, packet, body, ctx,
-                   printed_mixed_variant=printed_variant)
+    def mixed_point(cls, packet, body, ctx) -> "ForceLaw":
+        return cls(LawKind.MIXED_POINT, packet, body, ctx)
 
     @classmethod
     def gravity_object(cls, packet, body, ctx) -> "ForceLaw":
@@ -216,15 +200,12 @@ def _in_packet_units(law: ForceLaw) -> ForceLaw:
 
     Only hbar and a sphere's radius remain: hbar / sqrt(G m^3 sigma0), which
     makes the mixed law's quantum slope q / 4 with q = hbar^2 / (G m^3 sigma0),
-    and R / sigma0.  The printed mixed variant, whose sigma0^2 in place of
-    sigma0^4 is not dimensionally consistent, keeps its own slope with
-    hbar / sqrt(G m^3 / sigma0).  A subclass stays a subclass.
+    and R / sigma0.  A subclass stays a subclass.
     """
     s0, m, ctx = law.packet.sigma0, law.body.mass, law.ctx
     what = "hbar in units of the packet"
     with closed_form(what):
-        gm_s0 = ctx.G * m / s0 if law.printed_mixed_variant else ctx.G * m * s0
-        hbar = ctx.hbar / (m * math.sqrt(gm_s0))
+        hbar = ctx.hbar / (m * math.sqrt(ctx.G * m * s0))
     body = Body.sphere(1.0, law.body.radius / s0) if law.body.is_sphere else Body.point(1.0)
     ctx = PhysicalContext(in_float_range(hbar, what), 1.0, UnitSystem.PACKET)
     return replace(law, packet=WavePacket(1.0), body=body, ctx=ctx)

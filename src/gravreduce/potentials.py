@@ -25,11 +25,9 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-import warnings
 from typing import Callable
 
-from .core import (SQRT_2_OVER_PI, Body, PhysicalContext, WavePacket, closed_form, finite,
-                   range_error)
+from .core import SQRT_2_OVER_PI, Body, PhysicalContext, WavePacket, range_error
 from .errors import AccuracyError, BodyKindError, DomainError, SingularityError
 
 SQRT_2 = math.sqrt(2.0)
@@ -48,10 +46,6 @@ GAUSS_NODES = 48
 COMPARISON_NODES = 40
 MAX_PANELS = 64
 _INTEGRAL = "the integrand or its integral"
-
-
-class RegimeWarning(UserWarning):
-    """An asymptotic form was evaluated outside its validity regime."""
 
 
 def _panel_rule(t, w, a: float, b: float):
@@ -344,25 +338,6 @@ def qg_force_object(r: float, packet: WavePacket, body: Body,
     except (OverflowError, ZeroDivisionError):
         pass
     raise range_error("the sphere self-gravity force")
-
-
-def qg_potential_object_asymptotic(r: float, packet: WavePacket, body: Body,
-                                   ctx: PhysicalContext) -> float:
-    """Wide-packet (sigma0 >> R) cubic approximation -(2 sqrt2 / 5 sqrt pi) G m^2 r^3 / (R sigma0^3).
-
-    Warns with :class:`RegimeWarning` when sigma0 < 10 R.  The cubic matches
-    the exact potential near r = R; away from that radius it is only an
-    order-of-magnitude guide.
-    """
-    _require_sphere(body)
-    if packet.sigma0 < 10.0 * body.radius:
-        warnings.warn("asymptotic form evaluated with sigma0 < 10 R",
-                      RegimeWarning, stacklevel=2)
-    what = "the asymptotic sphere self-gravity potential"
-    with closed_form(what):
-        gm2 = ctx.G * body.mass ** 2
-        return finite(-2.0 * math.sqrt(2.0) / (5.0 * math.sqrt(math.pi))
-                      * gm2 * r ** 3 / (body.radius * packet.sigma0 ** 3), what)
 
 
 def qg_potential_numeric(r: float, kernel: Callable[[float], float],

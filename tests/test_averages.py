@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -237,21 +238,26 @@ SPHERE_AVERAGES = (avg_qg_potential_object, avg_energy_object, avg_qg_force_obje
                    avg_qg_force_object_intermediate)
 
 
+@pytest.mark.parametrize("number", [float, np.float64])
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(m=log_uniform, s0=log_uniform, R=log_uniform, ctx=st.sampled_from(CONTEXTS))
-def test_averages_return_a_finite_float_or_a_gravreduce_error(m, s0, R, ctx):
+def test_averages_return_a_finite_float_or_a_gravreduce_error(number, m, s0, R, ctx):
     # Negative control: before the averages mapped their arithmetic, this
     # failed, and each case of the next test raised ZeroDivisionError or
-    # OverflowError or returned an infinity.
+    # OverflowError or returned an infinity; with numpy scalars it warned
+    # until the packet and the body stored Python floats.
+    m, s0, R = number(m), number(s0), number(R)
     packet = WavePacket(s0)
     calls = ([(fn, Body.point(m)) for fn in POINT_AVERAGES]
              + [(fn, Body.sphere(m, R)) for fn in SPHERE_AVERAGES])
-    for fn, body in calls:
-        try:
-            value = fn(packet, body, ctx)
-        except GravreduceError:
-            continue
-        assert type(value) is float and math.isfinite(value), (fn.__name__, value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for fn, body in calls:
+            try:
+                value = fn(packet, body, ctx)
+            except GravreduceError:
+                continue
+            assert type(value) is float and math.isfinite(value), (fn.__name__, value)
 
 
 @pytest.mark.parametrize("call", [
@@ -262,7 +268,21 @@ def test_averages_return_a_finite_float_or_a_gravreduce_error(m, s0, R, ctx):
     # two finite positive terms whose sum overflows
     lambda ctx: avg_energy_object(WavePacket(1.0), Body.sphere(0.156, 5.3e-104),
                                   PhysicalContext(7e153, 1.0, UnitSystem.SI)),
+    # numpy scalars: numpy arithmetic warned where Python's raises
+    lambda ctx: avg_quantum_force(WavePacket(np.float64(1e-170)), Body.point(1.0), ctx),
+    lambda ctx: avg_qg_potential_object(WavePacket(1.0), Body.sphere(1.0, np.float64(1e-120)),
+                                        ctx),
+    lambda ctx: avg_qg_potential_point(WavePacket(1e-300), Body.point(np.float64(1e10)), ctx),
 ])
 def test_raw_float_errors_are_domain_errors(call, ctx):
-    with pytest.raises(DomainError, match="is outside the floating-point range for these parameters"):
-        call(ctx)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError,
+                           match="is outside the floating-point range for these parameters"):
+            call(ctx)
+
+
+def test_packet_and_body_store_python_floats():
+    packet, sphere = WavePacket(np.float64(2.0)), Body.sphere(np.float32(3.0), np.int64(1))
+    assert type(packet.sigma0) is type(sphere.mass) is type(sphere.radius) is float
+    assert Body.point(np.float64(3.0)).radius is None

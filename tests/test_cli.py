@@ -220,7 +220,6 @@ PARITY_VALUES = {
     "t_end": ("5", []),
     "rtol": ("1e-8", []),
     "atol": ("1e-10", []),
-    "printed_mixed_variant": ("true", ["--law", "mixed-point"]),
     "gnuplot_script": ("{dir}/plot.gp", ["--out", "{dir}/traj.csv"]),
     "no_numeric": ("true", []),
     "grid": ("mass=1:2:2", []),
@@ -408,14 +407,18 @@ def test_gnuplot_script_plots_the_csv_out(tmp_path):
     assert f"plot '{csv_path}' " in script.read_text()
 
 
-@pytest.mark.parametrize("law", ["gravity-point", "gravity-object"])
-def test_printed_variant_of_another_law_exits_2(law):
-    argv = SIMULATE + ["--law", law, "--printed-mixed-variant"]
-    if law == "gravity-object":
-        argv += ["--radius", "0.5"]
-    code, out, err = run(argv)
+# The mixed-point law has one form: its printed sigma0^2 variant is gone.
+def test_printed_mixed_variant_option_exits_2():
+    code, out, err = run(SIMULATE + ["--law", "mixed-point", "--printed-mixed-variant"])
     assert (code, out) == (cli.EXIT_CONFIG, "")
-    assert err == f"error: the printed mixed variant does not apply to the {law} force law\n"
+    assert "unrecognized arguments: --printed-mixed-variant" in err
+    assert "Traceback" not in err
+
+
+def test_printed_mixed_variant_config_key_exits_2(tmp_path):
+    config = write_config(tmp_path, "printed_mixed_variant = true\n")
+    assert run(SIMULATE + ["--law", "mixed-point", "--config", config]) == (
+        cli.EXIT_CONFIG, "", "error: unknown config key: printed_mixed_variant\n")
 
 
 def test_trajectory_csv_is_the_per_row_formatting():
@@ -512,8 +515,7 @@ NUMPY_RUNS = [
     ("sweep", ["sweep", "--sigma0", "1", "--grid", "mass=0.1:10:3"]),
     ("verify --quick", ["verify", "--quick"]),
 ]
-LAWS = {"gravity-point": [], "mixed-point": ["--printed-mixed-variant"],
-        "gravity-object": ["--radius", "0.5"]}
+LAWS = {"gravity-point": [], "mixed-point": [], "gravity-object": ["--radius", "0.5"]}
 
 
 def simulate_runs(outdir):

@@ -23,7 +23,6 @@ from hypothesis import given, settings, strategies as st
 from gravreduce import criticality as c
 from gravreduce.averages import expect
 from gravreduce.core import Body, PhysicalContext, WavePacket
-from gravreduce.dynamics import ForceLaw
 from gravreduce.potentials import (classical_kernel, qg_force_object, qg_force_point,
                                    qg_potential_numeric, qg_potential_object,
                                    qg_potential_point, quantum_force, quantum_potential)
@@ -276,15 +275,17 @@ def test_numeric_routes_scale_with_their_dimensions(params, lam, ctx):
 
 
 def test_a_dimensionally_inconsistent_mean_breaks_the_scaling():
-    # Negative control: the mixed law's printed variant, sigma0^2 in place
-    # of sigma0^4 in its quantum force, averaged as a force.
-    def printed_variant(m, s0, R, u, ctx):
-        packet = WavePacket(s0)
-        law = ForceLaw.mixed_point(packet, Body.point(m), ctx, printed_variant=True)
-        return {"printed mixed force": average(law.force_at, packet, ctx, "force")}
+    # Negative control: the mixed force with sigma0^2 in place of sigma0^4
+    # in its quantum term, averaged as a force.
+    def sigma0_squared_mixed(m, s0, R, u, ctx):
+        packet, point = WavePacket(s0), Body.point(m)
+
+        def force(r):
+            return ctx.hbar ** 2 * r / (4.0 * m * s0 ** 2) + qg_force_point(r, packet, point, ctx)
+        return {"sigma0^2 mixed force": average(force, packet, ctx, "force")}
 
     params, ctx = (1.0, 1.0, 1.0, 1.0), CONTEXTS[0]
-    assert unit_violations(printed_variant, params, (1e3, 1.0, 1.0), ctx) == [
-        "printed mixed force"]
+    assert unit_violations(sigma0_squared_mixed, params, (1e3, 1.0, 1.0), ctx) == [
+        "sigma0^2 mixed force"]
     # the same route passes where the change of units leaves lengths alone
-    assert unit_violations(printed_variant, params, (1.0, 1e3, 1e-2), ctx) == []
+    assert unit_violations(sigma0_squared_mixed, params, (1.0, 1e3, 1e-2), ctx) == []

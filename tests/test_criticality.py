@@ -160,9 +160,9 @@ class TestEnergyMinimization:
 
     def test_bad_bracket_raises(self, point, ctx):
         with pytest.raises(BracketError):
-            critical_width_energy_min(point, ctx, bracket=(5.0, 50.0))
-        with pytest.raises(DomainError):
-            critical_width_energy_min(point, ctx, bracket=(-1.0, 2.0))
+            minimize_bracketed(_energy_derivative(point, ctx), 5.0, 50.0)
+        with pytest.raises(BracketError, match="0 < lo < hi"):
+            minimize_bracketed(_energy_derivative(point, ctx), -1.0, 2.0)
 
     def test_minimizer_requires_sign_change(self):
         with pytest.raises(BracketError):

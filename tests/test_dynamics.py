@@ -67,8 +67,6 @@ def scipy_drift(law, sol):
 CASES = {
     "gravity-point, v0 != 0": (GRAVITY_POINT, 1.0, 0.3, 50.0),
     "mixed-point": (ForceLaw.mixed_point(PACKET, Body.point(5.0), CTX), 0.5, 0.1, 20.0),
-    "mixed-point, printed variant": (
-        ForceLaw.mixed_point(PACKET, Body.point(5.0), CTX, printed_variant=True), 0.5, 0.1, 20.0),
     "gravity-object": (ForceLaw.gravity_object(PACKET, Body.sphere(1.0, 1.0), CTX), 1.0, 0.2, 30.0),
     "start at r0 = 0": (GRAVITY_POINT, 0.0, 0.5, 30.0),
     "escape": (GRAVITY_POINT, 1.0, 3.0, 50.0),
@@ -331,9 +329,9 @@ def log_uniform(rng, lo, hi):
 
 
 def law_draws(seed, n):
-    """n laws of each kind, the printed mixed variant included, in every unit
-    system, with m, sigma0 and R log-uniform in 1e-3..1e3, and radii of each
-    law drawn uniformly in [0, 5 sigma0], zero included."""
+    """n laws of each kind, in every unit system, with m, sigma0 and R
+    log-uniform in 1e-3..1e3, and radii of each law drawn uniformly in
+    [0, 5 sigma0], zero included."""
     rng = random.Random(seed)
     for ctx in CONTEXTS:
         for _ in range(n):
@@ -342,7 +340,6 @@ def law_draws(seed, n):
             radii = [0.0] + [5.0 * s0 * rng.random() for _ in range(24)]
             for law in (ForceLaw.gravity_point(packet, Body.point(m), ctx),
                         ForceLaw.mixed_point(packet, Body.point(m), ctx),
-                        ForceLaw.mixed_point(packet, Body.point(m), ctx, printed_variant=True),
                         ForceLaw.gravity_object(packet, Body.sphere(m, R), ctx)):
                 yield law, radii
 
@@ -367,25 +364,25 @@ def test_kernels_equal_the_potentials_entry_points_bit_for_bit():
         for r in radii:
             force, potential = law.force_at(r), law.potential_at(r)
             assert law.force_at(-r) == -force and law.potential_at(-r) == potential, (law, r)
-            if not law.printed_mixed_variant:
-                want_force, want_potential = entry_points(law)
-                assert force == want_force(r) and potential == want_potential(r), (law, r)
-                checked += 1
+            want_force, want_potential = entry_points(law)
+            assert force == want_force(r) and potential == want_potential(r), (law, r)
+            checked += 1
     assert checked == 3 * 3 * 10 * 25
 
 
-def test_printed_variant_force_is_the_gradient_of_its_potential():
-    # The sigma0^2 quantum term has no entry point in ``potentials``: its
-    # potential, -hbar^2 r^2 / (8 m sigma0^2), is checked by central differences.
-    for law, radii in law_draws(11, 4):
-        if not law.printed_mixed_variant:
-            continue
-        s0 = law.packet.sigma0
-        h = 1e-5 * s0
-        scale = max(abs(law.force_at(r)) for r in radii)
-        for r in radii[1:6]:
-            fd = -(law.potential_at(r + h) - law.potential_at(r - h)) / (2.0 * h)
-            assert abs(law.force_at(r) - fd) <= 1e-7 * scale, (law, r)
+def test_law_from_numpy_scalars_is_the_law_from_floats():
+    # The packet and the body store Python floats, so the kernels run on
+    # Python arithmetic whatever number type the parameters came as.
+    for law, radii in law_draws(17, 3):
+        body = law.body
+        radius = None if body.radius is None else np.float64(body.radius)
+        numpy_body = dataclasses.replace(body, mass=np.float64(body.mass), radius=radius)
+        as_numpy = ForceLaw(law.kind, WavePacket(np.float64(law.packet.sigma0)), numpy_body,
+                            law.ctx)
+        for r in radii:
+            for got, want in ((as_numpy.force_at(r), law.force_at(r)),
+                              (as_numpy.potential_at(r), law.potential_at(r))):
+                assert type(got) is float and got == want, (law, r)
 
 
 @pytest.mark.parametrize("kind, body", [
@@ -396,16 +393,6 @@ def test_printed_variant_force_is_the_gradient_of_its_potential():
 def test_law_for_the_other_body_kind_is_refused_when_built(kind, body):
     with pytest.raises(BodyKindError):
         ForceLaw(kind, PACKET, body, CTX)
-
-
-@pytest.mark.parametrize("kind, body", [
-    (LawKind.GRAVITY_POINT, Body.point(1.0)),
-    (LawKind.GRAVITY_OBJECT, Body.sphere(1.0, 1.0)),
-])
-def test_printed_variant_of_another_law_is_refused_when_built(kind, body):
-    with pytest.raises(DomainError, match="printed mixed variant does not apply"):
-        ForceLaw(kind, PACKET, body, CTX, printed_mixed_variant=True)
-    assert not ForceLaw(kind, PACKET, body, CTX).printed_mixed_variant
 
 
 @pytest.mark.parametrize("kind, packet, body", [
@@ -422,10 +409,8 @@ def test_law_with_a_non_finite_constant_is_refused_when_built(kind, packet, body
 # ---------------------------------------------------------------- the packet's units
 
 def test_packet_units_law_is_the_scaled_law():
-    # x'' = (t_char^2 / sigma0) F(sigma0 x) / m in every unit system, the
-    # printed variant (whose sigma0^2 is not dimensionally consistent)
-    # included: the two differ only by rounding, at most 4.3 eps of the
-    # largest force here.
+    # x'' = (t_char^2 / sigma0) F(sigma0 x) / m in every unit system: the
+    # two differ only by rounding, at most 4.3 eps of the largest force here.
     for law, radii in law_draws(13, 6):
         s0, t_char = law.packet.sigma0, law.characteristic_time()
         scaled = dynamics._in_packet_units(law)

@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gravreduce.core import Body, PhysicalContext, WavePacket, density, width_at
+from gravreduce.criticality import TauMethod, tau_at
 from gravreduce.dynamics import period_linearized
 from gravreduce.errors import (AccuracyError, BodyKindError, DomainError,
                                GravreduceError, SingularityError)
-from gravreduce.potentials import (RegimeWarning, _radial_quad, classical_kernel,
+from gravreduce.potentials import (_radial_quad, classical_kernel,
                                    potential_force_pairs, qg_force_object,
                                    qg_force_point, qg_potential_numeric,
                                    qg_potential_object,
-                                   qg_potential_object_asymptotic,
                                    qg_potential_point, qg_well_potential_point,
                                    quantum_force, quantum_potential)
 
@@ -181,24 +181,13 @@ class TestObjectSelfGravity:
             assert qg_potential_object(float(r), packet, body, ctx) <= 1e-15
 
 
-class TestAsymptoticObjectForm:
-    def test_zero_at_origin(self, ctx):
-        body = Body.sphere(1.0, 1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RegimeWarning)
-            assert qg_potential_object_asymptotic(0.0, WavePacket(1.0), body, ctx) == 0.0
-
+class TestWidePacketCubic:
+    # The object-micro reduction time is hbar over the wide-packet (sigma0 >> R)
+    # cubic self-energy (2 sqrt2 / 5 sqrt pi) G m^2 r^3 / (R sigma0^3) at
+    # r = sigma0, so the cubic at r is (hbar / tau_micro) (r / sigma0)^3.
     def test_unit_value(self, ctx):
-        body = Body.sphere(1.0, 1.0)
-        with pytest.warns(RegimeWarning):
-            got = qg_potential_object_asymptotic(1.0, WavePacket(1.0), body, ctx)
-        assert got == pytest.approx(ASYMPT_AT_ONE, rel=1e-14)
-
-    def test_no_warning_in_regime(self, ctx):
-        body = Body.sphere(1.0, 1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RegimeWarning)
-            qg_potential_object_asymptotic(1.0, WavePacket(10.0), body, ctx)
+        spread = ctx.hbar / tau_at(TauMethod.OBJECT_MICRO, 1.0, 1.0, ctx, 1.0)
+        assert -spread == pytest.approx(ASYMPT_AT_ONE, rel=1e-14)
 
     @pytest.mark.parametrize("ratio,tol", [(10.0, 0.01), (100.0, 1e-4)])
     def test_matches_exact_at_anchor_radius(self, ctx, ratio, tol):
@@ -207,8 +196,8 @@ class TestAsymptoticObjectForm:
         body = Body.sphere(1.0, 1.0)
         packet = WavePacket(ratio)
         exact = qg_potential_object(body.radius, packet, body, ctx)
-        approx = qg_potential_object_asymptotic(body.radius, packet, body, ctx)
-        assert approx == pytest.approx(exact, rel=tol)
+        spread = ctx.hbar / tau_at(TauMethod.OBJECT_MICRO, body.mass, ratio, ctx, body.radius)
+        assert spread * (body.radius / ratio) ** 3 == pytest.approx(-exact, rel=tol)
 
 
 class TestNumericOracle:
@@ -321,26 +310,29 @@ def scalar_entry_points(packet, point, sphere, ctx):
         "qg_force_point": lambda r: qg_force_point(r, packet, point, ctx),
         "qg_potential_object": lambda r: qg_potential_object(r, packet, sphere, ctx),
         "qg_force_object": lambda r: qg_force_object(r, packet, sphere, ctx),
-        "qg_potential_object_asymptotic":
-            lambda r: qg_potential_object_asymptotic(r, packet, sphere, ctx),
         "width_at": lambda r: width_at(r, packet, point, ctx),
         "period_linearized": lambda r: period_linearized(packet, point, ctx),
     }
 
 
+@pytest.mark.parametrize("number", [float, np.float64])
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(m=log_uniform, s0=log_uniform, R=log_uniform, r=log_uniform,
        u=st.floats(-3.0, 1.0).map(lambda e: 10.0 ** e), ctx=st.sampled_from(CONTEXTS))
-def test_scalar_entry_points_return_a_finite_float_or_a_gravreduce_error(m, s0, R, r, u, ctx):
+def test_scalar_entry_points_return_a_finite_float_or_a_gravreduce_error(number, m, s0, R, r,
+                                                                         u, ctx):
     # Radii independent of sigma0, and near it (u sigma0), where each closed
-    # form has its Gaussian weight.  Negative control: qg_force_point at
+    # form has its Gaussian weight.  Negative controls: qg_force_point at
     # m = sigma0 = 1e200 raised a raw OverflowError, and returned inf or nan
-    # where G m^2 overflowed.
-    entry_points = scalar_entry_points(WavePacket(s0), Body.point(m), Body.sphere(m, R), ctx)
+    # where G m^2 overflowed; with numpy scalars for m, sigma0 and R it
+    # warned until the packet and the body stored Python floats.
+    packet = WavePacket(number(s0))
+    entry_points = scalar_entry_points(packet, Body.point(number(m)),
+                                       Body.sphere(number(m), number(R)), ctx)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RegimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         for name, fn in entry_points.items():
-            for radius in (r, u * s0):
+            for radius in (r, u * packet.sigma0):
                 try:
                     value = fn(radius)
                 except GravreduceError:
@@ -358,7 +350,14 @@ def test_scalar_entry_points_return_a_finite_float_or_a_gravreduce_error(m, s0, 
     lambda ctx: width_at(1e200, WavePacket(1.0), Body.point(1.0), ctx),         # x^2 = inf
     lambda ctx: period_linearized(WavePacket(1e-110), Body.point(1.0), ctx),    # sigma0^3 = 0
     lambda ctx: period_linearized(WavePacket(1e110), Body.point(1.0), ctx),     # sigma0^3 overflows
+    # numpy scalars: numpy arithmetic warned where Python's raises
+    lambda ctx: density(1e-170, WavePacket(np.float64(1e-170))),
+    lambda ctx: qg_force_object(1e-170, WavePacket(1.0), Body.sphere(1.0, np.float64(1e-120)),
+                                ctx),
 ])
 def test_raw_float_errors_are_domain_errors(call, ctx):
-    with pytest.raises(DomainError, match="is outside the floating-point range for these parameters"):
-        call(ctx)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DomainError,
+                           match="is outside the floating-point range for these parameters"):
+            call(ctx)
