@@ -41,9 +41,10 @@ package's own Gauss-Legendre rule, whose nodes are built on first use, and
 ``simulate`` and ``verify``'s energy checks integrate with its own DOP853
 stepper, in the packet's units (``--atol`` is in units of sigma0 for r and of
 sigma0/t_char for v, and ``simulate`` reports t_char in its ``solver``
-block); ``critical``, ``sweep`` and ``tau`` run on the closed forms alone, the
-quarter period of ``tau`` included: it is an exact constant times the
-characteristic time.
+block, with the steps and force calls taken, the samples written and the
+legs built by time reversal instead of stepped); ``critical``, ``sweep`` and
+``tau`` run on the closed forms alone, the quarter period of ``tau``
+included: it is an exact constant times the characteristic time.
 
 Each command imports the package modules it runs and no others, so that a
 short command does not compile code it never calls.  Importing this module
@@ -288,7 +289,8 @@ def cmd_simulate(args) -> int:
         "energy_drift": traj.energy_drift,
         "solver": {"method": dynamics.SOLVER_METHOD, "rtol": args.rtol, "atol": args.atol,
                    "t_char": law.characteristic_time(), "nfev": traj.nfev,
-                   "steps": traj.n_steps, "rejected": traj.n_rejected},
+                   "steps": traj.n_steps, "rejected": traj.n_rejected,
+                   "samples": len(traj.t), "legs_tiled": traj.legs_tiled},
     }
     if args.format == "json":
         payload = dict(sidecar)

@@ -240,14 +240,16 @@ def critical_width_energy_min(body: Body, ctx: PhysicalContext) -> float:
 
     The result is the midpoint of a final bracket 1e-12 of it wide; the
     bracket spans a factor of ten either side of the closed-form minimizer.
-    A derivative that leaves the floating-point range raises
+    A bracket end or a derivative that leaves the floating-point range raises
     :class:`DomainError`.
     """
     guess = critical_width_energy_min_exact(body, ctx)
     from .minimize import minimize_bracketed
 
+    what = "the energy minimization's bracket"
+    lo, hi = (in_float_range(f * guess, what) for f in (0.1, 10.0))
     with closed_form("the mean energy's derivative"):
-        return minimize_bracketed(_energy_derivative(body, ctx), 0.1 * guess, 10.0 * guess)
+        return minimize_bracketed(_energy_derivative(body, ctx), lo, hi)
 
 
 def stationary_energy(body: Body, ctx: PhysicalContext) -> float:

@@ -151,7 +151,8 @@ def _dense(t_old: float, h: float, y_old: float, y_new: float, k: list):
 
 
 def solve(accel, r: float, v: float, t_end: float, h_abs: float,
-          rtol: float, atol: float, escape_radius: float, max_steps: int):
+          rtol: float, atol: float, escape_radius: float, max_steps: int,
+          stop_at_turn: bool = False):
     """Integrate r' = v, v' = accel(r) from t = 0 with first step ``h_abs``,
     in at most ``max_steps`` accepted steps.
 
@@ -161,7 +162,9 @@ def solve(accel, r: float, v: float, t_end: float, h_abs: float,
     i = 0, 1 or 2, is <= 0 at one end of a step and >= 0 at the other, so a
     zero at a step end fires in both adjacent steps; the escape event fires
     only upward and ends the run at its root, with the state taken from the
-    dense output.
+    dense output.  With ``stop_at_turn``, the first v = 0 root strictly after
+    t = 0 (a turning point; a root at the start, where v = 0, does not count)
+    ends the run the same way, unless the escape root comes first.
     """
     (a2_1,), (a3_1, a3_2), (a4_1, a4_3), (a5_1, a5_3, a5_4), (a6_1, a6_4, a6_5), \
         (a7_1, a7_4, a7_5, a7_6), (a8_1, a8_4, a8_5, a8_6, a8_7), \
@@ -271,6 +274,7 @@ def solve(accel, r: float, v: float, t_end: float, h_abs: float,
         r_zero = (r <= 0.0 <= r_new) or (r >= 0.0 >= r_new)
         v_zero = (v <= 0.0 <= v_new) or (v >= 0.0 >= v_new)
         escaped = r - escape_radius <= 0.0 <= r_new - escape_radius
+        ends = []       # terminal roots of this step, as (time, i)
         if r_zero or v_zero or escaped:
             ps = [p1, p2, p3, p4, p5, p6, p7, p8, p9, p10, p11, p12, p13]
             qs = [q1, q2, q3, q4, q5, q6, q7, q8, q9, q10, q11, q12, q13]
@@ -287,16 +291,21 @@ def solve(accel, r: float, v: float, t_end: float, h_abs: float,
             if v_zero:
                 found.append((_brentq(v_of, t, t_new), 1))
             if escaped:
-                t_esc = _brentq(lambda ti: r_of(ti) - escape_radius, t, t_new)
-                # the run ends at the terminal root: later roots never happen
-                found = [e for e in found if e[0] <= t_esc] + [(t_esc, 2)]
-                t_new, r_new, v_new = t_esc, r_of(t_esc), v_of(t_esc)
+                ends.append((_brentq(lambda ti: r_of(ti) - escape_radius, t, t_new), 2))
+            if stop_at_turn and v_zero and found[-1][0] > 0.0:
+                ends.append(found.pop())
+            if ends:
+                # the run ends at its first terminal root: later roots never happen
+                stop = min(ends)
+                t_stop = stop[0]
+                found = [e for e in found if e[0] <= t_stop] + [stop]
+                t_new, r_new, v_new = t_stop, r_of(t_stop), v_of(t_stop)
             events.extend(found)
         t, r, v, a = t_new, r_new, v_new, q13
         ts.append(t)
         rs.append(r)
         vs.append(v)
-        if escaped:
+        if ends:
             break
         if len(ts) > max_steps and t < t_end:
             raise IntegrationError(f"solver took {max_steps} steps and reached only "

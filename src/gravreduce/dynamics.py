@@ -12,6 +12,12 @@ Trajectories are integrated by a scalar port of scipy's DOP853
 tau = t / t_char, so the solver's tolerances, step sizes and event roots are
 the same in every unit system; samples and events are scaled back, and the
 energy is computed in the law's units.
+
+A bound run repeats itself after its first turning point (Landau & Lifshitz,
+Mechanics, section 11): the motion from one turning point to the next, a leg,
+alternates with its time reversal.  So ``integrate`` steps the run only to
+its first turning point, over one leg, and over the part of a leg left at the
+end; every whole leg between them is built from the stepped one.
 """
 
 from __future__ import annotations
@@ -31,19 +37,23 @@ from .errors import (BodyKindError, DomainError, InsufficientDataError,
 
 ESCAPE_RADII = 10.0   # escape event fires at r > ESCAPE_RADII * sigma0 moving outward
 # Longest run integrate() accepts, in characteristic times sqrt(sigma0^3 / G m).
-# DOP853 at the default tolerances takes about 2.6 (gravity-object) to 2.8
-# (gravity-point) accepted steps per characteristic time, and 15 to 17 force
-# calls per step, rejected attempts included, so the cap bounds a run at a
-# few tens of thousands of steps and about a second.
+# At the default tolerances a run stepped whole takes about 2.6 (gravity-object)
+# to 2.8 (gravity-point) accepted steps per characteristic time, and 15 to 17
+# force calls per step, rejected attempts included; a bound run steps 30 to 45
+# of them, whatever its length, and tiles the rest at about 3.5 samples per
+# characteristic time.  So the cap bounds a run at a few tens of thousands of
+# steps or samples and about a second.
 MAX_CHARACTERISTIC_TIMES = 1e4
-# Accepted steps integrate() may take in one run, whatever the law's time
-# scale, so that a run whose steps have stalled (or a law far stiffer than
-# t_char suggests) ends with IntegrationError instead of growing without
-# bound.  It is 100 steps per characteristic time of the longest run allowed.
-# A sphere with R << sigma0 moves on the time scale t_char (R / sigma0)^(3/2):
-# one characteristic time from r0 = sigma0 takes 2,216 steps at
-# R = 0.01 sigma0 and 70,065 at R = 0.001 sigma0.  A stalled run reaches the
-# cap holding about 115 MB of samples.
+# Steps a run may hold, whatever the law's time scale: accepted steps in each
+# stepped piece, so that a piece whose steps have stalled (or a law far
+# stiffer than t_char suggests) ends with IntegrationError instead of growing
+# without bound, and MAX_STEPS + 1 samples in the whole run, counted before
+# tiled legs are built.  It is 100 per characteristic time of the longest run
+# allowed.  A sphere with R << sigma0 moves on the time scale
+# t_char (R / sigma0)^(3/2): one characteristic time from r0 = sigma0 holds
+# 2,217 samples at R = 0.01 sigma0 and 70,066 at R = 0.001 sigma0, from 40 and
+# 42 stepped ones.  A stalled piece reaches the cap holding about 115 MB of
+# samples.
 MAX_STEPS = 100 * int(MAX_CHARACTERISTIC_TIMES)
 
 
@@ -162,16 +172,21 @@ class ForceLaw:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Accepted solver steps of one integration, with located events.
+    """The samples of one integration, with located events.
 
-    ``t``, ``r``, ``v`` and ``energy`` hold one sample per accepted step as
+    ``t``, ``r``, ``v`` and ``energy`` hold one sample per accepted step of a
+    stepped piece and per row of a tiled leg (see :func:`integrate`), as
     stdlib ``array('d')``, so that a run loads no numpy.  They index, slice
     and ``tolist()`` like lists; for arithmetic take ``np.asarray(traj.r)``,
     which shares their memory, since ``traj.r * 2`` repeats an ``array``.
-    ``nfev`` counts right-hand-side evaluations, one ``force_at`` call each:
-    one at the start, 12 per step attempt, and 3 more for the dense output of
-    each step in which an event fires.  ``n_steps`` counts accepted steps and
-    ``n_rejected`` rejected step attempts.
+    ``nfev``, ``n_steps`` and ``n_rejected`` count the work done, summed over
+    the stepped pieces: ``nfev`` counts right-hand-side evaluations, one
+    ``force_at`` call each, which are one at the start of each piece, 12 per
+    step attempt, and 3 more for the dense output of each step in which an
+    event fires (a piece that starts at rest fires a v = 0 root at its start);
+    ``n_steps`` counts accepted steps and ``n_rejected`` rejected step
+    attempts.  ``legs_tiled`` counts the legs built from the stepped one, and
+    is 0 for a run stepped whole.
     """
 
     t: array
@@ -184,6 +199,7 @@ class Trajectory:
     nfev: int
     n_steps: int
     n_rejected: int
+    legs_tiled: int
 
     def events_of(self, kind: EventKind) -> list[Event]:
         return [e for e in self.events if e.kind is kind]
@@ -230,6 +246,19 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
     max(|E0|, max kinetic, 1e-300), are computed in the law's units and in
     Python floats, so ``integrate`` loads no numpy either.
 
+    A bound run is stepped in three pieces, each from its own first step and
+    at ``rtol`` and ``atol``: to its first turning point tau_a (the first
+    v = 0 root after the start), over one leg of length L from rest there to
+    the next turning point, and from rest at tau_a + n L to t_end, where n is
+    the number of whole legs that end before t_end.  Leg k, for 1 <= k < n,
+    is not stepped but built from leg 0 by reflection: leg 0 shifted to
+    tau_a + k L when k is even, and leg 0 time-reversed, with its velocity
+    negated, when k is odd.  Its r and |v|, and so its energy, repeat leg 0's
+    bit for bit, its r = 0 events move with it, and its v = 0 event falls at
+    its end, tau_a + k L + L.  A run that escapes or ends before its second
+    turning point, or whose leg reaches ESCAPE_RADII (where a reversed leg
+    could escape), is stepped whole, as one piece.
+
     The law is read through ``force_at`` and ``potential_at`` only: the force
     is odd in r and the potential even, for r >= 0 both are bit-equal to the
     ``potentials`` entry points, and the body kind was checked with the law.
@@ -239,7 +268,8 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
     100 eps (where scipy's solvers raise rtol with a warning), or a start or
     a constant of the law that leaves the floating-point range in the
     packet's units, and :class:`IntegrationError` for a step below the
-    floating-point spacing of tau, more than ``MAX_STEPS`` accepted steps, a
+    floating-point spacing of tau, more than ``MAX_STEPS`` accepted steps in
+    a stepped piece or more than ``MAX_STEPS`` + 1 samples in the run, a
     non-finite state, energy or drift, a force or potential that overflows or
     divides by zero, or an event root that is not bracketed or not converged.
     The sphere's potential is ``qg_potential_object``, whose own
@@ -267,7 +297,8 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
         e0 = law.potential_at(0.0)
         return Trajectory(t=array("d", [0.0, t_end]), r=array("d", [0.0, 0.0]),
                           v=array("d", [0.0, 0.0]), energy=array("d", [e0, e0]), events=[],
-                          energy_drift=0.0, law=law, nfev=0, n_steps=0, n_rejected=0)
+                          energy_drift=0.0, law=law, nfev=0, n_steps=0, n_rejected=0,
+                          legs_tiled=0)
 
     s0 = law.packet.sigma0
     v_unit = s0 / t_char
@@ -277,19 +308,36 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
     from . import dop853     # here, so that critical, tau and sweep do not compile it
 
     accel = _in_packet_units(law).force_at     # the unit mass: no division
-    try:
-        taus, xs, us, found, nfev, n_rejected = dop853.solve(
-            accel, x0, u0, tau_end, min(1e-3, tau_end / 10.0), rtol, atol,
-            ESCAPE_RADII, MAX_STEPS)
-        ts = [tau * t_char for tau in taus]
-        if taus[-1] == tau_end:
-            ts[-1] = t_end
+    h0 = min(1e-3, tau_end / 10.0)
+
+    def step(x, u, span, stop_at_turn):
+        return dop853.solve(accel, x, u, span, h0, rtol, atol, ESCAPE_RADII, MAX_STEPS,
+                            stop_at_turn)
+
+    def rows(piece):
+        """A stepped piece's (tau, r, v, kinetic, energy) columns, in the
+        law's units but for tau."""
+        taus, xs, us = piece[:3]
         rs = [x * s0 for x in xs]
         vs = [u * v_unit for u in us]
         if not all(map(math.isfinite, rs + vs)):
             raise IntegrationError("non-finite state encountered during integration")
         kinetic = [0.5 * m * vi * vi for vi in vs]
-        energy = array("d", map(operator.add, kinetic, map(law.potential_at, rs)))
+        return taus, rs, vs, kinetic, list(map(operator.add, kinetic, map(law.potential_at, rs)))
+
+    try:
+        pieces, n_legs = _stepped_pieces(step, x0, u0, tau_end)
+        if n_legs:
+            taus, rs, vs, kinetic, energy = _tile([rows(piece) for piece in pieces], n_legs)
+            taus[-1] = tau_end
+            found = _tile_events(pieces, n_legs)
+        else:
+            taus, rs, vs, kinetic, energy = rows(pieces[0])
+            found = pieces[0][3]
+        ts = [tau * t_char for tau in taus]
+        if taus[-1] == tau_end:
+            ts[-1] = t_end
+        energy = array("d", energy)
     except (OverflowError, ZeroDivisionError):
         raise IntegrationError("the force or potential left the floating-point range "
                                "during integration") from None
@@ -301,9 +349,90 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
     events = sorted((Event(time=tau * t_char, kind=_EVENT_KINDS[i]) for tau, i in found),
                     key=lambda e: (e.time, e.kind.value))
     return Trajectory(t=array("d", ts), r=array("d", rs), v=array("d", vs), energy=energy,
-                      events=events,
-                      energy_drift=drift, law=law, nfev=nfev, n_steps=len(ts) - 1,
-                      n_rejected=n_rejected)
+                      events=events, energy_drift=drift, law=law,
+                      nfev=sum(piece[4] for piece in pieces),
+                      n_steps=sum(len(piece[0]) - 1 for piece in pieces),
+                      n_rejected=sum(piece[5] for piece in pieces),
+                      legs_tiled=max(n_legs - 1, 0))
+
+
+def _turned(piece, span: float) -> bool:
+    """Whether a ``dop853.solve`` run over ``span`` with ``stop_at_turn``
+    ended at a turning point: before its end, and not by escaping."""
+    return piece[0][-1] < span and piece[3][-1][1] == 1
+
+
+def _stepped_pieces(step, x0: float, u0: float, tau_end: float):
+    """The pieces ``integrate`` steps, each a ``dop853.solve`` result
+    (tau, x, u, events, nfev, n_rejected) in its own time from 0, and the
+    number of whole legs the run is tiled with.
+
+    A bound run is stepped to its first turning point tau_a, then over one
+    leg of length L to the next, from rest, and the last piece from rest at
+    the turning point tau_a + n L to tau_end, where n is the number of whole
+    legs (leg 0 included) that end before tau_end.  Every other run is one
+    piece, stepped as a whole, with n = 0: one that escapes or ends before
+    its first turning point, one that ends before its second, and one whose
+    leg reaches ESCAPE_RADII, where a reversed leg could escape.
+    """
+    first = step(x0, u0, tau_end, True)
+    if not _turned(first, tau_end):
+        return [first], 0       # the whole run: no turning point stopped it
+    tau_a, x_a = first[0][-1], first[1][-1]
+    leg = step(x_a, 0.0, tau_end - tau_a, True)
+    if _turned(leg, tau_end - tau_a) and max(x_a, leg[1][-1]) < ESCAPE_RADII:
+        length = leg[0][-1]
+        n = int((tau_end - tau_a) / length)
+        while n > 0 and not tau_a + n * length < tau_end:    # the last piece is not empty
+            n -= 1
+        if n > 0:
+            base = tau_a + n * length
+            last = step(x_a if n % 2 == 0 else leg[1][-1], 0.0, tau_end - base, False)
+            n_rows = len(first[0]) + n * (len(leg[0]) - 1) + len(last[0]) - 1
+            if n_rows > MAX_STEPS + 1:
+                raise IntegrationError(f"the run would take {n_rows - 1} steps with its "
+                                       f"tiled legs, more than {MAX_STEPS}")
+            return [first, leg, last], n
+    return [step(x0, u0, tau_end, False)], 0
+
+
+def _tile(columns, n: int):
+    """The run's columns from those of its three stepped pieces (see
+    :func:`_stepped_pieces`): the first piece, n whole legs, then the last
+    piece, each piece's first row dropped after the first.  Leg k is leg 0
+    shifted by k L when k is even, and leg 0 time-reversed, with its velocity
+    negated, when k is odd; the rows of a leg that ends at a turning point
+    end at tau_a + k L + L exactly."""
+    first, leg, last = columns
+    tau_a, length = first[0][-1], leg[0][-1]
+    even = [c[1:] for c in leg]
+    odd = [c[-2::-1] for c in leg]
+    odd[0] = [length - s for s in odd[0]]
+    odd[2] = [-v for v in odd[2]]
+    taus = [tau_a + k * length + s for k in range(n) for s in (odd if k % 2 else even)[0]]
+    base = tau_a + n * length
+    out = [first[0] + taus + [base + s for s in last[0][1:]]]
+    for f, e, o, l in zip(first[1:], even[1:], odd[1:], last[1:]):
+        out.append(f + (e + o) * (n // 2) + (e if n % 2 else []) + l[1:])
+    return out
+
+
+def _tile_events(pieces, n: int) -> list:
+    """The run's events, as (tau, i) pairs, from those of its stepped pieces
+    (see :func:`_tile`): leg 0's r = 0 roots move with each leg, each leg
+    ends with a v = 0 root, and the root at the start of the last piece,
+    where it is at rest, is the end of the last whole leg."""
+    first, leg, last = pieces
+    tau_a, length = first[0][-1], leg[0][-1]
+    origins = [s for s, i in leg[3] if i == 0]
+    found = list(first[3])
+    for k in range(n):
+        base = tau_a + k * length
+        found += [(base + (length - s if k % 2 else s), 0) for s in origins]
+        found.append((base + length, 1))
+    base = tau_a + n * length
+    found += [(base + s, i) for s, i in last[3] if s > 0.0 or i != 1]
+    return found
 
 
 def detect_period(traj: Trajectory) -> float:

@@ -358,11 +358,20 @@ def test_simulate_reports_the_solver_effort(tmp_path):
     assert (solver["method"], solver["rtol"], solver["atol"]) == ("DOP853", 1e-8, 1e-12)
     assert solver["t_char"] == 1.0
     t = payload["samples"]["t"]
-    assert solver["steps"] == len(t) - 1
-    # 12 force calls per attempted step, and 3 more for the dense output of
-    # each step in which an event fires
+    assert solver["samples"] == len(t)
+    # From rest over 10 characteristic times, the run is stepped in three
+    # pieces and tiles no leg: to its first turning point, over one leg to the
+    # second, and from there to t_end.  So every sample ends a step.
+    assert (solver["legs_tiled"], solver["steps"]) == (0, len(t) - 1)
+    turns = [e["time"] for e in payload["events"] if e["kind"] == "v-zero" and e["time"] > 0]
+    assert len(turns) == 2
+    # One force call at the start of each piece, 12 per attempted step, and 3
+    # more for the dense output of each step in which an event fires; the two
+    # pieces that start at rest at a turning point fire a v = 0 root at their
+    # start, which is not an event of the run.
     event_steps = {max(1, bisect.bisect_left(t, e["time"])) for e in payload["events"]}
-    assert solver["nfev"] == (1 + 12 * (solver["steps"] + solver["rejected"])
+    event_steps |= {bisect.bisect_left(t, turn) + 1 for turn in turns}
+    assert solver["nfev"] == (3 + 12 * (solver["steps"] + solver["rejected"])
                               + 3 * len(event_steps))
 
     csv_path = str(tmp_path / "traj.csv")

@@ -206,6 +206,15 @@ class TestEnergyMinimization:
         with pytest.raises(DomainError, match="outside the floating-point range"):
             critical_width_energy_min(Body.point(m), ctx)
 
+    def test_bracket_below_the_float_range_is_a_domain_error(self):
+        # The closed-form width of 3e88 kg in SI is the subnormal 5e-324, so
+        # the bracket's lower end, a tenth of it, underflows to zero: that is
+        # the float-range error, not a bracket the caller never passed.
+        body, ctx = Body.point(3e88), PhysicalContext.si()
+        assert critical_width_energy_min_exact(body, ctx) == 5e-324
+        with pytest.raises(DomainError, match="bracket is outside the floating-point range"):
+            critical_width_energy_min(body, ctx)
+
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(kind=st.sampled_from(["point", "sphere"]),
            m=st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),

@@ -1,8 +1,10 @@
-"""The scalar DOP853 stepper of ``dynamics.integrate`` against
+"""The scalar DOP853 stepper (``dop853.solve``) against
 ``scipy.integrate.solve_ivp(method="DOP853")`` on the same problem in the
-packet's units (the algorithm it ports), the units themselves, and the
+packet's units (the algorithm it ports), ``dynamics.integrate``'s tiled runs
+against one stepped at a tighter tolerance, the units themselves, and the
 trajectory facts the reduction-time estimates rest on."""
 
+import bisect
 import dataclasses
 import itertools
 import math
@@ -27,24 +29,41 @@ GRAVITY_POINT = ForceLaw.gravity_point(PACKET, Body.point(1.0), CTX)
 EPS = sys.float_info.epsilon
 
 
-def scipy_solve(law, r0, v0, t_end, method="DOP853", rtol=1e-9, atol=1e-12):
-    """The same problem through solve_ivp, in the packet's units x = r / sigma0,
-    tau = t / t_char, u = v t_char / sigma0, with first step, events and
-    tolerances as ``integrate`` sets them; the force is the law's own, scaled.
-    Times and states come back in the law's units."""
+def in_packet_units(law, r0, v0, t_end):
+    """``integrate``'s problem as it hands it to ``dop853.solve``: the
+    acceleration, start and end in x = r / sigma0, u = v t_char / sigma0 and
+    tau = t / t_char."""
     s0, t_char = law.packet.sigma0, law.characteristic_time()
-    c = t_char * t_char / (s0 * law.body.mass)
+    return (dynamics._in_packet_units(law).force_at, r0 / s0, v0 * t_char / s0,
+            t_end / t_char)
 
+
+def solve(accel, x0, u0, tau_end, rtol=1e-9, atol=1e-12):
+    """One ``dop853.solve`` run over the whole span, with ``integrate``'s
+    first step, escape radius and step budget."""
+    return dop853.solve(accel, x0, u0, tau_end, min(1e-3, tau_end / 10.0), rtol, atol,
+                        dynamics.ESCAPE_RADII, dynamics.MAX_STEPS)
+
+
+def scipy_packet_solve(accel, x0, u0, tau_end, method="DOP853", rtol=1e-9, atol=1e-12):
+    """The same problem through solve_ivp, with first step, events and
+    tolerances as ``solve`` sets them."""
     def ev_escape(t, y):
         return y[0] - dynamics.ESCAPE_RADII
 
     ev_escape.direction = 1.0
     ev_escape.terminal = True
-    tau_end = t_end / t_char
-    sol = solve_ivp(lambda t, y: (y[1], c * law.force_at(s0 * y[0])), (0.0, tau_end),
-                    [r0 / s0, v0 * t_char / s0], method=method, rtol=rtol, atol=atol,
-                    first_step=min(1e-3, tau_end / 10.0),
-                    events=[lambda t, y: y[0], lambda t, y: y[1], ev_escape])
+    return solve_ivp(lambda t, y: (y[1], accel(y[0])), (0.0, tau_end), [x0, u0],
+                     method=method, rtol=rtol, atol=atol,
+                     first_step=min(1e-3, tau_end / 10.0),
+                     events=[lambda t, y: y[0], lambda t, y: y[1], ev_escape])
+
+
+def scipy_solve(law, r0, v0, t_end, method="DOP853"):
+    """:func:`scipy_packet_solve` on ``integrate``'s problem, with times and
+    states back in the law's units."""
+    s0, t_char = law.packet.sigma0, law.characteristic_time()
+    sol = scipy_packet_solve(*in_packet_units(law, r0, v0, t_end), method=method)
     sol.t = sol.t * t_char
     sol.y = sol.y * np.array([[s0], [s0 / t_char]])
     sol.t_events = [te * t_char for te in sol.t_events]
@@ -76,14 +95,16 @@ CASES = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_steps_and_events_match_scipy_dop853(case):
     law, r0, v0, t_end = CASES[case]
-    traj = dynamics.integrate(law, r0, v0, t_end)
-    sol = scipy_solve(law, r0, v0, t_end)
+    accel, x0, u0, tau_end = in_packet_units(law, r0, v0, t_end)
+    taus, xs, us, found, nfev, n_rejected = solve(accel, x0, u0, tau_end)
+    sol = scipy_packet_solve(accel, x0, u0, tau_end)
 
     # Same accepted and rejected steps: nfev = 1 + 12 per attempted step + 3
     # per step with an event, whose dense output takes three more stages.
-    assert traj.n_steps == len(sol.t) - 1
-    assert traj.nfev == sol.nfev
-    assert (traj.nfev - 1 - 12 * (traj.n_steps + traj.n_rejected)) % 3 == 0
+    n_steps = len(taus) - 1
+    assert n_steps == len(sol.t) - 1
+    assert nfev == sol.nfev
+    assert (nfev - 1 - 12 * (n_steps + n_rejected)) % 3 == 0
 
     # The step-size controller amplifies last-bit differences in the stage
     # sums (numpy's dot may fuse multiply-adds, the port does not), and
@@ -96,26 +117,27 @@ def test_steps_and_events_match_scipy_dop853(case):
     # kernels); a different step sequence would move them by a whole step.
     # The states are compared along the curve: scipy's state moved to the
     # port's sample time to second order, whose remainder is below 2e-18 here.
-    dt = traj.t - sol.t
-    assert np.max(np.abs(dt)) <= 1e-7 * t_end
-    r, v = sol.y
+    dt = np.asarray(taus) - sol.t
+    assert np.max(np.abs(dt)) <= 1e-7 * tau_end
+    x, u = sol.y
 
-    def accel(x):
-        return np.array([law.force_at(xi) for xi in x]) / law.body.mass
+    def accels(x):
+        return np.array([accel(xi) for xi in x])
 
-    a = accel(r)
-    h = 1e-6 * law.packet.sigma0
-    jerk = (accel(r + h) - accel(r - h)) / (2.0 * h) * v
-    np.testing.assert_allclose(traj.r, r + v * dt + a * dt * dt / 2.0,
-                               rtol=0, atol=1e-12 * np.max(np.abs(r)))
-    np.testing.assert_allclose(traj.v, v + a * dt + jerk * dt * dt / 2.0,
-                               rtol=0, atol=1e-12 * np.max(np.abs(v)))
+    a = accels(x)
+    h = 1e-6       # of sigma0
+    jerk = (accels(x + h) - accels(x - h)) / (2.0 * h) * u
+    np.testing.assert_allclose(xs, x + u * dt + a * dt * dt / 2.0,
+                               rtol=0, atol=1e-12 * np.max(np.abs(x)))
+    np.testing.assert_allclose(us, u + a * dt + jerk * dt * dt / 2.0,
+                               rtol=0, atol=1e-12 * np.max(np.abs(u)))
 
     expected = sorted((float(te), kind) for kind, times in zip(EventKind, sol.t_events)
                       for te in times)
-    assert [e.kind for e in traj.events] == [kind for _, kind in expected]
-    np.testing.assert_allclose([e.time for e in traj.events], [te for te, _ in expected],
-                               rtol=0, atol=1e-12 * t_end)
+    ours = sorted((tau, dynamics._EVENT_KINDS[i]) for tau, i in found)
+    assert [kind for _, kind in ours] == [kind for _, kind in expected]
+    np.testing.assert_allclose([tau for tau, _ in ours], [te for te, _ in expected],
+                               rtol=0, atol=1e-12 * tau_end)
 
 
 def test_tables_are_scipys_bit_for_bit():
@@ -194,12 +216,96 @@ def test_drift_over_1000_characteristic_times_is_scipys(long_run):
 
 def test_origin_crossings_are_odd_multiples_of_the_quarter_period(long_run):
     # The k-th crossing is (2k + 1) C t_char; the phase error grows with the
-    # run, to 2.9e-8 t_end at the end of this one.
+    # run, by the error of the one stepped leg on each tiled one, to 3.25e-7
+    # t_char (3.25e-10 t_end) at the end of this one.
     t_end = long_run.t[-1]
     crossings = [e.time for e in long_run.events_of(EventKind.R_ZERO)]
     assert len(crossings) == int(t_end / (2.0 * criticality.QUARTER_PERIOD_POINT) + 0.5)
     for k, t in enumerate(crossings):
-        assert abs(t - (2 * k + 1) * criticality.QUARTER_PERIOD_POINT) <= 1e-7 * t_end, k
+        assert abs(t - (2 * k + 1) * criticality.QUARTER_PERIOD_POINT) <= 4e-10 * t_end, k
+
+
+LONG_RUNS = {
+    "gravity-point": (GRAVITY_POINT, 1.0),
+    "mixed-point": (ForceLaw.mixed_point(PACKET, Body.point(5.0), CTX), 0.5),
+    "gravity-object": (ForceLaw.gravity_object(PACKET, Body.sphere(1.0, 1.0), CTX), 1.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_RUNS))
+def test_tiled_run_follows_the_whole_run_stepped_at_rtol_1e_12(case):
+    # 1000 characteristic times from rest, at the default tolerances, against
+    # one dop853.solve run over the whole span at rtol 1e-12, atol 1e-15, in
+    # the packet's units.  The reference state at each tiled sample time is
+    # stepped on from the reference sample before it.  Measured: states within
+    # 2.5e-7 (x) and 1.6e-7 (u) and events within 3.2e-7 t_char on
+    # gravity-point, 2e-8 and 9e-8 on the others; the bound is 5e-7 on each.
+    law, r0 = LONG_RUNS[case]
+    accel, x0, u0, tau_end = in_packet_units(law, r0, 0.0, 1000.0 * law.characteristic_time())
+    traj = dynamics.integrate(law, r0, 0.0, tau_end * law.characteristic_time())
+    assert traj.legs_tiled > 200 and traj.n_steps < 100
+    ref_t, ref_x, ref_u, ref_found = solve(accel, x0, u0, tau_end, rtol=1e-12, atol=1e-15)[:4]
+    s0, t_char = law.packet.sigma0, law.characteristic_time()
+    for t, r, v in zip(traj.t, traj.r, traj.v):
+        tau = t / t_char
+        j = bisect.bisect_right(ref_t, tau) - 1
+        x, u = ref_x[j], ref_u[j]
+        if ref_t[j] < tau:
+            span = tau - ref_t[j]
+            x, u = dop853.solve(accel, x, u, span, min(1e-3, span / 10.0), 1e-12, 1e-15,
+                                math.inf, dynamics.MAX_STEPS)[1:3]
+            x, u = x[-1], u[-1]
+        assert abs(r / s0 - x) <= 5e-7 and abs(v * t_char / s0 - u) <= 5e-7, t
+    expected = sorted((tau, dynamics._EVENT_KINDS[i]) for tau, i in ref_found)
+    assert [e.kind for e in traj.events] == [kind for _, kind in expected]
+    assert max(abs(e.time / t_char - tau) for e, (tau, _) in zip(traj.events, expected)) <= 5e-7
+
+
+SHORT_RUNS = {
+    "gravity-point, no turning point": (GRAVITY_POINT, 1.0, 0.0, 3.0),
+    "gravity-point, one turning point": (GRAVITY_POINT, 1.0, 0.0, 6.0),
+    "mixed-point, one turning point": (CASES["mixed-point"][0], 0.5, 0.1, 2.0 / math.sqrt(5.0)),
+    "gravity-object, one turning point": (CASES["gravity-object"][0], 1.0, 0.2, 5.0),
+    "escape": CASES["escape"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHORT_RUNS))
+def test_run_without_a_second_turning_point_is_stepped_whole(case):
+    law, r0, v0, t_end = SHORT_RUNS[case]
+    traj = dynamics.integrate(law, r0, v0, t_end)
+    taus, xs, us, found, nfev, n_rejected = solve(*in_packet_units(law, r0, v0, t_end))
+    s0, t_char = law.packet.sigma0, law.characteristic_time()
+    assert len([e for e in traj.events_of(EventKind.V_ZERO) if e.time > 0.0]) <= 1
+    assert traj.legs_tiled == 0
+    assert (traj.nfev, traj.n_steps, traj.n_rejected) == (nfev, len(taus) - 1, n_rejected)
+    assert traj.t.tolist()[:-1] == [tau * t_char for tau in taus[:-1]]
+    assert traj.r.tolist() == [x * s0 for x in xs]
+    assert traj.v.tolist() == [u * (s0 / t_char) for u in us]
+    assert [(e.time, e.kind) for e in traj.events] == sorted(
+        (tau * t_char, dynamics._EVENT_KINDS[i]) for tau, i in found)
+
+
+def test_reversed_legs_repeat_the_stepped_leg_bit_for_bit(long_run):
+    # Leg k >= 1 is leg 0 shifted by k L, time-reversed with its velocity
+    # negated when k is odd; each leg ends at a turning point, at a v = 0
+    # event.  The rows at the turning points differ in v alone, by the
+    # round-off of the root of v: leg 0 starts at rest.
+    turns = [e.time for e in long_run.events_of(EventKind.V_ZERO)]
+    t = long_run.t.tolist()
+    bounds = [t.index(turn) for turn in turns[1:]]
+    legs = [slice(i, j + 1) for i, j in zip(bounds, bounds[1:])]
+    assert len(legs) == long_run.legs_tiled + 1
+    r, v, energy = long_run.r.tolist(), long_run.v.tolist(), long_run.energy.tolist()
+    r0, v0, e0 = r[legs[0]], v[legs[0]], energy[legs[0]]
+    for k, leg in enumerate(legs[1:], 1):
+        if k % 2:
+            assert r[leg] == r0[::-1], k
+            assert v[leg][1:-1] == [-x for x in v0[-2:0:-1]], k
+            assert energy[leg][1:-1] == e0[-2:0:-1], k
+        else:
+            assert r[leg] == r0 and v[leg][1:] == v0[1:] and energy[leg][1:] == e0[1:], k
+        assert max(abs(x) for x in (v[leg][0], v[leg][-1])) < 1e-15, k
 
 
 def test_quarter_period_constant_is_correctly_rounded():
@@ -290,13 +396,33 @@ def test_stalled_steps_end_at_the_step_budget(monkeypatch):
 
 def test_small_sphere_run_fits_the_step_budget():
     # A sphere with R << sigma0 moves on the time scale t_char (R/sigma0)^1.5,
-    # so one characteristic time takes about 11,000 accepted steps here: the
-    # budget must not be counted per characteristic time.
+    # so one characteristic time holds 2,217 samples here, from 40 stepped
+    # ones and 128 tiled legs: the budget must not be counted per
+    # characteristic time.
     law = ForceLaw.gravity_object(PACKET, Body.sphere(1.0, 0.01 * PACKET.sigma0), CTX)
     traj = dynamics.integrate(law, PACKET.sigma0, 0.0, law.characteristic_time())
     assert traj.t[-1] == law.characteristic_time()
-    assert traj.n_steps > 1000
+    assert len(traj.t) > 1000 and traj.legs_tiled > 100
     assert traj.energy_drift < 1e-6
+
+
+def test_tiled_samples_end_at_the_step_budget(monkeypatch):
+    # A few stepped legs stand for any number of tiled ones, so the samples
+    # are counted before they are built, against the budget of MAX_STEPS
+    # steps, MAX_STEPS + 1 samples.  100 characteristic times from rest hold
+    # a few hundred samples from fewer than 100 stepped ones.
+    n = len(dynamics.integrate(GRAVITY_POINT, 1.0, 0.0, 100.0).t)
+    monkeypatch.setattr(dynamics, "MAX_STEPS", n - 1)
+    traj = dynamics.integrate(GRAVITY_POINT, 1.0, 0.0, 100.0)
+    assert len(traj.t) == n and traj.n_steps < 100 < n
+
+    def build(*args):
+        raise AssertionError("the run was tiled past its budget")
+
+    monkeypatch.setattr(dynamics, "MAX_STEPS", n - 2)
+    monkeypatch.setattr(dynamics, "_tile", build)
+    with pytest.raises(IntegrationError, match=f"would take {n - 1} steps"):
+        dynamics.integrate(GRAVITY_POINT, 1.0, 0.0, 100.0)
 
 
 log_uniform = st.floats(-150.0, 150.0).map(lambda e: 10.0 ** e)
