@@ -10,29 +10,26 @@ cross-tested against the same independent integrator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
-from .core import SQRT_2_OVER_PI, Body, PhysicalContext, WavePacket, closed_form, finite
+from .core import SQRT_2_OVER_PI, Body, PhysicalContext, Record, WavePacket, closed_form, finite
 from .errors import AccuracyError
 from .potentials import TRUNCATION_SIGMAS, _radial_quad, _require_point, _require_sphere
 
 EXPECT_RELTOL = 1e-10
 
 
-@dataclass(frozen=True)
-class Expectation:
-    """A computed ensemble average with its absolute error estimate and the
-    number of observable evaluations behind it (0 for a closed form)."""
+class Expectation(Record):
+    """A computed ensemble average with its absolute error estimate, its
+    method ("closed-form" or "quadrature") and the number of observable
+    evaluations behind it (0 for a closed form)."""
 
-    value: float
-    abs_error_estimate: float
-    method: str                   # "closed-form" | "quadrature"
-    neval: int = 0
+    __slots__ = _fields = ("value", "abs_error_estimate", "method", "neval")
 
-    def __post_init__(self):
-        if self.abs_error_estimate < 0.0:
+    def __init__(self, value: float, abs_error_estimate: float, method: str, neval: int = 0):
+        if abs_error_estimate < 0.0:
             raise ValueError("error estimate must be non-negative")
+        self._set(value, abs_error_estimate, method, neval)
 
 
 def expect(observable: Callable[[float], float], packet: WavePacket,

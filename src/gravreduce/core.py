@@ -9,6 +9,17 @@ The probability density is always that of a spherically symmetric Gaussian
 wave packet of initial width sigma0, normalized so that the radial integral
 of density * 4 pi r^2 equals one.
 
+Records.  A record is an immutable value: its fields cannot be assigned, two
+records of one type with equal fields are equal and hash alike, and its repr
+names each field.  A record that validates its fields (:class:`PhysicalContext`,
+:class:`Body`, :class:`WavePacket`, ``dynamics.ForceLaw``,
+``averages.Expectation`` and ``criticality.ReductionEstimate``) subclasses
+:class:`Record`: its ``__init__`` checks and coerces the fields, then stores
+them in the slots named by ``_fields``, and copies and pickles are rebuilt
+through it.  A result record that validates nothing is a
+``collections.namedtuple``.  Neither loads ``dataclasses``, which imports
+``inspect``: see the ``cli`` module docstring.
+
 Float range.  Every public function returns a finite value or raises a
 ``GravreduceError``; a value that leaves the double range, as the paper's
 parameters can in SI and CGS units, raises :func:`range_error`.  A closed
@@ -28,7 +39,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError
@@ -55,24 +65,58 @@ class UnitSystem(str, Enum):
     PACKET = "packet"
 
 
-@dataclass(frozen=True)
-class PhysicalContext:
+class Record:
+    """Base of the validated records; see the module docstring.  A subclass
+    names its fields in ``_fields``, and in ``__slots__`` with any private
+    attribute; its ``__init__`` stores the fields with ``_set``."""
+
+    __slots__ = ()
+
+    def _set(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):       # copy and pickle rebuild through __init__
+        return type(self), self._key()
+
+
+class PhysicalContext(Record):
     """Values of hbar and G plus the unit-system label they are expressed in."""
 
-    hbar: float
-    G: float
-    unit_system: UnitSystem = UnitSystem.DIMENSIONLESS
+    __slots__ = _fields = ("hbar", "G", "unit_system")
 
-    def __post_init__(self):
+    def __init__(self, hbar: float, G: float,
+                 unit_system: UnitSystem = UnitSystem.DIMENSIONLESS):
         # Python floats, so that the closed forms run on Python arithmetic
         # (see closed_form) whatever number type the constants came as.
-        object.__setattr__(self, "hbar", float(self.hbar))
-        object.__setattr__(self, "G", float(self.G))
-        if not (self.hbar > 0.0 and self.G > 0.0):
+        hbar, G = float(hbar), float(G)
+        if not (hbar > 0.0 and G > 0.0):
             raise DomainError("hbar and G must be positive")
-        if self.unit_system is UnitSystem.DIMENSIONLESS:
-            if self.hbar != 1.0 or self.G != 1.0:
+        if unit_system is UnitSystem.DIMENSIONLESS:
+            if hbar != 1.0 or G != 1.0:
                 raise DomainError("dimensionless mode requires hbar = G = 1 exactly")
+        self._set(hbar, G, unit_system)
 
     @classmethod
     def si(cls, hbar: float = HBAR_SI, G: float = G_SI) -> "PhysicalContext":
@@ -100,29 +144,28 @@ class LawKind(str, Enum):
     GRAVITY_OBJECT = "gravity-object"
 
 
-@dataclass(frozen=True)
-class Body:
+class Body(Record):
     """A point particle, or a homogeneous sphere of the given radius.
 
     The mass and a radius are stored as Python floats, as in
     :class:`PhysicalContext`, so a numpy scalar runs on Python arithmetic.
     """
 
-    mass: float
-    kind: BodyKind = BodyKind.POINT_PARTICLE
-    radius: float | None = None
+    __slots__ = _fields = ("mass", "kind", "radius")
 
-    def __post_init__(self):
-        object.__setattr__(self, "mass", float(self.mass))
-        if self.radius is not None:
-            object.__setattr__(self, "radius", float(self.radius))
-        if not self.mass > 0.0:
+    def __init__(self, mass: float, kind: BodyKind = BodyKind.POINT_PARTICLE,
+                 radius: float | None = None):
+        mass = float(mass)
+        if radius is not None:
+            radius = float(radius)
+        if not mass > 0.0:
             raise DomainError("mass must be positive")
-        if self.kind is BodyKind.HOMOGENEOUS_SPHERE:
-            if self.radius is None or not self.radius > 0.0:
+        if kind is BodyKind.HOMOGENEOUS_SPHERE:
+            if radius is None or not radius > 0.0:
                 raise DomainError("sphere radius must be positive")
-        elif self.radius is not None:
+        elif radius is not None:
             raise DomainError("point particle takes no radius")
+        self._set(mass, kind, radius)
 
     @classmethod
     def point(cls, mass: float) -> "Body":
@@ -141,19 +184,19 @@ class Body:
         return self.kind is BodyKind.HOMOGENEOUS_SPHERE
 
 
-@dataclass(frozen=True)
-class WavePacket:
+class WavePacket(Record):
     """Spherically symmetric Gaussian packet of initial width sigma0, centered at r = 0.
 
     sigma0 is stored as a Python float, as in :class:`PhysicalContext`.
     """
 
-    sigma0: float
+    __slots__ = _fields = ("sigma0",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "sigma0", float(self.sigma0))
-        if not self.sigma0 > 0.0:
+    def __init__(self, sigma0: float):
+        sigma0 = float(sigma0)
+        if not sigma0 > 0.0:
             raise DomainError("sigma0 must be positive")
+        self._set(sigma0)
 
 
 def range_error(what: str) -> DomainError:

@@ -19,10 +19,10 @@ evaluate ``averages``, ``minimize`` or ``potentials`` import them when called.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 
-from .core import (SQRT_2_OVER_PI, Body, PhysicalContext, WavePacket, closed_form,
+from .core import (SQRT_2_OVER_PI, Body, PhysicalContext, Record, WavePacket, closed_form,
                    in_float_range, range_error)
 from .errors import BodyKindError, DomainError
 
@@ -69,22 +69,12 @@ class ObjectRegime(str, Enum):
     INTERMEDIATE = "intermediate"
 
 
-@dataclass(frozen=True)
-class WidthEstimate:
-    """A transition width with its exact constant and the unit-constant form."""
-
-    value: float        # exact constant from the balance / minimization
-    paper_form: float   # same scaling with the O(1) constant dropped
-    label: str
-
-
-@dataclass(frozen=True)
-class RegimeReport:
-    critical_mass: float
-    force_ratio: float          # mean quantum force / |mean self-gravity force|
-    regime: Regime
-    method: CriticalMethod
-    reference_values: dict = field(default_factory=dict)
+# A transition width: ``value`` with the exact constant from the balance or
+# minimization, ``paper_form`` the same scaling with the O(1) constant dropped.
+WidthEstimate = namedtuple("WidthEstimate", "value paper_form label")
+# force_ratio is the mean quantum force over |mean self-gravity force|.
+RegimeReport = namedtuple("RegimeReport",
+                          "critical_mass force_ratio regime method reference_values")
 
 
 # The closed forms below come in two layers.  Each ``*_at`` function takes the
@@ -329,15 +319,13 @@ class TauMethod(str, Enum):
     OBJECT_MICRO = "object-micro"
 
 
-@dataclass(frozen=True)
-class ReductionEstimate:
-    tau: float
-    method: TauMethod
-    assumptions: str = ""
+class ReductionEstimate(Record):
+    __slots__ = _fields = ("tau", "method", "assumptions")
 
-    def __post_init__(self):
-        if not (self.tau > 0.0 and math.isfinite(self.tau)):
-            raise DomainError(f"reduction time must be finite and positive, got {self.tau!r}")
+    def __init__(self, tau: float, method: TauMethod, assumptions: str = ""):
+        if not (tau > 0.0 and math.isfinite(tau)):
+            raise DomainError(f"reduction time must be finite and positive, got {tau!r}")
+        self._set(tau, method, assumptions)
 
 
 POINT_CLOSED_FORMS = (TauMethod.PERIOD_FORMULA, TauMethod.SHORT_TIME, TauMethod.UNCERTAINTY)

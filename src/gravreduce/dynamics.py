@@ -26,11 +26,11 @@ import math
 import operator
 import sys
 from array import array
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from enum import Enum
 
 from .core import (DEFAULT_ATOL, DEFAULT_RTOL, SQRT_2_OVER_PI, Body, LawKind,
-                   PhysicalContext, UnitSystem, WavePacket, closed_form, finite,
+                   PhysicalContext, Record, UnitSystem, WavePacket, closed_form, finite,
                    in_float_range)
 from .errors import (BodyKindError, DomainError, InsufficientDataError,
                      IntegrationError)
@@ -63,10 +63,7 @@ class EventKind(str, Enum):
     ESCAPE = "escape"
 
 
-@dataclass(frozen=True)
-class Event:
-    time: float
-    kind: EventKind
+Event = namedtuple("Event", "time kind")
 
 
 _LAW_CONSTANT = "a constant of the force law"
@@ -121,8 +118,7 @@ def _kernels(kind: LawKind, packet: WavePacket, body: Body, ctx: PhysicalContext
     return force, potential
 
 
-@dataclass(frozen=True)
-class ForceLaw:
+class ForceLaw(Record):
     """A force law bound to its (packet, body, context) parameters.
 
     Its force and potential are built once, with the law (:func:`_kernels`).
@@ -133,17 +129,16 @@ class ForceLaw:
     law outside the floating-point range raises :class:`DomainError`.
     """
 
-    kind: LawKind
-    packet: WavePacket
-    body: Body
-    ctx: PhysicalContext
+    _fields = ("kind", "packet", "body", "ctx")
+    __slots__ = _fields + ("_force", "_potential")
 
-    def __post_init__(self):
-        if self.body.is_sphere != (self.kind is LawKind.GRAVITY_OBJECT):
-            raise BodyKindError(f"the {self.kind.value} force law does not apply to a "
-                                f"{'sphere' if self.body.is_sphere else 'point particle'}")
+    def __init__(self, kind: LawKind, packet: WavePacket, body: Body, ctx: PhysicalContext):
+        if body.is_sphere != (kind is LawKind.GRAVITY_OBJECT):
+            raise BodyKindError(f"the {kind.value} force law does not apply to a "
+                                f"{'sphere' if body.is_sphere else 'point particle'}")
         with closed_form(_LAW_CONSTANT):
-            force, potential = _kernels(self.kind, self.packet, self.body, self.ctx)
+            force, potential = _kernels(kind, packet, body, ctx)
+        self._set(kind, packet, body, ctx)
         object.__setattr__(self, "_force", force)
         object.__setattr__(self, "_potential", potential)
 
@@ -170,8 +165,8 @@ class ForceLaw:
         return math.sqrt(self.packet.sigma0 ** 3 / (self.ctx.G * self.body.mass))
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(namedtuple("Trajectory", "t r v energy events energy_drift law nfev "
+                             "n_steps n_rejected legs_tiled")):
     """The samples of one integration, with located events.
 
     ``t``, ``r``, ``v`` and ``energy`` hold one sample per accepted step of a
@@ -189,17 +184,7 @@ class Trajectory:
     is 0 for a run stepped whole.
     """
 
-    t: array
-    r: array
-    v: array
-    energy: array
-    events: list[Event]
-    energy_drift: float
-    law: ForceLaw
-    nfev: int
-    n_steps: int
-    n_rejected: int
-    legs_tiled: int
+    __slots__ = ()
 
     def events_of(self, kind: EventKind) -> list[Event]:
         return [e for e in self.events if e.kind is kind]
@@ -224,7 +209,7 @@ def _in_packet_units(law: ForceLaw) -> ForceLaw:
         hbar = ctx.hbar / (m * math.sqrt(ctx.G * m * s0))
     body = Body.sphere(1.0, law.body.radius / s0) if law.body.is_sphere else Body.point(1.0)
     ctx = PhysicalContext(in_float_range(hbar, what), 1.0, UnitSystem.PACKET)
-    return replace(law, packet=WavePacket(1.0), body=body, ctx=ctx)
+    return type(law)(law.kind, WavePacket(1.0), body, ctx)
 
 
 def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,

@@ -10,7 +10,7 @@ checks actually bite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from collections import namedtuple
 
 import numpy as np
 
@@ -29,16 +29,11 @@ ENERGY_DRIFT_TOL = 1e-7      # energy drift of integrate
 MINIMIZER_TOL = 1e-9         # numeric energy minimizers against their closed forms
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    passed: bool
-    measured: float
-    tolerance: float
-    detail: str = ""
+class Check(namedtuple("Check", "name passed measured tolerance detail", defaults=("",))):
+    __slots__ = ()
 
     def as_dict(self):
-        return asdict(self)
+        return self._asdict()
 
 
 def _rel(a: float, b: float) -> float:

@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, stderr, the --config merge, the simulate
-outputs, that no command loads scipy or builds the quadrature nodes before it
-needs them, and that only the commands that build arrays load numpy."""
+outputs, that no command loads scipy or dataclasses or builds the quadrature
+nodes before it needs them, and that only the commands that build arrays load
+numpy and inspect."""
 
 import bisect
 import json
@@ -338,6 +339,30 @@ def test_closed_forms_outside_float_range_are_a_one_line_error(argv):
     assert "outside the floating-point range" in err
 
 
+# cli.main in a process whose address space is capped at 1 GiB, so that a
+# column too large for memory fails to allocate at once whatever the host has.
+CAPPED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from gravreduce.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_sweep_grid_too_large_for_memory_exits_2(tmp_path, monkeypatch):
+    # 1e10 rows: a full-grid column alone needs 74.5 GiB.
+    pytest.importorskip("resource")
+    out = tmp_path / "x.csv"
+    argv = ["sweep", "--grid", "mass=1:2:100000", "--grid", "sigma0=1:2:100000",
+            "--out", str(out)]
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")     # fewer thread buffers to map
+    res = run_process(["-c", CAPPED_MAIN] + argv)
+    assert (res.returncode, res.stdout) == (cli.EXIT_CONFIG, "")
+    assert res.stderr == ("error: the sweep grid has 10000000000 rows, and its columns "
+                          "do not fit in memory\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("grid", ["mass=1:inf:3", "mass=nan:2:3", "mass=-inf:1:3:lin"])
 def test_grid_bounds_must_be_finite(grid):
     code, out, err = run(["sweep", "--sigma0", "1", "--grid", grid])
@@ -430,17 +455,31 @@ def test_printed_mixed_variant_config_key_exits_2(tmp_path):
         cli.EXIT_CONFIG, "", "error: unknown config key: printed_mixed_variant\n")
 
 
-def test_trajectory_csv_is_the_per_row_formatting():
+def test_trajectory_writers_are_the_per_value_formatting():
+    # Over 40 t_char the run is tiled with reversed legs, which end on
+    # v = -0.0 and start from v = 0.0: one dict key, formatted apart.
     ctx = PhysicalContext.dimensionless()
     law = dynamics.ForceLaw.gravity_point(WavePacket(1.0), Body.point(1.0), ctx)
-    traj = dynamics.integrate(law, r0=1.0, v0=0.0, t_end=10.0)
+    traj = dynamics.integrate(law, r0=1.0, v0=0.0, t_end=40.0)
+    assert traj.legs_tiled > 2
+    assert {repr(v) for v in traj.v if v == 0.0} == {"0.0", "-0.0"}
     rows = [f"{cli._fmt(float(traj.t[i]))},{cli._fmt(float(traj.r[i]))},"
             f"{cli._fmt(float(traj.v[i]))},{cli._fmt(float(traj.energy[i]))}\n"
             for i in range(len(traj.t))]
+    columns = cli._sample_columns(traj)
     expected = cli._units_comment(ctx) + "t,r,v,energy\n" + "".join(rows)
-    assert cli._trajectory_csv(traj, ctx) == expected
-    code, out, _ = run(SIMULATE)
-    assert (code, out) == (cli.EXIT_OK, expected)
+    assert cli._trajectory_csv(columns, ctx) == expected
+    payload = {"law": law.kind.value, "period": None, "solver": {"rtol": 1e-9}, "units": "x"}
+    samples = {"t": traj.t.tolist(), "r": traj.r.tolist(), "v": traj.v.tolist(),
+               "energy": traj.energy.tolist()}
+    assert cli._trajectory_json(payload, columns) == json.dumps(
+        {**payload, "samples": samples}, indent=2) + "\n"
+    argv = SIMULATE[:-1] + ["40"]
+    assert run(argv) == (cli.EXIT_OK, expected, "")
+    code, out, err = run(argv + ["--format", "json"])
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    assert json.loads(out)["samples"] == samples
 
 
 def test_simulate_t_end_beyond_budget_exits_2_at_once():
@@ -499,6 +538,7 @@ from gravreduce import potentials
 
 def state():
     return {"scipy": scipy_modules(), "numpy": "numpy" in sys.modules,
+            "dataclasses": "dataclasses" in sys.modules, "inspect": "inspect" in sys.modules,
             "gauss_nodes_built": potentials._gauss_pair.cache_info().currsize > 0,
             "stepper": "gravreduce.dop853" in sys.modules}
 
@@ -575,6 +615,14 @@ def test_only_array_commands_load_numpy(command_probe):
     loaded = {name: state["numpy"] for name, state in command_probe.items()}
     assert sum(name.startswith("simulate ") for name in loaded) == 3 * len(LAWS)
     assert set(dict(CLOSED_FORM_RUNS)) <= set(loaded)
+    assert loaded == {name: name in dict(NUMPY_RUNS) for name in loaded}
+
+
+def test_no_command_loads_dataclasses_and_only_numpy_commands_load_inspect(command_probe):
+    # The records are built without dataclasses, which imports inspect: a
+    # command that loads no numpy, which imports inspect itself, loads neither.
+    assert not any(state["dataclasses"] for state in command_probe.values())
+    loaded = {name: state["inspect"] for name, state in command_probe.items()}
     assert loaded == {name: name in dict(NUMPY_RUNS) for name in loaded}
 
 

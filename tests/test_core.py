@@ -1,11 +1,18 @@
 import math
+import pickle
+import re
 
 import pytest
 from scipy.integrate import quad
 
-from gravreduce.core import (Body, PhysicalContext, UnitSystem, WavePacket,
+from gravreduce.averages import Expectation
+from gravreduce.core import (Body, BodyKind, LawKind, PhysicalContext, UnitSystem, WavePacket,
                              density, width_at)
-from gravreduce.errors import DomainError
+from gravreduce.criticality import (CriticalMethod, ReductionEstimate, Regime, RegimeReport,
+                                    TauMethod, WidthEstimate)
+from gravreduce.dynamics import Event, EventKind, ForceLaw, Trajectory
+from gravreduce.errors import BodyKindError, DomainError
+from gravreduce.verify import Check
 
 # (2 pi)^(-3/2), frozen from a 50-digit oracle.
 DENSITY_AT_ORIGIN = 0.06349363593424097
@@ -112,3 +119,76 @@ def test_body_validation():
 def test_packet_validation():
     with pytest.raises(DomainError):
         WavePacket(0.0)
+
+
+# ---------------------------------------------------------------- records
+
+UNIT_CTX = PhysicalContext.dimensionless()
+UNIT_LAW = ForceLaw(LawKind.GRAVITY_POINT, WavePacket(1.0), Body.point(1.0), UNIT_CTX)
+# Each record type: the arguments of one record, and each validation as
+# (arguments, error class, message).
+RECORDS = {
+    PhysicalContext: ((2.0, 3.0, UnitSystem.SI), [
+        ((0.0, 1.0, UnitSystem.SI), DomainError, "hbar and G must be positive"),
+        ((1.0, -1.0, UnitSystem.SI), DomainError, "hbar and G must be positive"),
+        ((2.0, 1.0), DomainError, "dimensionless mode requires hbar = G = 1 exactly")]),
+    Body: ((2.0, BodyKind.HOMOGENEOUS_SPHERE, 0.5), [
+        ((0.0,), DomainError, "mass must be positive"),
+        ((1.0, BodyKind.HOMOGENEOUS_SPHERE), DomainError, "sphere radius must be positive"),
+        ((1.0, BodyKind.HOMOGENEOUS_SPHERE, -1.0), DomainError,
+         "sphere radius must be positive"),
+        ((1.0, BodyKind.POINT_PARTICLE, 1.0), DomainError, "point particle takes no radius")]),
+    WavePacket: ((2.0,), [((math.nan,), DomainError, "sigma0 must be positive")]),
+    ForceLaw: ((LawKind.MIXED_POINT, WavePacket(2.0), Body.point(3.0), UNIT_CTX), [
+        ((LawKind.GRAVITY_OBJECT, WavePacket(1.0), Body.point(1.0), UNIT_CTX), BodyKindError,
+         "the gravity-object force law does not apply to a point particle"),
+        ((LawKind.GRAVITY_POINT, WavePacket(1.0), Body.sphere(1.0, 1.0), UNIT_CTX),
+         BodyKindError, "the gravity-point force law does not apply to a sphere"),
+        ((LawKind.GRAVITY_POINT, WavePacket(1e-200), Body.point(1e200), UNIT_CTX), DomainError,
+         "a constant of the force law is outside the floating-point range for these "
+         "parameters")]),
+    Event: ((1.5, EventKind.V_ZERO), []),
+    Trajectory: (((0.0, 1.0), (1.0, 0.5), (0.0, -0.5), (-1.0, -1.0), (), 0.0, UNIT_LAW,
+                  13, 1, 0, 0), []),
+    WidthEstimate: ((2.0, 1.0, "macro"), []),
+    RegimeReport: ((1.0, 2.0, Regime.QUANTUM_DOMINANT, CriticalMethod.FORCE_BALANCE,
+                    {"karolyhazy_width": 1.0}), []),
+    ReductionEstimate: ((2.0, TauMethod.SHORT_TIME, "width fixed"), [
+        ((0.0, TauMethod.SHORT_TIME), DomainError,
+         "reduction time must be finite and positive, got 0.0"),
+        ((math.inf, TauMethod.SHORT_TIME), DomainError,
+         "reduction time must be finite and positive, got inf")]),
+    Expectation: ((1.0, 1e-12, "quadrature", 88), [
+        ((1.0, -1e-12, "quadrature"), ValueError, "error estimate must be non-negative")]),
+    Check: (("order-x", True, 0.5, 1.0, "detail"), []),
+}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=[cls.__name__ for cls in RECORDS])
+def test_record_contract(cls):
+    # Immutable values: equal arguments give equal records with equal hashes
+    # (a record holding a dict hashes as a tuple holding one does: not at all),
+    # the repr names each field, and copies and pickles rebuild an equal record.
+    args, validations = RECORDS[cls]
+    record, twin = cls(*args), cls(*args)
+    assert record == twin and record is not twin
+    try:
+        assert hash(record) == hash(twin)
+    except TypeError:
+        assert cls is RegimeReport
+    assert tuple(getattr(record, name) for name in record._fields) == args
+    assert re.fullmatch(rf"{cls.__name__}\(" + ", ".join(f"{name}=.*" for name in record._fields)
+                        + r"\)", repr(record))
+    assert pickle.loads(pickle.dumps(record)) == record
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0.0)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    # A validated record is no tuple, so namedtuple's _make and _replace,
+    # which skip a subclass's constructor, cannot build one unvalidated.
+    assert not (validations and isinstance(record, tuple))
+    for bad, error, message in validations:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            cls(*bad)
+

@@ -5,7 +5,6 @@ against one stepped at a tighter tolerance, the units themselves, and the
 trajectory facts the reduction-time estimates rest on."""
 
 import bisect
-import dataclasses
 import itertools
 import math
 import random
@@ -502,7 +501,7 @@ def test_law_from_numpy_scalars_is_the_law_from_floats():
     for law, radii in law_draws(17, 3):
         body = law.body
         radius = None if body.radius is None else np.float64(body.radius)
-        numpy_body = dataclasses.replace(body, mass=np.float64(body.mass), radius=radius)
+        numpy_body = Body(np.float64(body.mass), body.kind, radius)
         as_numpy = ForceLaw(law.kind, WavePacket(np.float64(law.packet.sigma0)), numpy_body,
                             law.ctx)
         for r in radii:
@@ -588,8 +587,7 @@ def rescaled(law, lam_l, lam_m, lam_t):
     m = law.body.mass * lam_m
     body = (Body.sphere(m, law.body.radius * lam_l) if law.body.is_sphere
             else Body.point(m))
-    return dataclasses.replace(law, packet=WavePacket(law.packet.sigma0 * lam_l),
-                               body=body, ctx=ctx)
+    return ForceLaw(law.kind, WavePacket(law.packet.sigma0 * lam_l), body, ctx)
 
 
 def si_laws():
