@@ -10,7 +10,7 @@ cross-tested against the same independent integrator.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from collections.abc import Callable
 
 from .core import SQRT_2_OVER_PI, Body, PhysicalContext, Record, WavePacket, closed_form, finite
 from .errors import AccuracyError

@@ -8,7 +8,9 @@ Subcommands:
     verify     run the oracle verification battery
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 numerical failure.  Each option's default, type and choices live in the
+3 numerical failure.  An output that cannot be written (``--out`` in a
+missing directory, stdout closed early) is a configuration error: one
+``error: cannot write ...`` line on stderr.  Each option's default, type and choices live in the
 parser alone.  An optional ``--config`` file of ``key = value`` lines, which
 makes figure-reproduction runs self-documenting, supplies new defaults: its
 values become the subcommand's defaults and the command line is parsed again,
@@ -46,17 +48,24 @@ legs built by time reversal instead of stepped); ``critical``, ``sweep`` and
 ``tau`` run on the closed forms alone, the quarter period of ``tau``
 included: it is an exact constant times the characteristic time.
 
-Each command imports the package modules it runs and no others, so that a
-short command does not compile code it never calls.  Importing this module
-loads ``gravreduce``, ``core`` and ``errors``.  ``critical``, ``tau`` and
-``sweep`` add ``criticality`` alone, where the closed forms of all three
-live.  ``simulate`` adds ``dynamics`` and its stepper ``dop853``, and
-``potentials`` for the gravity-object law alone, whose potential it
-evaluates.  ``verify`` loads every module.  No command loads
-``dataclasses``, since the package's records are built without it (see
-``core``), so ``critical``, ``tau`` and ``simulate`` load no ``inspect``
-either; ``sweep`` and ``verify`` load it with numpy.  Importing this module
-and ``criticality`` takes about 27 ms instead of 45 (median ``-X importtime``,
+Each process compiles, builds and imports only what its own command runs.
+This module holds the parser, ``main``, the ``--config`` merge, the shared
+helpers and ``critical``, ``tau`` and ``verify``; the ``sweep`` and
+``simulate`` modules hold those commands, and no module imports this one
+(under ``python -m`` it is ``__main__``, and an import would run it twice).
+Importing this module loads ``gravreduce``, ``core`` and ``errors``.
+``critical`` and ``tau`` add ``criticality`` alone, where their closed forms
+live, and ``sweep`` adds ``criticality`` and ``sweep``.  ``simulate`` adds
+``simulate``, ``dynamics`` and its stepper ``dop853``, and ``potentials`` for
+the gravity-object law alone, whose potential it evaluates.  ``verify``
+loads every module but ``sweep`` and ``simulate``.  ``json`` is imported only
+where JSON is written, so a CSV run of ``critical``, ``tau``, ``sweep`` or
+``simulate`` to stdout loads none.  Every subcommand is registered by name
+and help, but only the one named on the command line gets its options.  No
+command loads ``dataclasses``, since the package's records are built without
+it (see ``core``), so ``critical``, ``tau`` and ``simulate`` load no
+``inspect`` either; ``sweep`` and ``verify`` load it with numpy.  Importing
+this module and ``criticality`` takes about 19 ms (median ``-X importtime``,
 Python 3.11 on a 2-CPU Xeon, no bytecode cache).
 
 Only the commands that build arrays load numpy: ``sweep``, whose closed forms
@@ -71,13 +80,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
-import math
+import os
 import sys
-from pathlib import Path
 
 from .core import DEFAULT_ATOL, DEFAULT_RTOL, Body, LawKind, PhysicalContext, WavePacket
-from .errors import AccuracyError, GravreduceError, InsufficientDataError, IntegrationError
+from .errors import AccuracyError, ConfigError, GravreduceError, IntegrationError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -90,12 +97,6 @@ EXIT_NUMERIC = 3
 REPEATABLE = frozenset({"grid"})
 TRUE_WORDS = ("true", "yes", "on")
 FALSE_WORDS = ("false", "no", "off")
-# Rows joined per write when a sweep is streamed to its output.
-SWEEP_ROWS_PER_WRITE = 4096
-
-
-class ConfigError(GravreduceError, ValueError):
-    """Invalid command-line / config-file input."""
 
 
 def _fmt(x) -> str:
@@ -109,7 +110,8 @@ def _parse_config_file(path: str) -> dict[str, list[str]]:
     """Every value of each key, in file order."""
     values: dict[str, list[str]] = {}
     try:
-        text = Path(path).read_text()
+        with open(path) as fh:
+            text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -184,11 +186,28 @@ def _body(args) -> Body:
     return Body.sphere(args.mass, args.radius)
 
 
+@contextlib.contextmanager
+def _output(out: str | None):
+    """The file ``out``, or stdout, to write to.  An output that cannot be
+    written, stdout closed early included, is a ConfigError."""
+    try:
+        if out:
+            with open(out, "w") as fh:
+                yield fh
+        else:
+            yield sys.stdout
+            sys.stdout.flush()
+    except OSError as exc:
+        if not out and isinstance(exc, BrokenPipeError):
+            # What is left in stdout's buffer is flushed at exit: point it at
+            # os.devnull, so that the exit prints no second message.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ConfigError(f"cannot write {out or 'stdout'}: {exc.strerror}") from None
+
+
 def _emit(text: str, out: str | None):
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def _units_comment(ctx: PhysicalContext) -> str:
@@ -212,6 +231,8 @@ def _flatten(payload, prefix=""):
 def _emit_mapping(payload: dict, args, ctx: PhysicalContext):
     """JSON, or with --format csv key,value lines of the flattened keys."""
     if args.format == "json":
+        import json
+
         _emit(json.dumps(payload, indent=2) + "\n", args.out)
     else:
         lines = [_units_comment(ctx), "key,value\n"]
@@ -248,55 +269,8 @@ def cmd_critical(args) -> int:
 
 # ---------------------------------------------------------------- simulate
 
-def _gnuplot_script(csv_path: str) -> str:
-    return (
-        "set datafile separator ','\n"
-        "set xlabel 't'\n"
-        "set ylabel 'r(t)'\n"
-        f"plot '{csv_path}' every ::1 using 1:2 with lines title 'r(t)'\n"
-    )
-
-
-class _Reprs(dict):
-    """repr of each float looked up; a missing value, such as a zero left out
-    of the table, is formatted on each lookup."""
-
-    def __missing__(self, x):
-        return repr(x)
-
-
-def _sample_columns(traj) -> list[list[str]]:
-    """The repr of every t, r, v and energy sample of the ``dynamics.Trajectory``
-    ``traj``, one list per column.  Tiled legs repeat r, |v| and the energy bit
-    for bit, so each of their distinct values is formatted once; every t is
-    distinct.  0.0 and -0.0 are one dict key, and a reversed leg ends on
-    v = -0.0, so zeros are formatted apart."""
-    columns = [list(map(repr, traj.t.tolist()))]
-    for values in (traj.r, traj.v, traj.energy):
-        values = values.tolist()
-        table = _Reprs({x: repr(x) for x in set(values) if x})
-        columns.append(list(map(table.__getitem__, values)))
-    return columns
-
-
-def _trajectory_csv(columns: list[list[str]], ctx: PhysicalContext) -> str:
-    """Units comment, header and one t,r,v,energy row per sample."""
-    return (_units_comment(ctx) + "t,r,v,energy\n"
-            + "\n".join(map(",".join, zip(*columns))) + "\n")
-
-
-def _trajectory_json(payload: dict, columns: list[list[str]]) -> str:
-    """``payload`` with a last key ``samples`` of the t, r, v and energy
-    columns, exactly as ``json.dumps(..., indent=2)`` writes it, with the
-    samples spliced in from their reprs."""
-    head = json.dumps({**payload, "samples": {}}, indent=2)
-    lists = [f'    "{name}": [\n      ' + ",\n      ".join(column) + "\n    ]"
-             for name, column in zip(("t", "r", "v", "energy"), columns)]
-    return head.removesuffix("{}\n}") + "{\n" + ",\n".join(lists) + "\n  }\n}\n"
-
-
 def cmd_simulate(args) -> int:
-    from . import dynamics
+    from . import dynamics, simulate
 
     _require(args, "mass", "sigma0", "r0", "t_end")
     if args.gnuplot_script and not (args.out and args.format == "csv"):
@@ -308,33 +282,7 @@ def cmd_simulate(args) -> int:
     body = _body(args)
     packet = WavePacket(args.sigma0)
     law = dynamics.ForceLaw(LawKind(args.law), packet, body, ctx)
-    traj = dynamics.integrate(law, r0=args.r0, v0=args.v0, t_end=args.t_end,
-                              rtol=args.rtol, atol=args.atol)
-    try:
-        period = dynamics.detect_period(traj)
-    except InsufficientDataError:
-        period = None
-
-    sidecar = {
-        "law": law.kind.value,
-        "events": [{"time": e.time, "kind": e.kind.value} for e in traj.events],
-        "period": period,
-        "energy_drift": traj.energy_drift,
-        "solver": {"method": dynamics.SOLVER_METHOD, "rtol": args.rtol, "atol": args.atol,
-                   "t_char": law.characteristic_time(), "nfev": traj.nfev,
-                   "steps": traj.n_steps, "rejected": traj.n_rejected,
-                   "samples": len(traj.t), "legs_tiled": traj.legs_tiled},
-    }
-    columns = _sample_columns(traj)
-    if args.format == "json":
-        _emit(_trajectory_json({**sidecar, "units": ctx.unit_system.value}, columns), args.out)
-    else:
-        _emit(_trajectory_csv(columns, ctx), args.out)
-        if args.out:
-            Path(str(args.out) + ".events.json").write_text(
-                json.dumps(sidecar, indent=2) + "\n")
-    if args.gnuplot_script:
-        Path(args.gnuplot_script).write_text(_gnuplot_script(args.out))
+    simulate.run(args, law, _units_comment(ctx), _output)
     return EXIT_OK
 
 
@@ -361,167 +309,22 @@ def cmd_tau(args) -> int:
 
 # ---------------------------------------------------------------- sweep
 
-def _parse_grid(spec: str):
-    name, _, rest = spec.partition("=")
-    name = name.strip().replace("-", "_")
-    if name not in ("mass", "sigma0", "radius"):
-        raise ConfigError(f"grid variable must be mass, sigma0 or radius: {name!r}")
-    parts = rest.split(":")
-    if len(parts) not in (3, 4):
-        raise ConfigError(f"grid spec must be lo:hi:n[:log|lin]: {spec!r}")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-        n = int(parts[2])
-    except ValueError as exc:
-        raise ConfigError(f"bad grid spec {spec!r}: {exc}") from None
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ConfigError(f"grid bounds must be finite: {spec!r}")
-    spacing = parts[3].lower() if len(parts) == 4 else "log"
-    if n < 1:
-        raise ConfigError("grid must contain at least one point")
-    if n > 1 and not lo < hi:
-        raise ConfigError("grid requires lo < hi")
-    if spacing not in ("log", "lin"):
-        raise ConfigError(f"grid spacing must be log or lin: {spacing!r}")
-    if spacing == "log" and lo <= 0:
-        raise ConfigError("log spacing requires positive bounds")
-    if n == 1:
-        values = [lo]
-    elif spacing == "log":
-        ratio = math.log(hi / lo) / (n - 1)
-        values = [lo * math.exp(ratio * i) for i in range(n)]
-    else:
-        step = (hi - lo) / (n - 1)
-        values = [lo + step * i for i in range(n)]
-    return name, values
-
-
-def _sweep_axes(args, grids: dict[str, list[float]], sphere: bool) -> dict:
-    """mass, sigma0 and (for spheres) radius: a fixed float, or a grid's values
-    as an array along that grid's own broadcast dimension."""
-    import numpy as np
-
-    fixed = {"mass": args.mass, "sigma0": args.sigma0, "radius": args.radius}
-    for name in ("mass", "sigma0"):
-        if name not in grids and fixed[name] is None:
-            raise ConfigError(f"sweep needs {name} fixed or gridded")
-    if sphere and "radius" not in grids and fixed["radius"] is None:
-        raise ConfigError("sphere sweep needs radius fixed or gridded")
-    # Body and WavePacket hold the validation; every row's parameters are
-    # drawn from these values.
-    values = {name: grids.get(name, [fixed[name]]) for name in fixed}
-    for m in values["mass"]:
-        Body.point(m)
-    if sphere:
-        for R in values["radius"]:
-            Body.sphere(values["mass"][0], R)
-    for s0 in values["sigma0"]:
-        WavePacket(s0)
-
-    names = list(grids)
-    axes = {}
-    for name in ("mass", "sigma0", "radius") if sphere else ("mass", "sigma0"):
-        if name in grids:
-            i = names.index(name)
-            axes[name] = np.reshape(grids[name], [-1 if j == i else 1 for j in range(len(names))])
-        else:
-            axes[name] = fixed[name]
-    return axes
-
-
-def _sweep_columns(axes: dict, ctx: PhysicalContext, sphere: bool) -> dict:
-    """Every sweep column, each evaluated once at the shape of the axes it depends on."""
-    from . import criticality
-
-    m, s0, R = axes["mass"], axes["sigma0"], axes.get("radius")
-    m_c = criticality.critical_mass_at(s0, ctx)
-    columns = dict(axes)
-    columns.update({
-        "critical_mass": m_c,
-        "critical_width_force_balance": criticality.critical_width_force_balance_at(m, ctx, R),
-        "critical_width_energy_min": criticality.critical_width_energy_min_at(m, ctx, R),
-        "force_ratio": criticality.force_ratio_at(m, s0, ctx),
-        "regime": criticality.regime_index(m, m_c),
-    })
-    methods = criticality.OBJECT_CLOSED_FORMS if sphere else criticality.POINT_CLOSED_FORMS
-    for method in methods:
-        name = f"tau_{method.value.replace('-', '_')}"
-        columns[name] = criticality.tau_at(method, m, s0, ctx, R)
-    return columns
-
-
-def _write_rows(fh, cells: list, first: str, sep: str, last: str, between: str):
-    """Stream rows first + sep.join(row) + last, separated by ``between``.
-
-    ``cells`` holds one grid-shaped (broadcast) string array per column; only
-    one block of rows is materialized at a time.
-    """
-    for start in range(0, cells[0].size, SWEEP_ROWS_PER_WRITE):
-        stop = start + SWEEP_ROWS_PER_WRITE
-        block = zip(*(col.flat[start:stop].tolist() for col in cells))
-        text = between.join(first + sep.join(row) + last for row in block)
-        fh.write(text if start == 0 else between + text)
-
-
-@contextlib.contextmanager
-def _output(out: str | None):
-    if out:
-        with open(out, "w") as fh:
-            yield fh
-    else:
-        yield sys.stdout
-
-
 def cmd_sweep(args) -> int:
-    import numpy as np
-
-    from . import criticality
+    from . import sweep
 
     if not args.grid:
         raise ConfigError("sweep requires at least one --grid spec")
-    grids = dict(_parse_grid(spec) for spec in args.grid)
-    sphere = args.kind == "sphere"
+    grids = dict(sweep.parse_grid(spec) for spec in args.grid)
     ctx = _context(args)
-    axes = _sweep_axes(args, grids, sphere)
-    shape = tuple(len(values) for values in grids.values())
-
-    as_json = args.format == "json"
-    labels = [r.value for r in criticality.REGIMES]
-    if as_json:
-        labels = [json.dumps(label) for label in labels]
-    cells = []       # per column, its strings broadcast (a view) to the grid shape
-    try:
-        columns = _sweep_columns(axes, ctx, sphere)
-        for name, values in columns.items():
-            if name == "regime":
-                text = np.array(labels, dtype=object)[values]
-            else:
-                # Each distinct value is formatted once, then broadcast.  tolist()
-                # gives Python floats, whose repr numpy 2 does not decorate.
-                values = np.asarray(values)
-                text = np.array([repr(x) for x in values.ravel().tolist()],
-                                dtype=object).reshape(values.shape)
-            cells.append(np.broadcast_to(text, shape))
-    except MemoryError:
-        raise ConfigError(f"the sweep grid has {math.prod(shape)} rows, and its columns "
-                          "do not fit in memory") from None
-
-    with _output(args.out) as fh:
-        if as_json:
-            head = json.dumps({"units": ctx.unit_system.value, "columns": list(columns),
-                               "rows": []}, indent=2)
-            fh.write(head.removesuffix("[]\n}") + "[\n")
-            _write_rows(fh, cells, "    [\n      ", ",\n      ", "\n    ]", ",\n")
-            fh.write("\n  ]\n}\n")
-        else:
-            fh.write(_units_comment(ctx) + ",".join(columns) + "\n")
-            _write_rows(fh, cells, "", ",", "\n", "")
+    sweep.run(args, grids, ctx, _units_comment(ctx), _output)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- verify
 
 def cmd_verify(args) -> int:
+    import json
+
     from . import verify
 
     report = verify.run_all(perturb=args.perturb, quick=args.quick)
@@ -530,16 +333,6 @@ def cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------- parser
-
-def _subcommand(subs, name, fn, **kwargs):
-    """A subparser that runs fn, with the --out and --config every subcommand takes."""
-    p = subs.add_parser(name, **kwargs)
-    p.set_defaults(fn=fn, parser=p)
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--config", help="key = value file of option defaults; "
-                                    "flags take precedence (default: none)")
-    return p
-
 
 def _add_model(p, fmt: str, kind: str | None = "point"):
     """The unit, --format and body options of every subcommand but verify."""
@@ -560,18 +353,11 @@ def _add_model(p, fmt: str, kind: str | None = "point"):
                    help="sphere radius, --kind sphere only (no default)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gravreduce",
-        description="Self-gravitating Gaussian packets: critical scales, "
-                    "trajectories, and reduction times.")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = _subcommand(subs, "critical", cmd_critical,
-                    help="critical mass/width and regime report")
+def _critical_options(p):
     _add_model(p, "json")
 
-    p = _subcommand(subs, "simulate", cmd_simulate, help="integrate a force law to CSV")
+
+def _simulate_options(p):
     _add_model(p, "csv", kind=None)
     p.add_argument("--law", choices=[law.value for law in LawKind],
                    default="gravity-point", help="force law (default: %(default)s)")
@@ -588,34 +374,74 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write a gnuplot script plotting the CSV written to --out "
                         "(default: none)")
 
-    p = _subcommand(subs, "tau", cmd_tau, help="reduction-time estimates")
+
+def _tau_options(p):
     _add_model(p, "json")
     p.add_argument("--no-numeric", action="store_true",
                    help="leave out the quarter-period-numeric estimate (default: off)")
 
-    p = _subcommand(
-        subs, "sweep", cmd_sweep, help="grid sweep to CSV or JSON",
-        description="One row per point of the cartesian product of the --grid specs, "
-                    "the first --grid varying slowest.  CSV by default, or "
-                    "{units, columns, rows} with --format json.  Values are "
-                    "evaluated as arrays and agree with the scalar closed forms "
-                    "to 1e-12 relative.")
+
+def _sweep_options(p):
     _add_model(p, "csv")
     p.add_argument("--grid", action="append", metavar="VAR=LO:HI:N[:log|lin]",
                    help="sweep variable (repeatable; cartesian product; no default)")
 
-    p = _subcommand(subs, "verify", cmd_verify, help="run the oracle verification battery")
+
+def _verify_options(p):
     p.add_argument("--perturb", type=float, default=0.0,
                    help="inject a relative perturbation into closed forms "
                         "(negative control; default: 0)")
     p.add_argument("--quick", action="store_true",
                    help="smaller sample counts (default: off)")
 
+
+# Each subcommand: what it runs, what adds its own options, and its help.
+SUBCOMMANDS = {
+    "critical": (cmd_critical, _critical_options,
+                 {"help": "critical mass/width and regime report"}),
+    "simulate": (cmd_simulate, _simulate_options, {"help": "integrate a force law to CSV"}),
+    "tau": (cmd_tau, _tau_options, {"help": "reduction-time estimates"}),
+    "sweep": (cmd_sweep, _sweep_options, {
+        "help": "grid sweep to CSV or JSON",
+        "description": "One row per point of the cartesian product of the --grid specs, "
+                       "the first --grid varying slowest.  CSV by default, or "
+                       "{units, columns, rows} with --format json.  Values are "
+                       "evaluated as arrays and agree with the scalar closed forms "
+                       "to 1e-12 relative."}),
+    "verify": (cmd_verify, _verify_options, {"help": "run the oracle verification battery"}),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with the options of every subcommand, or of ``command`` alone.
+
+    Every subcommand is registered by name and help either way, so the
+    top-level help and the errors for a missing or unknown subcommand are the
+    same; a subcommand without its options is never the one that is parsed.
+    """
+    parser = argparse.ArgumentParser(
+        prog="gravreduce",
+        description="Self-gravitating Gaussian packets: critical scales, "
+                    "trajectories, and reduction times.")
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (fn, add_options, kwargs) in SUBCOMMANDS.items():
+        p = subs.add_parser(name, **kwargs)
+        if command is None or command == name:
+            # --out and --config, which every subcommand takes, come first.
+            p.set_defaults(fn=fn, parser=p)
+            p.add_argument("--out", help="output path (default: stdout)")
+            p.add_argument("--config", help="key = value file of option defaults; "
+                                            "flags take precedence (default: none)")
+            add_options(p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # The top-level parser takes no option with a value, so the subcommand
+    # argparse runs is the first argument that is not an option.
+    parser = build_parser(next((arg for arg in argv if not arg.startswith("-")), None))
     args = parser.parse_args(argv)
     try:
         if args.config:

@@ -43,3 +43,7 @@ class InsufficientDataError(GravreduceError, ValueError):
 
 class IntegrationError(GravreduceError, ArithmeticError):
     """ODE integration failed (step-size underflow or non-finite force)."""
+
+
+class ConfigError(GravreduceError, ValueError):
+    """Invalid command-line / config-file input."""

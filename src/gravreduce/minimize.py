@@ -10,7 +10,7 @@ derivative's sign can, down to the bracket width.
 
 from __future__ import annotations
 
-from typing import Callable
+from collections.abc import Callable
 
 from .errors import BracketError
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from typing import Callable
+from collections.abc import Callable
 
 from .core import SQRT_2_OVER_PI, Body, PhysicalContext, WavePacket, range_error
 from .errors import AccuracyError, BodyKindError, DomainError, SingularityError

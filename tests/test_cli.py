@@ -1,8 +1,10 @@
-"""Command-line contract: exit codes, stderr, the --config merge, the simulate
-outputs, that no command loads scipy or dataclasses or builds the quadrature
-nodes before it needs them, and that only the commands that build arrays load
-numpy and inspect."""
+"""Command-line contract: exit codes, stderr, the --config merge, the
+per-subcommand parser against the full one, unwritable outputs, the simulate
+outputs, that no command loads scipy, dataclasses or numpy.random or builds
+the quadrature nodes before it needs them, that only the commands that build
+arrays load numpy and inspect, and that CSV runs load no json."""
 
+import ast
 import bisect
 import json
 import os
@@ -15,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import gravreduce
-from gravreduce import cli, criticality, dynamics
+from gravreduce import cli, criticality, dynamics, simulate
 from gravreduce.core import Body, PhysicalContext, WavePacket
 from gravreduce.errors import DomainError
 
@@ -278,6 +280,28 @@ def test_verify_refuses_the_options_it_has_no_use_for(option):
     assert "unrecognized arguments" in err
 
 
+# main builds the options of the subcommand it runs alone; what argparse
+# prints must not tell.  Each argv is parsed by main and by the parser that
+# holds every subcommand's options.
+PARSER_CASES = [[], ["--help"], ["no-such-command"], ["--mass", "1", "critical"],
+                ["--no-such-flag", "critical", "--mass", "1", "--sigma0", "1"]] + [
+    [command, *args] for command in sorted(VALID)
+    for args in (["--help"], ["--out"], ["--no-such-flag"],
+                 ["--perturb", "x"] if command == "verify" else ["--format", "xml"])]
+
+
+def parse_with_every_option(argv):
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_parser_of_one_subcommand_prints_what_the_full_parser_does(argv):
+    assert run(argv) == parse_with_every_option(argv)
+
+
 # ---------------------------------------------------------------- robustness
 
 @pytest.mark.parametrize("start", [["--t-end", "inf"], ["--t-end", "nan"],
@@ -441,6 +465,38 @@ def test_gnuplot_script_plots_the_csv_out(tmp_path):
     assert f"plot '{csv_path}' " in script.read_text()
 
 
+@pytest.mark.parametrize("command, where", [(command, "missing/out.txt") for command in sorted(VALID)]
+                         + [("critical", "")])
+def test_unwritable_out_exits_2(command, where, tmp_path):
+    # A path under a missing directory, or the directory itself.
+    path = tmp_path / where
+    code, out, err = run(VALID[command] + ["--out", str(path)])
+    reason = "No such file or directory" if where else "Is a directory"
+    assert (code, out, err) == (cli.EXIT_CONFIG, "", f"error: cannot write {path}: {reason}\n")
+
+
+def test_unwritable_gnuplot_script_exits_2(tmp_path):
+    csv_path, script = tmp_path / "traj.csv", tmp_path / "missing" / "plot.gp"
+    code, out, err = run(SIMULATE + ["--out", str(csv_path), "--gnuplot-script", str(script)])
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err == f"error: cannot write {script}: No such file or directory\n"
+
+
+def test_stdout_closed_early_exits_2_with_one_line():
+    # About 5 MB of rows: far more than the pipe holds, so the child is still
+    # writing when the reader goes away.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    argv = ["sweep", "--grid", "mass=1:2:20000", "--sigma0", "1"]
+    proc = subprocess.Popen([sys.executable, "-m", "gravreduce.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline().startswith("# units: ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=SUBPROCESS_TIMEOUT_S) == cli.EXIT_CONFIG
+    assert err == "error: cannot write stdout: Broken pipe\n"
+
+
 # The mixed-point law has one form: its printed sigma0^2 variant is gone.
 def test_printed_mixed_variant_option_exits_2():
     code, out, err = run(SIMULATE + ["--law", "mixed-point", "--printed-mixed-variant"])
@@ -466,13 +522,13 @@ def test_trajectory_writers_are_the_per_value_formatting():
     rows = [f"{cli._fmt(float(traj.t[i]))},{cli._fmt(float(traj.r[i]))},"
             f"{cli._fmt(float(traj.v[i]))},{cli._fmt(float(traj.energy[i]))}\n"
             for i in range(len(traj.t))]
-    columns = cli._sample_columns(traj)
+    columns = simulate.sample_columns(traj)
     expected = cli._units_comment(ctx) + "t,r,v,energy\n" + "".join(rows)
-    assert cli._trajectory_csv(columns, ctx) == expected
+    assert simulate.trajectory_csv(columns, cli._units_comment(ctx)) == expected
     payload = {"law": law.kind.value, "period": None, "solver": {"rtol": 1e-9}, "units": "x"}
     samples = {"t": traj.t.tolist(), "r": traj.r.tolist(), "v": traj.v.tolist(),
                "energy": traj.energy.tolist()}
-    assert cli._trajectory_json(payload, columns) == json.dumps(
+    assert simulate.trajectory_json(payload, columns) == json.dumps(
         {**payload, "samples": samples}, indent=2) + "\n"
     argv = SIMULATE[:-1] + ["40"]
     assert run(argv) == (cli.EXIT_OK, expected, "")
@@ -540,7 +596,8 @@ def state():
     return {"scipy": scipy_modules(), "numpy": "numpy" in sys.modules,
             "dataclasses": "dataclasses" in sys.modules, "inspect": "inspect" in sys.modules,
             "gauss_nodes_built": potentials._gauss_pair.cache_info().currsize > 0,
-            "stepper": "gravreduce.dop853" in sys.modules}
+            "stepper": "gravreduce.dop853" in sys.modules,
+            "numpy.random": "numpy.random" in sys.modules}
 
 
 loaded = {"import": state()}
@@ -633,40 +690,121 @@ def test_only_integrating_commands_load_the_stepper(command_probe):
     assert loaded == {name: name.startswith(("simulate ", "verify")) for name in loaded}
 
 
+def test_no_command_loads_numpy_random(command_probe):
+    # verify draws its parameters from the stdlib generator, and numpy loads
+    # numpy.random only when it is first used.
+    assert sum(state["numpy"] for state in command_probe.values()) == len(NUMPY_RUNS)
+    assert not any(state["numpy.random"] for state in command_probe.values())
+
+
 def test_only_verify_builds_the_gauss_nodes(command_probe):
     built = {name: state["gauss_nodes_built"] for name, state in command_probe.items()}
     assert built.pop("verify --quick")
     assert not any(built.values()), built
 
 
+# Runs argv through cli.main in a fresh interpreter, then prints the exit code
+# and every loaded module.  It imports nothing the CLI might not: json, for
+# one, would hide the CLI's own import of it.
 MODULE_PROBE = """
-import contextlib, io, json, sys
-import gravreduce.cli as cli
+import io, sys
 
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(json.loads(sys.argv[1])) == 0
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "gravreduce")))
+stdout, sys.stdout = sys.stdout, io.StringIO()
+from gravreduce.cli import main
+
+code = main(sys.argv[1:])
+sys.stdout = stdout
+print(code, *sorted(sys.modules))
 """
+
+
+@pytest.fixture(scope="module")
+def fresh_modules():
+    """modules(argv, *flags): the modules a fresh interpreter started with
+    ``flags`` has loaded after running argv; each run is made once."""
+    seen = {}
+
+    def modules(argv, *flags):
+        key = (*flags, "--", *argv)
+        if key not in seen:
+            res = run_process([*flags, "-c", MODULE_PROBE, *argv])
+            assert res.returncode == 0, res.stderr
+            code, *loaded = res.stdout.split()
+            assert code == "0", argv
+            seen[key] = set(loaded)
+        return seen[key]
+    return modules
+
+
 # What critical and tau run: the closed forms, and the CLI around them.
 CLOSED_FORM_MODULES = {"gravreduce", "gravreduce.cli", "gravreduce.core", "gravreduce.errors",
                        "gravreduce.criticality"}
 POINT_LAW_MODULES = (CLOSED_FORM_MODULES - {"gravreduce.criticality"}
-                     | {"gravreduce.dynamics", "gravreduce.dop853"})
+                     | {"gravreduce.dynamics", "gravreduce.dop853", "gravreduce.simulate"})
+# verify runs every module but the two that hold the sweep and simulate commands.
+VERIFY_MODULES = (CLOSED_FORM_MODULES
+                  | {f"gravreduce.{name}" for name in ("dynamics", "dop853", "potentials",
+                                                       "averages", "minimize", "verify")})
 MODULE_SETS = (
     [(name, argv, CLOSED_FORM_MODULES) for name, argv in CLOSED_FORM_RUNS]
     + [(f"simulate {law}", SIMULATE + ["--law", law] + extra,
         POINT_LAW_MODULES | ({"gravreduce.potentials"} if law == "gravity-object" else set()))
        for law, extra in LAWS.items()]
-    + [("sweep", dict(NUMPY_RUNS)["sweep"], CLOSED_FORM_MODULES)])
+    + [("sweep", dict(NUMPY_RUNS)["sweep"], CLOSED_FORM_MODULES | {"gravreduce.sweep"}),
+       ("verify --quick", dict(NUMPY_RUNS)["verify --quick"], VERIFY_MODULES)])
 
 
 @pytest.mark.parametrize("argv, modules", [case[1:] for case in MODULE_SETS],
                          ids=[case[0] for case in MODULE_SETS])
-def test_each_command_loads_only_the_modules_it_runs(argv, modules):
+def test_each_command_loads_only_the_modules_it_runs(argv, modules, fresh_modules):
     # A fresh interpreter per command: the set is exactly what it imported.
     # critical and tau compile no module of the trajectories, the averages,
-    # the minimizer or the potentials; a point-law simulate none of the
-    # closed forms or the potentials; sweep neither dynamics nor dop853.
-    res = run_process(["-c", MODULE_PROBE, json.dumps(argv)])
-    assert res.returncode == 0, res.stderr
-    assert set(json.loads(res.stdout)) == modules
+    # the minimizer, the potentials, the sweep or simulate; a point-law
+    # simulate none of the closed forms or the potentials; sweep neither
+    # dynamics nor dop853; verify neither the sweep nor the simulate module.
+    loaded = {m for m in fresh_modules(argv) if m.split(".")[0] == "gravreduce"}
+    assert loaded == modules
+
+
+# Each is run with --format csv, and with --format json as the positive control.
+FORMAT_RUNS = {
+    "critical": ["critical", "--mass", "1", "--sigma0", "1"],
+    "tau": ["tau", "--mass", "1", "--sigma0", "1"],
+    "tau sphere": ["tau", "--mass", "1", "--sigma0", "1", "--kind", "sphere", "--radius", "0.5"],
+    "sweep": dict(NUMPY_RUNS)["sweep"],
+    "simulate to stdout": SIMULATE,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORMAT_RUNS))
+def test_csv_runs_load_no_json(name, fresh_modules):
+    argv = FORMAT_RUNS[name]
+    assert "json" not in fresh_modules(argv + ["--format", "csv"])
+    assert "json" in fresh_modules(argv + ["--format", "json"])
+
+
+NUMPY_FREE_RUNS = [("critical", CLOSED_FORM_RUNS[0][1]), ("tau", CLOSED_FORM_RUNS[-1][1])] + [
+    (f"simulate {law}", SIMULATE + ["--law", law] + extra) for law, extra in LAWS.items()]
+
+
+@pytest.mark.parametrize("argv", [argv for _, argv in NUMPY_FREE_RUNS],
+                         ids=[name for name, _ in NUMPY_FREE_RUNS])
+def test_numpy_free_commands_load_no_typing(argv, fresh_modules):
+    # Under -S no .pth file can have loaded typing before the command runs;
+    # the package annotates with collections.abc.
+    assert "typing" not in fresh_modules(argv, "-S")
+
+
+def test_no_module_imports_the_cli():
+    # Under python -m gravreduce.cli that module is __main__, so an import of
+    # gravreduce.cli would compile and run it a second time.
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                imported.add(base)
+                imported.update(f"{base}.{alias.name}".lstrip(".") for alias in node.names)
+        assert not imported & {"cli", "gravreduce.cli"}, path.name

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from gravreduce import cli, criticality
+from gravreduce import cli, criticality, sweep
 from gravreduce.core import Body, PhysicalContext, WavePacket
 
 VALUE_RTOL = 1e-12
@@ -103,10 +103,10 @@ def test_broadcast_sweep_matches_scalar_loop(kind):
             "--grid", "sigma0=1e-15:1e-1:70", "--format", "json"]
     if kind == "sphere":
         argv += ["--radius", "1e-3"]
-    assert 70 * 70 > cli.SWEEP_ROWS_PER_WRITE
+    assert 70 * 70 > sweep.ROWS_PER_WRITE
     payload = json.loads(stdout_of(argv))
-    masses = cli._parse_grid("mass=1e-27:10:70")[1]
-    widths = cli._parse_grid("sigma0=1e-15:1e-1:70")[1]
+    masses = sweep.parse_grid("mass=1e-27:10:70")[1]
+    widths = sweep.parse_grid("sigma0=1e-15:1e-1:70")[1]
     want = scalar_rows(kind, masses, widths, 1e-3 if kind == "sphere" else None,
                        PhysicalContext.si())
     assert len(payload["rows"]) == len(want)
