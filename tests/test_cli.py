@@ -387,6 +387,16 @@ def test_sweep_grid_too_large_for_memory_exits_2(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+def test_sweep_grid_too_large_to_list_exits_2():
+    # 1e8 grid values need about 3.2 GB as a list of floats.
+    pytest.importorskip("resource")
+    res = run_process(["-c", CAPPED_MAIN, "sweep", "--sigma0", "1",
+                       "--grid", "mass=1:2:100000000"])
+    assert (res.returncode, res.stdout) == (cli.EXIT_CONFIG, "")
+    assert res.stderr == ("error: the sweep grid has 100000000 rows, and its columns "
+                          "do not fit in memory\n")
+
+
 @pytest.mark.parametrize("grid", ["mass=1:inf:3", "mass=nan:2:3", "mass=-inf:1:3:lin"])
 def test_grid_bounds_must_be_finite(grid):
     code, out, err = run(["sweep", "--sigma0", "1", "--grid", grid])
@@ -455,6 +465,17 @@ def test_gnuplot_script_without_a_csv_out_is_refused(outputs, tmp_path):
     code, out, err = run(SIMULATE + outputs + ["--gnuplot-script", str(script)])
     assert (code, out) == (cli.EXIT_CONFIG, "")
     assert err.startswith("error: --gnuplot-script ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("script", ["./traj.csv", "traj.csv.events.json"])
+def test_gnuplot_script_naming_an_output_is_refused(script, tmp_path):
+    # The script would overwrite the CSV it plots, or its events sidecar.
+    code, out, err = run(SIMULATE + ["--out", str(tmp_path / "traj.csv"),
+                                     "--gnuplot-script", f"{tmp_path}/{script}"])
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err == ("error: --gnuplot-script names the --out file or its .events.json "
+                   "sidecar, which it would overwrite\n")
     assert list(tmp_path.iterdir()) == []
 
 

@@ -1,4 +1,5 @@
-"""The broadcast sweep and the closed forms against golden outputs.
+"""The broadcast sweep and the closed forms against golden outputs, and the
+rows split between two processes against the grid written whole.
 
 ``golden/cli.json`` holds outputs recorded from the scalar, row-by-row code
 (see ``golden/record.py``).  Columns, keys, row order, units lines and labels
@@ -6,13 +7,21 @@ must be identical; numbers may move by at most 1e-12 relative, since numpy's
 vectorized ``pow`` can differ from the C library's in the last bit.
 """
 
+import errno
+import gc
 import json
-from contextlib import redirect_stdout
+import os
+import signal
+import subprocess
+import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
 
 import pytest
 
+import gravreduce
 from gravreduce import cli, criticality, sweep
 from gravreduce.core import Body, PhysicalContext, WavePacket
 
@@ -105,8 +114,8 @@ def test_broadcast_sweep_matches_scalar_loop(kind):
         argv += ["--radius", "1e-3"]
     assert 70 * 70 > sweep.ROWS_PER_WRITE
     payload = json.loads(stdout_of(argv))
-    masses = sweep.parse_grid("mass=1e-27:10:70")[1]
-    widths = sweep.parse_grid("sigma0=1e-15:1e-1:70")[1]
+    grids = sweep.parse_grids(["mass=1e-27:10:70", "sigma0=1e-15:1e-1:70"])
+    masses, widths = grids["mass"], grids["sigma0"]
     want = scalar_rows(kind, masses, widths, 1e-3 if kind == "sphere" else None,
                        PhysicalContext.si())
     assert len(payload["rows"]) == len(want)
@@ -121,3 +130,140 @@ def test_sweep_cells_are_plain_reprs():
     for name in ("critical", "tau"):
         argv = [name, "--mass", "1", "--sigma0", "1", "--format", "csv"]
         assert "np." not in stdout_of(argv + (["--no-numeric"] if name == "tau" else []))
+
+
+# ---------------------------------------------------------------- the split
+#
+# A sweep written to a file descriptor splits its rows between this process
+# and a forked child, which writes the first half.  redirect_stdout(StringIO)
+# has no file descriptor, so stdout_of() runs the whole grid in one process:
+# that is the reference each split run must equal byte for byte.
+
+SRC = str(Path(gravreduce.__file__).resolve().parents[1])
+SUBPROCESS_TIMEOUT_S = 60
+SPLIT_GRIDS = {
+    # 9,001 rows: each half spans two write blocks.
+    "1-D": ["--sigma0", "1", "--grid", "mass=0.1:10:9001"],
+    "2-D, odd first axis": ["--grid", "mass=0.1:10:7", "--grid", "sigma0=0.1:10:4:lin"],
+    "3-D sphere": ["--kind", "sphere", "--grid", "mass=0.1:10:5", "--grid", "radius=0.5:2:3",
+                   "--grid", "sigma0=0.1:10:4"],
+    "first axis one point": ["--grid", "sigma0=2:2:1", "--grid", "mass=0.1:10:5"],
+    "one row": ["--sigma0", "1", "--grid", "mass=2:2:1"],
+}
+
+
+def cli_process(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-m", "gravreduce.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=SUBPROCESS_TIMEOUT_S)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("grid", SPLIT_GRIDS, ids=list(SPLIT_GRIDS))
+def test_split_sweep_equals_the_whole_grid(grid, fmt, tmp_path):
+    argv = ["sweep", *SPLIT_GRIDS[grid], "--format", fmt]
+    want = stdout_of(argv)
+    res = cli_process(argv)
+    assert (res.returncode, res.stderr) == (cli.EXIT_OK, "")
+    assert res.stdout == want
+    path = tmp_path / f"sweep.{fmt}"
+    res = cli_process(argv + ["--out", str(path)])
+    assert (res.returncode, res.stdout, res.stderr) == (cli.EXIT_OK, "", "")
+    assert path.read_text() == want
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids os.fork returned to this process."""
+    pids = []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+@pytest.mark.parametrize("grid, split", [("2-D, odd first axis", True),
+                                         ("first axis one point", True),
+                                         ("one row", False)])
+def test_split_runs_in_process_and_leaves_no_child(grid, split, forks, tmp_path):
+    argv = ["sweep", *SPLIT_GRIDS[grid]]
+    path = tmp_path / "sweep.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        # Python 3.12+ warns when a process with several threads forks.
+        warnings.simplefilter("always")
+        assert cli.main(argv + ["--out", str(path)]) == cli.EXIT_OK
+    assert caught == []
+    assert len(forks) == split
+    assert gc.get_freeze_count() == 0
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert path.read_text() == stdout_of(argv)
+    assert len(forks) == split      # stdout_of's StringIO has no file descriptor
+
+
+def no_process_to_spare():
+    raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+@pytest.mark.parametrize("fork", [None, no_process_to_spare], ids=["missing", "failing"])
+def test_without_fork_the_grid_is_written_whole(fork, monkeypatch, tmp_path):
+    if fork is None:
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", fork)
+    argv = ["sweep", *SPLIT_GRIDS["3-D sphere"]]
+    path = tmp_path / "sweep.csv"
+    assert cli.main(argv + ["--out", str(path)]) == cli.EXIT_OK
+    assert path.read_text() == stdout_of(argv)
+    assert gc.get_freeze_count() == 0
+
+
+def test_the_child_writes_the_first_half(forks, monkeypatch, tmp_path):
+    # Rows of the child, and then of this process: 3 of the 7 masses by 4 widths.
+    writers = tmp_path / "writers"
+
+    def write_rows(fh, cells, *layout, continued=False):
+        with open(writers, "a") as log:
+            log.write(f"{os.getpid()} {cells[0].size} {continued}\n")
+        real_write_rows(fh, cells, *layout, continued=continued)
+
+    real_write_rows = sweep._write_rows
+    monkeypatch.setattr(sweep, "_write_rows", write_rows)
+    path = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", *SPLIT_GRIDS["2-D, odd first axis"], "--out", str(path)]) == 0
+    assert writers.read_text() == f"{forks[0]} 12 False\n{os.getpid()} 16 True\n"
+
+
+@pytest.mark.parametrize("fail, message", [
+    (lambda: MemoryError(), "the sweep grid has 28 rows, and its columns do not fit in memory"),
+    (lambda: OSError(errno.ENOSPC, "No space left on device"),
+     "cannot write {path}: No space left on device"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL),
+     "cannot write {path}: the process writing the first half of the rows ended with "
+     "status -9"),
+])
+def test_a_failed_child_is_the_error_of_the_whole_grid(fail, message, forks, monkeypatch,
+                                                       tmp_path):
+    def write_rows(fh, cells, *layout, continued=False):
+        if not continued:       # the child's rows
+            raise fail()
+        real_write_rows(fh, cells, *layout, continued=continued)
+
+    real_write_rows = sweep._write_rows
+    monkeypatch.setattr(sweep, "_write_rows", write_rows)
+    path = tmp_path / "sweep.csv"
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["sweep", *SPLIT_GRIDS["2-D, odd first axis"], "--out", str(path)])
+    assert (code, out.getvalue()) == (cli.EXIT_CONFIG, "")
+    assert err.getvalue() == f"error: {message.format(path=path)}\n"
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
