@@ -32,13 +32,16 @@ the body options (``--mass``, ``--sigma0``, ``--kind``, ``--radius``).
 ``--config``.
 
 ``sweep`` writes one row per point of the cartesian product of its grids,
-in ``itertools.product`` order: the first ``--grid`` varies slowest.  CSV
-output starts with a units comment and a header line; ``--format json``
-writes ``{"units", "columns", "rows"}`` exactly as ``json.dumps(..., indent=2)``
-would.  Numbers are written with ``repr``, so they round-trip.  The columns
-are evaluated as numpy arrays, one broadcast over the grid, so a value may
-differ from the scalar closed form (``critical``, ``tau``) in its last
-digits, by at most 1e-12 relative; the regime labels are the same.  The rows
+in ``itertools.product`` order: the first ``--grid`` varies slowest.  Each
+of mass, sigma0 and (for ``--kind sphere`` only) radius is fixed or gridded
+once; input that no row would use is a configuration error, as is a
+one-point grid whose bounds differ.  CSV output starts with a units comment
+and a header line; ``--format json`` writes ``{"units", "columns", "rows"}``
+exactly as ``json.dumps(..., indent=2)`` would.  Numbers are written with
+``repr``, so they round-trip.  The columns are evaluated as numpy arrays,
+one broadcast over the grid, so a value may differ from the scalar closed
+form (``critical``, ``tau``) in its last digits, by at most 1e-12 relative;
+the regime labels are the same.  The rows
 are formatted and written by two processes: a forked child writes the first
 half of the grid while this one formats the second, so a 160 x 160 sweep
 spends a median 101 ms in ``main`` against 154 ms in one process (2-CPU

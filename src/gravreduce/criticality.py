@@ -23,7 +23,7 @@ from collections import namedtuple
 from enum import Enum
 
 from .core import (SQRT_2_OVER_PI, Body, PhysicalContext, Record, WavePacket, closed_form,
-                   in_float_range, range_error)
+                   in_float_range)
 from .errors import BodyKindError, DomainError
 
 # Tie band around the critical mass: exact equality is measure zero, so the
@@ -240,19 +240,6 @@ def critical_width_energy_min(body: Body, ctx: PhysicalContext) -> float:
     lo, hi = (in_float_range(f * guess, what) for f in (0.1, 10.0))
     with closed_form("the mean energy's derivative"):
         return minimize_bracketed(_energy_derivative(body, ctx), lo, hi)
-
-
-def stationary_energy(body: Body, ctx: PhysicalContext) -> float:
-    """Mean energy at the minimizing width; negative (bound), of order G^2 m^5 / hbar^2."""
-    if not body.is_point:
-        raise BodyKindError("stationary_energy requires a point particle")
-    from .averages import avg_energy_point
-
-    packet = WavePacket(critical_width_energy_min_exact(body, ctx))
-    try:
-        return float(avg_energy_point(packet, body, ctx))
-    except DomainError:         # one of its terms left the floating-point range
-        raise range_error("stationary energy") from None
 
 
 def transition_width_object(body: Body, ctx: PhysicalContext,

@@ -65,6 +65,8 @@ def _grid_spec(spec: str):
         raise ConfigError("grid must contain at least one point")
     if n > 1 and not lo < hi:
         raise ConfigError("grid requires lo < hi")
+    if n == 1 and lo != hi:
+        raise ConfigError(f"a one-point grid requires lo = hi: {spec!r}")
     if spacing not in ("log", "lin"):
         raise ConfigError(f"grid spacing must be log or lin: {spacing!r}")
     if spacing == "log" and lo <= 0:
@@ -89,8 +91,12 @@ def _too_large(rows: int) -> ConfigError:
 def parse_grids(specs: list[str]) -> dict[str, list[float]]:
     """Each ``--grid`` spec's variable and values, in spec order.  Every spec is
     validated before any values are listed, so a grid too large to list is a
-    ConfigError that names the row count."""
+    ConfigError that names the row count.  A variable may be gridded once."""
     parsed = [_grid_spec(spec) for spec in specs]
+    names = [name for name, *_ in parsed]
+    for name in names:
+        if names.count(name) > 1:
+            raise ConfigError(f"grid variable {name} is given more than once")
     try:
         return {name: _grid_values(lo, hi, n, spacing) for name, lo, hi, n, spacing in parsed}
     except MemoryError:
@@ -100,8 +106,14 @@ def parse_grids(specs: list[str]) -> dict[str, list[float]]:
 
 def _axes(args, grids: dict[str, list[float]], sphere: bool) -> dict:
     """mass, sigma0 and (for spheres) radius: a fixed float, or a grid's values
-    as an array along that grid's own broadcast dimension."""
+    as an array along that grid's own broadcast dimension.  Each is given once,
+    and a point sweep takes no radius."""
     fixed = {"mass": args.mass, "sigma0": args.sigma0, "radius": args.radius}
+    if not sphere and (fixed["radius"] is not None or "radius" in grids):
+        raise ConfigError("--radius only applies to --kind sphere")
+    for name in grids:
+        if fixed[name] is not None:
+            raise ConfigError(f"{name} is both fixed (--{name}) and gridded (--grid {name}=...)")
     for name in ("mass", "sigma0"):
         if name not in grids and fixed[name] is None:
             raise ConfigError(f"sweep needs {name} fixed or gridded")

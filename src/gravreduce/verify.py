@@ -37,9 +37,6 @@ MINIMIZER_TOL = 1e-9         # numeric energy minimizers against their closed fo
 class Check(namedtuple("Check", "name passed measured tolerance detail", defaults=("",))):
     __slots__ = ()
 
-    def as_dict(self):
-        return self._asdict()
-
 
 def _rel(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
@@ -273,5 +270,5 @@ def run_all(perturb: float = 0.0, quick: bool = False) -> dict:
         "perturb": perturb,
         "n_checks": len(checks),
         "n_failed": sum(not c.passed for c in checks),
-        "checks": [c.as_dict() for c in checks],
+        "checks": [c._asdict() for c in checks],
     }

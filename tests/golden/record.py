@@ -32,10 +32,6 @@ SWEEPS = {
     "point-sigma0-1d-hbar-G-json": ["sweep", "--units", "si", "--hbar", "2e-34",
                                     "--G", "7e-11", "--mass", "1e-25",
                                     "--grid", "sigma0=1e-12:1e-6:4", "--format", "json"],
-    "point-repeated-grid-name": ["sweep", "--grid", "mass=1:2:2", "--grid", "sigma0=1:3:3",
-                                 "--grid", "mass=5:6:2"],
-    "point-radius-gridded": ["sweep", "--sigma0", "1", "--grid", "mass=1:2:2",
-                             "--grid", "radius=1:2:2"],
     "point-single-row": ["sweep", "--sigma0", "2", "--grid", "mass=3:3:1"],
     "sphere-2d-radius-fixed": ["sweep", "--kind", "sphere", "--radius", "0.5",
                                "--grid", "mass=0.1:10:4", "--grid", "sigma0=0.1:10:3"],

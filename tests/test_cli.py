@@ -235,6 +235,9 @@ PARITY_OVERRIDES = {
     ("simulate", "kind"): ("sphere", ["--radius", "0.5", "--law", "gravity-object"]),
     ("simulate", "radius"): ("0.5", ["--law", "gravity-object"]),
 }
+# The sweep base grids mass, which a fixed mass may not join, so mass is
+# checked on a sweep that grids sigma0 instead.
+PARITY_BASE_FOR = {("sweep", "mass"): {"grid": "sigma0=0.1:10:3"}}
 
 
 def config_keys(command):
@@ -261,7 +264,8 @@ def test_config_line_gives_the_same_run_as_its_flag(command, key, tmp_path):
     outdir.mkdir()
     value, extra = PARITY_OVERRIDES.get((command, key)) or PARITY_VALUES[key]
     value = value.replace("{dir}", str(outdir))
-    base = [command] + [arg for name, given in PARITY_BASE[command].items() if name != key
+    given_options = PARITY_BASE_FOR.get((command, key), PARITY_BASE[command])
+    base = [command] + [arg for name, given in given_options.items() if name != key
                         for arg in (f"--{name.replace('_', '-')}", given)]
     base += [arg.replace("{dir}", str(outdir)) for arg in extra]
     flag = [f"--{key.replace('_', '-')}"] + ([] if value == "true" else [value])
@@ -402,6 +406,47 @@ def test_grid_bounds_must_be_finite(grid):
     code, out, err = run(["sweep", "--sigma0", "1", "--grid", grid])
     assert (code, out) == (cli.EXIT_CONFIG, "")
     assert err == f"error: grid bounds must be finite: {grid!r}\n"
+
+
+# Sweep input that no row would use: each is refused before any output is opened.
+TWICE = "error: grid variable mass is given more than once\n"
+RADIUS = "error: --radius only applies to --kind sphere\n"
+DROPPED_SWEEP_INPUT = {
+    "grid-twice": (["--sigma0", "1", "--grid", "mass=1:2:3", "--grid", "mass=5:6:2"], TWICE),
+    "grid-twice-apart": (["--grid", "mass=1:2:2", "--grid", "sigma0=1:3:3",
+                          "--grid", "mass=5:6:2"], TWICE),
+    "mass-fixed-and-gridded": (
+        ["--sigma0", "1", "--mass", "2", "--grid", "mass=1:3:3"],
+        "error: mass is both fixed (--mass) and gridded (--grid mass=...)\n"),
+    "sigma0-fixed-and-gridded": (
+        ["--mass", "1", "--sigma0", "2", "--grid", "sigma0=1:3:3"],
+        "error: sigma0 is both fixed (--sigma0) and gridded (--grid sigma0=...)\n"),
+    "radius-fixed-and-gridded": (
+        ["--kind", "sphere", "--mass", "1", "--sigma0", "1", "--radius", "0.5",
+         "--grid", "radius=1:2:2"],
+        "error: radius is both fixed (--radius) and gridded (--grid radius=...)\n"),
+    "point-radius-fixed": (["--sigma0", "1", "--radius", "3", "--grid", "mass=1:2:2"], RADIUS),
+    "point-radius-gridded": (["--sigma0", "1", "--grid", "mass=1:2:2",
+                              "--grid", "radius=1:2:2"], RADIUS),
+    "one-point-grid-with-two-bounds": (["--sigma0", "1", "--grid", "mass=1:3:1"],
+                                       "error: a one-point grid requires lo = hi: "
+                                       "'mass=1:3:1'\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DROPPED_SWEEP_INPUT))
+def test_sweep_refuses_input_it_would_drop(case, tmp_path):
+    args, message = DROPPED_SWEEP_INPUT[case]
+    out = tmp_path / "sweep.csv"
+    code, stdout, err = run(["sweep", *args, "--out", str(out)])
+    assert (code, stdout, err) == (cli.EXIT_CONFIG, "", message)
+    assert not out.exists()
+
+
+def test_sweep_refuses_a_config_grid_given_twice(tmp_path):
+    config = write_config(tmp_path, "sigma0 = 1\ngrid = mass=1:2:3\ngrid = mass=5:6:2\n")
+    code, out, err = run(["sweep", "--config", config])
+    assert (code, out, err) == (cli.EXIT_CONFIG, "", TWICE)
 
 
 SIMULATE = ["simulate", "--mass", "1", "--sigma0", "1", "--r0", "1", "--t-end", "10"]

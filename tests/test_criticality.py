@@ -14,7 +14,7 @@ from gravreduce.criticality import (CriticalMethod, ObjectRegime, Regime, _energ
                                     critical_width_energy_min_exact,
                                     critical_width_force_balance, force_balance_residual,
                                     force_ratio, reference_formulas,
-                                    stationary_energy, transition_width_object)
+                                    transition_width_object)
 from gravreduce.errors import BodyKindError, BracketError, DomainError, GravreduceError
 from gravreduce.minimize import REL_WIDTH, minimize_bracketed
 
@@ -25,7 +25,6 @@ ENERGY_MIN_POINT = 1.4540808000358965           # 3 sqrt(pi) / (2 (2 sqrt2 - 1))
 ENERGY_MIN_OBJECT = 0.96541666470535785         # (3 / (8 (3/4 - 1/pi)))^(1/4)
 MICRO_WIDTH_CONST = 0.79280474333514738         # sqrt(4 sqrt2 / 9)
 MACRO_WIDTH_CONST = 0.93191956908496532         # (8 sqrt2 / 15)^(1/4)
-STATIONARY_ENERGY = -0.17735939055665065        # -(9 - 4 sqrt2)/(6 pi)
 RESIDUAL_AT_ONE = -0.23394144903828673          # 0.25 - sqrt(2/pi) e^(-1/2)
 
 PROTON_MASS = 1.67262192369e-27                 # kg
@@ -226,35 +225,6 @@ class TestEnergyMinimization:
         except GravreduceError:
             return
         assert math.isfinite(width) and width > 0.0
-
-
-class TestStationaryEnergy:
-    def test_unit_value(self, point, ctx):
-        assert stationary_energy(point, ctx) == pytest.approx(STATIONARY_ENERGY, rel=1e-12)
-
-    def test_negative_for_any_mass(self, ctx):
-        for m in (1e-3, 1.0, 1e3):
-            assert stationary_energy(Body.point(m), ctx) < 0.0
-
-    def test_scale_is_g2m5_over_hbar2(self, ctx):
-        for m in (0.3, 1.0, 7.0):
-            scale = ctx.G ** 2 * m ** 5 / ctx.hbar ** 2
-            ratio = abs(stationary_energy(Body.point(m), ctx)) / scale
-            assert 0.01 <= ratio <= 1.0
-
-    def test_kind_guard(self, sphere, ctx):
-        with pytest.raises(BodyKindError):
-            stationary_energy(sphere, ctx)
-
-    @pytest.mark.parametrize("m", [9.03e90, 8.6e-69])
-    def test_out_of_range_is_a_domain_error(self, m):
-        # In CGS the minimizing width's sigma0^2 underflows (9.03e90 g, a
-        # ZeroDivisionError) or overflows (8.6e-69 g, an OverflowError) in the
-        # quantum term while the width itself is in range.
-        ctx = PhysicalContext.cgs()
-        critical_width_energy_min_exact(Body.point(m), ctx)
-        with pytest.raises(DomainError, match="stationary energy is outside the floating-point"):
-            stationary_energy(Body.point(m), ctx)
 
 
 class TestObjectTransitionWidths:

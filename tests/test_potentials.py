@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from gravreduce.core import Body, PhysicalContext, WavePacket, density, width_at
 from gravreduce.criticality import TauMethod, tau_at
-from gravreduce.dynamics import period_linearized
 from gravreduce.errors import (AccuracyError, BodyKindError, DomainError,
                                GravreduceError, SingularityError)
 from gravreduce.potentials import (_radial_quad, classical_kernel,
@@ -297,8 +296,8 @@ log_uniform = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
 
 
 def scalar_entry_points(packet, point, sphere, ctx):
-    """The closed forms of ``potentials``, the density, the packet width and
-    the linearized period, as functions of r (the time, for the width)."""
+    """The closed forms of ``potentials``, the density and the packet width, as
+    functions of r (the time, for the width)."""
     return {
         "density": lambda r: density(r, packet),
         "quantum_potential": lambda r: quantum_potential(r, packet, point, ctx),
@@ -311,7 +310,6 @@ def scalar_entry_points(packet, point, sphere, ctx):
         "qg_potential_object": lambda r: qg_potential_object(r, packet, sphere, ctx),
         "qg_force_object": lambda r: qg_force_object(r, packet, sphere, ctx),
         "width_at": lambda r: width_at(r, packet, point, ctx),
-        "period_linearized": lambda r: period_linearized(packet, point, ctx),
     }
 
 
@@ -348,8 +346,8 @@ def test_scalar_entry_points_return_a_finite_float_or_a_gravreduce_error(number,
     lambda ctx: density(1e-170, WavePacket(1e-170)),
     lambda ctx: qg_force_point(1.0, WavePacket(1.0), Body.point(1e200), ctx),   # G m^2 = inf
     lambda ctx: width_at(1e200, WavePacket(1.0), Body.point(1.0), ctx),         # x^2 = inf
-    lambda ctx: period_linearized(WavePacket(1e-110), Body.point(1.0), ctx),    # sigma0^3 = 0
-    lambda ctx: period_linearized(WavePacket(1e110), Body.point(1.0), ctx),     # sigma0^3 overflows
+    lambda ctx: quantum_potential(1.0, WavePacket(1e-110), Body.point(1.0), ctx),  # sigma0^4 = 0
+    lambda ctx: quantum_force(1.0, WavePacket(1e110), Body.point(1.0), ctx),  # sigma0^4 overflows
     # numpy scalars: numpy arithmetic warned where Python's raises
     lambda ctx: density(1e-170, WavePacket(np.float64(1e-170))),
     lambda ctx: qg_force_object(1e-170, WavePacket(1.0), Body.sphere(1.0, np.float64(1e-120)),
