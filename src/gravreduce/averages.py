@@ -4,7 +4,9 @@ Every quantity of interest can be averaged against the radial weight
 density * 4 pi r^2 on [0, infinity).  A generic expectation engine, a
 Gauss-Legendre rule with an error estimate (see ``potentials._radial_quad``),
 lives next to the closed-form results so each closed form can be
-cross-tested against the same independent integrator.
+cross-tested against the same independent integrator.  The rule runs on
+Python floats, with correctly rounded sums (``math.fsum``), so an
+expectation loads no numpy.
 """
 
 from __future__ import annotations

@@ -29,7 +29,9 @@ command line names the one file read.
 (``--units``, ``--dimensionless``, ``--hbar``, ``--G``), ``--format`` and
 the body options (``--mass``, ``--sigma0``, ``--kind``, ``--radius``).
 ``verify`` takes only ``--perturb``, ``--quick``, ``--out`` and
-``--config``.
+``--config``.  ``tau``'s ``--no-numeric`` leaves out a point estimate, so
+with ``--kind sphere`` it is a configuration error, from the command line or
+the config file alike, as ``--radius`` is with ``--kind point``.
 
 ``sweep`` writes one row per point of the cartesian product of its grids,
 in ``itertools.product`` order: the first ``--grid`` varies slowest.  Each
@@ -51,7 +53,8 @@ when it has one row; the output is the same bytes either way (see
 ``sweep``).
 
 No command imports scipy.  ``verify``'s quadrature oracles use the
-package's own Gauss-Legendre rule, whose nodes are built on first use, and
+package's own Gauss-Legendre rule, in Python floats, whose nodes are built on
+first use, and
 ``simulate`` and ``verify``'s energy checks integrate with its own DOP853
 stepper, in the packet's units (``--atol`` is in units of sigma0 for r and of
 sigma0/t_char for v, and ``simulate`` reports t_char in its ``solver``
@@ -75,17 +78,18 @@ where JSON is written, so a CSV run of ``critical``, ``tau``, ``sweep`` or
 ``simulate`` to stdout loads none.  Every subcommand is registered by name
 and help, but only the one named on the command line gets its options.  No
 command loads ``dataclasses``, since the package's records are built without
-it (see ``core``), so ``critical``, ``tau`` and ``simulate`` load no
-``inspect`` either; ``sweep`` and ``verify`` load it with numpy.  Importing
+it (see ``core``), so ``critical``, ``tau``, ``simulate`` and ``verify``
+load no ``inspect`` either; ``sweep`` loads it with numpy.  Importing
 this module and ``criticality`` takes about 19 ms (median ``-X importtime``,
 Python 3.11 on a 2-CPU Xeon, no bytecode cache).
 
-Only the commands that build arrays load numpy: ``sweep``, whose closed forms
-broadcast over its grid, and ``verify``, with its battery.  ``critical``,
-``tau`` and ``simulate`` load no numpy.  The closed forms of ``critical`` and
-``tau`` take Python floats and run on Python arithmetic, the same code that
-runs on numpy for ``sweep``'s arrays; ``simulate``'s stepper and energy column
-run on Python floats, and its samples are stdlib ``array('d')``.
+Only ``sweep`` loads numpy, whose closed forms broadcast over its grid.
+``critical``, ``tau``, ``simulate`` and ``verify`` load no numpy.  The closed
+forms of ``critical`` and ``tau`` take Python floats and run on Python
+arithmetic, the same code that runs on numpy for ``sweep``'s arrays;
+``simulate``'s stepper and energy column run on Python floats, and its
+samples are stdlib ``array('d')``; ``verify``'s quadrature rule, its
+parameter draws and its erf grid are Python floats and lists.
 """
 
 from __future__ import annotations
@@ -308,6 +312,8 @@ def cmd_tau(args) -> int:
     from . import criticality
 
     _require(args, "mass", "sigma0")
+    if args.no_numeric and args.kind == "sphere":
+        raise ConfigError("--no-numeric only applies to --kind point")
     ctx = _context(args)
     body = _body(args)
     packet = WavePacket(args.sigma0)
@@ -394,7 +400,8 @@ def _simulate_options(p):
 def _tau_options(p):
     _add_model(p, "json")
     p.add_argument("--no-numeric", action="store_true",
-                   help="leave out the quarter-period-numeric estimate (default: off)")
+                   help="leave out the quarter-period-numeric estimate, "
+                        "--kind point only (default: off)")
 
 
 def _sweep_options(p):

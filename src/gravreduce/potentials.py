@@ -10,9 +10,11 @@ directly and serves as the oracle for every closed form here.
 That fallback, and the ensemble averages of ``averages.expect``, integrate
 against the Gaussian's radial weight with one fixed rule: 48-node
 Gauss-Legendre, checked against the 40-node rule on the same panel and
-bisected only where the two disagree.  numpy is imported by the rule's
-functions alone, so importing this module, as ``simulate`` does, loads no
-numpy.
+bisected only where the two disagree.  The rules are the package's own, in
+Python floats: nodes by Newton's method on the Legendre recurrence, weights
+2 / ((1 - t^2) P_n'(t)^2), built on first use in about 2 ms.  No code here
+loads numpy, so neither importing this module, as ``simulate`` does, nor
+integrating, as ``verify`` does, loads it.
 
 Sign convention: the self-gravitational potentials are the running integral
 of (classical kernel) * density * 4 pi r'^2, which is negative wherever the
@@ -25,6 +27,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import operator
 from collections.abc import Callable
 
 from .core import SQRT_2_OVER_PI, Body, PhysicalContext, WavePacket, range_error
@@ -48,50 +51,80 @@ MAX_PANELS = 64
 _INTEGRAL = "the integrand or its integral"
 
 
+def _legendre(n: int, x: float) -> tuple[float, float]:
+    """P_n(x) and P_n'(x), by the three-term recurrence
+    k P_k = (2k - 1) x P_(k-1) - (k - 1) P_(k-2) and
+    (1 - x^2) P_n' = n (P_(n-1) - x P_n) (Abramowitz & Stegun 22.7.10, 22.8.5)."""
+    p0, p1 = 1.0, x
+    for k in range(2, n + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    return p1, n * (p0 - x * p1) / (1.0 - x * x)
+
+
+def _legendre_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The n-point Gauss-Legendre rule on [-1, 1], n even: (nodes, weights),
+    nodes ascending.
+
+    Each positive node is Newton's method on the recurrence from the
+    asymptotic guess cos(pi (i + 3/4) / (n + 1/2)), which converges in at
+    most 4 steps for n = 40 and 48; the negative nodes are their mirror
+    images.  The weight is 2 / ((1 - t^2) P_n'(t)^2) (A&S 25.4.29) at the
+    root t, taken to first order from the rounded node x: the denominator
+    (1 - x^2) P_n'(x)^2 - 2 x P_n'(x) P_n(x).  That keeps the weights
+    within 8e-15 relative of 40-digit mpmath, against 4e-14 for the formula
+    at x.
+    """
+    half = []
+    for i in range(n // 2):
+        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        for _ in range(8):
+            p, dp = _legendre(n, x)
+            dx = p / dp
+            x -= dx
+            if abs(dx) <= 1e-15:
+                break
+        p, dp = _legendre(n, x)
+        half.append((x, 2.0 / ((1.0 - x * x) * dp * dp - 2.0 * x * dp * p)))
+    nodes = [-x for x, _ in half] + [x for x, _ in reversed(half)]
+    weights = [w for _, w in half] + [w for _, w in reversed(half)]
+    return tuple(nodes), tuple(weights)
+
+
 def _panel_rule(t, w, a: float, b: float):
-    """Nodes u on [a, b] of the reference rules (t, w) on [-1, 1], and their
-    weights times the radial weight rho(u) = sqrt(2/pi) u^2 exp(-u^2 / 2).
+    """Nodes u on [a, b] of the reference rule (t, w) on [-1, 1], and its
+    weights times the radial weight rho(u) = sqrt(2/pi) u^2 exp(-u^2 / 2),
+    as two lists.
 
     rho(u) du is density(r) 4 pi r^2 dr at r = u sigma0, whatever sigma0 is,
-    so the Gaussian never has to be evaluated per call.  w holds one row of
-    weights per rule, zero at the other rule's nodes.
+    so the Gaussian never has to be evaluated per call.  t and w hold both
+    rules of :func:`_gauss_pair`, concatenated.  A fresh panel costs one
+    math.exp per node, about 15 us for the 88 nodes.
     """
-    import numpy as np
-
     half = 0.5 * (b - a)
-    u = (a + half) + half * t
-    return u, half * w * (SQRT_2_OVER_PI * u * u * np.exp(-0.5 * u * u))
+    mid = a + half
+    u = [mid + half * x for x in t]
+    exp = math.exp
+    return u, [half * wi * (SQRT_2_OVER_PI * x * x * exp(-0.5 * x * x))
+               for wi, x in zip(w, u)]
 
 
 @functools.cache
 def _gauss_pair():
     """The GAUSS_NODES- and COMPARISON_NODES-point Gauss-Legendre rules on
-    [-1, 1] as (t, w): the nodes of both, concatenated in that order, and a
-    row of weights for each.  Also the rule of the panel [0, TRUNCATION_SIGMAS]
-    that every expectation starts from.
+    [-1, 1] as (t, w): the nodes of both, concatenated in that order, and
+    their weights, in the same order.  Also (u, weights), the rule of the
+    panel [0, TRUNCATION_SIGMAS] that every expectation starts from, as
+    :func:`_panel_rule` gives it.  All four are tuples.
 
-    The nodes are ``leggauss``'s.  The weights are 2 / ((1 - t^2) P_n'(t)^2)
-    at those nodes: ``leggauss`` takes P_n' before its last Newton step on
-    the nodes, which leaves its own weights off by up to 1e-12 relative.
-    Built on first use, so that the commands which never integrate do not
-    pay for it.
+    The rules come from :func:`_legendre_rule`, with weights
+    2 / ((1 - t^2) P_n'(t)^2).  Built on first use, in about 2 ms, so that
+    the commands which never integrate do not pay for it.
     """
-    import numpy as np
-    from numpy.polynomial.legendre import leggauss, legder, legval
-
-    def weights(nodes):
-        dp = legval(nodes, legder([0.0] * nodes.size + [1.0]))
-        return 2.0 / ((1.0 - nodes * nodes) * dp * dp)
-
-    t_value, t_comparison = (leggauss(n)[0] for n in (GAUSS_NODES, COMPARISON_NODES))
-    t = np.concatenate([t_value, t_comparison])
-    w = np.zeros((2, t.size))
-    w[0, :GAUSS_NODES] = weights(t_value)
-    w[1, GAUSS_NODES:] = weights(t_comparison)
-    fixed = _panel_rule(t, w, 0.0, TRUNCATION_SIGMAS)
-    for a in (t, w, *fixed):
-        a.setflags(write=False)
-    return t, w, fixed
+    t_value, w_value = _legendre_rule(GAUSS_NODES)
+    t_comparison, w_comparison = _legendre_rule(COMPARISON_NODES)
+    t, w = t_value + t_comparison, w_value + w_comparison
+    u, weights = _panel_rule(t, w, 0.0, TRUNCATION_SIGMAS)
+    return t, w, (tuple(u), tuple(weights))
 
 
 def _radial_quad(fn: Callable[[float], float], s0: float,
@@ -99,47 +132,52 @@ def _radial_quad(fn: Callable[[float], float], s0: float,
     """Integral of rho(u) fn(u s0) over u in [0, upper], with rho the radial
     weight of :func:`_panel_rule`: returns (value, abserr, l1, neval).
 
-    fn is called once per node with a float radius.  abserr sums
+    fn is called once per node with a float radius.  Each panel's sums are
+    ``math.fsum``'s, so they are correctly rounded.  abserr sums
     |G48 - G40| over the panels and l1 is the same rule's integral of
     |rho fn|.  While abserr exceeds QUAD_RELTOL * max(|value|, l1), the
     panel with the largest estimate is bisected, up to MAX_PANELS panels; the
-    caller judges what is left.  neval counts the calls of fn.
+    caller judges what is left.  neval counts the calls of fn.  The first
+    call builds the rules (:func:`_gauss_pair`).
 
     Raises :class:`DomainError` when fn, or the result, leaves the
     floating-point range.
     """
-    import numpy as np
-
     t, w, fixed = _gauss_pair()
 
     def panel(a, b):
         """(-abserr, a, b, value, l1) of [a, b]: a heap entry, largest error first."""
         u, weights = fixed if (a, b) == (0.0, TRUNCATION_SIGMAS) else _panel_rule(t, w, a, b)
         try:
-            f = np.fromiter(map(fn, (u * s0).tolist()), float, u.size)
+            f = list(map(fn, [x * s0 for x in u]))
         except OverflowError:
             raise range_error(_INTEGRAL) from None
-        # every node has a positive weight in one row (and 0 * inf is nan),
-        # so a node value that is not finite leaves a sum not finite
-        value, comparison = weights @ f
-        l1 = weights[0] @ np.abs(f)
+        p = list(map(operator.mul, weights, f))
+        terms = p[:GAUSS_NODES]
+        # Every weight is positive, so a node value that is not finite leaves
+        # a sum not finite, or makes fsum raise (inf - inf, or an overflow).
+        try:
+            value = math.fsum(terms)
+            l1 = math.fsum(map(abs, terms))
+            comparison = math.fsum(p[GAUSS_NODES:])
+        except (ValueError, OverflowError):
+            raise range_error(_INTEGRAL) from None
         if not (math.isfinite(value) and math.isfinite(comparison) and math.isfinite(l1)):
             raise range_error(_INTEGRAL)
-        return -float(abs(value - comparison)), a, b, float(value), float(l1)
+        return -abs(value - comparison), a, b, value, l1
 
     def totals():
         neg_err, _, _, value, l1 = map(sum, zip(*panels))
         return value, -neg_err, l1
 
-    with np.errstate(all="ignore"):
-        panels = [panel(0.0, upper)]
+    panels = [panel(0.0, upper)]
+    value, err, l1 = totals()
+    while err > QUAD_RELTOL * max(abs(value), l1) and len(panels) < MAX_PANELS:
+        _, a, b, _, _ = heapq.heappop(panels)
+        mid = 0.5 * (a + b)
+        heapq.heappush(panels, panel(a, mid))
+        heapq.heappush(panels, panel(mid, b))
         value, err, l1 = totals()
-        while err > QUAD_RELTOL * max(abs(value), l1) and len(panels) < MAX_PANELS:
-            _, a, b, _, _ = heapq.heappop(panels)
-            mid = 0.5 * (a + b)
-            heapq.heappush(panels, panel(a, mid))
-            heapq.heappush(panels, panel(mid, b))
-            value, err, l1 = totals()
     if not (math.isfinite(value) and math.isfinite(err) and math.isfinite(l1)):
         raise range_error(_INTEGRAL)
     return value, err, l1, (2 * len(panels) - 1) * (GAUSS_NODES + COMPARISON_NODES)

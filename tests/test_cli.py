@@ -449,6 +449,29 @@ def test_sweep_refuses_a_config_grid_given_twice(tmp_path):
     assert (code, out, err) == (cli.EXIT_CONFIG, "", TWICE)
 
 
+# A sphere has no quarter-period-numeric estimate to leave out.
+NO_NUMERIC = "error: --no-numeric only applies to --kind point\n"
+TAU_SPHERE = ["tau", "--mass", "1", "--sigma0", "1", "--kind", "sphere", "--radius", "0.5"]
+
+
+def test_tau_refuses_no_numeric_for_a_sphere(tmp_path):
+    out = tmp_path / "tau.json"
+    assert run(TAU_SPHERE + ["--no-numeric", "--out", str(out)]) == (
+        cli.EXIT_CONFIG, "", NO_NUMERIC)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line, refused", [("no_numeric = true", True),
+                                           ("no-numeric = off", False)])
+def test_tau_refuses_no_numeric_for_a_sphere_from_a_config_file(line, refused, tmp_path):
+    config = write_config(tmp_path, line + "\n")
+    out = tmp_path / "tau.json"
+    code, stdout, err = run(TAU_SPHERE + ["--config", config, "--out", str(out)])
+    assert (code, stdout, err) == ((cli.EXIT_CONFIG, "", NO_NUMERIC) if refused
+                                   else (cli.EXIT_OK, "", ""))
+    assert out.exists() is not refused
+
+
 SIMULATE = ["simulate", "--mass", "1", "--sigma0", "1", "--r0", "1", "--t-end", "10"]
 
 
@@ -682,11 +705,14 @@ CLOSED_FORM_RUNS = [
                     "--radius", "0.5"]),
     ("tau point numeric", ["tau", "--mass", "1", "--sigma0", "1"]),
 ]
-# Each command that builds arrays, and so loads numpy, runs in a process of its own.
+# Each command that builds arrays, and so loads numpy, runs in a process of its own:
+# sweep alone, whose closed forms broadcast over its grid.
 NUMPY_RUNS = [
     ("sweep", ["sweep", "--sigma0", "1", "--grid", "mass=0.1:10:3"]),
-    ("verify --quick", ["verify", "--quick"]),
 ]
+# verify, the one command that builds the quadrature nodes, runs in a process
+# of its own too; its rule and battery run on Python floats.
+VERIFY_RUN = ("verify --quick", ["verify", "--quick"])
 LAWS = {"gravity-point": [], "mixed-point": [], "gravity-object": ["--radius", "0.5"]}
 
 
@@ -712,7 +738,7 @@ def command_probe(tmp_path_factory):
     # after it.
     states = {}
     shared = CLOSED_FORM_RUNS + simulate_runs(tmp_path_factory.mktemp("probe"))
-    for runs in [shared] + [[r] for r in NUMPY_RUNS]:
+    for runs in [shared] + [[r] for r in NUMPY_RUNS + [VERIFY_RUN]]:
         res = run_process(["-c", IMPORT_PROBE, json.dumps(runs)])
         assert res.returncode == 0, res.stderr
         states.update(json.loads(res.stdout))
@@ -732,12 +758,12 @@ def test_closed_form_commands_do_not_load_scipy_integrate(command_probe):
 
 
 def test_only_array_commands_load_numpy(command_probe):
-    # Importing the CLI, critical, the three tau runs and all nine simulate
-    # runs leave numpy unloaded; positive control: sweep and verify, which
-    # build arrays, load it.
+    # Importing the CLI, critical, the three tau runs, all nine simulate runs
+    # and verify leave numpy unloaded; positive control: sweep, which builds
+    # arrays, loads it.
     loaded = {name: state["numpy"] for name, state in command_probe.items()}
     assert sum(name.startswith("simulate ") for name in loaded) == 3 * len(LAWS)
-    assert set(dict(CLOSED_FORM_RUNS)) <= set(loaded)
+    assert set(dict(CLOSED_FORM_RUNS + [VERIFY_RUN])) <= set(loaded)
     assert loaded == {name: name in dict(NUMPY_RUNS) for name in loaded}
 
 
@@ -757,8 +783,8 @@ def test_only_integrating_commands_load_the_stepper(command_probe):
 
 
 def test_no_command_loads_numpy_random(command_probe):
-    # verify draws its parameters from the stdlib generator, and numpy loads
-    # numpy.random only when it is first used.
+    # verify draws its parameters from the stdlib generator and loads no
+    # numpy; sweep's numpy loads numpy.random only when it is first used.
     assert sum(state["numpy"] for state in command_probe.values()) == len(NUMPY_RUNS)
     assert not any(state["numpy.random"] for state in command_probe.values())
 
@@ -817,7 +843,7 @@ MODULE_SETS = (
         POINT_LAW_MODULES | ({"gravreduce.potentials"} if law == "gravity-object" else set()))
        for law, extra in LAWS.items()]
     + [("sweep", dict(NUMPY_RUNS)["sweep"], CLOSED_FORM_MODULES | {"gravreduce.sweep"}),
-       ("verify --quick", dict(NUMPY_RUNS)["verify --quick"], VERIFY_MODULES)])
+       (*VERIFY_RUN, VERIFY_MODULES)])
 
 
 @pytest.mark.parametrize("argv, modules", [case[1:] for case in MODULE_SETS],
@@ -850,7 +876,8 @@ def test_csv_runs_load_no_json(name, fresh_modules):
 
 
 NUMPY_FREE_RUNS = [("critical", CLOSED_FORM_RUNS[0][1]), ("tau", CLOSED_FORM_RUNS[-1][1])] + [
-    (f"simulate {law}", SIMULATE + ["--law", law] + extra) for law, extra in LAWS.items()]
+    (f"simulate {law}", SIMULATE + ["--law", law] + extra) for law, extra in LAWS.items()] + [
+    VERIFY_RUN]
 
 
 @pytest.mark.parametrize("argv", [argv for _, argv in NUMPY_FREE_RUNS],

@@ -1,14 +1,18 @@
 """The radial Gauss-Legendre rule behind ``averages.expect`` and
 ``potentials.qg_potential_numeric``, against ``scipy.integrate.quad`` as an
 independent reference (scipy is a test dependency only), on a kinked
-integrand that needs bisection, and on parameters that leave the
-floating-point range."""
+integrand that needs bisection, and on parameters and node values that leave
+the floating-point range; and its nodes and weights against numpy's
+``leggauss`` and 40-digit mpmath."""
 
 import math
+import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import IntegrationWarning, quad
 
 from gravreduce import averages, potentials
@@ -110,11 +114,38 @@ def test_closed_form_expectation_counts_no_evaluations():
 def test_the_node_rule_is_built_once_and_read_only():
     t, w, (u, weights) = potentials._gauss_pair()
     assert potentials._gauss_pair()[0] is t
-    assert t.size == u.size == NODES_PER_PANEL
-    assert w.shape == weights.shape == (2, NODES_PER_PANEL)
-    assert not any(a.flags.writeable for a in (t, w, u, weights))
+    assert len(t) == len(w) == len(u) == len(weights) == NODES_PER_PANEL
+    assert all(type(a) is tuple for a in (t, w, u, weights))
     # each rule integrates the radial weight of the fixed panel to one
-    assert weights.sum(axis=1) == pytest.approx([1.0, 1.0], abs=1e-15)
+    n = potentials.GAUSS_NODES
+    assert [math.fsum(weights[:n]), math.fsum(weights[n:])] == pytest.approx(
+        [1.0, 1.0], abs=1e-15)
+
+
+def mpmath_rule(n):
+    """The n-point Gauss-Legendre rule at 40 digits: each root of mpmath's P_n
+    from the package's node, and 2 / ((1 - t^2) P_n'(t)^2) at it."""
+    nodes, _ = potentials._legendre_rule(n)
+    with mpmath.workdps(40):
+        roots = [mpmath.findroot(lambda x: mpmath.legendre(n, x), mpmath.mpf(x)) for x in nodes]
+        dp = [n * (mpmath.legendre(n - 1, t) - t * mpmath.legendre(n, t)) / (1 - t * t)
+              for t in roots]
+        weights = [2 / ((1 - t * t) * d * d) for t, d in zip(roots, dp)]
+    return roots, weights
+
+
+@pytest.mark.parametrize("n", [potentials.GAUSS_NODES, potentials.COMPARISON_NODES])
+def test_the_node_rule_against_leggauss_and_mpmath(n):
+    nodes, weights = potentials._legendre_rule(n)
+    roots, exact = mpmath_rule(n)
+    # nodes to the last bit or two; numpy's leggauss lies as far from mpmath
+    assert max(abs(float(x - t)) for x, t in zip(nodes, roots)) <= 1.2e-16
+    assert np.max(np.abs(np.array(nodes) - leggauss(n)[0])) <= 1.2e-16
+    # 6.4e-14 bounds 2 / ((1 - t^2) P_n'(t)^2) evaluated at leggauss's nodes;
+    # the rule's weights, corrected for the rounding of the node, reach 8e-15
+    assert max(abs(float((w - e) / e)) for w, e in zip(weights, exact)) <= 6.4e-14
+    assert nodes == tuple(-x for x in reversed(nodes))
+    assert weights == tuple(reversed(weights))
 
 
 def no_warning_call(fn):
@@ -151,3 +182,41 @@ class TestOutsideTheFloatingPointRange:
         with pytest.raises(DomainError):
             no_warning_call(lambda: averages.expect(
                 lambda r: potentials.qg_force_object(r, packet, body, CTX), packet, CTX))
+
+
+# Node values that leave the floating-point range, by node index on the
+# panel [0, 12 sigma0] where every call below starts; 1.0 at the others.
+NODE_VALUES = {
+    "nan at one node": {5: math.nan},
+    "+inf at one node": {5: math.inf},
+    # both in the 48-node rule, whose sum is then inf - inf
+    "+inf and -inf at two nodes": {5: math.inf, 40: -math.inf},
+}
+
+
+def observable_with(values):
+    nodes = potentials._gauss_pair()[2][0]
+    at = {nodes[i]: value for i, value in values.items()}
+    return lambda r: at.get(r, 1.0)
+
+
+@pytest.mark.parametrize("values", NODE_VALUES.values(), ids=NODE_VALUES.keys())
+def test_a_node_value_outside_the_range_raises(values):
+    # sigma0 = 1 and r = 20 sigma0: the radii are the fixed panel's nodes
+    packet = WavePacket(1.0)
+    fn = observable_with(values)
+    with pytest.raises(DomainError, match="outside the floating-point range"):
+        no_warning_call(lambda: averages.expect(fn, packet, CTX))
+    with pytest.raises(DomainError, match="outside the floating-point range"):
+        no_warning_call(lambda: potentials.qg_potential_numeric(20.0, fn, packet, CTX))
+
+
+def test_a_sum_that_overflows_raises():
+    # The fixed panel's weights sum to 1 + 5.5e-16, so the largest float at
+    # every node sums past the range; 1e308 at every node averages to 1e308.
+    packet = WavePacket(1.0)
+    for call in (lambda fn: averages.expect(fn, packet, CTX).value,
+                 lambda fn: potentials.qg_potential_numeric(20.0, fn, packet, CTX)):
+        with pytest.raises(DomainError, match="outside the floating-point range"):
+            no_warning_call(lambda: call(lambda r: sys.float_info.max))
+        assert no_warning_call(lambda: call(lambda r: 1e308)) == pytest.approx(1e308, rel=1e-15)
