@@ -11,7 +11,7 @@ from .core import (Body, BodyKind, PhysicalContext, UnitSystem, WavePacket,
                    density, width_at)
 from .errors import (AccuracyError, BodyKindError, BracketError, DomainError,
                      GravreduceError, InsufficientDataError, IntegrationError,
-                     SingularityError)
+                     ParameterTypeError, SingularityError)
 
 __version__ = "0.1.0"
 
@@ -20,5 +20,5 @@ __all__ = [
     "density", "width_at",
     "GravreduceError", "DomainError", "SingularityError", "BodyKindError",
     "AccuracyError", "BracketError", "InsufficientDataError", "IntegrationError",
-    "__version__",
+    "ParameterTypeError", "__version__",
 ]

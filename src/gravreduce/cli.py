@@ -40,17 +40,15 @@ once; input that no row would use is a configuration error, as is a
 one-point grid whose bounds differ.  CSV output starts with a units comment
 and a header line; ``--format json`` writes ``{"units", "columns", "rows"}``
 exactly as ``json.dumps(..., indent=2)`` would.  Numbers are written with
-``repr``, so they round-trip.  The columns are evaluated as numpy arrays,
-one broadcast over the grid, so a value may differ from the scalar closed
-form (``critical``, ``tau``) in its last digits, by at most 1e-12 relative;
-the regime labels are the same.  The rows
-are formatted and written by two processes: a forked child writes the first
-half of the grid while this one formats the second, so a 160 x 160 sweep
-spends a median 101 ms in ``main`` against 154 ms in one process (2-CPU
-Xeon).  The grid is written whole, in one process, where ``os.fork`` is
-missing or fails, where the output has no file descriptor (a ``StringIO``), or
-when it has one row; the output is the same bytes either way (see
-``sweep``).
+``repr``, so they round-trip.  Each column is evaluated once, over just the
+grid axes it depends on, by the closed form that ``critical`` and ``tau``
+evaluate, on the same Python float arithmetic, so every cell holds the bits
+those commands print for its row.  The rows are formatted and written by
+two processes: a forked child writes the first half of the grid while this
+one formats the second.  The grid is written whole, in one process, where
+``os.fork`` is missing or fails, where the output has no file descriptor (a
+``StringIO``), or when it has one row; the output is the same bytes either
+way (see ``sweep``).
 
 No command imports scipy.  ``verify``'s quadrature oracles use the
 package's own Gauss-Legendre rule, in Python floats, whose nodes are built on
@@ -70,25 +68,24 @@ helpers and ``critical``, ``tau`` and ``verify``; the ``sweep`` and
 (under ``python -m`` it is ``__main__``, and an import would run it twice).
 Importing this module loads ``gravreduce``, ``core`` and ``errors``.
 ``critical`` and ``tau`` add ``criticality`` alone, where their closed forms
-live, and ``sweep`` adds ``criticality`` and ``sweep``.  ``simulate`` adds
-``simulate``, ``dynamics`` and its stepper ``dop853``, and ``potentials`` for
-the gravity-object law alone, whose potential it evaluates.  ``verify``
-loads every module but ``sweep`` and ``simulate``.  ``json`` is imported only
+live, and ``sweep`` adds ``criticality``, ``grid`` and ``sweep``.
+``simulate`` adds ``simulate``, ``dynamics`` and its stepper ``dop853``, and
+``potentials`` for the gravity-object law alone, whose potential it
+evaluates.  ``verify`` loads every module but ``sweep``, ``grid`` and
+``simulate``.  ``json`` is imported only
 where JSON is written, so a CSV run of ``critical``, ``tau``, ``sweep`` or
 ``simulate`` to stdout loads none.  Every subcommand is registered by name
 and help, but only the one named on the command line gets its options.  No
 command loads ``dataclasses``, since the package's records are built without
-it (see ``core``), so ``critical``, ``tau``, ``simulate`` and ``verify``
-load no ``inspect`` either; ``sweep`` loads it with numpy.  Importing
+it (see ``core``), so no command loads ``inspect`` either.  Importing
 this module and ``criticality`` takes about 19 ms (median ``-X importtime``,
 Python 3.11 on a 2-CPU Xeon, no bytecode cache).
 
-Only ``sweep`` loads numpy, whose closed forms broadcast over its grid.
-``critical``, ``tau``, ``simulate`` and ``verify`` load no numpy.  The closed
-forms of ``critical`` and ``tau`` take Python floats and run on Python
-arithmetic, the same code that runs on numpy for ``sweep``'s arrays;
-``simulate``'s stepper and energy column run on Python floats, and its
-samples are stdlib ``array('d')``; ``verify``'s quadrature rule, its
+No command loads numpy.  The closed forms take Python floats for
+``critical`` and ``tau`` and ``grid.Grid`` values, lists of Python floats
+over the grid's axes, for ``sweep``; either way they run on Python
+arithmetic.  ``simulate``'s stepper and energy column run on Python floats,
+and its samples are stdlib ``array('d')``; ``verify``'s quadrature rule, its
 parameter draws and its erf grid are Python floats and lists.
 """
 
@@ -428,9 +425,8 @@ SUBCOMMANDS = {
         "help": "grid sweep to CSV or JSON",
         "description": "One row per point of the cartesian product of the --grid specs, "
                        "the first --grid varying slowest.  CSV by default, or "
-                       "{units, columns, rows} with --format json.  Values are "
-                       "evaluated as arrays and agree with the scalar closed forms "
-                       "to 1e-12 relative."}),
+                       "{units, columns, rows} with --format json.  Each value is "
+                       "the one critical or tau gives for its row."}),
     "verify": (cmd_verify, _verify_options, {"help": "run the oracle verification battery"}),
 }
 

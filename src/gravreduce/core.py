@@ -27,21 +27,27 @@ form runs inside :func:`closed_form`, which maps ``OverflowError`` and
 ``ZeroDivisionError``, and checks its result with :func:`finite` (either
 sign) or :func:`in_float_range` (positive).  Seven entry points of
 ``potentials`` run once per quadrature node and keep an inline ``try``
-raising the same error, because a scope costs ten times their arithmetic
-(``quantum_force``: 0.23 us inline, 2.4 us in a scope on Python 3.11 and a
+raising the same error, because a scope triples their cost
+(``quantum_force``: 0.25 us inline, 0.75 us in a scope on Python 3.11 and a
 2-CPU Xeon): ``quantum_potential``, ``quantum_force``,
 ``classical_kernel``, ``qg_potential_point``, ``qg_force_point``,
 ``qg_potential_object`` (also once per trajectory sample) and
 ``qg_force_object``.
+
+Grids.  The closed forms of ``criticality`` also take ``grid.Grid`` values,
+which ``sweep`` builds one per gridded variable: a list of Python floats
+and the shape of the grid axes it varies along.  Their operators run the
+scalar arithmetic element by element, so no command needs numpy.  Only a
+grid, or a parameter that is neither a float nor ``None``, loads the
+``grid`` module.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from enum import Enum
 
-from .errors import DomainError
+from .errors import DomainError, ParameterTypeError
 
 # CODATA 2018 values.
 HBAR_SI = 1.054571817e-34      # J s
@@ -213,53 +219,84 @@ def finite(value: float, what: str) -> float:
 
 
 def in_float_range(value, what: str):
-    """``value`` itself if every element is finite and positive.
+    """``value`` itself if it is a finite positive float, or a
+    ``grid.Grid`` of them.
 
     The closed forms are positive for positive parameters, so a zero, an
     infinity or a NaN can only come from a power or quotient that left the
-    double range; that raises the :func:`range_error` naming ``what``.  A
-    Python float is checked with :mod:`math`, an array with numpy.
+    double range, and a complex number from a fractional power of a negative
+    parameter; either raises the :func:`range_error` naming ``what``.
     """
     if type(value) is float:
         ok = math.isfinite(value) and value > 0.0
-    elif type(value) is complex:        # a fractional power of a negative parameter
-        ok = False
+    elif type(value) is _grid():
+        values = value.values
+        total = sum(values)             # complex if any value is, else finite unless
+        if type(total) is not float:    # a value is not, or the sum overflows
+            ok = False
+        elif math.isfinite(total):
+            ok = min(values) > 0.0
+        else:
+            ok = all(0.0 < v < math.inf for v in values)
     else:
-        import numpy as np
-
-        ok = np.all(np.isfinite(value) & (np.asarray(value) > 0.0))
+        ok = False
     if not ok:
         raise range_error(what)
     return value
 
 
-@contextlib.contextmanager
-def closed_form(what: str, *params):
-    """Scope in which a closed form is evaluated on ``params``; yields them
-    ready for arithmetic, one bare and several as a tuple.
+def _grid():
+    # Only sweep builds grids, so only its process compiles their module.
+    from .grid import Grid
 
-    Python floats (exactly ``float``; ``None``, an absent radius, passes
-    through) are yielded as they are and run on Python arithmetic, which loads
-    no numpy.  Anything else, numpy scalars included (``np.float64``
-    subclasses ``float`` but only warns on overflow), becomes a float array
-    and runs under ``np.errstate(all="ignore")``.  Python arithmetic raises
-    ``OverflowError`` or ``ZeroDivisionError`` where numpy returns an
-    infinity; either becomes the :func:`range_error` naming ``what``.  A
-    product that overflows without raising is caught by checking the result
-    with :func:`finite` or :func:`in_float_range` (see the module docstring).
+    return Grid
+
+
+def _parameter(p, what: str):
+    if type(p) is float or p is None or type(p) is _grid():
+        return p
+    if hasattr(type(p), "__float__") and getattr(p, "ndim", 0) == 0:
+        try:
+            return float(p)
+        except OverflowError:           # an int beyond the double range
+            raise range_error(what) from None
+    raise ParameterTypeError(f"{what} takes Python floats, numbers that float() converts "
+                             f"or gravreduce.grid.Grid values, not {type(p).__name__}")
+
+
+class closed_form:
+    """Scope in which a closed form is evaluated on ``params``; ``with`` gives
+    them ready for arithmetic, one bare and several as a tuple.
+
+    A parameter is a Python float, a ``grid.Grid``, ``None`` (an absent
+    radius) or a scalar that ``float()`` converts, such as an ``int`` or a
+    numpy scalar, which is given as that float.  Anything else, a numpy array
+    included, raises :class:`ParameterTypeError`.  Every closed form thus runs
+    on Python arithmetic, which raises ``OverflowError`` or
+    ``ZeroDivisionError`` where numpy would return an infinity; either becomes
+    the :func:`range_error` naming ``what``.  A product that overflows without
+    raising is caught by checking the result with :func:`finite` or
+    :func:`in_float_range` (see the module docstring).
     """
-    if all(type(p) is float or p is None for p in params):
-        values, errstate = params, contextlib.nullcontext()
-    else:
-        import numpy as np
 
-        values = tuple(p if p is None else np.asarray(p, dtype=float) for p in params)
-        errstate = np.errstate(all="ignore")
-    try:
-        with errstate:
-            yield values[0] if len(values) == 1 else values
-    except (OverflowError, ZeroDivisionError):
-        raise range_error(what) from None
+    __slots__ = ("what", "params")
+
+    def __init__(self, what: str, *params):
+        self.what = what
+        for p in params:
+            if type(p) is not float and p is not None:
+                params = tuple([_parameter(p, what) for p in params])
+                break
+        self.params = params
+
+    def __enter__(self):
+        params = self.params
+        return params[0] if len(params) == 1 else params
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is not None and issubclass(exc_type, (OverflowError, ZeroDivisionError)):
+            raise range_error(self.what) from None
+        return False
 
 
 def density(r: float, packet: WavePacket) -> float:

@@ -78,11 +78,12 @@ RegimeReport = namedtuple("RegimeReport",
 
 
 # The closed forms below come in two layers.  Each ``*_at`` function takes the
-# bare parameters (mass, sigma0, radius) as floats or broadcastable numpy
-# arrays and is the one implementation of its formula, written with operators
-# alone inside ``core.closed_form``; the result has the broadcast shape of the
-# parameters it depends on.  The Body / WavePacket entry points validate
-# their records and return floats.
+# bare parameters (mass, sigma0, radius) as floats or ``grid.Grid`` values
+# and is the one implementation of its formula, written with operators alone
+# inside ``core.closed_form``, so it runs on Python float arithmetic either
+# way; a result over grids has the broadcast shape of the parameters it
+# depends on, and each of its elements the bits of the float result.  The
+# Body / WavePacket entry points validate their records and return floats.
 
 REGIMES = tuple(Regime)     # regime_index() indexes into this
 
@@ -111,9 +112,10 @@ def regime_index(mass, critical_mass):
 
     Gravity dominates above the critical mass and quantum dispersion below
     it; a relative tie band of ``TIE_BAND`` around it maps to the transition.
+    The sum of two bools is an int.
     """
     with closed_form("regime", mass, critical_mass) as (m, m_c):
-        return (m <= m_c * (1.0 + TIE_BAND)) * 1 + (m < m_c * (1.0 - TIE_BAND))
+        return (m <= m_c * (1.0 + TIE_BAND)) + (m < m_c * (1.0 - TIE_BAND))
 
 
 _OBJECT_WIDTH_CONST = {ObjectRegime.MACRO: FORCE_BALANCE_MACRO_CONST,
@@ -129,7 +131,7 @@ def transition_width_object_at(mass, radius, ctx: PhysicalContext,
     Micro (sigma0 >> R): square-root law with R^(1/2).
     Intermediate (sigma0 = R): hbar^2 / (G m^3) itself.
     ``value`` carries the exact constant from the force balance; ``paper_form``
-    drops it for order-of-magnitude work.  Both are arrays for array input.
+    drops it for order-of-magnitude work.  Both are grids for grid input.
     """
     what = f"{regime.value} transition width"
     with closed_form(what, mass, radius) as (m, R):
@@ -332,7 +334,7 @@ _ASSUMPTIONS = {
 
 
 def tau_at(method: TauMethod, mass, sigma0, ctx: PhysicalContext, radius=None):
-    """Reduction time by ``method``, elementwise over floats or broadcastable arrays.
+    """Reduction time by ``method``, of floats or elementwise over grids.
 
     The point-particle methods take no radius, the sphere methods require
     one.  The quarter period is ``QUARTER_PERIOD_POINT`` characteristic

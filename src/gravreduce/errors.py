@@ -21,6 +21,10 @@ class BodyKindError(GravreduceError, TypeError):
     """Operation applied to the wrong body kind (point vs. sphere)."""
 
 
+class ParameterTypeError(GravreduceError, TypeError):
+    """A closed form given a parameter that is neither a number nor a ``grid.Grid``."""
+
+
 class AccuracyError(GravreduceError, ArithmeticError):
     """Quadrature failed to reach the requested tolerance.
 

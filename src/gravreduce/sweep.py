@@ -1,27 +1,29 @@
-"""The ``sweep`` command: grid specs, the broadcast columns and the row writer.
+"""The ``sweep`` command: grid specs, the columns over the grid and the row writer.
 
 ``cli`` imports this module for ``sweep`` alone, after validating the command
 line, and hands it the parsed grids, the context and its output opener.  One
 row is written per point of the cartesian product of the grids, in
-``itertools.product`` order: the first ``--grid`` varies slowest.  Every
-column is evaluated once, as a numpy array at the shape of the grids it
-depends on, and its text is broadcast to the full grid.
+``itertools.product`` order: the first ``--grid`` varies slowest.  Each
+gridded variable is a ``grid.Grid`` along its own axis, and every column is
+evaluated once by its ``criticality`` closed form, as a grid over just the
+axes it depends on.  That runs the scalar closed forms' Python float
+arithmetic, so every cell holds the bits ``critical`` and ``tau`` print, and
+the package loads no numpy.  Each distinct value of a column is formatted
+(``repr``) once, and the rows are read off the columns block by block, a
+value repeated along an axis without being listed once per row.
 
-Formatting the values (``repr``) and joining the rows take most of a sweep's
-time, so the rows are split between two processes.  Once the columns are
-built and the header is written, the process forks at the slowest-varying
-grid axis with two or more points: the child formats and writes the first
-half of the rows through the inherited file descriptor and exits, while the
-parent formats the second half, reaps the child and writes its own rows
-after the child's (the two share one file offset).  Each formats each
-distinct value of its half once.  A failed child is what the serial writer
-would have raised: its write error (a closed stdout is still one ``cannot
-write stdout`` line) or ``MemoryError``.  The grid is written whole, in one
-process, when the platform has no ``os.fork`` or the fork fails, when the
-output has no file descriptor (``redirect_stdout(StringIO)``) or when it has
-one row.  The output is byte-identical either way.  On a 2-CPU Xeon (Python
-3.11, numpy 2.4) ``cli.main`` for a 160 x 160 CSV sweep took a median 101 ms
-against 154 ms written whole.
+Formatting the values and joining the rows take most of a sweep's time, so
+the rows are split between two processes.  Once the columns are built and
+the header is written, the process forks at the slowest-varying grid axis
+with two or more points: the child formats and writes the first half of the
+rows through the inherited file descriptor and exits, while the parent
+formats the second half, reaps the child and writes its own rows after the
+child's (the two share one file offset).  A failed child is what the serial
+writer would have raised: its write error (a closed stdout is still one
+``cannot write stdout`` line) or ``MemoryError``.  The grid is written whole,
+in one process, when the platform has no ``os.fork`` or the fork fails, when
+the output has no file descriptor (``redirect_stdout(StringIO)``) or when it
+has one row.  The output is byte-identical either way.
 """
 
 from __future__ import annotations
@@ -30,11 +32,12 @@ import errno
 import gc
 import math
 import os
-
-import numpy as np
+from array import array
+from itertools import islice
 
 from . import criticality
 from .core import Body, PhysicalContext, WavePacket
+from .grid import Grid
 from .errors import ConfigError
 
 # Rows joined per write when a sweep is streamed to its output.
@@ -106,8 +109,8 @@ def parse_grids(specs: list[str]) -> dict[str, list[float]]:
 
 def _axes(args, grids: dict[str, list[float]], sphere: bool) -> dict:
     """mass, sigma0 and (for spheres) radius: a fixed float, or a grid's values
-    as an array along that grid's own broadcast dimension.  Each is given once,
-    and a point sweep takes no radius."""
+    as a ``Grid`` along that grid's own axis.  Each is given once, and a point
+    sweep takes no radius."""
     fixed = {"mass": args.mass, "sigma0": args.sigma0, "radius": args.radius}
     if not sphere and (fixed["radius"] is not None or "radius" in grids):
         raise ConfigError("--radius only applies to --kind sphere")
@@ -130,56 +133,79 @@ def _axes(args, grids: dict[str, list[float]], sphere: bool) -> dict:
     for s0 in values["sigma0"]:
         WavePacket(s0)
 
-    names = list(grids)
     axes = {}
     for name in ("mass", "sigma0", "radius") if sphere else ("mass", "sigma0"):
         if name in grids:
-            i = names.index(name)
-            axes[name] = np.reshape(grids[name], [-1 if j == i else 1 for j in range(len(names))])
+            axes[name] = Grid(grids[name], tuple(len(v) if axis == name else 1
+                                                 for axis, v in grids.items()))
         else:
             axes[name] = fixed[name]
     return axes
 
 
+def _doubles(value):
+    """A column of floats, a grid's held as C doubles: a quarter of the memory
+    of a list of Python floats, which are made again as they are read."""
+    return Grid(array("d", value.values), value.shape) if type(value) is Grid else value
+
+
 def _columns(axes: dict, ctx: PhysicalContext, sphere: bool) -> dict:
     """Every sweep column, each evaluated once at the shape of the axes it depends on."""
     m, s0, R = axes["mass"], axes["sigma0"], axes.get("radius")
-    m_c = criticality.critical_mass_at(s0, ctx)
+    m_c = _doubles(criticality.critical_mass_at(s0, ctx))
     columns = dict(axes)
     columns.update({
         "critical_mass": m_c,
-        "critical_width_force_balance": criticality.critical_width_force_balance_at(m, ctx, R),
-        "critical_width_energy_min": criticality.critical_width_energy_min_at(m, ctx, R),
-        "force_ratio": criticality.force_ratio_at(m, s0, ctx),
+        "critical_width_force_balance":
+            _doubles(criticality.critical_width_force_balance_at(m, ctx, R)),
+        "critical_width_energy_min": _doubles(criticality.critical_width_energy_min_at(m, ctx, R)),
+        "force_ratio": _doubles(criticality.force_ratio_at(m, s0, ctx)),
         "regime": criticality.regime_index(m, m_c),
     })
     methods = criticality.OBJECT_CLOSED_FORMS if sphere else criticality.POINT_CLOSED_FORMS
     for method in methods:
         name = f"tau_{method.value.replace('-', '_')}"
-        columns[name] = criticality.tau_at(method, m, s0, ctx, R)
+        columns[name] = _doubles(criticality.tau_at(method, m, s0, ctx, R))
     return columns
 
 
-def _cells(columns: dict, labels, shape: tuple, axis: int, part: slice) -> list:
-    """Per column, the text of the rows in ``part`` of grid axis ``axis``, as a
-    string array broadcast (a view) to the shape of those rows.
+class _Cells:
+    """The text of one column over rows of grid shape ``rows``.  Its values,
+    row-major over ``shape``, are formatted once each and read out broadcast
+    to ``rows`` without being listed per row; a column with a value per row
+    is formatted as it is read."""
 
-    Each distinct value a column holds there is formatted once.
-    """
-    index = (slice(None),) * axis + (part,)
-    rows_shape = shape[:axis] + (len(range(shape[axis])[part]),) + shape[axis + 1:]
+    __slots__ = ("values", "shape", "rows", "fmt")
+
+    def __init__(self, values: list, shape: tuple, rows: tuple, fmt):
+        self.values, self.shape, self.rows, self.fmt = values, shape, rows, fmt
+
+    def __len__(self):
+        return math.prod(self.rows)
+
+    def __iter__(self):
+        if self.shape == self.rows:
+            return map(self.fmt, self.values)
+        return Grid(list(map(self.fmt, self.values)), self.shape).broadcast(self.rows)
+
+
+def _cells(columns: dict, labels: list, shape: tuple, axis: int, part: slice) -> list:
+    """Per column, the text of the rows in ``part`` of grid axis ``axis``, which
+    no axis with more than one point precedes."""
+    points = range(shape[axis])[part]
+    rows = shape[:axis] + (len(points),) + shape[axis + 1:]
     cells = []
-    for name, values in columns.items():
-        values = np.asarray(values)
-        if values.ndim and values.shape[axis] > 1:
-            values = values[index]
-        if name == "regime":
-            text = labels[values]
+    for name, value in columns.items():
+        if type(value) is Grid:
+            values, value_shape = value.values, value.shape
+            if value_shape[axis] > 1:   # the values of the rows in part are contiguous
+                size = len(values) // value_shape[axis]
+                values = values[points.start * size:points.stop * size]
+                value_shape = rows[:axis + 1] + value_shape[axis + 1:]
         else:
-            # tolist() gives Python floats, whose repr numpy 2 does not decorate.
-            text = np.array([repr(x) for x in values.ravel().tolist()],
-                            dtype=object).reshape(values.shape)
-        cells.append(np.broadcast_to(text, rows_shape))
+            values, value_shape = [value], (1,) * len(shape)
+        cells.append(_Cells(values, value_shape, rows,
+                            labels.__getitem__ if name == "regime" else repr))
     return cells
 
 
@@ -188,16 +214,21 @@ def _write_rows(fh, cells: list, first: str, sep: str, last: str, between: str,
     """Stream rows first + sep.join(row) + last, separated by ``between``, and
     preceded by it when ``continued`` (other rows come before them).
 
-    ``cells`` holds one broadcast string array per column; only one block of
-    rows is materialized at a time.
+    ``cells`` holds one ``_Cells`` per column; only one block of rows is
+    materialized at a time.
     """
     joiner = last + between + first
     lead = between + first if continued else first
-    for start in range(0, cells[0].size, ROWS_PER_WRITE):
-        stop = start + ROWS_PER_WRITE
-        block = zip(*(col.flat[start:stop].tolist() for col in cells))
-        fh.write(lead + joiner.join(map(sep.join, block)) + last)
+    rows = zip(*cells)
+    for _ in range(0, len(cells[0]), ROWS_PER_WRITE):
+        fh.write(lead + joiner.join(map(sep.join, islice(rows, ROWS_PER_WRITE))) + last)
         lead = between + first
+
+
+class _Held(list):
+    """Blocks of rows written to memory, to be written out in order later."""
+
+    write = list.append
 
 
 def _raise_for(status: int):
@@ -212,16 +243,17 @@ def _raise_for(status: int):
                                  f"ended with status {code}")
 
 
-def _write_grid(fh, columns: dict, labels, shape: tuple, layout: tuple):
+def _write_grid(fh, columns: dict, labels: list, shape: tuple, layout: tuple):
     """Write every row of the grid to ``fh``, split between two processes.
 
     The grid is split at its slowest-varying axis with two or more points.  A
     forked child formats and writes the first half of the rows through the
-    inherited file descriptor, while this process formats the second half; it
-    writes them once the child has exited.  Both share one file offset, so
-    the rows land in order.  The grid is written whole, here, when the
-    platform has no ``os.fork`` or the fork fails, when ``fh`` has no file
-    descriptor (a ``StringIO``) or when the grid has one row.
+    inherited file descriptor, while this process formats and joins the
+    second half into blocks held in memory; it writes them once the child has
+    exited.  Both share one file offset, so the rows land in order.  The grid
+    is written whole, here, when the platform has no ``os.fork`` or the fork
+    fails, when ``fh`` has no file descriptor (a ``StringIO``) or when the
+    grid has one row.
     """
     axis = next((i for i, n in enumerate(shape) if n > 1), None)
     try:
@@ -257,13 +289,16 @@ def _write_grid(fh, columns: dict, labels, shape: tuple, layout: tuple):
             status = _CHILD_NO_MEMORY
         finally:
             os._exit(status)
+    held = _Held()
     try:
         try:
-            cells = _cells(columns, labels, shape, axis, slice(half, None))
+            _write_rows(held, _cells(columns, labels, shape, axis, slice(half, None)), *layout,
+                        continued=True)
         finally:
             _, status = os.waitpid(pid, 0)
         _raise_for(status)
-        _write_rows(fh, cells, *layout, continued=True)
+        for block in held:
+            fh.write(block)
     finally:
         gc.unfreeze()
 
@@ -290,7 +325,7 @@ def run(args, grids: dict[str, list[float]], ctx: PhysicalContext, units_comment
             else:
                 fh.write(units_comment + ",".join(columns) + "\n")
                 layout, tail = ("", ",", "\n", ""), ""
-            _write_grid(fh, columns, np.array(labels, dtype=object), shape, layout)
+            _write_grid(fh, columns, labels, shape, layout)
             fh.write(tail)
     except MemoryError:
         raise _too_large(math.prod(shape)) from None

@@ -1,8 +1,7 @@
 """Command-line contract: exit codes, stderr, the --config merge, the
 per-subcommand parser against the full one, unwritable outputs, the simulate
-outputs, that no command loads scipy, dataclasses or numpy.random or builds
-the quadrature nodes before it needs them, that only the commands that build
-arrays load numpy and inspect, and that CSV runs load no json."""
+outputs, that no command loads scipy, numpy, dataclasses or inspect or builds
+the quadrature nodes before it needs them, and that CSV runs load no json."""
 
 import ast
 import bisect
@@ -685,8 +684,7 @@ def state():
     return {"scipy": scipy_modules(), "numpy": "numpy" in sys.modules,
             "dataclasses": "dataclasses" in sys.modules, "inspect": "inspect" in sys.modules,
             "gauss_nodes_built": potentials._gauss_pair.cache_info().currsize > 0,
-            "stepper": "gravreduce.dop853" in sys.modules,
-            "numpy.random": "numpy.random" in sys.modules}
+            "stepper": "gravreduce.dop853" in sys.modules}
 
 
 loaded = {"import": state()}
@@ -705,11 +703,8 @@ CLOSED_FORM_RUNS = [
                     "--radius", "0.5"]),
     ("tau point numeric", ["tau", "--mass", "1", "--sigma0", "1"]),
 ]
-# Each command that builds arrays, and so loads numpy, runs in a process of its own:
-# sweep alone, whose closed forms broadcast over its grid.
-NUMPY_RUNS = [
-    ("sweep", ["sweep", "--sigma0", "1", "--grid", "mass=0.1:10:3"]),
-]
+# sweep, whose closed forms run over its grid, runs in a process of its own.
+SWEEP_RUN = ("sweep", ["sweep", "--sigma0", "1", "--grid", "mass=0.1:10:3"])
 # verify, the one command that builds the quadrature nodes, runs in a process
 # of its own too; its rule and battery run on Python floats.
 VERIFY_RUN = ("verify --quick", ["verify", "--quick"])
@@ -738,7 +733,7 @@ def command_probe(tmp_path_factory):
     # after it.
     states = {}
     shared = CLOSED_FORM_RUNS + simulate_runs(tmp_path_factory.mktemp("probe"))
-    for runs in [shared] + [[r] for r in NUMPY_RUNS + [VERIFY_RUN]]:
+    for runs in [shared, [SWEEP_RUN], [VERIFY_RUN]]:
         res = run_process(["-c", IMPORT_PROBE, json.dumps(runs)])
         assert res.returncode == 0, res.stderr
         states.update(json.loads(res.stdout))
@@ -757,22 +752,27 @@ def test_closed_form_commands_do_not_load_scipy_integrate(command_probe):
     assert "'scipy.integrate'" in res.stdout
 
 
-def test_only_array_commands_load_numpy(command_probe):
-    # Importing the CLI, critical, the three tau runs, all nine simulate runs
-    # and verify leave numpy unloaded; positive control: sweep, which builds
-    # arrays, loads it.
+def test_no_command_loads_numpy(command_probe):
+    # Importing the CLI, critical, the three tau runs, all nine simulate runs,
+    # sweep and verify leave numpy unloaded: every closed form runs on Python
+    # floats, over a sweep's grid too.
     loaded = {name: state["numpy"] for name, state in command_probe.items()}
     assert sum(name.startswith("simulate ") for name in loaded) == 3 * len(LAWS)
-    assert set(dict(CLOSED_FORM_RUNS + [VERIFY_RUN])) <= set(loaded)
-    assert loaded == {name: name in dict(NUMPY_RUNS) for name in loaded}
+    assert set(dict(CLOSED_FORM_RUNS + [SWEEP_RUN, VERIFY_RUN])) <= set(loaded)
+    assert not any(loaded.values()), loaded
+    # Positive control: the same probe sees numpy, and the inspect it
+    # imports, in a process that imports it.
+    res = run_process(["-c", "import numpy\n" + IMPORT_PROBE, "[]"])
+    assert res.returncode == 0, res.stderr
+    state = json.loads(res.stdout)["import"]
+    assert state["numpy"] is True and state["inspect"] is True
 
 
-def test_no_command_loads_dataclasses_and_only_numpy_commands_load_inspect(command_probe):
-    # The records are built without dataclasses, which imports inspect: a
-    # command that loads no numpy, which imports inspect itself, loads neither.
+def test_no_command_loads_dataclasses_or_inspect(command_probe):
+    # The records are built without dataclasses, which imports inspect, and
+    # no command loads numpy, which imports it too.
     assert not any(state["dataclasses"] for state in command_probe.values())
-    loaded = {name: state["inspect"] for name, state in command_probe.items()}
-    assert loaded == {name: name in dict(NUMPY_RUNS) for name in loaded}
+    assert not any(state["inspect"] for state in command_probe.values())
 
 
 def test_only_integrating_commands_load_the_stepper(command_probe):
@@ -780,13 +780,6 @@ def test_only_integrating_commands_load_the_stepper(command_probe):
     # verify's energy checks load it.
     loaded = {name: state["stepper"] for name, state in command_probe.items()}
     assert loaded == {name: name.startswith(("simulate ", "verify")) for name in loaded}
-
-
-def test_no_command_loads_numpy_random(command_probe):
-    # verify draws its parameters from the stdlib generator and loads no
-    # numpy; sweep's numpy loads numpy.random only when it is first used.
-    assert sum(state["numpy"] for state in command_probe.values()) == len(NUMPY_RUNS)
-    assert not any(state["numpy.random"] for state in command_probe.values())
 
 
 def test_only_verify_builds_the_gauss_nodes(command_probe):
@@ -833,7 +826,8 @@ CLOSED_FORM_MODULES = {"gravreduce", "gravreduce.cli", "gravreduce.core", "gravr
                        "gravreduce.criticality"}
 POINT_LAW_MODULES = (CLOSED_FORM_MODULES - {"gravreduce.criticality"}
                      | {"gravreduce.dynamics", "gravreduce.dop853", "gravreduce.simulate"})
-# verify runs every module but the two that hold the sweep and simulate commands.
+# verify runs every module but the two that hold the sweep and simulate commands
+# and the grids that only sweep builds.
 VERIFY_MODULES = (CLOSED_FORM_MODULES
                   | {f"gravreduce.{name}" for name in ("dynamics", "dop853", "potentials",
                                                        "averages", "minimize", "verify")})
@@ -842,7 +836,7 @@ MODULE_SETS = (
     + [(f"simulate {law}", SIMULATE + ["--law", law] + extra,
         POINT_LAW_MODULES | ({"gravreduce.potentials"} if law == "gravity-object" else set()))
        for law, extra in LAWS.items()]
-    + [("sweep", dict(NUMPY_RUNS)["sweep"], CLOSED_FORM_MODULES | {"gravreduce.sweep"}),
+    + [(*SWEEP_RUN, CLOSED_FORM_MODULES | {"gravreduce.grid", "gravreduce.sweep"}),
        (*VERIFY_RUN, VERIFY_MODULES)])
 
 
@@ -851,9 +845,10 @@ MODULE_SETS = (
 def test_each_command_loads_only_the_modules_it_runs(argv, modules, fresh_modules):
     # A fresh interpreter per command: the set is exactly what it imported.
     # critical and tau compile no module of the trajectories, the averages,
-    # the minimizer, the potentials, the sweep or simulate; a point-law
-    # simulate none of the closed forms or the potentials; sweep neither
-    # dynamics nor dop853; verify neither the sweep nor the simulate module.
+    # the minimizer, the potentials, the grids, the sweep or simulate; a
+    # point-law simulate none of the closed forms or the potentials; sweep
+    # neither dynamics nor dop853; verify neither the grids, the sweep nor
+    # the simulate module.
     loaded = {m for m in fresh_modules(argv) if m.split(".")[0] == "gravreduce"}
     assert loaded == modules
 
@@ -863,7 +858,7 @@ FORMAT_RUNS = {
     "critical": ["critical", "--mass", "1", "--sigma0", "1"],
     "tau": ["tau", "--mass", "1", "--sigma0", "1"],
     "tau sphere": ["tau", "--mass", "1", "--sigma0", "1", "--kind", "sphere", "--radius", "0.5"],
-    "sweep": dict(NUMPY_RUNS)["sweep"],
+    "sweep": SWEEP_RUN[1],
     "simulate to stdout": SIMULATE,
 }
 
@@ -877,7 +872,7 @@ def test_csv_runs_load_no_json(name, fresh_modules):
 
 NUMPY_FREE_RUNS = [("critical", CLOSED_FORM_RUNS[0][1]), ("tau", CLOSED_FORM_RUNS[-1][1])] + [
     (f"simulate {law}", SIMULATE + ["--law", law] + extra) for law, extra in LAWS.items()] + [
-    VERIFY_RUN]
+    SWEEP_RUN, VERIFY_RUN]
 
 
 @pytest.mark.parametrize("argv", [argv for _, argv in NUMPY_FREE_RUNS],

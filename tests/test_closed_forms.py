@@ -1,20 +1,23 @@
-"""Property tests of the closed forms, one body for floats and arrays.
+"""Property tests of the closed forms, one body for floats and grids.
 
-Python floats run on Python arithmetic and arrays on numpy; numpy scalars
-take the array path.  Masses, widths and radii are drawn log-uniform over
-1e-300..1e300.  Every closed form, called with floats, with np.float64 scalars
-and with arrays, must return finite positive values or raise a
-GravreduceError (floats and numpy scalars without a warning), and the numpy
-results must match the float ones elementwise to 1e-12 relative.  Under a
-change of units each closed form scales with its dimension, to within a few
-eps times its condition number, and so do the numeric routes that the closed
-forms are the oracles of: ``expect``, ``qg_potential_numeric`` and the
-energy minimization.
+Every closed form runs on Python float arithmetic: a Python float as it is,
+a number that float() converts (an int, a numpy scalar) as that float, and a
+``grid.Grid`` element by element; anything else, a numpy array included, is
+refused with a ``ParameterTypeError``.  Masses, widths and radii are drawn
+log-uniform over 1e-300..1e300.  Every closed form, called with floats, with
+np.float64 scalars and with grids, must return finite positive values or
+raise a GravreduceError (without a warning), and the numpy-scalar and grid
+results must equal the float ones exactly.  Under a change of units each
+closed form scales with its dimension, to within a few eps times its
+condition number, and so do the numeric routes that the closed forms are the
+oracles of: ``expect``, ``qg_potential_numeric`` and the energy
+minimization.
 """
 
 import math
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,12 +26,12 @@ from hypothesis import given, settings, strategies as st
 from gravreduce import criticality as c
 from gravreduce.averages import expect
 from gravreduce.core import Body, PhysicalContext, WavePacket
+from gravreduce.grid import Grid
 from gravreduce.potentials import (classical_kernel, qg_force_object, qg_force_point,
                                    qg_potential_numeric, qg_potential_object,
                                    qg_potential_point, quantum_force, quantum_potential)
-from gravreduce.errors import DomainError, GravreduceError
+from gravreduce.errors import DomainError, GravreduceError, ParameterTypeError
 
-VALUE_RTOL = 1e-12
 CONTEXTS = [PhysicalContext.dimensionless(), PhysicalContext.si(), PhysicalContext.cgs()]
 
 CLOSED_FORMS = {
@@ -72,34 +75,86 @@ def test_finite_or_gravreduce_error_and_arrays_match_scalars(name, sets, ctx):
     fn = CLOSED_FORMS[name]
     scalars = [evaluate(fn, m, s0, R, ctx) for m, s0, R in sets]
     for value in scalars:
-        assert value is None or (np.ndim(value) == 0 and np.isfinite(value) and value >= 0)
-    m, s0, R = (np.array(column) for column in zip(*sets))
-    array = evaluate(fn, m, s0, R, ctx)
+        assert value is None or (type(value) is (int if name == "regime_index" else float)
+                                 and math.isfinite(value) and value >= 0)
+    m, s0, R = (Grid(list(column), (len(sets),)) for column in zip(*sets))
+    grid = evaluate(fn, m, s0, R, ctx)
     if any(value is None for value in scalars):
-        assert array is None
+        assert grid is None
         return
-    assert array is not None and np.shape(array) == (len(sets),)
-    if name == "regime_index":
-        assert array.tolist() == [int(v) for v in scalars]
-    else:
-        np.testing.assert_allclose(array, scalars, rtol=VALUE_RTOL, atol=0.0)
+    assert grid is not None and grid.shape == (len(sets),)
+    assert grid.values == scalars
 
 
 @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(params=st.tuples(log_uniform, log_uniform, log_uniform), ctx=st.sampled_from(CONTEXTS))
-def test_numpy_scalars_take_the_array_path_without_warnings(name, params, ctx):
+def test_numpy_scalars_take_the_float_path_without_warnings(name, params, ctx):
     # np.float64 subclasses float, but its arithmetic warns where Python's
-    # raises: it must not run on the float path.
+    # raises: it must run as the Python float it converts to.
     fn = CLOSED_FORMS[name]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         value = evaluate(fn, *map(np.float64, params), ctx)
         want = evaluate(fn, *params, ctx)
     assert (value is None) == (want is None)
-    if value is not None:
-        assert np.isfinite(value) and value >= 0
-        np.testing.assert_allclose(value, want, rtol=VALUE_RTOL, atol=0.0)
+    assert type(value) is type(want) and value == want
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+def test_grids_broadcast_like_the_scalar_loop(name):
+    # mass along the first axis and sigma0 along the second of a 3 x 4 grid,
+    # the radius a float: row-major over the grid, as itertools.product.
+    ctx, R = CONTEXTS[0], 0.7
+    masses, widths = [0.3, 1.0, 4.0], [0.2, 0.9, 2.5, 8.0]
+    want = [CLOSED_FORMS[name](m, s0, R, ctx) for m in masses for s0 in widths]
+    got = CLOSED_FORMS[name](Grid(masses, (3, 1)), Grid(widths, (1, 4)), R, ctx)
+    values = list(got.broadcast((3, 4))) if type(got) is Grid else [got] * 12
+    assert values == want
+
+
+NOT_NUMBERS = {"numpy array": np.array([1.0, 2.0]), "one-element numpy array": np.array([1.0]),
+               "list": [1.0], "str": "1.0", "complex": 1j}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+@pytest.mark.parametrize("bad", NOT_NUMBERS, ids=list(NOT_NUMBERS))
+def test_closed_forms_refuse_what_is_not_a_number_or_a_grid(name, bad):
+    # Each parameter in turn: refused, or not read by this closed form.
+    fn, ctx, message = CLOSED_FORMS[name], CONTEXTS[0], (
+        "takes Python floats, numbers that float() converts or gravreduce.grid.Grid values, "
+        f"not {type(NOT_NUMBERS[bad]).__name__}")
+    refused = 0
+    for position in range(3):
+        params = [1.0, 1.0, 1.0]
+        params[position] = NOT_NUMBERS[bad]
+        try:
+            got = fn(*params, ctx)
+        except ParameterTypeError as exc:
+            assert isinstance(exc, GravreduceError) and message in str(exc)
+            refused += 1
+        else:
+            assert got == fn(1.0, 1.0, 1.0, ctx)
+    assert refused >= 1
+
+
+SCALARS = {"int": 2, "np.float32": np.float32(2.0), "np.int64": np.int64(2),
+           "Fraction": Fraction(2), "0-d numpy array": np.array(2.0)}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+@pytest.mark.parametrize("number", SCALARS, ids=list(SCALARS))
+def test_closed_forms_take_numbers_that_float_converts(name, number):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = CLOSED_FORMS[name](*[SCALARS[number]] * 3, CONTEXTS[0])
+    want = CLOSED_FORMS[name](2.0, 2.0, 2.0, CONTEXTS[0])
+    assert type(got) is type(want) and got == want
+
+
+def test_an_int_beyond_the_double_range_is_a_domain_error():
+    with pytest.raises(DomainError, match="critical mass is outside the floating-point"):
+        c.critical_mass_at(10 ** 400, CONTEXTS[0])
 
 
 @pytest.mark.parametrize("mass", [1e200, 1e-200])
@@ -113,9 +168,9 @@ def test_numpy_scalar_overflow_is_a_domain_error_without_a_warning(mass, ctx):
                 c.force_ratio_at(*args, ctx)
 
 
-@pytest.mark.parametrize("sigma0", [-1.0, np.array([-1.0])])
+@pytest.mark.parametrize("sigma0", [-1.0, Grid([2.0, -1.0], (2,))], ids=["float", "grid"])
 def test_fractional_power_of_a_negative_parameter_is_a_domain_error(sigma0):
-    # Python's ** gives a complex there, numpy's a NaN.
+    # Python's ** gives a complex there, for a float and in a grid alike.
     with pytest.raises(DomainError, match="critical mass is outside the floating-point"):
         c.critical_mass_at(sigma0, CONTEXTS[0])
 
