@@ -39,7 +39,8 @@ which ``sweep`` builds one per gridded variable: a list of Python floats
 and the shape of the grid axes it varies along.  Their operators run the
 scalar arithmetic element by element, so no command needs numpy.  Only a
 grid, or a parameter that is neither a float nor ``None``, loads the
-``grid`` module.
+``grid`` module; only such a parameter loads ``numbers``, to refuse complex
+scalars.
 """
 
 from __future__ import annotations
@@ -231,6 +232,8 @@ def in_float_range(value, what: str):
         ok = math.isfinite(value) and value > 0.0
     elif type(value) is _grid():
         values = value.values
+        # sum and min scan a column in C, about four times faster than a
+        # per-value pass, which runs only where the sum is not finite.
         total = sum(values)             # complex if any value is, else finite unless
         if type(total) is not float:    # a value is not, or the sum overflows
             ok = False
@@ -255,7 +258,11 @@ def _grid():
 def _parameter(p, what: str):
     if type(p) is float or p is None or type(p) is _grid():
         return p
-    if hasattr(type(p), "__float__") and getattr(p, "ndim", 0) == 0:
+    import numbers                      # only a parameter that is not a float comes here
+
+    # float() of a complex scalar, such as numpy's, warns and drops its imaginary part.
+    complex_valued = isinstance(p, numbers.Complex) and not isinstance(p, numbers.Real)
+    if hasattr(type(p), "__float__") and getattr(p, "ndim", 0) == 0 and not complex_valued:
         try:
             return float(p)
         except OverflowError:           # an int beyond the double range
@@ -269,14 +276,14 @@ class closed_form:
     them ready for arithmetic, one bare and several as a tuple.
 
     A parameter is a Python float, a ``grid.Grid``, ``None`` (an absent
-    radius) or a scalar that ``float()`` converts, such as an ``int`` or a
-    numpy scalar, which is given as that float.  Anything else, a numpy array
-    included, raises :class:`ParameterTypeError`.  Every closed form thus runs
-    on Python arithmetic, which raises ``OverflowError`` or
-    ``ZeroDivisionError`` where numpy would return an infinity; either becomes
-    the :func:`range_error` naming ``what``.  A product that overflows without
-    raising is caught by checking the result with :func:`finite` or
-    :func:`in_float_range` (see the module docstring).
+    radius) or a real scalar that ``float()`` converts, such as an ``int`` or
+    a numpy float, which is given as that float.  Anything else, a numpy
+    array or a complex scalar included, raises :class:`ParameterTypeError`.
+    Every closed form thus runs on Python arithmetic, which raises
+    ``OverflowError`` or ``ZeroDivisionError`` where numpy would return an
+    infinity; either becomes the :func:`range_error` naming ``what``.  A
+    product that overflows without raising is caught by checking the result
+    with :func:`finite` or :func:`in_float_range` (see the module docstring).
     """
 
     __slots__ = ("what", "params")

@@ -114,7 +114,8 @@ def test_grids_broadcast_like_the_scalar_loop(name):
 
 
 NOT_NUMBERS = {"numpy array": np.array([1.0, 2.0]), "one-element numpy array": np.array([1.0]),
-               "list": [1.0], "str": "1.0", "complex": 1j}
+               "list": [1.0], "str": "1.0", "complex": 1j,
+               "numpy complex": np.complex128(1.0)}
 
 
 @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))

@@ -230,14 +230,15 @@ def test_without_fork_the_grid_is_written_whole(fork, monkeypatch, tmp_path):
 
 
 def test_the_child_writes_the_first_half(forks, monkeypatch, tmp_path):
-    # Rows of the child, then of this process: 3 of the 7 masses by 4 widths.
-    # This process joins its rows while the child runs, so the two calls are
-    # logged in either order; the file holds the child's rows first.
+    # 3 of the 7 masses by 4 widths are the child's rows, written to the file;
+    # the other 16 are this process's, joined into memory while the child
+    # runs and written after it.  The two processes log their calls in either
+    # order, so the log is compared sorted; the file holds the rows in order.
     writers = tmp_path / "writers"
 
     def write_rows(fh, cells, *layout, continued=False):
         with open(writers, "a") as log:
-            log.write(f"{os.getpid()} {len(cells[0])} {continued}\n")
+            log.write(f"{os.getpid()} {len(cells[0])} {continued} {type(fh).__name__}\n")
         real_write_rows(fh, cells, *layout, continued=continued)
 
     real_write_rows = sweep._write_rows
@@ -245,8 +246,8 @@ def test_the_child_writes_the_first_half(forks, monkeypatch, tmp_path):
     path = tmp_path / "sweep.csv"
     argv = ["sweep", *SPLIT_GRIDS["2-D, odd first axis"]]
     assert cli.main(argv + ["--out", str(path)]) == 0
-    assert sorted(writers.read_text().splitlines(), key=lambda line: line.endswith("True")) == [
-        f"{forks[0]} 12 False", f"{os.getpid()} 16 True"]
+    assert sorted(writers.read_text().splitlines()) == sorted([
+        f"{forks[0]} 12 False TextIOWrapper", f"{os.getpid()} 16 True _Held"])
     assert path.read_text() == stdout_of(argv)
 
 
