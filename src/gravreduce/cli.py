@@ -27,28 +27,29 @@ command line names the one file read.
 
 ``critical``, ``simulate``, ``tau`` and ``sweep`` take the unit options
 (``--units``, ``--dimensionless``, ``--hbar``, ``--G``), ``--format`` and
-the body options (``--mass``, ``--sigma0``, ``--kind``, ``--radius``).
+the model options (``--mass``, ``--sigma0``, ``--kind``, ``--radius``).
 ``verify`` takes only ``--perturb``, ``--quick``, ``--out`` and
-``--config``.  ``tau``'s ``--no-numeric`` leaves out a point estimate, so
-with ``--kind sphere`` it is a configuration error, from the command line or
-the config file alike, as ``--radius`` is with ``--kind point``.
+``--config``.  ``_model`` checks the model options of all four, from the
+command line or the config file alike, after ``sweep``'s ``--grid`` specs
+and before any other option, in this order.  An option of one body kind
+alone is refused with the other (``--X only applies to --kind Y``):
+``--radius`` is a sphere's, and ``tau``'s ``--no-numeric``, which leaves
+out a point estimate, a point's.  Each of mass, sigma0 and, for a sphere,
+radius is fixed by its option or gridded by a ``sweep`` ``--grid`` spec,
+never both, and a ``missing required option`` if neither.  Then the ``Body`` or ``WavePacket`` built from each value
+checks it: every mass, then every radius, then every sigma0.
 
 ``sweep`` writes one row per point of the cartesian product of its grids,
-in ``itertools.product`` order: the first ``--grid`` varies slowest.  Each
-of mass, sigma0 and (for ``--kind sphere`` only) radius is fixed or gridded
-once; input that no row would use is a configuration error, as is a
-one-point grid whose bounds differ.  CSV output starts with a units comment
-and a header line; ``--format json`` writes ``{"units", "columns", "rows"}``
-exactly as ``json.dumps(..., indent=2)`` would.  Numbers are written with
-``repr``, so they round-trip.  Each column is evaluated once, over just the
-grid axes it depends on, by the closed form that ``critical`` and ``tau``
-evaluate, on the same Python float arithmetic, so every cell holds the bits
-those commands print for its row.  The rows are formatted and written by
-two processes: a forked child writes the first half of the grid while this
-one formats the second.  The grid is written whole, in one process, where
-``os.fork`` is missing or fails, where the output has no file descriptor (a
-``StringIO``), or when it has one row; the output is the same bytes either
-way (see ``sweep``).
+in ``itertools.product`` order: the first ``--grid`` varies slowest.  Input
+that no row would use is a configuration error, as is a one-point grid
+whose bounds differ.  CSV output starts with a units comment and a header
+line; ``--format json`` writes ``{"units", "columns", "rows"}`` exactly as
+``json.dumps(..., indent=2)`` would.  Numbers are written with ``repr``,
+so they round-trip.  Each column is evaluated once, over just the grid axes
+it depends on, by the closed form that ``critical`` and ``tau`` evaluate,
+on the same Python float arithmetic, so every cell holds the bits those
+commands print for its row.  Two processes write the rows, with the bytes
+one would write: see ``sweep._write_grid``.
 
 No command imports scipy.  ``verify``'s quadrature oracles use the
 package's own Gauss-Legendre rule, in Python floats, whose nodes are built on
@@ -189,14 +190,33 @@ def _require(args, *names):
             raise ConfigError(f"missing required option --{name.replace('_', '-')}")
 
 
-def _body(args) -> Body:
-    if args.kind == "point":
-        if args.radius is not None:
-            raise ConfigError("--radius only applies to --kind sphere")
-        return Body.point(args.mass)
-    if args.radius is None:
-        raise ConfigError("--kind sphere requires --radius")
-    return Body.sphere(args.mass, args.radius)
+# Each option that applies to one body kind alone, and that kind.
+KIND_ONLY = {"radius": "sphere", "no_numeric": "point"}
+
+
+def _model(args, grids: dict[str, list[float]] | None = None):
+    """Each model parameter's values, a grid's or the one its option gives,
+    checked as the module docstring says, and the ``Body`` and ``WavePacket``
+    of the last values: a single run's own."""
+    grids = grids or {}
+    for name, kind in KIND_ONLY.items():
+        given = getattr(args, name, None)
+        # By identity: a radius of 0.0 equals False.
+        if args.kind != kind and (name in grids or not (given is None or given is False)):
+            raise ConfigError(f"--{name.replace('_', '-')} only applies to --kind {kind}")
+    for name in grids:
+        if getattr(args, name) is not None:
+            raise ConfigError(f"{name} is both fixed (--{name}) and gridded (--grid {name}=...)")
+    names = ("mass", "sigma0", "radius") if args.kind == "sphere" else ("mass", "sigma0")
+    _require(args, *(name for name in names if name not in grids))
+    values = {name: grids.get(name, [getattr(args, name)]) for name in names}
+    for m in values["mass"]:
+        body = Body.point(m)
+    for R in values.get("radius", ()):
+        body = Body.sphere(values["mass"][0], R)
+    for s0 in values["sigma0"]:
+        packet = WavePacket(s0)
+    return values, body, packet
 
 
 @contextlib.contextmanager
@@ -258,10 +278,8 @@ def _emit_mapping(payload: dict, args, ctx: PhysicalContext):
 def cmd_critical(args) -> int:
     from . import criticality
 
-    _require(args, "mass", "sigma0")
+    _, body, packet = _model(args)
     ctx = _context(args)
-    body = _body(args)
-    packet = WavePacket(args.sigma0)
     report = criticality.classify_regime(packet, body, ctx)
     payload = {
         "units": ctx.unit_system.value,
@@ -285,7 +303,10 @@ def cmd_critical(args) -> int:
 def cmd_simulate(args) -> int:
     from . import dynamics, simulate
 
-    _require(args, "mass", "sigma0", "r0", "t_end")
+    if args.kind is None:
+        args.kind = "sphere" if args.law == "gravity-object" else "point"
+    _, body, packet = _model(args)
+    _require(args, "r0", "t_end")
     if args.gnuplot_script and not (args.out and args.format == "csv"):
         raise ConfigError("--gnuplot-script plots the CSV written to --out: "
                           "it needs --out and --format csv")
@@ -294,10 +315,6 @@ def cmd_simulate(args) -> int:
         raise ConfigError("--gnuplot-script names the --out file or its .events.json "
                           "sidecar, which it would overwrite")
     ctx = _context(args)
-    if args.kind is None:
-        args.kind = "sphere" if args.law == "gravity-object" else "point"
-    body = _body(args)
-    packet = WavePacket(args.sigma0)
     law = dynamics.ForceLaw(LawKind(args.law), packet, body, ctx)
     simulate.run(args, law, _units_comment(ctx), _output)
     return EXIT_OK
@@ -308,12 +325,8 @@ def cmd_simulate(args) -> int:
 def cmd_tau(args) -> int:
     from . import criticality
 
-    _require(args, "mass", "sigma0")
-    if args.no_numeric and args.kind == "sphere":
-        raise ConfigError("--no-numeric only applies to --kind point")
+    _, body, packet = _model(args)
     ctx = _context(args)
-    body = _body(args)
-    packet = WavePacket(args.sigma0)
     estimates = criticality.tau_estimates(packet, body, ctx,
                                           include_numeric=not args.no_numeric)
     payload = {
@@ -334,8 +347,9 @@ def cmd_sweep(args) -> int:
     if not args.grid:
         raise ConfigError("sweep requires at least one --grid spec")
     grids = sweep.parse_grids(args.grid)
+    values, _, _ = _model(args, grids)
     ctx = _context(args)
-    sweep.run(args, grids, ctx, _units_comment(ctx), _output)
+    sweep.run(args, grids, values, ctx, _units_comment(ctx), _output)
     return EXIT_OK
 
 

@@ -171,18 +171,18 @@ def critical_width_energy_min_at(mass, ctx: PhysicalContext, radius=None):
 
 def critical_width_force_balance(body: Body, ctx: PhysicalContext) -> float:
     """Force-balance width of either body kind (macro law for a sphere)."""
-    return float(critical_width_force_balance_at(body.mass, ctx, body.radius))
+    return critical_width_force_balance_at(body.mass, ctx, body.radius)
 
 
 def critical_mass(packet: WavePacket, ctx: PhysicalContext) -> float:
     """Mass balancing the averaged forces at fixed width: (pi/2)^(1/6) (hbar^2 / G sigma0)^(1/3)."""
-    return float(critical_mass_at(packet.sigma0, ctx))
+    return critical_mass_at(packet.sigma0, ctx)
 
 
 def force_ratio(packet: WavePacket, body: Body, ctx: PhysicalContext) -> float:
     """Mean quantum force over the magnitude of the mean self-gravity force,
     using the point-particle closed forms that define the regime classification."""
-    return float(force_ratio_at(body.mass, packet.sigma0, ctx))
+    return force_ratio_at(body.mass, packet.sigma0, ctx)
 
 
 def classify_regime(packet: WavePacket, body: Body, ctx: PhysicalContext) -> RegimeReport:
@@ -198,7 +198,7 @@ def classify_regime(packet: WavePacket, body: Body, ctx: PhysicalContext) -> Reg
     method = (CriticalMethod.FORCE_BALANCE if body.is_point
               else CriticalMethod.ENERGY_MINIMIZATION)
     return RegimeReport(critical_mass=m_c, force_ratio=force_ratio(packet, body, ctx),
-                        regime=REGIMES[int(regime_index(body.mass, m_c))], method=method,
+                        regime=REGIMES[regime_index(body.mass, m_c)], method=method,
                         reference_values=reference_formulas(body, packet, ctx))
 
 
@@ -223,7 +223,7 @@ def _energy_derivative(body: Body, ctx: PhysicalContext):
 
 def critical_width_energy_min_exact(body: Body, ctx: PhysicalContext) -> float:
     """Closed-form minimizer of the mean energy (the oracle for the numeric route)."""
-    return float(critical_width_energy_min_at(body.mass, ctx, body.radius))
+    return critical_width_energy_min_at(body.mass, ctx, body.radius)
 
 
 def critical_width_energy_min(body: Body, ctx: PhysicalContext) -> float:
@@ -249,9 +249,7 @@ def transition_width_object(body: Body, ctx: PhysicalContext,
     """Transition width of a homogeneous sphere; see :func:`transition_width_object_at`."""
     if not body.is_sphere:
         raise BodyKindError("transition_width_object requires a homogeneous sphere")
-    est = transition_width_object_at(body.mass, body.radius, ctx, regime)
-    return WidthEstimate(value=float(est.value), paper_form=float(est.paper_form),
-                         label=est.label)
+    return transition_width_object_at(body.mass, body.radius, ctx, regime)
 
 
 def force_balance_residual(r: float, packet: WavePacket, body: Body,
@@ -296,7 +294,7 @@ def reference_formulas(body: Body, packet: WavePacket, ctx: PhysicalContext) -> 
             what = name.replace("_", " ")
             with closed_form(what, scale, body.radius) as (s, R):
                 out[name] = in_float_range(s ** p * R ** q, what)
-    return {name: float(value) for name, value in out.items()}
+    return out
 
 
 class TauMethod(str, Enum):
@@ -375,5 +373,5 @@ def tau_estimates(packet: WavePacket, body: Body, ctx: PhysicalContext,
         methods = OBJECT_CLOSED_FORMS
     else:
         methods = POINT_METHODS if include_numeric else POINT_CLOSED_FORMS
-    return [ReductionEstimate(float(tau_at(method, body.mass, packet.sigma0, ctx, body.radius)),
+    return [ReductionEstimate(tau_at(method, body.mass, packet.sigma0, ctx, body.radius),
                               method, _ASSUMPTIONS[method]) for method in methods]

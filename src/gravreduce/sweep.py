@@ -1,29 +1,19 @@
 """The ``sweep`` command: grid specs, the columns over the grid and the row writer.
 
-``cli`` imports this module for ``sweep`` alone, after validating the command
-line, and hands it the parsed grids, the context and its output opener.  One
-row is written per point of the cartesian product of the grids, in
-``itertools.product`` order: the first ``--grid`` varies slowest.  Each
-gridded variable is a ``grid.Grid`` along its own axis, and every column is
-evaluated once by its ``criticality`` closed form, as a grid over just the
-axes it depends on.  That runs the scalar closed forms' Python float
-arithmetic, so every cell holds the bits ``critical`` and ``tau`` print, and
-the package loads no numpy.  Each distinct value of a column is formatted
-(``repr``) once, and the rows are read off the columns block by block, a
-value repeated along an axis without being listed once per row.
-
-Formatting the values and joining the rows take most of a sweep's time, so
-the rows are split between two processes.  Once the columns are built and
-the header is written, the process forks at the slowest-varying grid axis
-with two or more points: the child formats and writes the first half of the
-rows through the inherited file descriptor and exits, while the parent
-formats the second half, reaps the child and writes its own rows after the
-child's (the two share one file offset).  A failed child is what the serial
-writer would have raised: its write error (a closed stdout is still one
-``cannot write stdout`` line) or ``MemoryError``.  The grid is written whole,
-in one process, when the platform has no ``os.fork`` or the fork fails, when
-the output has no file descriptor (``redirect_stdout(StringIO)``) or when it
-has one row.  The output is byte-identical either way.
+``cli`` imports this module for ``sweep`` alone, after checking the model
+parameters (``cli._model``), and hands it the parsed grids, each
+parameter's values, the context and its output opener.  One row is written
+per point of the cartesian product of the grids, in ``itertools.product``
+order: the first ``--grid`` varies slowest.  Each gridded variable is a
+``grid.Grid`` along its own axis, and every column is evaluated once by its
+``criticality`` closed form, as a grid over just the axes it depends on.
+That runs the scalar closed forms' Python float arithmetic, so every cell
+holds the bits ``critical`` and ``tau`` print, and the package loads no
+numpy.  Each distinct value of a column is formatted (``repr``) once, and
+the rows are read off the columns block by block, a value repeated along an
+axis without being listed once per row.  Formatting the values and joining
+the rows take most of a sweep's time, so two processes write the rows: see
+``_write_grid``.
 """
 
 from __future__ import annotations
@@ -36,7 +26,7 @@ from array import array
 from itertools import islice
 
 from . import criticality
-from .core import Body, PhysicalContext, WavePacket
+from .core import PhysicalContext
 from .grid import Grid
 from .errors import ConfigError
 
@@ -81,8 +71,13 @@ def _grid_values(lo: float, hi: float, n: int, spacing: str) -> list[float]:
     if n == 1:
         return [lo]
     if spacing == "log":
-        ratio = math.log(hi / lo) / (n - 1)
-        return [lo * math.exp(ratio * i) for i in range(n)]
+        if hi / lo < math.inf:
+            ratio = math.log(hi / lo) / (n - 1)
+            return [lo * math.exp(ratio * i) for i in range(n)]
+        # hi / lo overflows: the points in logs, between the bounds themselves.
+        log_lo = math.log(lo)
+        ratio = (math.log(hi) - log_lo) / (n - 1)
+        return [lo] + [math.exp(log_lo + ratio * i) for i in range(1, n - 1)] + [hi]
     step = (hi - lo) / (n - 1)
     return [lo + step * i for i in range(n)]
 
@@ -107,39 +102,17 @@ def parse_grids(specs: list[str]) -> dict[str, list[float]]:
         raise _too_large(math.prod(points.values())) from None
 
 
-def _axes(args, grids: dict[str, list[float]], sphere: bool) -> dict:
-    """mass, sigma0 and (for spheres) radius: a fixed float, or a grid's values
-    as a ``Grid`` along that grid's own axis.  Each is given once, and a point
-    sweep takes no radius."""
-    fixed = {"mass": args.mass, "sigma0": args.sigma0, "radius": args.radius}
-    if not sphere and (fixed["radius"] is not None or "radius" in grids):
-        raise ConfigError("--radius only applies to --kind sphere")
-    for name in grids:
-        if fixed[name] is not None:
-            raise ConfigError(f"{name} is both fixed (--{name}) and gridded (--grid {name}=...)")
-    for name in ("mass", "sigma0"):
-        if name not in grids and fixed[name] is None:
-            raise ConfigError(f"sweep needs {name} fixed or gridded")
-    if sphere and "radius" not in grids and fixed["radius"] is None:
-        raise ConfigError("sphere sweep needs radius fixed or gridded")
-    # Body and WavePacket hold the validation; every row's parameters are
-    # drawn from these values.
-    values = {name: grids.get(name, [fixed[name]]) for name in fixed}
-    for m in values["mass"]:
-        Body.point(m)
-    if sphere:
-        for R in values["radius"]:
-            Body.sphere(values["mass"][0], R)
-    for s0 in values["sigma0"]:
-        WavePacket(s0)
-
+def _axes(grids: dict[str, list[float]], values: dict[str, list[float]]) -> dict:
+    """Each model parameter of ``values``, as ``cli._model`` checked it: a
+    gridded one's values as a ``Grid`` along that grid's own axis, a fixed
+    one's value as a float."""
     axes = {}
-    for name in ("mass", "sigma0", "radius") if sphere else ("mass", "sigma0"):
+    for name, given in values.items():
         if name in grids:
-            axes[name] = Grid(grids[name], tuple(len(v) if axis == name else 1
-                                                 for axis, v in grids.items()))
+            axes[name] = Grid(given, tuple(len(v) if axis == name else 1
+                                           for axis, v in grids.items()))
         else:
-            axes[name] = fixed[name]
+            axes[name] = given[0]
     return axes
 
 
@@ -246,14 +219,18 @@ def _raise_for(status: int):
 def _write_grid(fh, columns: dict, labels: list, shape: tuple, layout: tuple):
     """Write every row of the grid to ``fh``, split between two processes.
 
-    The grid is split at its slowest-varying axis with two or more points.  A
-    forked child formats and writes the first half of the rows through the
-    inherited file descriptor, while this process formats and joins the
-    second half into blocks held in memory; it writes them once the child has
-    exited.  Both share one file offset, so the rows land in order.  The grid
-    is written whole, here, when the platform has no ``os.fork`` or the fork
-    fails, when ``fh`` has no file descriptor (a ``StringIO``) or when the
-    grid has one row.
+    The grid is split at its slowest-varying axis with two or more points.
+    ``fh`` is flushed, once the header is written, and the process forks: a
+    child formats and writes the first half of the rows through the
+    inherited file descriptor and exits, while this process formats and
+    joins the second half into blocks held in memory, reaps the child and
+    writes its blocks after the child's rows (the two share one file
+    offset).  A failed child is what the serial writer would have raised:
+    its write error (a closed stdout is still one ``cannot write stdout``
+    line) or ``MemoryError``.  The grid is written whole, here, when the
+    platform has no ``os.fork`` or the fork fails, when ``fh`` has no file
+    descriptor (a ``StringIO``) or when the grid has one row.  The output is
+    byte-identical either way.
     """
     axis = next((i for i, n in enumerate(shape) if n > 1), None)
     try:
@@ -303,13 +280,14 @@ def _write_grid(fh, columns: dict, labels: list, shape: tuple, layout: tuple):
         gc.unfreeze()
 
 
-def run(args, grids: dict[str, list[float]], ctx: PhysicalContext, units_comment: str,
-        output):
-    """Evaluate the sweep over ``grids`` and write it to ``output(args.out)``,
-    which is opened only once every column is built."""
+def run(args, grids: dict[str, list[float]], values: dict[str, list[float]],
+        ctx: PhysicalContext, units_comment: str, output):
+    """Evaluate the sweep over ``grids`` of the model parameters ``values``
+    and write it to ``output(args.out)``, which is opened only once every
+    column is built."""
     sphere = args.kind == "sphere"
-    axes = _axes(args, grids, sphere)
-    shape = tuple(len(values) for values in grids.values())
+    axes = _axes(grids, values)
+    shape = tuple(len(v) for v in grids.values())
     labels = [r.value for r in criticality.REGIMES]
     try:
         columns = _columns(axes, ctx, sphere)

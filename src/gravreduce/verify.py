@@ -231,13 +231,13 @@ def _reference_order_cases():
          criticality.transition_width_object(
              proton_sphere, si, criticality.ObjectRegime.MICRO).value * 1e2, 6),
         ("proton-micro-tau-s",
-         float(criticality.tau_at(criticality.TauMethod.OBJECT_MICRO, proton_sphere.mass, 1.0,
-                                  si, proton_sphere.radius)), 15),
+         criticality.tau_at(criticality.TauMethod.OBJECT_MICRO, proton_sphere.mass, 1.0, si,
+                            proton_sphere.radius), 15),
     ]
     for name, body, power in (("ball-tau-s", ball, -23), ("flea-egg-tau-s", flea_egg, -11)):
         width = criticality.critical_width_energy_min_exact(body, si)
-        tau = float(criticality.tau_at(criticality.TauMethod.OBJECT_UNCERTAINTY, body.mass,
-                                       width, si, body.radius))
+        tau = criticality.tau_at(criticality.TauMethod.OBJECT_UNCERTAINTY, body.mass, width, si,
+                                 body.radius)
         cases.append((name, tau, power))
     return cases
 

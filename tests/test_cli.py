@@ -14,6 +14,7 @@ from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import gravreduce
 from gravreduce import cli, criticality, dynamics, simulate
@@ -425,6 +426,9 @@ DROPPED_SWEEP_INPUT = {
          "--grid", "radius=1:2:2"],
         "error: radius is both fixed (--radius) and gridded (--grid radius=...)\n"),
     "point-radius-fixed": (["--sigma0", "1", "--radius", "3", "--grid", "mass=1:2:2"], RADIUS),
+    # 0.0 == False: a radius of zero is given all the same.
+    "point-radius-zero": (["--kind", "point", "--sigma0", "1", "--radius", "0",
+                           "--grid", "mass=1:2:2"], RADIUS),
     "point-radius-gridded": (["--sigma0", "1", "--grid", "mass=1:2:2",
                               "--grid", "radius=1:2:2"], RADIUS),
     "one-point-grid-with-two-bounds": (["--sigma0", "1", "--grid", "mass=1:3:1"],
@@ -446,6 +450,58 @@ def test_sweep_refuses_a_config_grid_given_twice(tmp_path):
     config = write_config(tmp_path, "sigma0 = 1\ngrid = mass=1:2:3\ngrid = mass=5:6:2\n")
     code, out, err = run(["sweep", "--config", config])
     assert (code, out, err) == (cli.EXIT_CONFIG, "", TWICE)
+
+
+# The single-run commands refuse a radius for a point as sweep does, a radius
+# of zero (0.0 == False) included.
+@pytest.mark.parametrize("radius", ["3", "0"])
+@pytest.mark.parametrize("command", ["critical", "simulate", "tau"])
+def test_radius_for_a_point_is_refused(command, radius, tmp_path):
+    out = tmp_path / "out.txt"
+    argv = VALID[command] + ["--kind", "point", "--radius", radius, "--out", str(out)]
+    assert run(argv) == (cli.EXIT_CONFIG, "", RADIUS)
+    assert not out.exists()
+
+
+# A model option neither fixed nor gridded is named alike by every command.
+@pytest.mark.parametrize("argv, name", [
+    (["critical", "--kind", "sphere", "--mass", "1", "--sigma0", "1"], "radius"),
+    (["tau", "--kind", "sphere", "--mass", "1", "--sigma0", "1"], "radius"),
+    # gravity-object makes the kind a sphere
+    (["simulate", "--law", "gravity-object", "--mass", "1", "--sigma0", "1", "--r0", "1",
+      "--t-end", "10"], "radius"),
+    (["sweep", "--grid", "sigma0=1:2:2"], "mass"),
+    (["sweep", "--grid", "mass=1:2:2"], "sigma0"),
+    (["sweep", "--kind", "sphere", "--sigma0", "1", "--grid", "mass=1:2:2"], "radius"),
+])
+def test_a_missing_model_option_is_named(argv, name):
+    assert run(argv) == (cli.EXIT_CONFIG, "", f"error: missing required option --{name}\n")
+
+
+# The model options given to critical, and to sweep with one of them moved
+# into a one-point grid: each present, absent or of the wrong sign.
+model_value = st.one_of(st.none(), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(values=st.fixed_dictionaries({"mass": model_value, "sigma0": model_value,
+                                     "radius": model_value}),
+       kind=st.sampled_from([None, "point", "sphere"]), data=st.data())
+def test_critical_and_sweep_check_the_model_alike(values, kind, data):
+    given_values = {name: value for name, value in values.items() if value is not None}
+    assume(given_values)
+    gridded = data.draw(st.sampled_from(sorted(given_values)))
+    options = [] if kind is None else ["--kind", kind]
+    fixed = {name: value for name, value in given_values.items() if name != gridded}
+    critical = run(["critical", *options] + [arg for name, value in given_values.items()
+                                             for arg in (f"--{name}", repr(value))])
+    point = repr(given_values[gridded])
+    sweep = run(["sweep", *options, "--grid", f"{gridded}={point}:{point}:1:lin"]
+                + [arg for name, value in fixed.items() for arg in (f"--{name}", repr(value))])
+    assert (critical[0], critical[2]) == (sweep[0], sweep[2])
+    if critical[0] != cli.EXIT_OK:
+        assert critical[0] == cli.EXIT_CONFIG and critical[1] == sweep[1] == ""
+        assert critical[2].startswith("error: ") and critical[2].count("\n") == 1
 
 
 # A sphere has no quarter-period-numeric estimate to leave out.

@@ -177,17 +177,25 @@ def test_fractional_power_of_a_negative_parameter_is_a_domain_error(sigma0):
 
 
 def test_scalar_entry_points_return_python_floats():
-    from gravreduce.core import Body, WavePacket
-    ctx = CONTEXTS[0]
-    packet, point, sphere = WavePacket(0.5), Body.point(2.0), Body.sphere(2.0, 0.3)
-    values = [c.critical_mass(packet, ctx), c.force_ratio(packet, point, ctx),
-              c.critical_width_force_balance(point, ctx), c.critical_width_force_balance(sphere, ctx),
-              c.critical_width_energy_min_exact(sphere, ctx),
-              c.transition_width_object(sphere, ctx, c.ObjectRegime.MICRO).value,
-              *c.reference_formulas(sphere, packet, ctx).values(),
-              *(e.tau for e in c.tau_estimates(packet, point, ctx, include_numeric=False)),
-              *(e.tau for e in c.tau_estimates(packet, sphere, ctx))]
-    assert all(type(v) is float for v in values)
+    # The records store numpy scalars as Python floats.
+    for ctx, s0, m, R in [(CONTEXTS[0], 0.5, 2.0, 0.3),
+                          (PhysicalContext.si(np.float64(1e-34), np.float64(6e-11)),
+                           np.float64(0.5), np.float32(2.0), np.float64(0.3))]:
+        packet, point, sphere = WavePacket(s0), Body.point(m), Body.sphere(m, R)
+        reports = [c.classify_regime(packet, body, ctx) for body in (point, sphere)]
+        widths = [c.transition_width_object(sphere, ctx, regime) for regime in c.ObjectRegime]
+        values = [c.critical_mass(packet, ctx), c.force_ratio(packet, point, ctx),
+                  c.critical_width_force_balance(point, ctx),
+                  c.critical_width_force_balance(sphere, ctx),
+                  c.critical_width_energy_min_exact(point, ctx),
+                  c.critical_width_energy_min_exact(sphere, ctx),
+                  *(r.critical_mass for r in reports), *(r.force_ratio for r in reports),
+                  *(w.value for w in widths), *(w.paper_form for w in widths),
+                  *c.reference_formulas(sphere, packet, ctx).values(),
+                  *(e.tau for e in c.tau_estimates(packet, point, ctx, include_numeric=False)),
+                  *(e.tau for e in c.tau_estimates(packet, sphere, ctx))]
+        assert all(type(v) is float for v in values)
+        assert type(c.regime_index(point.mass, reports[0].critical_mass)) is int
 
 
 # ---------------------------------------------------------------- change of units

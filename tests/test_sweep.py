@@ -14,6 +14,7 @@ its grids run the same Python float arithmetic.
 import errno
 import gc
 import json
+import math
 import os
 import signal
 import subprocess
@@ -134,6 +135,16 @@ def test_sweep_cells_are_plain_reprs():
     for name in ("critical", "tau"):
         argv = [name, "--mass", "1", "--sigma0", "1", "--format", "csv"]
         assert "np." not in stdout_of(argv + (["--no-numeric"] if name == "tau" else []))
+
+
+# hi / lo overflows: the points are listed in logs.
+@pytest.mark.parametrize("lo, hi, n", [(1e-300, 1e300, 3), (1e-10, 1.7976931348623157e308, 7),
+                                       (5e-324, 1.7976931348623157e308, 6), (1e-200, 1e200, 1000)])
+def test_log_grid_whose_bound_ratio_overflows(lo, hi, n):
+    values = sweep.parse_grids([f"mass={lo!r}:{hi!r}:{n}"])["mass"]
+    assert len(values) == n and all(math.isfinite(v) for v in values)
+    assert all(a < b for a, b in zip(values, values[1:]))
+    assert values[0] == lo and abs(values[-1] - hi) <= 4 * math.ulp(hi)
 
 
 # ---------------------------------------------------------------- the split
