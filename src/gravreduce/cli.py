@@ -46,10 +46,15 @@ whose bounds differ.  CSV output starts with a units comment and a header
 line; ``--format json`` writes ``{"units", "columns", "rows"}`` exactly as
 ``json.dumps(..., indent=2)`` would.  Numbers are written with ``repr``,
 so they round-trip.  Each column is evaluated once, over just the grid axes
-it depends on, by the closed form that ``critical`` and ``tau`` evaluate,
-on the same Python float arithmetic, so every cell holds the bits those
-commands print for its row.  Two processes write the rows, with the bytes
-one would write: see ``sweep._write_grid``.
+it depends on.  ``critical``, ``tau`` and ``sweep`` all take their values
+from ``criticality.report_at`` and ``taus_at``, which run the same Python
+float arithmetic on floats and on grids, so a sweep row equals what
+``critical`` and ``tau`` print for its parameters, bit for bit, and where
+``critical`` refuses a parameter set for one of ``report_at``'s columns, a
+one-point sweep refuses it with the same error line.  The last point of a
+grid is its upper bound itself, so the last row is that of the bound's own
+value.  Two processes write the rows, with the bytes one would write: see
+``sweep._write_grid``.
 
 No command imports scipy.  ``verify``'s quadrature oracles use the
 package's own Gauss-Legendre rule, in Python floats, whose nodes are built on
@@ -280,19 +285,18 @@ def cmd_critical(args) -> int:
 
     _, body, packet = _model(args)
     ctx = _context(args)
-    report = criticality.classify_regime(packet, body, ctx)
+    report = criticality.report_at(body.mass, packet.sigma0, ctx, body.radius)
+    method = (criticality.CriticalMethod.FORCE_BALANCE if body.is_point
+              else criticality.CriticalMethod.ENERGY_MINIMIZATION)
     payload = {
         "units": ctx.unit_system.value,
         "mass": body.mass,
         "sigma0": packet.sigma0,
         "kind": body.kind.value,
-        "critical_mass": report.critical_mass,
-        "critical_width_force_balance": criticality.critical_width_force_balance(body, ctx),
-        "critical_width_energy_min": criticality.critical_width_energy_min_exact(body, ctx),
-        "force_ratio": report.force_ratio,
-        "regime": report.regime.value,
-        "method": report.method.value,
-        "reference_values": report.reference_values,
+        **report,
+        "regime": criticality.REGIMES[report["regime"]].value,
+        "method": method.value,
+        "reference_values": criticality.reference_formulas(body.mass, ctx, body.radius),
     }
     _emit_mapping(payload, args, ctx)
     return EXIT_OK
@@ -327,13 +331,14 @@ def cmd_tau(args) -> int:
 
     _, body, packet = _model(args)
     ctx = _context(args)
-    estimates = criticality.tau_estimates(packet, body, ctx,
-                                          include_numeric=not args.no_numeric)
+    taus = criticality.taus_at(body.mass, packet.sigma0, ctx, body.radius,
+                               numeric=not args.no_numeric)
     payload = {
         "units": ctx.unit_system.value,
-        "estimates": [{"method": e.method.value, "tau": e.tau,
-                       "assumptions": e.assumptions} for e in estimates],
-        "reference_values": criticality.reference_formulas(body, packet, ctx),
+        "estimates": [{"method": method.value, "tau": tau,
+                       "assumptions": criticality.ASSUMPTIONS[method]}
+                      for method, tau in taus.items()],
+        "reference_values": criticality.reference_formulas(body.mass, ctx, body.radius),
     }
     _emit_mapping(payload, args, ctx)
     return EXIT_OK

@@ -12,11 +12,10 @@ of density * 4 pi r^2 equals one.
 Records.  A record is an immutable value: its fields cannot be assigned, two
 records of one type with equal fields are equal and hash alike, and its repr
 names each field.  A record that validates its fields (:class:`PhysicalContext`,
-:class:`Body`, :class:`WavePacket`, ``dynamics.ForceLaw``,
-``averages.Expectation`` and ``criticality.ReductionEstimate``) subclasses
-:class:`Record`: its ``__init__`` checks and coerces the fields, then stores
-them in the slots named by ``_fields``, and copies and pickles are rebuilt
-through it.  A result record that validates nothing is a
+:class:`Body`, :class:`WavePacket`, ``dynamics.ForceLaw`` and
+``averages.Expectation``) subclasses :class:`Record`: its ``__init__``
+checks and coerces the fields, then stores them in the slots named by
+``_fields``, and copies and pickles are rebuilt through it.  A result record that validates nothing is a
 ``collections.namedtuple``.  Neither loads ``dataclasses``, which imports
 ``inspect``: see the ``cli`` module docstring.
 

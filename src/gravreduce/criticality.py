@@ -12,8 +12,8 @@ law's exact quarter period with its unit-constant approximation, the short-time
 objective formula, and uncertainty-based estimates from the self-energy spread.
 
 Only the closed forms load with this module, so that ``critical``, ``tau`` and
-``sweep`` compile nothing else of the package: the three functions that
-evaluate ``averages``, ``minimize`` or ``potentials`` import them when called.
+``sweep`` compile nothing else of the package: the two functions that
+evaluate ``minimize`` or ``potentials`` import them when called.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 from collections import namedtuple
 from enum import Enum
 
-from .core import (SQRT_2_OVER_PI, Body, PhysicalContext, Record, WavePacket, closed_form,
+from .core import (SQRT_2_OVER_PI, Body, PhysicalContext, WavePacket, closed_form,
                    in_float_range)
 from .errors import BodyKindError, DomainError
 
@@ -58,6 +58,8 @@ class Regime(str, Enum):
     QUANTUM_DOMINANT = "quantum-dominant"
 
 
+# The route that defines a body's critical width, ``critical``'s ``method``:
+# force balance for a point particle, energy minimization for a sphere.
 class CriticalMethod(str, Enum):
     FORCE_BALANCE = "force-balance"
     ENERGY_MINIMIZATION = "energy-minimization"
@@ -72,18 +74,16 @@ class ObjectRegime(str, Enum):
 # A transition width: ``value`` with the exact constant from the balance or
 # minimization, ``paper_form`` the same scaling with the O(1) constant dropped.
 WidthEstimate = namedtuple("WidthEstimate", "value paper_form label")
-# force_ratio is the mean quantum force over |mean self-gravity force|.
-RegimeReport = namedtuple("RegimeReport",
-                          "critical_mass force_ratio regime method reference_values")
 
 
-# The closed forms below come in two layers.  Each ``*_at`` function takes the
-# bare parameters (mass, sigma0, radius) as floats or ``grid.Grid`` values
-# and is the one implementation of its formula, written with operators alone
-# inside ``core.closed_form``, so it runs on Python float arithmetic either
-# way; a result over grids has the broadcast shape of the parameters it
-# depends on, and each of its elements the bits of the float result.  The
-# Body / WavePacket entry points validate their records and return floats.
+# Each closed form below has one entry point, its ``*_at`` function: it takes
+# the bare parameters (mass, sigma0, radius) as floats or ``grid.Grid``
+# values, checked by the caller, and is written with operators alone inside
+# ``core.closed_form``, so it runs on Python float arithmetic either way; a
+# result over grids has the broadcast shape of the parameters it depends on,
+# and each of its elements the bits of the float result.  Only the numeric
+# routes (the energy minimization with its closed-form oracle, and the
+# force-balance residual) take ``Body`` and ``WavePacket`` records.
 
 REGIMES = tuple(Regime)     # regime_index() indexes into this
 
@@ -169,37 +169,19 @@ def critical_width_energy_min_at(mass, ctx: PhysicalContext, radius=None):
         return in_float_range(width, what)
 
 
-def critical_width_force_balance(body: Body, ctx: PhysicalContext) -> float:
-    """Force-balance width of either body kind (macro law for a sphere)."""
-    return critical_width_force_balance_at(body.mass, ctx, body.radius)
-
-
-def critical_mass(packet: WavePacket, ctx: PhysicalContext) -> float:
-    """Mass balancing the averaged forces at fixed width: (pi/2)^(1/6) (hbar^2 / G sigma0)^(1/3)."""
-    return critical_mass_at(packet.sigma0, ctx)
-
-
-def force_ratio(packet: WavePacket, body: Body, ctx: PhysicalContext) -> float:
-    """Mean quantum force over the magnitude of the mean self-gravity force,
-    using the point-particle closed forms that define the regime classification."""
-    return force_ratio_at(body.mass, packet.sigma0, ctx)
-
-
-def classify_regime(packet: WavePacket, body: Body, ctx: PhysicalContext) -> RegimeReport:
-    """Classify quantum- vs gravity-dominance of a (body, packet) pair.
-
-    Gravity dominates when the mass exceeds the critical mass (equivalently,
-    when the cube-law force ratio drops below one); a relative tie band of
-    ``TIE_BAND`` around the critical mass maps to the transition label.  The
-    reported method is the route that defines the body's critical width:
-    force balance for a point particle, energy minimization for a sphere.
-    """
-    m_c = critical_mass(packet, ctx)
-    method = (CriticalMethod.FORCE_BALANCE if body.is_point
-              else CriticalMethod.ENERGY_MINIMIZATION)
-    return RegimeReport(critical_mass=m_c, force_ratio=force_ratio(packet, body, ctx),
-                        regime=REGIMES[regime_index(body.mass, m_c)], method=method,
-                        reference_values=reference_formulas(body, packet, ctx))
+def report_at(mass, sigma0, ctx: PhysicalContext, radius=None) -> dict:
+    """The five regime columns of ``critical`` and of a ``sweep`` row, by
+    output name and evaluated in output order, so that the first one out of
+    the floating-point range names the error: the critical mass, the
+    force-balance and energy-minimum widths (point laws without a radius,
+    sphere laws with one), the force ratio, and the regime as an index into
+    ``REGIMES``."""
+    m_c = critical_mass_at(sigma0, ctx)
+    return {"critical_mass": m_c,
+            "critical_width_force_balance": critical_width_force_balance_at(mass, ctx, radius),
+            "critical_width_energy_min": critical_width_energy_min_at(mass, ctx, radius),
+            "force_ratio": force_ratio_at(mass, sigma0, ctx),
+            "regime": regime_index(mass, m_c)}
 
 
 def _energy_derivative(body: Body, ctx: PhysicalContext):
@@ -244,14 +226,6 @@ def critical_width_energy_min(body: Body, ctx: PhysicalContext) -> float:
         return minimize_bracketed(_energy_derivative(body, ctx), lo, hi)
 
 
-def transition_width_object(body: Body, ctx: PhysicalContext,
-                            regime: ObjectRegime) -> WidthEstimate:
-    """Transition width of a homogeneous sphere; see :func:`transition_width_object_at`."""
-    if not body.is_sphere:
-        raise BodyKindError("transition_width_object requires a homogeneous sphere")
-    return transition_width_object_at(body.mass, body.radius, ctx, regime)
-
-
 def force_balance_residual(r: float, packet: WavePacket, body: Body,
                            ctx: PhysicalContext) -> float:
     """Pointwise sum of the quantum and self-gravitational forces.
@@ -277,22 +251,22 @@ _OBJECT_REFERENCE_POWERS = (("karolyhazy_object_width", 1.0 / 3.0, 2.0 / 3.0),
                             ("diosi_micro_width", 0.5, 0.5))
 
 
-def reference_formulas(body: Body, packet: WavePacket, ctx: PhysicalContext) -> dict:
+def reference_formulas(mass, ctx: PhysicalContext, radius=None) -> dict:
     """Literature reference widths and times (unit constants dropped).
 
-    Point particles get the elementary-particle width hbar^2 / (G m^3) and the
-    associated localization time m sigma_c^2 / hbar; spheres additionally get
-    the three object widths built from R.
+    Point particles (no radius) get the elementary-particle width
+    hbar^2 / (G m^3) and the associated localization time m sigma_c^2 / hbar;
+    spheres additionally get the three object widths built from R.
     """
-    with closed_form("karolyhazy width", body.mass) as m:
+    with closed_form("karolyhazy width", mass) as m:
         scale = in_float_range(_scale(m, ctx), "karolyhazy width")
-    with closed_form("karolyhazy time", body.mass, scale) as (m, s):
+    with closed_form("karolyhazy time", mass, scale) as (m, s):
         out = {"karolyhazy_width": scale,
                "karolyhazy_time": in_float_range(m * s ** 2 / ctx.hbar, "karolyhazy time")}
-    if body.is_sphere:
+    if radius is not None:
         for name, p, q in _OBJECT_REFERENCE_POWERS:
             what = name.replace("_", " ")
-            with closed_form(what, scale, body.radius) as (s, R):
+            with closed_form(what, scale, radius) as (s, R):
                 out[name] = in_float_range(s ** p * R ** q, what)
     return out
 
@@ -306,20 +280,12 @@ class TauMethod(str, Enum):
     OBJECT_MICRO = "object-micro"
 
 
-class ReductionEstimate(Record):
-    __slots__ = _fields = ("tau", "method", "assumptions")
-
-    def __init__(self, tau: float, method: TauMethod, assumptions: str = ""):
-        if not (tau > 0.0 and math.isfinite(tau)):
-            raise DomainError(f"reduction time must be finite and positive, got {tau!r}")
-        self._set(tau, method, assumptions)
-
-
 POINT_CLOSED_FORMS = (TauMethod.PERIOD_FORMULA, TauMethod.SHORT_TIME, TauMethod.UNCERTAINTY)
 POINT_METHODS = POINT_CLOSED_FORMS + (TauMethod.QUARTER_PERIOD_NUMERIC,)
 OBJECT_CLOSED_FORMS = (TauMethod.OBJECT_UNCERTAINTY, TauMethod.OBJECT_MICRO)
 
-_ASSUMPTIONS = {
+# What each reduction time assumes, as ``tau`` prints it.
+ASSUMPTIONS = {
     TauMethod.QUARTER_PERIOD_NUMERIC: "first origin crossing from rest at r0 = sigma0",
     TauMethod.PERIOD_FORMULA: "unit-constant quarter-period law",
     TauMethod.SHORT_TIME: "width fixed at its critical value",
@@ -366,12 +332,12 @@ def tau_at(method: TauMethod, mass, sigma0, ctx: PhysicalContext, radius=None):
         return in_float_range(tau, what)
 
 
-def tau_estimates(packet: WavePacket, body: Body, ctx: PhysicalContext,
-                  include_numeric: bool = True) -> list[ReductionEstimate]:
-    """All applicable reduction-time estimates for this (packet, body) pair."""
-    if body.is_sphere:
+def taus_at(mass, sigma0, ctx: PhysicalContext, radius=None, numeric=True) -> dict:
+    """``{TauMethod: tau}`` of every reduction time that applies, in method
+    order: a sphere's with a radius, a point particle's without one, the
+    quarter period among these unless ``numeric`` is false."""
+    if radius is not None:
         methods = OBJECT_CLOSED_FORMS
     else:
-        methods = POINT_METHODS if include_numeric else POINT_CLOSED_FORMS
-    return [ReductionEstimate(tau_at(method, body.mass, packet.sigma0, ctx, body.radius),
-                              method, _ASSUMPTIONS[method]) for method in methods]
+        methods = POINT_METHODS if numeric else POINT_CLOSED_FORMS
+    return {method: tau_at(method, mass, sigma0, ctx, radius) for method in methods}

@@ -5,15 +5,17 @@ parameters (``cli._model``), and hands it the parsed grids, each
 parameter's values, the context and its output opener.  One row is written
 per point of the cartesian product of the grids, in ``itertools.product``
 order: the first ``--grid`` varies slowest.  Each gridded variable is a
-``grid.Grid`` along its own axis, and every column is evaluated once by its
-``criticality`` closed form, as a grid over just the axes it depends on.
-That runs the scalar closed forms' Python float arithmetic, so every cell
-holds the bits ``critical`` and ``tau`` print, and the package loads no
-numpy.  Each distinct value of a column is formatted (``repr``) once, and
-the rows are read off the columns block by block, a value repeated along an
-axis without being listed once per row.  Formatting the values and joining
-the rows take most of a sweep's time, so two processes write the rows: see
-``_write_grid``.
+``grid.Grid`` along its own axis, and every column is evaluated once, as a
+grid over just the axes it depends on, by ``criticality.report_at`` and
+``taus_at``: the calls from which ``critical`` and ``tau`` take their values
+too.  They run the scalar closed forms' Python float arithmetic, so every
+cell holds the bits ``critical`` and ``tau`` print, a one-point sweep refuses
+a parameter set for a ``report_at`` column with the error line ``critical``
+prints for it, and the package loads no numpy.  Each distinct value of a
+column is formatted (``repr``) once, and the rows are read off the columns
+block by block, a value repeated along an axis without being listed once
+per row.  Formatting the values and joining the rows take most of a
+sweep's time, so two processes write the rows: see ``_write_grid``.
 """
 
 from __future__ import annotations
@@ -68,18 +70,19 @@ def _grid_spec(spec: str):
 
 
 def _grid_values(lo: float, hi: float, n: int, spacing: str) -> list[float]:
+    """The ``n`` points of a grid spec, ``lo`` and ``hi`` themselves at its ends."""
     if n == 1:
         return [lo]
     if spacing == "log":
         if hi / lo < math.inf:
             ratio = math.log(hi / lo) / (n - 1)
-            return [lo * math.exp(ratio * i) for i in range(n)]
+            return [lo * math.exp(ratio * i) for i in range(n - 1)] + [hi]
         # hi / lo overflows: the points in logs, between the bounds themselves.
         log_lo = math.log(lo)
         ratio = (math.log(hi) - log_lo) / (n - 1)
         return [lo] + [math.exp(log_lo + ratio * i) for i in range(1, n - 1)] + [hi]
     step = (hi - lo) / (n - 1)
-    return [lo + step * i for i in range(n)]
+    return [lo + step * i for i in range(n - 1)] + [hi]
 
 
 def _too_large(rows: int) -> ConfigError:
@@ -122,23 +125,15 @@ def _doubles(value):
     return Grid(array("d", value.values), value.shape) if type(value) is Grid else value
 
 
-def _columns(axes: dict, ctx: PhysicalContext, sphere: bool) -> dict:
-    """Every sweep column, each evaluated once at the shape of the axes it depends on."""
+def _columns(axes: dict, ctx: PhysicalContext) -> dict:
+    """Every sweep column, each evaluated once at the shape of the axes it
+    depends on, by the calls that ``critical`` and ``tau`` make."""
     m, s0, R = axes["mass"], axes["sigma0"], axes.get("radius")
-    m_c = _doubles(criticality.critical_mass_at(s0, ctx))
     columns = dict(axes)
-    columns.update({
-        "critical_mass": m_c,
-        "critical_width_force_balance":
-            _doubles(criticality.critical_width_force_balance_at(m, ctx, R)),
-        "critical_width_energy_min": _doubles(criticality.critical_width_energy_min_at(m, ctx, R)),
-        "force_ratio": _doubles(criticality.force_ratio_at(m, s0, ctx)),
-        "regime": criticality.regime_index(m, m_c),
-    })
-    methods = criticality.OBJECT_CLOSED_FORMS if sphere else criticality.POINT_CLOSED_FORMS
-    for method in methods:
-        name = f"tau_{method.value.replace('-', '_')}"
-        columns[name] = _doubles(criticality.tau_at(method, m, s0, ctx, R))
+    for name, value in criticality.report_at(m, s0, ctx, R).items():
+        columns[name] = value if name == "regime" else _doubles(value)
+    for method, tau in criticality.taus_at(m, s0, ctx, R, numeric=False).items():
+        columns[f"tau_{method.value.replace('-', '_')}"] = _doubles(tau)
     return columns
 
 
@@ -285,12 +280,11 @@ def run(args, grids: dict[str, list[float]], values: dict[str, list[float]],
     """Evaluate the sweep over ``grids`` of the model parameters ``values``
     and write it to ``output(args.out)``, which is opened only once every
     column is built."""
-    sphere = args.kind == "sphere"
     axes = _axes(grids, values)
     shape = tuple(len(v) for v in grids.values())
     labels = [r.value for r in criticality.REGIMES]
     try:
-        columns = _columns(axes, ctx, sphere)
+        columns = _columns(axes, ctx)
         with output(args.out) as fh:
             if args.format == "json":
                 import json

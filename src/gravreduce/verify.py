@@ -201,7 +201,7 @@ def check_critical_constants() -> list[Check]:
                          f"derivative bisection vs closed form {exact!r}"))
     # force balance: averaged residual must vanish at the critical width
     body = Body.point(1.0)
-    w = criticality.critical_width_force_balance(body, ctx)
+    w = criticality.critical_width_force_balance_at(body.mass, ctx)
     packet = WavePacket(w)
     resid = averages.expect(
         lambda r: criticality.force_balance_residual(r, packet, body, ctx),
@@ -221,15 +221,15 @@ def _reference_order_cases():
     ball = Body.sphere(0.1, 0.05)
     flea_egg = Body.sphere(1e-8, 5e-4)
 
-    refs_p = criticality.reference_formulas(proton, WavePacket(1.0), si)
+    refs_p = criticality.reference_formulas(proton.mass, si)
     cases = [
         ("proton-critical-width-m", refs_p["karolyhazy_width"], 22),
         ("proton-localization-time-s", refs_p["karolyhazy_time"], 53),
         ("critical-mass-at-1e-4m-grams",
-         criticality.critical_mass(WavePacket(1e-4), si) * 1e3, -15),
+         criticality.critical_mass_at(1e-4, si) * 1e3, -15),
         ("proton-micro-width-cm",
-         criticality.transition_width_object(
-             proton_sphere, si, criticality.ObjectRegime.MICRO).value * 1e2, 6),
+         criticality.transition_width_object_at(proton_sphere.mass, proton_sphere.radius, si,
+                                                criticality.ObjectRegime.MICRO).value * 1e2, 6),
         ("proton-micro-tau-s",
          criticality.tau_at(criticality.TauMethod.OBJECT_MICRO, proton_sphere.mass, 1.0, si,
                             proton_sphere.radius), 15),

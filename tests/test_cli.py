@@ -504,6 +504,40 @@ def test_critical_and_sweep_check_the_model_alike(values, kind, data):
         assert critical[2].startswith("error: ") and critical[2].count("\n") == 1
 
 
+
+@pytest.mark.parametrize("kind, method", [("point", "force-balance"),
+                                          ("sphere", "energy-minimization")])
+def test_critical_names_the_route_of_the_body_kind(kind, method):
+    radius = ["--radius", "1"] if kind == "sphere" else []
+    code, out, err = run(["critical", "--mass", "1", "--sigma0", "1", "--kind", kind, *radius])
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert json.loads(out)["method"] == method
+
+
+EXTREMES = ["1e-300", "1e-200", "1e-120", "1e-60", "1", "1e60", "1e120", "1e200", "1e300"]
+# What the error names when one of the columns of criticality.report_at
+# leaves the floating-point range (a sphere's force-balance width is its
+# macro transition width).
+REPORT_COLUMNS = ("critical mass", "force-balance critical width", "macro transition width",
+                  "energy-minimum critical width", "force ratio", "regime")
+
+
+@pytest.mark.parametrize("mass", EXTREMES)
+@pytest.mark.parametrize("units", ["dimensionless", "si"])
+@pytest.mark.parametrize("kind", ["point", "sphere"])
+def test_critical_and_a_one_point_sweep_refuse_alike(kind, units, mass):
+    # Both take the report from criticality.report_at, in one column order.
+    for sigma0 in EXTREMES:
+        for radius in EXTREMES if kind == "sphere" else [None]:
+            options = ["--kind", kind, "--units", units] + (["--radius", radius] if radius else [])
+            critical = run(["critical", "--mass", mass, "--sigma0", sigma0, *options])
+            if not any(critical[2].startswith(f"error: {name} is outside")
+                       for name in REPORT_COLUMNS):
+                continue
+            sweep = run(["sweep", "--mass", mass, "--grid", f"sigma0={sigma0}:{sigma0}:1:lin",
+                         *options])
+            assert sweep == critical, (sigma0, radius)
+
 # A sphere has no quarter-period-numeric estimate to leave out.
 NO_NUMERIC = "error: --no-numeric only applies to --kind point\n"
 TAU_SPHERE = ["tau", "--mass", "1", "--sigma0", "1", "--kind", "sphere", "--radius", "0.5"]
@@ -712,12 +746,6 @@ def test_tau_runs_no_integration(monkeypatch):
     assert numeric == [{"method": "quarter-period-numeric",
                         "tau": criticality.QUARTER_PERIOD_POINT,
                         "assumptions": "first origin crossing from rest at r0 = sigma0"}]
-
-
-def test_reduction_estimate_requires_finite_positive_tau():
-    for tau in (0.0, -1.0, float("inf"), float("nan")):
-        with pytest.raises(DomainError):
-            criticality.ReductionEstimate(tau, criticality.TauMethod.SHORT_TIME)
 
 
 # ---------------------------------------------------------------- modules loaded, lazy quadrature nodes
@@ -952,3 +980,28 @@ def test_no_module_imports_the_cli():
                 imported.add(base)
                 imported.update(f"{base}.{alias.name}".lstrip(".") for alias in node.names)
         assert not imported & {"cli", "gravreduce.cli"}, path.name
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # A name bound by an import must be read in the module, or listed in its
+    # __all__, or its import line must say "# noqa: F401".
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        lines = path.read_text().splitlines()
+        tree = ast.parse("\n".join(lines))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used.update(ast.literal_eval(node.value))
+        unused = []
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                continue
+            if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name not in used:
+                    unused.append(name)
+        assert not unused, (path.name, unused)

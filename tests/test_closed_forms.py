@@ -182,20 +182,19 @@ def test_scalar_entry_points_return_python_floats():
                           (PhysicalContext.si(np.float64(1e-34), np.float64(6e-11)),
                            np.float64(0.5), np.float32(2.0), np.float64(0.3))]:
         packet, point, sphere = WavePacket(s0), Body.point(m), Body.sphere(m, R)
-        reports = [c.classify_regime(packet, body, ctx) for body in (point, sphere)]
-        widths = [c.transition_width_object(sphere, ctx, regime) for regime in c.ObjectRegime]
-        values = [c.critical_mass(packet, ctx), c.force_ratio(packet, point, ctx),
-                  c.critical_width_force_balance(point, ctx),
-                  c.critical_width_force_balance(sphere, ctx),
-                  c.critical_width_energy_min_exact(point, ctx),
+        reports = [c.report_at(body.mass, packet.sigma0, ctx, body.radius)
+                   for body in (point, sphere)]
+        widths = [c.transition_width_object_at(sphere.mass, sphere.radius, ctx, regime)
+                  for regime in c.ObjectRegime]
+        values = [c.critical_width_energy_min_exact(point, ctx),
                   c.critical_width_energy_min_exact(sphere, ctx),
-                  *(r.critical_mass for r in reports), *(r.force_ratio for r in reports),
+                  *(v for r in reports for name, v in r.items() if name != "regime"),
                   *(w.value for w in widths), *(w.paper_form for w in widths),
-                  *c.reference_formulas(sphere, packet, ctx).values(),
-                  *(e.tau for e in c.tau_estimates(packet, point, ctx, include_numeric=False)),
-                  *(e.tau for e in c.tau_estimates(packet, sphere, ctx))]
+                  *c.reference_formulas(sphere.mass, ctx, sphere.radius).values(),
+                  *c.taus_at(point.mass, packet.sigma0, ctx, numeric=False).values(),
+                  *c.taus_at(sphere.mass, packet.sigma0, ctx, sphere.radius).values()]
         assert all(type(v) is float for v in values)
-        assert type(c.regime_index(point.mass, reports[0].critical_mass)) is int
+        assert all(type(r["regime"]) is int for r in reports)
 
 
 # ---------------------------------------------------------------- change of units

@@ -8,14 +8,13 @@ from gravreduce.averages import (avg_energy_object, avg_energy_point, avg_qg_for
                                  avg_qg_potential_object, avg_qg_potential_point,
                                  avg_quantum_force, avg_quantum_potential, expect)
 from gravreduce.core import Body, PhysicalContext, WavePacket
-from gravreduce.criticality import (CriticalMethod, ObjectRegime, Regime, _energy_derivative,
-                                    classify_regime, critical_mass,
-                                    critical_width_energy_min,
+from gravreduce.criticality import (REGIMES, ObjectRegime, Regime, _energy_derivative,
+                                    critical_mass_at, critical_width_energy_min,
                                     critical_width_energy_min_exact,
-                                    critical_width_force_balance, force_balance_residual,
-                                    force_ratio, reference_formulas,
-                                    transition_width_object)
-from gravreduce.errors import BodyKindError, BracketError, DomainError, GravreduceError
+                                    critical_width_force_balance_at, force_balance_residual,
+                                    force_ratio_at, reference_formulas, report_at,
+                                    transition_width_object_at)
+from gravreduce.errors import BracketError, DomainError, GravreduceError
 from gravreduce.minimize import REL_WIDTH, minimize_bracketed
 
 # Frozen from a 50-digit oracle.
@@ -32,7 +31,7 @@ PROTON_MASS = 1.67262192369e-27                 # kg
 
 class TestForceBalanceWidth:
     def test_unit_constant(self, point, ctx):
-        assert critical_width_force_balance(point, ctx) == pytest.approx(
+        assert critical_width_force_balance_at(point.mass, ctx) == pytest.approx(
             FORCE_BALANCE_CONST, rel=1e-12)
 
     def test_proton_order_of_magnitude(self):
@@ -40,65 +39,65 @@ class TestForceBalanceWidth:
         proton = Body.point(PROTON_MASS)
         scale = si.hbar ** 2 / (si.G * PROTON_MASS ** 3)
         assert scale == pytest.approx(3.5608464e22, rel=1e-5)
-        width = critical_width_force_balance(proton, si)
+        width = critical_width_force_balance_at(proton.mass, si)
         assert abs(math.log10(width) - 22.0) <= 1.0
 
     def test_forces_balance_at_critical_width(self, point, ctx):
-        packet = WavePacket(critical_width_force_balance(point, ctx))
+        packet = WavePacket(critical_width_force_balance_at(point.mass, ctx))
         fq = avg_quantum_force(packet, point, ctx)
         fqg = avg_qg_force_point(packet, point, ctx)
         assert fq == pytest.approx(abs(fqg), rel=1e-9)
 
     def test_monotone_decreasing_in_mass(self, ctx):
-        widths = [critical_width_force_balance(Body.point(m), ctx) for m in (0.5, 1.0, 2.0, 8.0)]
+        widths = [critical_width_force_balance_at(m, ctx) for m in (0.5, 1.0, 2.0, 8.0)]
         assert all(a > b for a, b in zip(widths, widths[1:]))
 
 
 class TestCriticalMass:
     def test_unit_constant(self, packet, ctx):
-        assert critical_mass(packet, ctx) == pytest.approx(CRITICAL_MASS_CONST, rel=1e-12)
+        assert critical_mass_at(packet.sigma0, ctx) == pytest.approx(CRITICAL_MASS_CONST, rel=1e-12)
 
     def test_cgs_benchmark(self):
         # 1e-2 cm packet holds a critical mass of about 1e-15 grams
         cgs = PhysicalContext.cgs()
-        mc = critical_mass(WavePacket(1e-2), cgs)
+        mc = critical_mass_at(1e-2, cgs)
         assert abs(math.log10(mc) - (-15.0)) <= 1.0
         assert mc == pytest.approx(1.2785e-15, rel=1e-3)
 
     def test_round_trip_with_width(self, ctx):
         for m in (0.1, 1.0, 25.0):
-            width = critical_width_force_balance(Body.point(m), ctx)
-            assert critical_mass(WavePacket(width), ctx) == pytest.approx(m, rel=1e-12)
+            width = critical_width_force_balance_at(m, ctx)
+            assert critical_mass_at(width, ctx) == pytest.approx(m, rel=1e-12)
 
     def test_monotone_decreasing_in_width(self, ctx):
-        ms = [critical_mass(WavePacket(s), ctx) for s in (0.1, 1.0, 10.0, 100.0)]
+        ms = [critical_mass_at(s, ctx) for s in (0.1, 1.0, 10.0, 100.0)]
         assert all(a > b for a, b in zip(ms, ms[1:]))
 
 
 class TestRegimeClassification:
     def test_transition_at_exact_balance(self, ctx):
         packet = WavePacket(1.0)
-        mc = critical_mass(packet, ctx)
-        report = classify_regime(packet, Body.point(mc), ctx)
-        assert report.regime is Regime.TRANSITION
-        assert report.force_ratio == pytest.approx(1.0, rel=1e-12)
+        mc = critical_mass_at(packet.sigma0, ctx)
+        report = report_at(mc, packet.sigma0, ctx)
+        assert REGIMES[report["regime"]] is Regime.TRANSITION
+        assert report["force_ratio"] == pytest.approx(1.0, rel=1e-12)
 
     def test_cube_law_above_and_below(self, ctx):
         packet = WavePacket(1.0)
-        mc = critical_mass(packet, ctx)
-        heavy = classify_regime(packet, Body.point(2.0 * mc), ctx)
-        assert heavy.regime is Regime.GRAVITY_DOMINANT
-        assert heavy.force_ratio == pytest.approx(0.125, rel=1e-12)
-        light = classify_regime(packet, Body.point(0.5 * mc), ctx)
-        assert light.regime is Regime.QUANTUM_DOMINANT
-        assert light.force_ratio == pytest.approx(8.0, rel=1e-12)
+        mc = critical_mass_at(packet.sigma0, ctx)
+        heavy = report_at(2.0 * mc, packet.sigma0, ctx)
+        assert REGIMES[heavy["regime"]] is Regime.GRAVITY_DOMINANT
+        assert heavy["force_ratio"] == pytest.approx(0.125, rel=1e-12)
+        light = report_at(0.5 * mc, packet.sigma0, ctx)
+        assert REGIMES[light["regime"]] is Regime.QUANTUM_DOMINANT
+        assert light["force_ratio"] == pytest.approx(8.0, rel=1e-12)
 
     def test_tie_band(self, ctx):
         packet = WavePacket(1.0)
-        mc = critical_mass(packet, ctx)
-        assert classify_regime(packet, Body.point(mc * (1.0 + 5e-7)), ctx).regime \
+        mc = critical_mass_at(packet.sigma0, ctx)
+        assert REGIMES[report_at(mc * (1.0 + 5e-7), packet.sigma0, ctx)["regime"]] \
             is Regime.TRANSITION
-        assert classify_regime(packet, Body.point(mc * (1.0 + 5e-6)), ctx).regime \
+        assert REGIMES[report_at(mc * (1.0 + 5e-6), packet.sigma0, ctx)["regime"]] \
             is Regime.GRAVITY_DOMINANT
 
     def test_cube_law_identity_random(self, ctx):
@@ -107,8 +106,8 @@ class TestRegimeClassification:
             m = 10.0 ** rng.uniform(-3, 3)
             s0 = 10.0 ** rng.uniform(-3, 3)
             packet = WavePacket(s0)
-            ratio = force_ratio(packet, Body.point(m), ctx)
-            cube = (critical_mass(packet, ctx) / m) ** 3
+            ratio = force_ratio_at(m, packet.sigma0, ctx)
+            cube = (critical_mass_at(packet.sigma0, ctx) / m) ** 3
             assert cube == pytest.approx(ratio, rel=1e-9)
 
     @pytest.mark.parametrize("ctx", [PhysicalContext.dimensionless(), PhysicalContext.si(),
@@ -118,12 +117,12 @@ class TestRegimeClassification:
         for m, s0 in 10.0 ** rng.uniform(-3, 3, size=(500, 2)):
             packet, point = WavePacket(s0), Body.point(m)
             fq, fqg = avg_quantum_force(packet, point, ctx), avg_qg_force_point(packet, point, ctx)
-            assert force_ratio(packet, point, ctx) == pytest.approx(fq / abs(fqg), rel=1e-14)
+            ratio = force_ratio_at(point.mass, packet.sigma0, ctx)
+            assert ratio == pytest.approx(fq / abs(fqg), rel=1e-14)
 
-    def test_sphere_report_carries_object_references(self, packet, sphere, ctx):
-        report = classify_regime(packet, sphere, ctx)
-        assert report.method is CriticalMethod.ENERGY_MINIMIZATION
-        assert "diosi_macro_width" in report.reference_values
+    def test_sphere_report_carries_object_references(self, sphere, ctx):
+        # critical's method label per body kind: tests/test_cli.py
+        assert "diosi_macro_width" in reference_formulas(sphere.mass, ctx, sphere.radius)
 
 
 class TestEnergyMinimization:
@@ -145,7 +144,7 @@ class TestEnergyMinimization:
         assert 1.0 / 1.5 < got / 1.0 < 1.5
 
     def test_agreement_between_routes(self, point, ctx):
-        fb = critical_width_force_balance(point, ctx)
+        fb = critical_width_force_balance_at(point.mass, ctx)
         em = critical_width_energy_min_exact(point, ctx)
         assert 1.0 < em / fb < 1.2
 
@@ -229,9 +228,10 @@ class TestEnergyMinimization:
 
 class TestObjectTransitionWidths:
     def test_constants(self, sphere, ctx):
-        macro = transition_width_object(sphere, ctx, ObjectRegime.MACRO)
-        micro = transition_width_object(sphere, ctx, ObjectRegime.MICRO)
-        inter = transition_width_object(sphere, ctx, ObjectRegime.INTERMEDIATE)
+        m, R = sphere.mass, sphere.radius
+        macro = transition_width_object_at(m, R, ctx, ObjectRegime.MACRO)
+        micro = transition_width_object_at(m, R, ctx, ObjectRegime.MICRO)
+        inter = transition_width_object_at(m, R, ctx, ObjectRegime.INTERMEDIATE)
         assert macro.value == pytest.approx(MACRO_WIDTH_CONST, rel=1e-12)
         assert micro.value == pytest.approx(MICRO_WIDTH_CONST, rel=1e-12)
         assert macro.paper_form == micro.paper_form == inter.value == 1.0
@@ -239,29 +239,30 @@ class TestObjectTransitionWidths:
     def test_proton_micro_width(self):
         si = PhysicalContext.si()
         proton = Body.sphere(PROTON_MASS, 1e-15)
-        width_cm = transition_width_object(proton, si, ObjectRegime.MICRO).value * 100.0
+        width = transition_width_object_at(proton.mass, proton.radius, si, ObjectRegime.MICRO)
+        width_cm = width.value * 100.0
         assert abs(math.log10(width_cm) - 6.0) <= 1.0
 
     def test_ball_macro_width(self):
         si = PhysicalContext.si()
         ball = Body.sphere(0.1, 0.05)
-        width_cm = transition_width_object(ball, si, ObjectRegime.MACRO).paper_form * 100.0
+        width = transition_width_object_at(ball.mass, ball.radius, si, ObjectRegime.MACRO)
+        width_cm = width.paper_form * 100.0
         assert abs(math.log10(width_cm) - (-12.0)) <= 1.0
 
     def test_regimes_coincide_when_width_equals_radius(self, ctx):
         # with R = hbar^2 / (G m^3) both unit-constant forms collapse to it
         m = 1.3
         scale = ctx.hbar ** 2 / (ctx.G * m ** 3)
-        body = Body.sphere(m, scale)
-        macro = transition_width_object(body, ctx, ObjectRegime.MACRO).paper_form
-        micro = transition_width_object(body, ctx, ObjectRegime.MICRO).paper_form
+        macro = transition_width_object_at(m, scale, ctx, ObjectRegime.MACRO).paper_form
+        micro = transition_width_object_at(m, scale, ctx, ObjectRegime.MICRO).paper_form
         assert macro == pytest.approx(scale, rel=1e-12)
         assert micro == pytest.approx(scale, rel=1e-12)
 
     def test_micro_balances_against_quantum_force(self, ctx):
         from gravreduce.averages import avg_qg_force_object_micro
         body = Body.sphere(1.0, 1.0)
-        packet = WavePacket(transition_width_object(body, ctx, ObjectRegime.MICRO).value)
+        packet = WavePacket(transition_width_object_at(1.0, 1.0, ctx, ObjectRegime.MICRO).value)
         fq = avg_quantum_force(packet, body, ctx)
         fqg = avg_qg_force_object_micro(packet, body, ctx)
         assert fq == pytest.approx(fqg, rel=1e-12)
@@ -269,14 +270,10 @@ class TestObjectTransitionWidths:
     def test_macro_balances_against_quantum_force(self, ctx):
         from gravreduce.averages import avg_qg_force_object_macro
         body = Body.sphere(1.0, 1.0)
-        packet = WavePacket(transition_width_object(body, ctx, ObjectRegime.MACRO).value)
+        packet = WavePacket(transition_width_object_at(1.0, 1.0, ctx, ObjectRegime.MACRO).value)
         fq = avg_quantum_force(packet, body, ctx)
         fqg = avg_qg_force_object_macro(packet, body, ctx)
         assert fq == pytest.approx(fqg, rel=1e-12)
-
-    def test_kind_guard(self, point, ctx):
-        with pytest.raises(BodyKindError):
-            transition_width_object(point, ctx, ObjectRegime.MACRO)
 
 
 class TestForceBalanceResidual:
@@ -288,7 +285,7 @@ class TestForceBalanceResidual:
         assert got == pytest.approx(RESIDUAL_AT_ONE, rel=1e-13)
 
     def test_mean_residual_vanishes_at_critical_width(self, point, ctx):
-        packet = WavePacket(critical_width_force_balance(point, ctx))
+        packet = WavePacket(critical_width_force_balance_at(point.mass, ctx))
         mean = expect(lambda r: force_balance_residual(r, packet, point, ctx),
                       packet, ctx).value
         scale = avg_quantum_force(packet, point, ctx)
@@ -307,32 +304,32 @@ class TestForceBalanceResidual:
 
 
 class TestReferenceFormulas:
-    def test_dimensionless_unit_values(self, packet, ctx):
-        refs = reference_formulas(Body.sphere(1.0, 1.0), packet, ctx)
+    def test_dimensionless_unit_values(self, ctx):
+        refs = reference_formulas(1.0, ctx, 1.0)
         assert set(refs) == {"karolyhazy_width", "karolyhazy_time",
                              "karolyhazy_object_width", "diosi_macro_width",
                              "diosi_micro_width"}
         for value in refs.values():
             assert value == pytest.approx(1.0, rel=1e-14)
 
-    def test_point_subset(self, packet, point, ctx):
-        refs = reference_formulas(point, packet, ctx)
+    def test_point_subset(self, point, ctx):
+        refs = reference_formulas(point.mass, ctx)
         assert set(refs) == {"karolyhazy_width", "karolyhazy_time"}
 
     def test_proton_orders(self):
         si = PhysicalContext.si()
-        refs = reference_formulas(Body.point(PROTON_MASS), WavePacket(1.0), si)
+        refs = reference_formulas(PROTON_MASS, si)
         assert abs(math.log10(refs["karolyhazy_width"]) - 22.0) <= 1.0
         assert abs(math.log10(refs["karolyhazy_time"]) - 53.0) <= 1.0
 
     def test_tennis_ball_object_width(self):
         si = PhysicalContext.si()
-        refs = reference_formulas(Body.sphere(0.057, 0.04), WavePacket(1.0), si)
+        refs = reference_formulas(0.057, si, 0.04)
         width_cm = refs["karolyhazy_object_width"] * 100.0
         assert abs(math.log10(width_cm) - (-17.0)) <= 1.0
 
     def test_macro_reference_matches_transition_form(self, ctx):
         body = Body.sphere(2.0, 0.3)
-        refs = reference_formulas(body, WavePacket(1.0), ctx)
-        macro = transition_width_object(body, ctx, ObjectRegime.MACRO)
+        refs = reference_formulas(body.mass, ctx, body.radius)
+        macro = transition_width_object_at(body.mass, body.radius, ctx, ObjectRegime.MACRO)
         assert refs["diosi_macro_width"] == pytest.approx(macro.paper_form, rel=1e-14)

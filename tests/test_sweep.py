@@ -16,6 +16,7 @@ import gc
 import json
 import math
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -100,13 +101,11 @@ def scalar_rows(kind, masses, widths, radius, ctx):
         for s0 in widths:
             body = Body.point(m) if kind == "point" else Body.sphere(m, radius)
             packet = WavePacket(s0)
-            report = criticality.classify_regime(packet, body, ctx)
-            taus = [e.tau for e in criticality.tau_estimates(packet, body, ctx,
-                                                             include_numeric=False)]
+            report = criticality.report_at(body.mass, packet.sigma0, ctx, body.radius)
+            report["regime"] = criticality.REGIMES[report["regime"]].value
+            taus = criticality.taus_at(body.mass, packet.sigma0, ctx, body.radius, numeric=False)
             rows.append([m, s0] + ([radius] if kind == "sphere" else [])
-                        + [report.critical_mass, criticality.critical_width_force_balance(body, ctx),
-                           criticality.critical_width_energy_min_exact(body, ctx),
-                           report.force_ratio, report.regime.value] + taus)
+                        + list(report.values()) + list(taus.values()))
     return rows
 
 
@@ -127,6 +126,22 @@ def test_broadcast_sweep_matches_scalar_loop(kind):
     for got_row, want_row in zip(payload["rows"], want):
         assert got_row == want_row
 
+
+@pytest.mark.parametrize("spacing", ["log", "lin"])
+def test_a_grid_runs_from_its_lower_to_its_upper_bound(spacing):
+    # The last point is hi itself, not lo plus n - 1 steps, so the last row
+    # is the one critical and tau give for hi.
+    rng = random.Random(25)
+    for _ in range(2000):
+        if spacing == "log":
+            lo = 10.0 ** rng.uniform(-30.0, 0.0)
+            hi = lo * 10.0 ** rng.uniform(0.5, 30.0)
+        else:
+            lo, hi = sorted(rng.uniform(-1e3, 1e3) for _ in range(2))
+        n = rng.randint(2, 300)
+        points = sweep.parse_grids([f"mass={lo!r}:{hi!r}:{n}:{spacing}"])["mass"]
+        assert len(points) == n and points[0] == lo and points[-1] == hi
+        assert all(a < b for a, b in zip(points, points[1:]))
 
 def test_sweep_cells_are_plain_reprs():
     # numpy 2 writes repr(np.float64(x)) as "np.float64(x)"
