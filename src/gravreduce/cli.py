@@ -79,9 +79,11 @@ live, and ``sweep`` adds ``criticality``, ``grid`` and ``sweep``.
 ``potentials`` for the gravity-object law alone, whose potential it
 evaluates.  ``verify`` loads every module but ``sweep``, ``grid`` and
 ``simulate``.  ``json`` is imported only
-where JSON is written, so a CSV run of ``critical``, ``tau``, ``sweep`` or
-``simulate`` to stdout loads none.  Every subcommand is registered by name
-and help, but only the one named on the command line gets its options.  No
+where JSON is written, so a CSV run of ``critical``, ``tau`` or ``sweep``
+loads none, and ``simulate``, which writes its JSON and its events sidecar
+from a template of its own, loads none in either format.  Every subcommand
+is registered by name and help, but only the one named on the command line
+gets its options.  No
 command loads ``dataclasses``, since the package's records are built without
 it (see ``core``), so no command loads ``inspect`` either.  Importing
 this module and ``criticality`` takes about 19 ms (median ``-X importtime``,

@@ -183,7 +183,9 @@ class Trajectory(namedtuple("Trajectory", "t r v energy events energy_drift law 
     event fires (a piece that starts at rest fires a v = 0 root at its start);
     ``n_steps`` counts accepted steps and ``n_rejected`` rejected step
     attempts.  ``legs_tiled`` counts the legs built from the stepped one, and
-    is 0 for a run stepped whole.
+    is 0 for a run stepped whole.  ``events`` are ordered by time, then by
+    kind name, and ``energy_drift`` is computed over the stepped pieces' rows,
+    which hold every energy of the tiled legs.
     """
 
     __slots__ = ()
@@ -231,7 +233,11 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
     event times scaled back to the law's units; a run that reaches t_end ends
     exactly there.  The energy column and ``energy_drift``, max |E - E0| over
     max(|E0|, max kinetic, 1e-300), are computed in the law's units and in
-    Python floats, so ``integrate`` loads no numpy either.
+    Python floats, so ``integrate`` loads no numpy either.  Both, and the
+    check that every energy is finite, are computed over the rows of the
+    stepped pieces, not over the samples of the legs tiled from them (below);
+    the events are sorted by time and kind as they are built from the
+    pieces' roots.
 
     A bound run is stepped in three pieces, each from its own first step and
     at ``rtol`` and ``atol``: to its first turning point tau_a (the first
@@ -249,9 +255,13 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
     The law is read through ``force_at`` and ``potential_at`` only: the force
     is odd in r and the potential even, for r >= 0 both are bit-equal to the
     ``potentials`` entry points, and the body kind was checked with the law.
+    The stepper calls the force closure that ``force_at`` wraps, of the law
+    in the packet's units, without the bound method's call; a subclass that
+    overrides ``force_at`` is called through it.
 
-    Raises :class:`DomainError` for a non-finite start or end, a t_end
-    beyond ``MAX_CHARACTERISTIC_TIMES`` characteristic times, an rtol below
+    Raises :class:`DomainError` for a non-finite start or end, a tolerance
+    that is not positive and finite, a t_end beyond
+    ``MAX_CHARACTERISTIC_TIMES`` characteristic times, an rtol below
     100 eps (where scipy's solvers raise rtol with a warning), or a start or
     a constant of the law that leaves the floating-point range in the
     packet's units, and :class:`IntegrationError` for a step below the
@@ -266,8 +276,8 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
         raise DomainError("r0, v0 and t_end must be finite")
     if not t_end > 0.0:
         raise DomainError("t_end must be positive")
-    if not (rtol > 0.0 and atol > 0.0):
-        raise DomainError("tolerances must be positive")
+    if not (0.0 < rtol < math.inf and 0.0 < atol < math.inf):
+        raise DomainError("tolerances must be positive and finite")
     if rtol < _MIN_RTOL:
         raise DomainError(f"rtol must be at least {_MIN_RTOL:.3g}, 100 times the "
                           "double-precision epsilon")
@@ -294,7 +304,9 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
     u0 = finite(v0 / v_unit, "v0 in units of sigma0 / t_char")
     from . import dop853     # here, so that critical, tau and sweep do not compile it
 
-    accel = _in_packet_units(law).force_at     # the unit mass: no division
+    unit_law = _in_packet_units(law)       # the unit mass: no division
+    # the force closure itself, unless a subclass overrides force_at
+    accel = unit_law._force if type(unit_law).force_at is ForceLaw.force_at else unit_law.force_at
     h0 = min(1e-3, tau_end / 10.0)
 
     def step(x, u, span, stop_at_turn):
@@ -302,40 +314,49 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
                             stop_at_turn)
 
     def rows(piece):
-        """A stepped piece's (tau, r, v, kinetic, energy) columns, in the
-        law's units but for tau."""
+        """A stepped piece's (tau, r, v, energy) columns, in the law's units
+        but for tau, and its kinetic energies."""
         taus, xs, us = piece[:3]
         rs = [x * s0 for x in xs]
         vs = [u * v_unit for u in us]
         if not all(map(math.isfinite, rs + vs)):
             raise IntegrationError("non-finite state encountered during integration")
         kinetic = [0.5 * m * vi * vi for vi in vs]
-        return taus, rs, vs, kinetic, list(map(operator.add, kinetic, map(law.potential_at, rs)))
+        return (taus, rs, vs, list(map(operator.add, kinetic, map(law.potential_at, rs)))), kinetic
 
     try:
         pieces, n_legs = _stepped_pieces(step, x0, u0, tau_end)
+        stepped = [rows(piece) for piece in pieces]
         if n_legs:
-            taus, rs, vs, kinetic, energy = _tile([rows(piece) for piece in pieces], n_legs)
+            taus, rs, vs, energy = _tile([columns for columns, _ in stepped], n_legs)
             taus[-1] = tau_end
             found = _tile_events(pieces, n_legs)
+            # The rows the run holds: leg 0's first only if a reversed leg
+            # ends on it, and the last piece's without its first.
+            starts = (0, 0 if n_legs > 1 else 1, 1)
         else:
-            taus, rs, vs, kinetic, energy = rows(pieces[0])
+            (taus, rs, vs, energy), _ = stepped[0]
             found = pieces[0][3]
+            starts = (0,)
         ts = [tau * t_char for tau in taus]
         if taus[-1] == tau_end:
             ts[-1] = t_end
-        energy = array("d", energy)
     except (OverflowError, ZeroDivisionError):
         raise IntegrationError("the force or potential left the floating-point range "
                                "during integration") from None
-    e0 = energy[0]
+    # Tiled legs repeat the stepped rows bit for bit, so those rows hold every
+    # energy and kinetic energy of the run.
+    energies = [e for (columns, _), i in zip(stepped, starts) for e in columns[3][i:]]
+    kinetic = [k for (_, ks), i in zip(stepped, starts) for k in ks[i:]]
+    e0 = energies[0]
     scale = max(abs(e0), max(kinetic), 1e-300)
-    drift = max(abs(e - e0) for e in energy) / scale
-    if not (all(map(math.isfinite, energy)) and math.isfinite(drift)):
+    drift = max(abs(e - e0) for e in energies) / scale
+    if not (all(map(math.isfinite, energies)) and math.isfinite(drift)):
         raise IntegrationError("the trajectory's energy is not finite")
-    events = sorted((Event(time=tau * t_char, kind=_EVENT_KINDS[i]) for tau, i in found),
-                    key=lambda e: (e.time, e.kind.value))
-    return Trajectory(t=array("d", ts), r=array("d", rs), v=array("d", vs), energy=energy,
+    # by time, then by the kind's name: an EventKind compares as its str value
+    events = list(map(Event._make, sorted([(tau * t_char, _EVENT_KINDS[i]) for tau, i in found])))
+    return Trajectory(t=array("d", ts), r=array("d", rs), v=array("d", vs),
+                      energy=array("d", energy),
                       events=events, energy_drift=drift, law=law,
                       nfev=sum(piece[4] for piece in pieces),
                       n_steps=sum(len(piece[0]) - 1 for piece in pieces),

@@ -5,7 +5,10 @@ command line and building the law, and hands it the law and its output
 opener.  The samples are written as a units comment, a ``t,r,v,energy``
 header and one row per sample (CSV, with an ``.events.json`` sidecar when
 written to ``--out``), or as the sidecar's keys plus ``units`` and
-``samples`` (JSON).  Every number is its ``repr``, so it round-trips.
+``samples`` (JSON).  Every number is its ``repr``, so it round-trips.  The
+sidecar and the JSON output are written from one template (see
+:func:`trajectory_mapping`) with the bytes ``json.dumps(..., indent=2)``
+gives, so ``simulate`` imports no ``json`` in either format.
 """
 
 from __future__ import annotations
@@ -51,16 +54,56 @@ def trajectory_csv(columns: list[list[str]], units_comment: str) -> str:
             + "\n".join(map(",".join, zip(*columns))) + "\n")
 
 
-def trajectory_json(payload: dict, columns: list[list[str]]) -> str:
-    """``payload`` with a last key ``samples`` of the t, r, v and energy
-    columns, exactly as ``json.dumps(..., indent=2)`` writes it, with the
-    samples spliced in from their reprs."""
-    import json
+# One entry of the events list, by kind; the repr of its time goes in.
+_EVENT = {kind: '    {\n      "time": %r,\n      "kind": "' + kind.value + '"\n    }'
+          for kind in dynamics.EventKind}
 
-    head = json.dumps({**payload, "samples": {}}, indent=2)
-    lists = [f'    "{name}": [\n      ' + ",\n      ".join(column) + "\n    ]"
-             for name, column in zip(("t", "r", "v", "energy"), columns)]
-    return head.removesuffix("{}\n}") + "{\n" + ",\n".join(lists) + "\n  }\n}\n"
+# The run's mapping, indented as json.dumps(..., indent=2) indents it; the last
+# field is empty, or the units and samples of the JSON output.
+_MAPPING = """{
+  "law": "%s",
+  "events": %s,
+  "period": %s,
+  "energy_drift": %r,
+  "solver": {
+    "method": "%s",
+    "rtol": %r,
+    "atol": %r,
+    "t_char": %r,
+    "nfev": %d,
+    "steps": %d,
+    "rejected": %d,
+    "samples": %d,
+    "legs_tiled": %d
+  }%s
+}
+"""
+
+
+def trajectory_mapping(traj, period: float | None, rtol: float, atol: float,
+                       columns: list[list[str]] | None = None) -> str:
+    """The law, events, period, energy drift and solver of the
+    ``dynamics.Trajectory`` ``traj``, run at ``rtol`` and ``atol``, exactly as
+    ``json.dumps(..., indent=2)`` writes them, newline included: the events
+    sidecar, or with the sample ``columns`` (see :func:`sample_columns`) the
+    JSON output, whose last keys are ``units`` and ``samples``.  Every name is
+    plain ASCII and every number finite, so repr is json's own text."""
+    law = traj.law
+    events = "[]"
+    if traj.events:
+        # one % over every time, not one per event
+        events = ("[\n" + ",\n".join([_EVENT[kind] for _, kind in traj.events]) + "\n  ]"
+                  ) % tuple([time for time, _ in traj.events])
+    samples = ""
+    if columns is not None:
+        lists = [f'    "{name}": [\n      ' + ",\n      ".join(column) + "\n    ]"
+                 for name, column in zip(("t", "r", "v", "energy"), columns)]
+        samples = (f',\n  "units": "{law.ctx.unit_system.value}",\n  "samples": {{\n'
+                   + ",\n".join(lists) + "\n  }")
+    return _MAPPING % (law.kind.value, events, "null" if period is None else repr(period),
+                       traj.energy_drift, dynamics.SOLVER_METHOD, rtol, atol,
+                       law.characteristic_time(), traj.nfev, traj.n_steps, traj.n_rejected,
+                       len(traj.t), traj.legs_tiled, samples)
 
 
 def run(args, law: dynamics.ForceLaw, units_comment: str, output):
@@ -73,28 +116,16 @@ def run(args, law: dynamics.ForceLaw, units_comment: str, output):
     except InsufficientDataError:
         period = None
 
-    sidecar = {
-        "law": law.kind.value,
-        "events": [{"time": e.time, "kind": e.kind.value} for e in traj.events],
-        "period": period,
-        "energy_drift": traj.energy_drift,
-        "solver": {"method": dynamics.SOLVER_METHOD, "rtol": args.rtol, "atol": args.atol,
-                   "t_char": law.characteristic_time(), "nfev": traj.nfev,
-                   "steps": traj.n_steps, "rejected": traj.n_rejected,
-                   "samples": len(traj.t), "legs_tiled": traj.legs_tiled},
-    }
     columns = sample_columns(traj)
     if args.format == "json":
-        text = trajectory_json({**sidecar, "units": law.ctx.unit_system.value}, columns)
+        text = trajectory_mapping(traj, period, args.rtol, args.atol, columns)
     else:
         text = trajectory_csv(columns, units_comment)
     with output(args.out) as fh:
         fh.write(text)
     if args.format == "csv" and args.out:
-        import json
-
         with output(args.out + ".events.json") as fh:
-            fh.write(json.dumps(sidecar, indent=2) + "\n")
+            fh.write(trajectory_mapping(traj, period, args.rtol, args.atol))
     if args.gnuplot_script:
         with output(args.gnuplot_script) as fh:
             fh.write(_gnuplot_script(args.out))

@@ -598,8 +598,11 @@ def test_simulate_reports_the_solver_effort(tmp_path):
 
 
 @pytest.mark.parametrize("flags,message", [
-    (["--rtol", "0"], "tolerances must be positive"),
-    (["--atol", "0"], "tolerances must be positive"),
+    (["--rtol", "0"], "tolerances must be positive and finite"),
+    (["--atol", "0"], "tolerances must be positive and finite"),
+    # An infinite tolerance turns the error control off, and JSON has no Infinity.
+    (["--rtol", "inf"], "tolerances must be positive and finite"),
+    (["--atol", "inf"], "tolerances must be positive and finite"),
     (["--rtol", "1e-20", "--atol", "1e-30"],
      "rtol must be at least 2.22e-14, 100 times the double-precision epsilon"),
 ])
@@ -703,11 +706,19 @@ def test_trajectory_writers_are_the_per_value_formatting():
     columns = simulate.sample_columns(traj)
     expected = cli._units_comment(ctx) + "t,r,v,energy\n" + "".join(rows)
     assert simulate.trajectory_csv(columns, cli._units_comment(ctx)) == expected
-    payload = {"law": law.kind.value, "period": None, "solver": {"rtol": 1e-9}, "units": "x"}
+    period = dynamics.detect_period(traj)
+    solver = {"method": "DOP853", "rtol": 1e-9, "atol": 1e-12, "t_char": 1.0,
+              "nfev": traj.nfev, "steps": traj.n_steps, "rejected": traj.n_rejected,
+              "samples": len(traj.t), "legs_tiled": traj.legs_tiled}
+    sidecar = {"law": law.kind.value,
+               "events": [{"time": e.time, "kind": e.kind.value} for e in traj.events],
+               "period": period, "energy_drift": traj.energy_drift, "solver": solver}
     samples = {"t": traj.t.tolist(), "r": traj.r.tolist(), "v": traj.v.tolist(),
                "energy": traj.energy.tolist()}
-    assert simulate.trajectory_json(payload, columns) == json.dumps(
-        {**payload, "samples": samples}, indent=2) + "\n"
+    assert simulate.trajectory_mapping(traj, period, 1e-9, 1e-12) == json.dumps(
+        sidecar, indent=2) + "\n"
+    assert simulate.trajectory_mapping(traj, period, 1e-9, 1e-12, columns) == json.dumps(
+        {**sidecar, "units": "dimensionless", "samples": samples}, indent=2) + "\n"
     argv = SIMULATE[:-1] + ["40"]
     assert run(argv) == (cli.EXIT_OK, expected, "")
     code, out, err = run(argv + ["--format", "json"])
@@ -793,6 +804,41 @@ SWEEP_RUN = ("sweep", ["sweep", "--sigma0", "1", "--grid", "mass=0.1:10:3"])
 # of its own too; its rule and battery run on Python floats.
 VERIFY_RUN = ("verify --quick", ["verify", "--quick"])
 LAWS = {"gravity-point": [], "mixed-point": [], "gravity-object": ["--radius", "0.5"]}
+# Each law, over enough time for a period, and the runs whose mapping has an
+# edge: a period of null (one turning point, at the start), an escape, and no
+# events at all.
+MAPPING_RUNS = {**{law: SIMULATE[:-1] + ["40", "--law", law] + extra
+                   for law, extra in LAWS.items()},
+                "no period": SIMULATE[:-1] + ["1"],
+                "escape": SIMULATE[:-2] + ["--v0", "5", "--t-end", "50"],
+                "equilibrium": SIMULATE[:-4] + ["--r0", "0", "--t-end", "10"]}
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("name", sorted(MAPPING_RUNS))
+def test_simulate_mapping_is_what_json_dumps_writes(name, tmp_path):
+    # simulate writes its events sidecar and its JSON head without the json
+    # module; both must be json.dumps(..., indent=2) bytes, with no NaN or
+    # Infinity, which strict parsers refuse.
+    argv, csv_path = MAPPING_RUNS[name], tmp_path / "traj.csv"
+    assert run(argv + ["--out", str(csv_path)]) == (cli.EXIT_OK, "", "")
+    code, out, err = run(argv + ["--format", "json"])
+    assert (code, err) == (cli.EXIT_OK, "")
+    sidecar = Path(f"{csv_path}.events.json").read_text()
+    for text in (sidecar, out):
+        assert text == json.dumps(json.loads(text, parse_constant=_refuse_constant),
+                                  indent=2) + "\n"
+    payload = json.loads(out)
+    assert list(payload)[-2:] == ["units", "samples"]
+    del payload["units"], payload["samples"]
+    assert payload == json.loads(sidecar)
+    kinds = {e["kind"] for e in payload["events"]}
+    assert (payload["period"] is None) == (name in ("no period", "escape", "equilibrium"))
+    assert ("escape" in kinds) == (name == "escape")
+    assert (kinds == set()) == (name == "equilibrium")
 
 
 def simulate_runs(outdir):
@@ -937,7 +983,8 @@ def test_each_command_loads_only_the_modules_it_runs(argv, modules, fresh_module
     assert loaded == modules
 
 
-# Each is run with --format csv, and with --format json as the positive control.
+# Each is run with --format csv, and with --format json as the positive
+# control, but for simulate, which writes JSON from its own template.
 FORMAT_RUNS = {
     "critical": ["critical", "--mass", "1", "--sigma0", "1"],
     "tau": ["tau", "--mass", "1", "--sigma0", "1"],
@@ -951,7 +998,16 @@ FORMAT_RUNS = {
 def test_csv_runs_load_no_json(name, fresh_modules):
     argv = FORMAT_RUNS[name]
     assert "json" not in fresh_modules(argv + ["--format", "csv"])
-    assert "json" in fresh_modules(argv + ["--format", "json"])
+    assert ("json" in fresh_modules(argv + ["--format", "json"])) == (argv[0] != "simulate")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_simulate_loads_no_json_writing_files(fmt, tmp_path, fresh_modules):
+    # A CSV --out adds the .events.json sidecar, which simulate writes from
+    # its template too.
+    out = tmp_path / f"traj.{fmt}"
+    assert "json" not in fresh_modules(SIMULATE + ["--format", fmt, "--out", str(out)])
+    assert Path(f"{out}.events.json").exists() == (fmt == "csv")
 
 
 NUMPY_FREE_RUNS = [("critical", CLOSED_FORM_RUNS[0][1]), ("tau", CLOSED_FORM_RUNS[-1][1])] + [

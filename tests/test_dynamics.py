@@ -150,10 +150,20 @@ def test_tables_are_scipys_bit_for_bit():
     assert [list(row) for row in dop853._D] == c.D.tolist()
 
 
-@pytest.mark.parametrize("case", sorted(CASES) + ["equilibrium"])
+# From rest at r0 = sigma0 a gravity-point leg takes 4.239 t_char, half the
+# period, so each run ends half a leg after its n-th whole one: the first
+# piece, n legs (one stepped, n - 1 tiled) and the last piece.  integrate
+# takes the drift over those stepped rows that the run holds.
+TILED = {f"{n} whole legs": (GRAVITY_POINT, 1.0, 0.0, (n + 1.5) * 4.2386) for n in (1, 2, 3)}
+
+
+@pytest.mark.parametrize("case", sorted(CASES) + sorted(TILED) + ["equilibrium"])
 def test_energy_column_is_the_numpy_recomputation_bit_for_bit(case):
-    law, r0, v0, t_end = CASES.get(case, (GRAVITY_POINT, 0.0, 0.0, 5.0))
+    law, r0, v0, t_end = {**CASES, **TILED}.get(case, (GRAVITY_POINT, 0.0, 0.0, 5.0))
     traj = dynamics.integrate(law, r0, v0, t_end)
+    if case in TILED:
+        assert traj.legs_tiled == int(case.split()[0]) - 1
+        assert len(traj.events_of(EventKind.V_ZERO)) == traj.legs_tiled + 3
     r = np.asarray(traj.r)
     assert np.shares_memory(r, traj.r)
     energy, drift = numpy_energy(law, r, np.asarray(traj.v))
