@@ -54,7 +54,10 @@ float arithmetic on floats and on grids, so a sweep row equals what
 one-point sweep refuses it with the same error line.  The last point of a
 grid is its upper bound itself, so the last row is that of the bound's own
 value.  Two processes write the rows, with the bytes one would write: see
-``sweep._write_grid``.
+``sweep._write_grid``.  The literature reference values that ``critical``
+and ``tau`` print besides (``criticality.reference_formulas``) never refuse
+a report: one outside the floating-point range is absent, JSON ``null`` or
+an empty CSV value, under its usual key.
 
 No command imports scipy.  ``verify``'s quadrature oracles use the
 package's own Gauss-Legendre rule, in Python floats, whose nodes are built on
@@ -95,12 +98,27 @@ over the grid's axes, for ``sweep``; either way they run on Python
 arithmetic.  ``simulate``'s stepper and energy column run on Python floats,
 and its samples are stdlib ``array('d')``; ``verify``'s quadrature rule, its
 parameter draws and its erf grid are Python floats and lists.
+
+``python -m gravreduce.cli`` and the ``gravreduce`` script share one process
+entry, ``entry``: it runs ``main``, and once ``main`` returns or raises
+(argparse's ``SystemExit`` included) it calls ``gc.freeze()`` and exits with
+``main``'s code.  The interpreter's shutdown would otherwise run full
+collections over every object the collector tracks, about 12k, most of them
+made before the package is imported, and no output depends on that work:
+it took 4-6 ms of each 58-145 ms process (medians of fresh processes,
+Python 3.11 on a 2-CPU Xeon).  Frozen objects that sit in
+reference cycles are not finalized at exit, which loses nothing here: the
+package defines no ``__del__``, every file it opens is closed by ``with``,
+and ``atexit`` handlers and the flush of stdout still run.  ``main`` itself
+leaves the caller's collector alone, enabled or not, frozen or not, so
+tests and other in-process callers see the GC state they had.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import os
 import sys
 
@@ -122,9 +140,10 @@ FALSE_WORDS = ("false", "no", "off")
 
 def _fmt(x) -> str:
     # repr round-trips doubles, uses lowercase e, and is locale independent.
+    # An absent value (None, JSON's null) is an empty CSV value.
     if isinstance(x, float):
         return repr(x)
-    return str(x)
+    return "" if x is None else str(x)
 
 
 def _parse_config_file(path: str) -> dict[str, list[str]]:
@@ -496,5 +515,17 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
 
+def entry():
+    """The process entry of ``python -m gravreduce.cli`` and of the
+    ``gravreduce`` script: ``main`` on ``sys.argv``, the heap frozen once it
+    returns or raises (argparse's ``SystemExit`` included), then the exit with
+    its code.  See the module docstring."""
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

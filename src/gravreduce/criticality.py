@@ -251,23 +251,36 @@ _OBJECT_REFERENCE_POWERS = (("karolyhazy_object_width", 1.0 / 3.0, 2.0 / 3.0),
                             ("diosi_micro_width", 0.5, 0.5))
 
 
+def _reference(what: str, formula, *params):
+    """``formula(*params)`` in a closed-form scope, or ``None`` (absent) where
+    it leaves the floating-point range or a parameter is absent."""
+    if any(p is None for p in params):
+        return None
+    try:
+        with closed_form(what, *params) as args:     # one parameter comes bare
+            return in_float_range(formula(*(args if len(params) > 1 else (args,))), what)
+    except DomainError:
+        return None
+
+
 def reference_formulas(mass, ctx: PhysicalContext, radius=None) -> dict:
     """Literature reference widths and times (unit constants dropped).
 
     Point particles (no radius) get the elementary-particle width
     hbar^2 / (G m^3) and the associated localization time m sigma_c^2 / hbar;
-    spheres additionally get the three object widths built from R.
+    spheres additionally get the three object widths built from R.  They are
+    for order-of-magnitude comparison only, so a value outside the
+    floating-point range is ``None``, absent, rather than an error, and so is
+    every value built from an absent width; the keys are the same either way.
     """
-    with closed_form("karolyhazy width", mass) as m:
-        scale = in_float_range(_scale(m, ctx), "karolyhazy width")
-    with closed_form("karolyhazy time", mass, scale) as (m, s):
-        out = {"karolyhazy_width": scale,
-               "karolyhazy_time": in_float_range(m * s ** 2 / ctx.hbar, "karolyhazy time")}
+    scale = _reference("karolyhazy width", lambda m: _scale(m, ctx), mass)
+    out = {"karolyhazy_width": scale,
+           "karolyhazy_time": _reference("karolyhazy time", lambda m, s: m * s ** 2 / ctx.hbar,
+                                         mass, scale)}
     if radius is not None:
         for name, p, q in _OBJECT_REFERENCE_POWERS:
-            what = name.replace("_", " ")
-            with closed_form(what, scale, radius) as (s, R):
-                out[name] = in_float_range(s ** p * R ** q, what)
+            out[name] = _reference(name.replace("_", " "), lambda s, R: s ** p * R ** q,
+                                   scale, radius)
     return out
 
 

@@ -21,7 +21,6 @@ sweep's time, so two processes write the rows: see ``_write_grid``.
 from __future__ import annotations
 
 import errno
-import gc
 import math
 import os
 from array import array
@@ -225,7 +224,8 @@ def _write_grid(fh, columns: dict, labels: list, shape: tuple, layout: tuple):
     line) or ``MemoryError``.  The grid is written whole, here, when the
     platform has no ``os.fork`` or the fork fails, when ``fh`` has no file
     descriptor (a ``StringIO``) or when the grid has one row.  The output is
-    byte-identical either way.
+    byte-identical either way.  Neither process freezes or unfreezes the
+    collector, so the caller's GC state is left as it was.
     """
     axis = next((i for i, n in enumerate(shape) if n > 1), None)
     try:
@@ -235,14 +235,10 @@ def _write_grid(fh, columns: dict, labels: list, shape: tuple, layout: tuple):
     pid = None
     if axis is not None and hasattr(os, "fork"):
         fh.flush()
-        # Frozen, the objects that exist at the fork are left out of both
-        # processes' collections, so the child's do not copy the pages they
-        # sit on.
-        gc.freeze()
         try:
             pid = os.fork()
         except OSError:                 # no process to spare: written whole
-            gc.unfreeze()
+            pass
     if pid is None:
         _write_rows(fh, _cells(columns, labels, shape, 0, slice(None)), *layout)
         return
@@ -263,16 +259,13 @@ def _write_grid(fh, columns: dict, labels: list, shape: tuple, layout: tuple):
             os._exit(status)
     held = _Held()
     try:
-        try:
-            _write_rows(held, _cells(columns, labels, shape, axis, slice(half, None)), *layout,
-                        continued=True)
-        finally:
-            _, status = os.waitpid(pid, 0)
-        _raise_for(status)
-        for block in held:
-            fh.write(block)
+        _write_rows(held, _cells(columns, labels, shape, axis, slice(half, None)), *layout,
+                    continued=True)
     finally:
-        gc.unfreeze()
+        _, status = os.waitpid(pid, 0)
+    _raise_for(status)
+    for block in held:
+        fh.write(block)
 
 
 def run(args, grids: dict[str, list[float]], values: dict[str, list[float]],

@@ -5,6 +5,7 @@ the quadrature nodes before it needs them, and that CSV runs load no json."""
 
 import ast
 import bisect
+import gc
 import json
 import os
 import subprocess
@@ -520,23 +521,57 @@ EXTREMES = ["1e-300", "1e-200", "1e-120", "1e-60", "1", "1e60", "1e120", "1e200"
 # macro transition width).
 REPORT_COLUMNS = ("critical mass", "force-balance critical width", "macro transition width",
                   "energy-minimum critical width", "force ratio", "regime")
+# The keys of those columns in critical's report and in a sweep row.
+REPORT_KEYS = ("critical_mass", "critical_width_force_balance", "critical_width_energy_min",
+               "force_ratio", "regime")
 
 
 @pytest.mark.parametrize("mass", EXTREMES)
 @pytest.mark.parametrize("units", ["dimensionless", "si"])
 @pytest.mark.parametrize("kind", ["point", "sphere"])
 def test_critical_and_a_one_point_sweep_refuse_alike(kind, units, mass):
-    # Both take the report from criticality.report_at, in one column order.
+    # Both take the report from criticality.report_at, in one column order,
+    # and refuse only for one of its columns; where both print, critical's
+    # report columns are the sweep row's.  A literature reference value
+    # outside the float range is null, in critical and tau alike, and so is
+    # every one built from an absent karolyhazy width; tau refuses only for
+    # one of its estimates.
     for sigma0 in EXTREMES:
         for radius in EXTREMES if kind == "sphere" else [None]:
             options = ["--kind", kind, "--units", units] + (["--radius", radius] if radius else [])
+            tau = run(["tau", "--mass", mass, "--sigma0", sigma0, *options,
+                       *(["--no-numeric"] if kind == "point" else [])])
+            if tau[0] != cli.EXIT_OK:
+                assert "reduction time is outside the floating-point range" in tau[2]
             critical = run(["critical", "--mass", mass, "--sigma0", sigma0, *options])
-            if not any(critical[2].startswith(f"error: {name} is outside")
-                       for name in REPORT_COLUMNS):
-                continue
             sweep = run(["sweep", "--mass", mass, "--grid", f"sigma0={sigma0}:{sigma0}:1:lin",
-                         *options])
-            assert sweep == critical, (sigma0, radius)
+                         *options, "--format", "json"])
+            if critical[0] != cli.EXIT_OK:
+                assert any(critical[2].startswith(f"error: {name} is outside")
+                           for name in REPORT_COLUMNS), (sigma0, radius, critical[2])
+                assert sweep == critical, (sigma0, radius)
+                continue
+            report = json.loads(critical[1])
+            if sweep[0] == cli.EXIT_OK:
+                table = json.loads(sweep[1])
+                row = dict(zip(table["columns"], table["rows"][0]))
+                assert [row[key] for key in REPORT_KEYS] == [report[key] for key in REPORT_KEYS]
+            refs = report["reference_values"]
+            assert refs == criticality.reference_formulas(
+                float(mass), getattr(PhysicalContext, units)(), radius and float(radius))
+            if refs["karolyhazy_width"] is None:
+                assert set(refs.values()) == {None}
+            if tau[0] == cli.EXIT_OK:
+                assert json.loads(tau[1])["reference_values"] == refs
+
+
+@pytest.mark.parametrize("fmt, absent", [("json", '"karolyhazy_time": null\n'),
+                                         ("csv", "\nreference_values.karolyhazy_time,\n")])
+def test_an_absent_reference_value_is_null_or_an_empty_csv_value(fmt, absent):
+    code, out, err = run(["critical", "--mass", "1e-60", "--sigma0", "1e-60", "--format", fmt])
+    assert (code, err) == (cli.EXIT_OK, "")
+    assert absent in out and out.count("karolyhazy_width") == 1
+
 
 # A sphere has no quarter-period-numeric estimate to leave out.
 NO_NUMERIC = "error: --no-numeric only applies to --kind point\n"
@@ -676,6 +711,84 @@ def test_stdout_closed_early_exits_2_with_one_line():
     err = proc.stderr.read()
     assert proc.wait(timeout=SUBPROCESS_TIMEOUT_S) == cli.EXIT_CONFIG
     assert err == "error: cannot write stdout: Broken pipe\n"
+
+
+# A child that runs a process entry with an atexit hook, which runs once the
+# entry has exited and before the interpreter's shutdown collections, and
+# writes gc.get_freeze_count() to the file named by argv[1].  The entry is
+# the module run as __main__ (python -m gravreduce.cli), or the
+# [project.scripts] target called as an installed console script calls it.
+ENTRY_PROBE = """
+import atexit, gc, importlib, runpy, sys
+path, target = sys.argv.pop(1), sys.argv.pop(1)
+
+def report():
+    with open(path, "w") as fh:
+        fh.write(str(gc.get_freeze_count()))
+
+atexit.register(report)
+if target == "-m":
+    runpy.run_module("gravreduce.cli", run_name="__main__", alter_sys=True)
+else:
+    module, _, name = target.partition(":")
+    sys.exit(getattr(importlib.import_module(module), name)())
+"""
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+ENTRY_RUNS = {
+    "valid": VALID["critical"],
+    "refused": ["sweep", "--sigma0", "1", "--grid", "mass=1:2:2", "--radius", "1"],
+    "argparse error": ["critical", "--mass", "1", "--no-such-option"],
+}
+
+
+def console_script_target():
+    """The ``gravreduce`` target of pyproject.toml's [project.scripts]."""
+    text = PYPROJECT.read_text()
+    section = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    for line in section.splitlines():
+        key, _, value = line.partition("=")
+        if key.strip() == "gravreduce":
+            return value.strip().strip('"')
+    raise AssertionError("pyproject.toml names no gravreduce console script")
+
+
+@pytest.mark.parametrize("run_name", sorted(ENTRY_RUNS))
+@pytest.mark.parametrize("entry", ["-m", "console script"])
+def test_the_process_entry_freezes_the_heap_before_exit(entry, run_name, tmp_path):
+    argv = ENTRY_RUNS[run_name]
+    target = "-m" if entry == "-m" else console_script_target()
+    count = tmp_path / "freeze_count"
+    probed = run_process(["-c", ENTRY_PROBE, str(count), target, *argv])
+    plain = run_process(["-m", "gravreduce.cli", *argv])
+    assert (probed.returncode, probed.stdout, probed.stderr) == (
+        plain.returncode, plain.stdout, plain.stderr)
+    assert plain.returncode == {"valid": 0}.get(run_name, cli.EXIT_CONFIG)
+    if run_name == "refused":
+        assert plain.stderr.startswith("error: ") and plain.stderr.count("\n") == 1
+    assert int(count.read_text()) > 0
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc enabled", "gc disabled"])
+@pytest.mark.parametrize("frozen", [False, True], ids=["nothing frozen", "heap frozen"])
+def test_main_in_process_leaves_the_collector_as_it_was(enabled, frozen, tmp_path):
+    # The sweep to a file forks its row writer; the child leaves by os._exit.
+    runs = [*VALID.values(),
+            ["sweep", "--sigma0", "1", "--grid", "mass=0.1:10:40", "--out", str(tmp_path / "s")]]
+    was_enabled = gc.isenabled()
+    if not enabled:
+        gc.disable()
+    if frozen:
+        gc.freeze()
+    try:
+        before = gc.get_freeze_count()
+        for argv in runs:
+            assert run(argv)[0] == cli.EXIT_OK, argv
+            assert (gc.isenabled(), gc.get_freeze_count()) == (enabled, before), argv
+    finally:
+        if frozen:
+            gc.unfreeze()
+        if was_enabled:
+            gc.enable()
 
 
 # The mixed-point law has one form: its printed sigma0^2 variant is gone.

@@ -328,6 +328,15 @@ class TestReferenceFormulas:
         width_cm = refs["karolyhazy_object_width"] * 100.0
         assert abs(math.log10(width_cm) - (-17.0)) <= 1.0
 
+    def test_a_value_outside_the_float_range_is_absent(self, ctx):
+        # m sigma_c^2 / hbar overflows while the widths stay in range; at
+        # m = 1e-120 the width itself overflows, and every value built from it
+        # is absent too.
+        refs = reference_formulas(1e-60, ctx, 1e-60)
+        assert refs["karolyhazy_time"] is None
+        assert all(type(v) is float for k, v in refs.items() if k != "karolyhazy_time")
+        assert reference_formulas(1e-120, ctx, 1.0) == dict.fromkeys(refs)
+
     def test_macro_reference_matches_transition_form(self, ctx):
         body = Body.sphere(2.0, 0.3)
         refs = reference_formulas(body.mass, ctx, body.radius)
