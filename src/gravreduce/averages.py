@@ -4,7 +4,10 @@ Every quantity of interest can be averaged against the radial weight
 density * 4 pi r^2 on [0, infinity).  A generic expectation engine, a
 Gauss-Legendre rule with an error estimate (see ``potentials._radial_quad``),
 lives next to the closed-form results so each closed form can be
-cross-tested against the same independent integrator.  The rule runs on
+cross-tested against the same independent integrator.  Each closed form has
+one implementation: the sphere's mean energy is
+``avg_qg_potential_object + avg_quantum_potential``, and its asymptotic
+forces are the two terms of ``avg_qg_force_object``.  The rule runs on
 Python floats, with correctly rounded sums (``math.fsum``), so an
 expectation loads no numpy.
 """
@@ -22,16 +25,15 @@ EXPECT_RELTOL = 1e-10
 
 
 class Expectation(Record):
-    """A computed ensemble average with its absolute error estimate, its
-    method ("closed-form" or "quadrature") and the number of observable
-    evaluations behind it (0 for a closed form)."""
+    """A quadrature ensemble average with its absolute error estimate and the
+    number of observable evaluations behind it."""
 
-    __slots__ = _fields = ("value", "abs_error_estimate", "method", "neval")
+    __slots__ = _fields = ("value", "abs_error_estimate", "neval")
 
-    def __init__(self, value: float, abs_error_estimate: float, method: str, neval: int = 0):
+    def __init__(self, value: float, abs_error_estimate: float, neval: int):
         if abs_error_estimate < 0.0:
             raise ValueError("error estimate must be non-negative")
-        self._set(value, abs_error_estimate, method, neval)
+        self._set(value, abs_error_estimate, neval)
 
 
 def expect(observable: Callable[[float], float], packet: WavePacket,
@@ -52,8 +54,7 @@ def expect(observable: Callable[[float], float], packet: WavePacket,
     if abserr > EXPECT_RELTOL * max(abs(value), l1):
         raise AccuracyError("expectation quadrature did not converge",
                             value=value, error_estimate=abserr)
-    return Expectation(value=value, abs_error_estimate=abserr, method="quadrature",
-                       neval=neval)
+    return Expectation(value=value, abs_error_estimate=abserr, neval=neval)
 
 
 def avg_quantum_force(packet: WavePacket, body: Body, ctx: PhysicalContext) -> float:
@@ -108,18 +109,15 @@ def avg_qg_potential_object(packet: WavePacket, body: Body, ctx: PhysicalContext
                       + gm2 * s0 * s0 / R ** 3 * (0.75 - 1.0 / math.pi), what)
 
 
-def avg_energy_object(packet: WavePacket, body: Body, ctx: PhysicalContext) -> float:
-    """Mean total energy of the sphere's stationary packet."""
-    # two positive terms can overflow
-    return finite(avg_qg_potential_object(packet, body, ctx)
-                  + avg_quantum_potential(packet, body, ctx), "the mean sphere energy")
-
-
 def avg_qg_force_object(packet: WavePacket, body: Body, ctx: PhysicalContext) -> float:
     """Exact ensemble average of the sphere's self-gravitational force.
 
-    9 G m^2 / (8 sqrt(pi) sigma0 R) - 15 G m^2 sigma0 / (16 sqrt(pi) R^3):
-    the two asymptotic magnitudes below are exactly its two terms.
+    9 G m^2 / (8 sqrt(pi) sigma0 R) - 15 G m^2 sigma0 / (16 sqrt(pi) R^3).
+    The first term dominates where sigma0 << R and the second where
+    sigma0 >> R.  Balanced against ``avg_quantum_force``, the first term's
+    magnitude gives ``criticality.micro_transition_width_at`` and the
+    second's the sphere law of ``critical_width_force_balance_at`` (the
+    macro width).
     """
     _require_sphere(body)
     what = "the mean sphere self-gravity force"
@@ -130,30 +128,3 @@ def avg_qg_force_object(packet: WavePacket, body: Body, ctx: PhysicalContext) ->
         sqrtpi = math.sqrt(math.pi)
         return finite(9.0 * gm2 / (8.0 * sqrtpi * s0 * R)
                       - 15.0 * gm2 * s0 / (16.0 * sqrtpi * R ** 3), what)
-
-
-def avg_qg_force_object_micro(packet: WavePacket, body: Body, ctx: PhysicalContext) -> float:
-    """Wide-packet magnitude 9 G m^2 / (8 sqrt(pi) sigma0 R)."""
-    _require_sphere(body)
-    what = "the wide-packet mean sphere force"
-    with closed_form(what):
-        return finite(9.0 * ctx.G * body.mass ** 2
-                      / (8.0 * math.sqrt(math.pi) * packet.sigma0 * body.radius), what)
-
-
-def avg_qg_force_object_macro(packet: WavePacket, body: Body, ctx: PhysicalContext) -> float:
-    """Narrow-packet magnitude (15 / 16 sqrt(pi)) G m^2 sigma0 / R^3."""
-    _require_sphere(body)
-    what = "the narrow-packet mean sphere force"
-    with closed_form(what):
-        return finite(15.0 / (16.0 * math.sqrt(math.pi))
-                      * ctx.G * body.mass ** 2 * packet.sigma0 / body.radius ** 3, what)
-
-
-def avg_qg_force_object_intermediate(packet: WavePacket, body: Body,
-                                     ctx: PhysicalContext) -> float:
-    """Order-of-magnitude force G m^2 / R^2 for the sigma0 = R crossover."""
-    _require_sphere(body)
-    what = "the crossover sphere force"
-    with closed_form(what):
-        return finite(ctx.G * body.mass ** 2 / body.radius ** 2, what)

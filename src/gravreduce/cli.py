@@ -12,7 +12,10 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error,
 missing directory, stdout closed early) is a configuration error: one
 ``error: cannot write ...`` line on stderr, and so is a ``--gnuplot-script``
 path that names the ``--out`` file or its ``.events.json`` sidecar, refused
-before anything is written.  Each option's default, type and choices live in the
+before anything is written.  A stderr closed early leaves the exit code as
+it is: the error line that cannot be written is dropped, and the process
+still exits 2 (or 3 for a numerical failure).  Each option's default,
+type and choices live in the
 parser alone.  An optional ``--config`` file of ``key = value`` lines, which
 makes figure-reproduction runs self-documenting, supplies new defaults: its
 values become the subcommand's defaults and the command line is parsed again,
@@ -264,6 +267,18 @@ def _output(out: str | None):
         raise ConfigError(f"cannot write {out or 'stdout'}: {exc.strerror}") from None
 
 
+def _fail(line: str, code: int) -> int:
+    """Print the error ``line`` on stderr and return ``code``, the exit code,
+    also where stderr is closed early."""
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except OSError:
+        # As _output does for stdout: what is left in stderr's buffer is
+        # flushed at exit, which would fail again and exit 120.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+    return code
+
+
 def _emit(text: str, out: str | None):
     with _output(out) as fh:
         fh.write(text)
@@ -508,11 +523,9 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         return args.fn(args)
     except (IntegrationError, AccuracyError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+        return _fail(f"numerical failure: {exc}", EXIT_NUMERIC)
     except GravreduceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _fail(f"error: {exc}", EXIT_CONFIG)
 
 
 def entry():

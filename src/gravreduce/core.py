@@ -107,8 +107,16 @@ class Record:
         return type(self), self._key()
 
 
+def _require_finite(value: float, name: str):
+    # After the check that ``value`` is positive, which refuses NaN, only
+    # +inf is left to refuse.
+    if value == math.inf:
+        raise DomainError(f"{name} must be finite")
+
+
 class PhysicalContext(Record):
-    """Values of hbar and G plus the unit-system label they are expressed in."""
+    """Values of hbar and G, each positive and finite, plus the unit-system
+    label they are expressed in."""
 
     __slots__ = _fields = ("hbar", "G", "unit_system")
 
@@ -119,6 +127,8 @@ class PhysicalContext(Record):
         hbar, G = float(hbar), float(G)
         if not (hbar > 0.0 and G > 0.0):
             raise DomainError("hbar and G must be positive")
+        _require_finite(hbar, "hbar")
+        _require_finite(G, "G")
         if unit_system is UnitSystem.DIMENSIONLESS:
             if hbar != 1.0 or G != 1.0:
                 raise DomainError("dimensionless mode requires hbar = G = 1 exactly")
@@ -153,8 +163,9 @@ class LawKind(str, Enum):
 class Body(Record):
     """A point particle, or a homogeneous sphere of the given radius.
 
-    The mass and a radius are stored as Python floats, as in
-    :class:`PhysicalContext`, so a numpy scalar runs on Python arithmetic.
+    The mass and a radius must be positive and finite.  They are stored as
+    Python floats, as in :class:`PhysicalContext`, so a numpy scalar runs on
+    Python arithmetic.
     """
 
     __slots__ = _fields = ("mass", "kind", "radius")
@@ -166,9 +177,11 @@ class Body(Record):
             radius = float(radius)
         if not mass > 0.0:
             raise DomainError("mass must be positive")
+        _require_finite(mass, "mass")
         if kind is BodyKind.HOMOGENEOUS_SPHERE:
             if radius is None or not radius > 0.0:
                 raise DomainError("sphere radius must be positive")
+            _require_finite(radius, "sphere radius")
         elif radius is not None:
             raise DomainError("point particle takes no radius")
         self._set(mass, kind, radius)
@@ -193,7 +206,8 @@ class Body(Record):
 class WavePacket(Record):
     """Spherically symmetric Gaussian packet of initial width sigma0, centered at r = 0.
 
-    sigma0 is stored as a Python float, as in :class:`PhysicalContext`.
+    sigma0 must be positive and finite; it is stored as a Python float, as in
+    :class:`PhysicalContext`.
     """
 
     __slots__ = _fields = ("sigma0",)
@@ -202,6 +216,7 @@ class WavePacket(Record):
         sigma0 = float(sigma0)
         if not sigma0 > 0.0:
             raise DomainError("sigma0 must be positive")
+        _require_finite(sigma0, "sigma0")
         self._set(sigma0)
 
 

@@ -4,8 +4,9 @@ reduction-time estimators.
 Two independent routes give the transition scale: balancing the averaged
 quantum force against the averaged self-gravitational force, and minimizing
 the mean stationary energy over the packet width.  Both are implemented with
-their exact unit constants; literature reference formulas (which drop O(1)
-constants) are provided alongside for order-of-magnitude comparisons.
+their exact unit constants.  The literature's forms, which drop the O(1)
+constants (Karolyhazy's and Diosi's widths), live in ``reference_formulas``
+alone, for order-of-magnitude comparisons.
 
 Reduction-time estimators are closed forms of four flavors: the gravity-point
 law's exact quarter period with its unit-constant approximation, the short-time
@@ -19,7 +20,6 @@ evaluate ``minimize`` or ``potentials`` import them when called.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from enum import Enum
 
 from .core import (SQRT_2_OVER_PI, Body, PhysicalContext, WavePacket, closed_form,
@@ -65,17 +65,6 @@ class CriticalMethod(str, Enum):
     ENERGY_MINIMIZATION = "energy-minimization"
 
 
-class ObjectRegime(str, Enum):
-    MACRO = "macro"
-    MICRO = "micro"
-    INTERMEDIATE = "intermediate"
-
-
-# A transition width: ``value`` with the exact constant from the balance or
-# minimization, ``paper_form`` the same scaling with the O(1) constant dropped.
-WidthEstimate = namedtuple("WidthEstimate", "value paper_form label")
-
-
 # Each closed form below has one entry point, its ``*_at`` function: it takes
 # the bare parameters (mass, sigma0, radius) as floats or ``grid.Grid``
 # values, checked by the caller, and is written with operators alone inside
@@ -118,42 +107,25 @@ def regime_index(mass, critical_mass):
         return (m <= m_c * (1.0 + TIE_BAND)) + (m < m_c * (1.0 - TIE_BAND))
 
 
-_OBJECT_WIDTH_CONST = {ObjectRegime.MACRO: FORCE_BALANCE_MACRO_CONST,
-                       ObjectRegime.MICRO: FORCE_BALANCE_MICRO_CONST,
-                       ObjectRegime.INTERMEDIATE: 1.0}
-
-
-def transition_width_object_at(mass, radius, ctx: PhysicalContext,
-                               regime: ObjectRegime) -> WidthEstimate:
-    """Transition width of a homogeneous sphere in the given size regime.
-
-    Macro (sigma0 << R): quarter-power law in (hbar^2/G m^3) with R^(3/4).
-    Micro (sigma0 >> R): square-root law with R^(1/2).
-    Intermediate (sigma0 = R): hbar^2 / (G m^3) itself.
-    ``value`` carries the exact constant from the force balance; ``paper_form``
-    drops it for order-of-magnitude work.  Both are grids for grid input.
-    """
-    what = f"{regime.value} transition width"
-    with closed_form(what, mass, radius) as (m, R):
-        scale = _scale(m, ctx)
-        if regime is ObjectRegime.MACRO:
-            base = (scale * R ** 3) ** 0.25
-        elif regime is ObjectRegime.MICRO:
-            base = (scale * R) ** 0.5
-        else:
-            base = scale
-        return WidthEstimate(value=in_float_range(_OBJECT_WIDTH_CONST[regime] * base, what),
-                             paper_form=in_float_range(base, what), label=regime.value)
-
-
 def critical_width_force_balance_at(mass, ctx: PhysicalContext, radius=None):
     """Force-balance transition width: the point law sqrt(pi/2) hbar^2 / (G m^3)
-    without a radius, the macro sphere law with one."""
+    without a radius, and with one the sphere's narrow-packet (sigma0 << R)
+    law (8 sqrt2 / 15)^(1/4) (hbar^2 R^3 / G m^3)^(1/4)."""
     if radius is not None:
-        return transition_width_object_at(mass, radius, ctx, ObjectRegime.MACRO).value
+        with closed_form("macro transition width", mass, radius) as (m, R):
+            return in_float_range(FORCE_BALANCE_MACRO_CONST * (_scale(m, ctx) * R ** 3) ** 0.25,
+                                  "macro transition width")
     with closed_form("force-balance critical width", mass) as m:
         return in_float_range(FORCE_BALANCE_POINT_CONST * _scale(m, ctx),
                               "force-balance critical width")
+
+
+def micro_transition_width_at(mass, radius, ctx: PhysicalContext):
+    """Force-balance width of a sphere's wide packet (sigma0 >> R):
+    (4 sqrt2 / 9)^(1/2) (hbar^2 R / G m^3)^(1/2)."""
+    with closed_form("micro transition width", mass, radius) as (m, R):
+        return in_float_range(FORCE_BALANCE_MICRO_CONST * (_scale(m, ctx) * R) ** 0.5,
+                              "micro transition width")
 
 
 def critical_width_energy_min_at(mass, ctx: PhysicalContext, radius=None):
@@ -185,8 +157,9 @@ def report_at(mass, sigma0, ctx: PhysicalContext, radius=None) -> dict:
 
 
 def _energy_derivative(body: Body, ctx: PhysicalContext):
-    """d<E>/d sigma0 of the mean energy of ``averages.avg_energy_point`` or
-    ``avg_energy_object``, as a function of the width."""
+    """d<E>/d sigma0 of the mean energy, ``averages.avg_energy_point`` or
+    ``avg_qg_potential_object + avg_quantum_potential``, as a function of the
+    width."""
     m = body.mass
     c2 = 3.0 * ctx.hbar ** 2 / (8.0 * m)
     if body.is_point:

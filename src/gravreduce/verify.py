@@ -18,6 +18,7 @@ from collections import namedtuple
 # by about 1.1 MB.
 from . import averages, criticality, dop853, dynamics, potentials  # noqa: F401
 from .core import Body, PhysicalContext, WavePacket
+from .errors import DomainError
 
 # Each battery draws its parameters from its own stream, random.Random(RNG_SEED
 # + k).  The draws only call uniform, and the stdlib Mersenne Twister serves
@@ -38,6 +39,12 @@ class Check(namedtuple("Check", "name passed measured tolerance detail", default
 
 def _rel(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+def _worse(worst: float, rel: float) -> float:
+    """The larger discrepancy, NaN once either is NaN: ``max`` drops a NaN
+    that comes second, and a check must fail on it."""
+    return rel if rel > worst or rel != rel else worst
 
 
 def _erf_series(x: float) -> float:
@@ -85,7 +92,7 @@ def check_gradient_consistency(n_points: int = 100) -> list[Check]:
                 fd = -(pot(r + h) - pot(r - h)) / (2.0 * h)
                 f = force(r)
                 rel = abs(f - fd) / max(abs(f), abs(fd), 1e-300)
-                worst_by_label[label] = max(worst_by_label.get(label, 0.0), rel)
+                worst_by_label[label] = _worse(worst_by_label.get(label, 0.0), rel)
     for label, worst in sorted(worst_by_label.items()):
         out.append(Check(f"gradient-{label}", worst < GRADIENT_TOL, worst, GRADIENT_TOL,
                          f"worst of {n_points} random parameter sets"))
@@ -110,13 +117,13 @@ def check_potential_oracles(n_radii: int = 50, perturb: float = 0.0) -> list[Che
         closed = potentials.qg_potential_point(r, packet, point, ctx) * factor
         numeric = potentials.qg_potential_numeric(
             r, lambda rp: potentials.classical_kernel(rp, point, ctx), packet, ctx)
-        worst_point = max(worst_point, _rel(closed, numeric))
+        worst_point = _worse(worst_point, _rel(closed, numeric))
 
         sphere = Body.sphere(m, R)
         closed = potentials.qg_potential_object(r, packet, sphere, ctx) * factor
         numeric = potentials.qg_potential_numeric(
             r, lambda rp: potentials.classical_kernel(rp, sphere, ctx), packet, ctx)
-        worst_object = max(worst_object, _rel(closed, numeric))
+        worst_object = _worse(worst_object, _rel(closed, numeric))
     return [Check(f"self-energy-{kind}-vs-quadrature", worst < SELF_ENERGY_TOL, worst,
                   SELF_ENERGY_TOL, f"{n_radii} random radii over 4 decades")
             for kind, worst in (("point", worst_point), ("object", worst_object))]
@@ -162,7 +169,7 @@ def check_average_oracles(n_sets: int = 20, perturb: float = 0.0) -> list[Check]
         ]
         for name, closed, observable in cases:
             got = averages.expect(observable, packet, ctx).value
-            worst[name] = max(worst.get(name, 0.0), _rel(closed * factor, got))
+            worst[name] = _worse(worst.get(name, 0.0), _rel(closed * factor, got))
     return [Check(name, w < AVERAGE_TOL, w, AVERAGE_TOL,
                   f"{n_sets} random parameter sets over 6 decades")
             for name, w in sorted(worst.items())]
@@ -228,8 +235,8 @@ def _reference_order_cases():
         ("critical-mass-at-1e-4m-grams",
          criticality.critical_mass_at(1e-4, si) * 1e3, -15),
         ("proton-micro-width-cm",
-         criticality.transition_width_object_at(proton_sphere.mass, proton_sphere.radius, si,
-                                                criticality.ObjectRegime.MICRO).value * 1e2, 6),
+         criticality.micro_transition_width_at(proton_sphere.mass, proton_sphere.radius,
+                                               si) * 1e2, 6),
         ("proton-micro-tau-s",
          criticality.tau_at(criticality.TauMethod.OBJECT_MICRO, proton_sphere.mass, 1.0, si,
                             proton_sphere.radius), 15),
@@ -253,7 +260,14 @@ def check_reference_orders() -> list[Check]:
 
 
 def run_all(perturb: float = 0.0, quick: bool = False) -> dict:
-    """Run the full verification battery; returns a JSON-ready report."""
+    """Run the full verification battery; returns a JSON-ready report.
+
+    A perturbation that is not finite is refused with a :class:`DomainError`,
+    and a measured discrepancy that is not finite (a failed check) is
+    reported as ``None``, so the report is strict JSON.
+    """
+    if not math.isfinite(perturb):
+        raise DomainError("perturb must be finite")
     n_grad = 25 if quick else 100
     n_avg = 8 if quick else 20
     n_orc = 12 if quick else 50
@@ -270,5 +284,6 @@ def run_all(perturb: float = 0.0, quick: bool = False) -> dict:
         "perturb": perturb,
         "n_checks": len(checks),
         "n_failed": sum(not c.passed for c in checks),
-        "checks": [c._asdict() for c in checks],
+        "checks": [(c if math.isfinite(c.measured) else c._replace(measured=None))._asdict()
+                   for c in checks],
     }

@@ -40,3 +40,16 @@ def point():
 @pytest.fixture
 def sphere():
     return Body.sphere(1.0, 1.0)
+
+
+@pytest.fixture
+def sphere_force_terms():
+    """The two terms of ``averages.avg_qg_force_object``, as a function of
+    (packet, body, ctx): 9 G m^2 / (8 sqrt(pi) sigma0 R) and
+    15 G m^2 sigma0 / (16 sqrt(pi) R^3), the average being the first minus
+    the second.  Their constants are frozen from a 50-digit oracle."""
+    def terms(packet, body, ctx):
+        gm2 = ctx.G * body.mass ** 2
+        return (0.63471328149122582 * gm2 / (packet.sigma0 * body.radius),
+                0.52892773457602152 * gm2 * packet.sigma0 / body.radius ** 3)
+    return terms

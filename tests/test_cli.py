@@ -88,17 +88,55 @@ def test_unknown_config_key_exits_2(command, tmp_path):
     assert err == "error: unknown config key: no_such_key\n"
 
 
+@pytest.mark.parametrize("argv,name", [
+    (["critical", "--mass", "inf", "--sigma0", "1"], "mass"),
+    (["critical", "--mass", "1", "--sigma0", "inf"], "sigma0"),
+    (["critical", "--mass", "1", "--sigma0", "1", "--kind", "sphere", "--radius", "inf"],
+     "sphere radius"),
+    (["critical", "--mass", "1", "--sigma0", "1", "--units", "si", "--hbar", "inf"], "hbar"),
+    (["tau", "--mass", "1", "--sigma0", "1", "--units", "si", "--G", "inf"], "G"),
+    (["sweep", "--mass", "inf", "--grid", "sigma0=1:2:2"], "mass"),
+    (["simulate", "--mass", "1", "--sigma0", "inf", "--r0", "1", "--t-end", "1"], "sigma0"),
+])
+def test_an_infinite_parameter_is_refused_by_name(argv, name):
+    # Not a derived quantity out of the floating-point range: the record refuses it.
+    assert run(argv) == (cli.EXIT_CONFIG, "", f"error: {name} must be finite\n")
+
+
 def test_missing_required_option_exits_2():
     code, _, err = run(["critical", "--mass", "1"])
     assert code == cli.EXIT_CONFIG
     assert err == "error: missing required option --sigma0\n"
 
 
-def test_verify_negative_control_exits_1():
-    code, out, err = run(["verify", "--quick", "--perturb", "1e-6"])
-    report = json.loads(out)
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("perturb", ["1e-6", "1e308"])
+def test_verify_negative_control_exits_1(perturb):
+    # 1e308 makes every perturbed closed form overflow, so each of its
+    # discrepancies is NaN: each of the nine checks still fails, and reports
+    # its discrepancy as null.
+    code, out, err = run(["verify", "--quick", "--perturb", perturb])
+    report = strict_json(out)
     assert (code, err) == (cli.EXIT_VERIFY_FAILED, "")
     assert (report["n_checks"], report["n_failed"]) == (27, 9)
+    failed = [check["measured"] for check in report["checks"] if not check["passed"]]
+    assert all(m is None for m in failed) if perturb == "1e308" else None not in failed
+
+
+@pytest.mark.parametrize("perturb", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_verify_refuses_a_non_finite_perturbation(perturb, source, tmp_path):
+    if source == "flag":
+        argv = ["verify", "--quick", f"--perturb={perturb}"]
+    else:
+        argv = ["verify", "--config", write_config(tmp_path, f"quick = on\nperturb = {perturb}\n")]
+    assert run(argv) == (cli.EXIT_CONFIG, "", "error: perturb must be finite\n")
 
 
 # ---------------------------------------------------------------- --config merge
@@ -711,6 +749,27 @@ def test_stdout_closed_early_exits_2_with_one_line():
     err = proc.stderr.read()
     assert proc.wait(timeout=SUBPROCESS_TIMEOUT_S) == cli.EXIT_CONFIG
     assert err == "error: cannot write stdout: Broken pipe\n"
+
+
+@pytest.mark.parametrize("argv,stdout", [
+    # stdout and stderr share one pipe: the rows fail first, then the error line
+    (["sweep", "--sigma0", "1", "--grid", "mass=1:2:3000"], "shared"),
+    (["critical", "--mass", "-1", "--sigma0", "1"], "devnull"),
+])
+def test_stderr_closed_early_keeps_the_exit_code(argv, stdout):
+    # A write of the error line to a closed pipe raised BrokenPipeError in
+    # main's handler, and the process exited 1, the code of a failed verify.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = write_end if stdout == "shared" else subprocess.DEVNULL
+        proc = subprocess.run([sys.executable, "-m", "gravreduce.cli", *argv], env=env,
+                              stdout=out, stderr=write_end, timeout=SUBPROCESS_TIMEOUT_S)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == cli.EXIT_CONFIG
 
 
 # A child that runs a process entry with an atexit hook, which runs once the

@@ -42,13 +42,8 @@ CLOSED_FORMS = {
     "force_balance_width_sphere": lambda m, s0, R, ctx: c.critical_width_force_balance_at(m, ctx, R),
     "energy_min_width_point": lambda m, s0, R, ctx: c.critical_width_energy_min_at(m, ctx),
     "energy_min_width_sphere": lambda m, s0, R, ctx: c.critical_width_energy_min_at(m, ctx, R),
+    "micro_transition_width": lambda m, s0, R, ctx: c.micro_transition_width_at(m, R, ctx),
 }
-for _regime in c.ObjectRegime:
-    CLOSED_FORMS[f"transition_width_{_regime.value}"] = (
-        lambda m, s0, R, ctx, regime=_regime: c.transition_width_object_at(m, R, ctx, regime).value)
-    CLOSED_FORMS[f"transition_width_{_regime.value}_paper_form"] = (
-        lambda m, s0, R, ctx, regime=_regime:
-        c.transition_width_object_at(m, R, ctx, regime).paper_form)
 for _method in c.POINT_CLOSED_FORMS:
     CLOSED_FORMS[f"tau_{_method.value}"] = (
         lambda m, s0, R, ctx, method=_method: c.tau_at(method, m, s0, ctx))
@@ -184,12 +179,10 @@ def test_scalar_entry_points_return_python_floats():
         packet, point, sphere = WavePacket(s0), Body.point(m), Body.sphere(m, R)
         reports = [c.report_at(body.mass, packet.sigma0, ctx, body.radius)
                    for body in (point, sphere)]
-        widths = [c.transition_width_object_at(sphere.mass, sphere.radius, ctx, regime)
-                  for regime in c.ObjectRegime]
         values = [c.critical_width_energy_min_exact(point, ctx),
                   c.critical_width_energy_min_exact(sphere, ctx),
+                  c.micro_transition_width_at(sphere.mass, sphere.radius, ctx),
                   *(v for r in reports for name, v in r.items() if name != "regime"),
-                  *(w.value for w in widths), *(w.paper_form for w in widths),
                   *c.reference_formulas(sphere.mass, ctx, sphere.radius).values(),
                   *c.taus_at(point.mass, packet.sigma0, ctx, numeric=False).values(),
                   *c.taus_at(sphere.mass, packet.sigma0, ctx, sphere.radius).values()]
@@ -236,6 +229,7 @@ def dimensional_outputs(m, s0, R, ctx):
             c.critical_width_force_balance_at(m, ctx, radius), "length", cond)
         out[f"energy_min_width_{kind}"] = (
             c.critical_width_energy_min_at(m, ctx, radius), "length", cond)
+    out["micro_transition_width"] = (c.micro_transition_width_at(m, R, ctx), "length", 3.5)
     out["force_ratio"] = (c.force_ratio_at(m, s0, ctx), "none", 7.0)
     return out
 

@@ -8,7 +8,6 @@ from scipy.integrate import quad
 from gravreduce.averages import Expectation
 from gravreduce.core import (Body, BodyKind, LawKind, PhysicalContext, UnitSystem, WavePacket,
                              density, width_at)
-from gravreduce.criticality import WidthEstimate
 from gravreduce.dynamics import Event, EventKind, ForceLaw, Trajectory
 from gravreduce.errors import BodyKindError, DomainError
 from gravreduce.verify import Check
@@ -130,14 +129,23 @@ RECORDS = {
     PhysicalContext: ((2.0, 3.0, UnitSystem.SI), [
         ((0.0, 1.0, UnitSystem.SI), DomainError, "hbar and G must be positive"),
         ((1.0, -1.0, UnitSystem.SI), DomainError, "hbar and G must be positive"),
-        ((2.0, 1.0), DomainError, "dimensionless mode requires hbar = G = 1 exactly")]),
+        ((2.0, 1.0), DomainError, "dimensionless mode requires hbar = G = 1 exactly"),
+        ((math.inf, 1.0, UnitSystem.SI), DomainError, "hbar must be finite"),
+        ((1.0, math.inf, UnitSystem.SI), DomainError, "G must be finite"),
+        ((-math.inf, 1.0, UnitSystem.SI), DomainError, "hbar and G must be positive")]),
     Body: ((2.0, BodyKind.HOMOGENEOUS_SPHERE, 0.5), [
         ((0.0,), DomainError, "mass must be positive"),
         ((1.0, BodyKind.HOMOGENEOUS_SPHERE), DomainError, "sphere radius must be positive"),
         ((1.0, BodyKind.HOMOGENEOUS_SPHERE, -1.0), DomainError,
          "sphere radius must be positive"),
-        ((1.0, BodyKind.POINT_PARTICLE, 1.0), DomainError, "point particle takes no radius")]),
-    WavePacket: ((2.0,), [((math.nan,), DomainError, "sigma0 must be positive")]),
+        ((1.0, BodyKind.POINT_PARTICLE, 1.0), DomainError, "point particle takes no radius"),
+        ((math.inf,), DomainError, "mass must be finite"),
+        ((math.nan,), DomainError, "mass must be positive"),
+        ((1.0, BodyKind.HOMOGENEOUS_SPHERE, math.inf), DomainError,
+         "sphere radius must be finite")]),
+    WavePacket: ((2.0,), [((math.nan,), DomainError, "sigma0 must be positive"),
+                          ((-math.inf,), DomainError, "sigma0 must be positive"),
+                          ((math.inf,), DomainError, "sigma0 must be finite")]),
     ForceLaw: ((LawKind.MIXED_POINT, WavePacket(2.0), Body.point(3.0), UNIT_CTX), [
         ((LawKind.GRAVITY_OBJECT, WavePacket(1.0), Body.point(1.0), UNIT_CTX), BodyKindError,
          "the gravity-object force law does not apply to a point particle"),
@@ -149,9 +157,8 @@ RECORDS = {
     Event: ((1.5, EventKind.V_ZERO), []),
     Trajectory: (((0.0, 1.0), (1.0, 0.5), (0.0, -0.5), (-1.0, -1.0), (), 0.0, UNIT_LAW,
                   13, 1, 0, 0), []),
-    WidthEstimate: ((2.0, 1.0, "macro"), []),
-    Expectation: ((1.0, 1e-12, "quadrature", 88), [
-        ((1.0, -1e-12, "quadrature"), ValueError, "error estimate must be non-negative")]),
+    Expectation: ((1.0, 1e-12, 88), [
+        ((1.0, -1e-12, 88), ValueError, "error estimate must be non-negative")]),
     Check: (("order-x", True, 0.5, 1.0, "detail"), []),
 }
 

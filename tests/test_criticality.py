@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gravreduce.averages import (avg_energy_object, avg_energy_point, avg_qg_force_point,
+from gravreduce.averages import (avg_energy_point, avg_qg_force_point,
                                  avg_qg_potential_object, avg_qg_potential_point,
                                  avg_quantum_force, avg_quantum_potential, expect)
 from gravreduce.core import Body, PhysicalContext, WavePacket
-from gravreduce.criticality import (REGIMES, ObjectRegime, Regime, _energy_derivative,
-                                    critical_mass_at, critical_width_energy_min,
+from gravreduce.criticality import (REGIMES, Regime, _energy_derivative, critical_mass_at,
+                                    critical_width_energy_min,
                                     critical_width_energy_min_exact,
                                     critical_width_force_balance_at, force_balance_residual,
-                                    force_ratio_at, reference_formulas, report_at,
-                                    transition_width_object_at)
+                                    force_ratio_at, micro_transition_width_at,
+                                    reference_formulas, report_at)
 from gravreduce.errors import BracketError, DomainError, GravreduceError
 from gravreduce.minimize import REL_WIDTH, minimize_bracketed
 
@@ -27,6 +27,11 @@ MACRO_WIDTH_CONST = 0.93191956908496532         # (8 sqrt2 / 15)^(1/4)
 RESIDUAL_AT_ONE = -0.23394144903828673          # 0.25 - sqrt(2/pi) e^(-1/2)
 
 PROTON_MASS = 1.67262192369e-27                 # kg
+
+
+def sphere_energy(packet, body, ctx):
+    """The sphere's stationary-packet mean energy, gravitational plus quantum."""
+    return avg_qg_potential_object(packet, body, ctx) + avg_quantum_potential(packet, body, ctx)
 
 
 class TestForceBalanceWidth:
@@ -187,8 +192,7 @@ class TestEnergyMinimization:
             if kind == "point":
                 body, energy, gravity = Body.point(m), avg_energy_point, avg_qg_potential_point
             else:
-                body, energy, gravity = (Body.sphere(m, R), avg_energy_object,
-                                         avg_qg_potential_object)
+                body, energy, gravity = Body.sphere(m, R), sphere_energy, avg_qg_potential_object
             h = 1e-4 * s0
             slope = (energy(WavePacket(s0 + h), body, ctx)
                      - energy(WavePacket(s0 - h), body, ctx)) / (2.0 * h)
@@ -227,53 +231,54 @@ class TestEnergyMinimization:
 
 
 class TestObjectTransitionWidths:
-    def test_constants(self, sphere, ctx):
-        m, R = sphere.mass, sphere.radius
-        macro = transition_width_object_at(m, R, ctx, ObjectRegime.MACRO)
-        micro = transition_width_object_at(m, R, ctx, ObjectRegime.MICRO)
-        inter = transition_width_object_at(m, R, ctx, ObjectRegime.INTERMEDIATE)
-        assert macro.value == pytest.approx(MACRO_WIDTH_CONST, rel=1e-12)
-        assert micro.value == pytest.approx(MICRO_WIDTH_CONST, rel=1e-12)
-        assert macro.paper_form == micro.paper_form == inter.value == 1.0
+    """The sphere's narrow-packet (macro) and wide-packet (micro) force-balance
+    widths: Diosi's object widths times their exact constants."""
+
+    @pytest.mark.parametrize("units", ["dimensionless", "si", "cgs"])
+    def test_diosi_widths_times_their_constants(self, units):
+        ctx = getattr(PhysicalContext, units)()
+        rng = np.random.default_rng(37)
+        for m, R in 10.0 ** rng.uniform(-10, 10, size=(200, 2)):
+            refs = reference_formulas(m, ctx, R)
+            assert critical_width_force_balance_at(m, ctx, R) == pytest.approx(
+                MACRO_WIDTH_CONST * refs["diosi_macro_width"], rel=1e-14)
+            assert micro_transition_width_at(m, R, ctx) == pytest.approx(
+                MICRO_WIDTH_CONST * refs["diosi_micro_width"], rel=1e-14)
 
     def test_proton_micro_width(self):
         si = PhysicalContext.si()
-        proton = Body.sphere(PROTON_MASS, 1e-15)
-        width = transition_width_object_at(proton.mass, proton.radius, si, ObjectRegime.MICRO)
-        width_cm = width.value * 100.0
+        width_cm = micro_transition_width_at(PROTON_MASS, 1e-15, si) * 100.0
         assert abs(math.log10(width_cm) - 6.0) <= 1.0
 
     def test_ball_macro_width(self):
-        si = PhysicalContext.si()
-        ball = Body.sphere(0.1, 0.05)
-        width = transition_width_object_at(ball.mass, ball.radius, si, ObjectRegime.MACRO)
-        width_cm = width.paper_form * 100.0
+        refs = reference_formulas(0.1, PhysicalContext.si(), 0.05)
+        width_cm = refs["diosi_macro_width"] * 100.0
         assert abs(math.log10(width_cm) - (-12.0)) <= 1.0
 
     def test_regimes_coincide_when_width_equals_radius(self, ctx):
         # with R = hbar^2 / (G m^3) both unit-constant forms collapse to it
         m = 1.3
         scale = ctx.hbar ** 2 / (ctx.G * m ** 3)
-        macro = transition_width_object_at(m, scale, ctx, ObjectRegime.MACRO).paper_form
-        micro = transition_width_object_at(m, scale, ctx, ObjectRegime.MICRO).paper_form
-        assert macro == pytest.approx(scale, rel=1e-12)
-        assert micro == pytest.approx(scale, rel=1e-12)
+        refs = reference_formulas(m, ctx, scale)
+        assert refs["diosi_macro_width"] == pytest.approx(scale, rel=1e-12)
+        assert refs["diosi_micro_width"] == pytest.approx(scale, rel=1e-12)
 
-    def test_micro_balances_against_quantum_force(self, ctx):
-        from gravreduce.averages import avg_qg_force_object_micro
-        body = Body.sphere(1.0, 1.0)
-        packet = WavePacket(transition_width_object_at(1.0, 1.0, ctx, ObjectRegime.MICRO).value)
-        fq = avg_quantum_force(packet, body, ctx)
-        fqg = avg_qg_force_object_micro(packet, body, ctx)
-        assert fq == pytest.approx(fqg, rel=1e-12)
-
-    def test_macro_balances_against_quantum_force(self, ctx):
-        from gravreduce.averages import avg_qg_force_object_macro
-        body = Body.sphere(1.0, 1.0)
-        packet = WavePacket(transition_width_object_at(1.0, 1.0, ctx, ObjectRegime.MACRO).value)
-        fq = avg_quantum_force(packet, body, ctx)
-        fqg = avg_qg_force_object_macro(packet, body, ctx)
-        assert fq == pytest.approx(fqg, rel=1e-12)
+    @pytest.mark.parametrize("regime", ["micro", "macro"])
+    def test_width_balances_the_quantum_force_against_its_term(self, regime, ctx,
+                                                               sphere_force_terms):
+        # The micro width balances the mean quantum force against the first
+        # term of the mean sphere force, the macro width against the second;
+        # test_averages ties the terms to avg_qg_force_object.
+        rng = np.random.default_rng(43)
+        for m, R in 10.0 ** rng.uniform(-3, 3, size=(100, 2)):
+            body = Body.sphere(m, R)
+            if regime == "micro":
+                packet = WavePacket(micro_transition_width_at(m, R, ctx))
+            else:
+                packet = WavePacket(critical_width_force_balance_at(m, ctx, R))
+            first, second = sphere_force_terms(packet, body, ctx)
+            fq = avg_quantum_force(packet, body, ctx)
+            assert fq == pytest.approx(first if regime == "micro" else second, rel=1e-12)
 
 
 class TestForceBalanceResidual:
@@ -336,9 +341,3 @@ class TestReferenceFormulas:
         assert refs["karolyhazy_time"] is None
         assert all(type(v) is float for k, v in refs.items() if k != "karolyhazy_time")
         assert reference_formulas(1e-120, ctx, 1.0) == dict.fromkeys(refs)
-
-    def test_macro_reference_matches_transition_form(self, ctx):
-        body = Body.sphere(2.0, 0.3)
-        refs = reference_formulas(body.mass, ctx, body.radius)
-        macro = transition_width_object_at(body.mass, body.radius, ctx, ObjectRegime.MACRO)
-        assert refs["diosi_macro_width"] == pytest.approx(macro.paper_form, rel=1e-14)

@@ -107,10 +107,6 @@ def test_kinked_observable_takes_the_bisection_path(s0):
     assert got.abs_error_estimate <= 1e-12 * got.value
 
 
-def test_closed_form_expectation_counts_no_evaluations():
-    assert averages.Expectation(1.0, 0.0, "closed-form").neval == 0
-
-
 def test_the_node_rule_is_built_once_and_read_only():
     t, w, (u, weights) = potentials._gauss_pair()
     assert potentials._gauss_pair()[0] is t
