@@ -50,6 +50,14 @@ for _method in c.POINT_CLOSED_FORMS:
 for _method in c.OBJECT_CLOSED_FORMS:
     CLOSED_FORMS[f"tau_{_method.value}"] = (
         lambda m, s0, R, ctx, method=_method: c.tau_at(method, m, s0, ctx, R))
+# The reference values, absent (None) where they leave the float range: the
+# point ones read the mass alone, the sphere ones the radius too.
+for _name in ("karolyhazy_width", "karolyhazy_time"):
+    CLOSED_FORMS[f"reference_{_name}"] = (
+        lambda m, s0, R, ctx, name=_name: c.reference_formulas(m, ctx)[name])
+for _name in ("karolyhazy_object_width", "diosi_macro_width", "diosi_micro_width"):
+    CLOSED_FORMS[f"reference_{_name}"] = (
+        lambda m, s0, R, ctx, name=_name: c.reference_formulas(m, ctx, R)[name])
 
 log_uniform = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
 parameter_sets = st.lists(st.tuples(log_uniform, log_uniform, log_uniform),
