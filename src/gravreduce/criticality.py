@@ -13,8 +13,8 @@ law's exact quarter period with its unit-constant approximation, the short-time
 objective formula, and uncertainty-based estimates from the self-energy spread.
 
 Only the closed forms load with this module, so that ``critical``, ``tau`` and
-``sweep`` compile nothing else of the package: the two functions that
-evaluate ``minimize`` or ``potentials`` import them when called.
+``sweep`` compile nothing else of the package: the one function that
+evaluates ``minimize`` imports it when called.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from .core import (SQRT_2_OVER_PI, Body, PhysicalContext, WavePacket, closed_form,
-                   in_float_range)
+from .core import SQRT_2_OVER_PI, Body, PhysicalContext, closed_form, in_float_range
 from .errors import BodyKindError, DomainError
 
 # Tie band around the critical mass: exact equality is measure zero, so the
@@ -71,8 +70,8 @@ class CriticalMethod(str, Enum):
 # ``core.closed_form``, so it runs on Python float arithmetic either way; a
 # result over grids has the broadcast shape of the parameters it depends on,
 # and each of its elements the bits of the float result.  Only the numeric
-# routes (the energy minimization with its closed-form oracle, and the
-# force-balance residual) take ``Body`` and ``WavePacket`` records.
+# route, the energy minimization with its closed-form oracle, takes ``Body``
+# records.
 
 REGIMES = tuple(Regime)     # regime_index() indexes into this
 
@@ -197,25 +196,6 @@ def critical_width_energy_min(body: Body, ctx: PhysicalContext) -> float:
     lo, hi = (in_float_range(f * guess, what) for f in (0.1, 10.0))
     with closed_form("the mean energy's derivative"):
         return minimize_bracketed(_energy_derivative(body, ctx), lo, hi)
-
-
-def force_balance_residual(r: float, packet: WavePacket, body: Body,
-                           ctx: PhysicalContext) -> float:
-    """Pointwise sum of the quantum and self-gravitational forces.
-
-    Zero means neighboring guidance trajectories stay locally parallel; its
-    ensemble average vanishes exactly at the force-balance critical width.
-    """
-    if r < 0.0:
-        raise DomainError("radius must be non-negative")
-    from .potentials import qg_force_object, qg_force_point, quantum_force
-
-    fq = quantum_force(r, packet, body, ctx)
-    if body.is_point:
-        fqg = qg_force_point(r, packet, body, ctx)
-    else:
-        fqg = qg_force_object(r, packet, body, ctx)
-    return fq + fqg
 
 
 # The sphere's reference widths, scale^p R^q with scale = hbar^2 / (G m^3).

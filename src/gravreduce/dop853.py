@@ -179,13 +179,15 @@ def solve(accel, r: float, v: float, t_end: float, h_abs: float,
 
     Returns the accepted (t, r, v) samples, the events as (time, i) pairs in
     the order found, the number of accel calls and the number of rejected
-    attempts.  Event i fires where its function, r, v or r - escape_radius for
-    i = 0, 1 or 2, is <= 0 at one end of a step and >= 0 at the other, so a
-    zero at a step end fires in both adjacent steps; the escape event fires
-    only upward and ends the run at its root, with the state taken from the
-    dense output.  With ``stop_at_turn``, the first v = 0 root strictly after
-    t = 0 (a turning point; a root at the start, where v = 0, does not count)
-    ends the run the same way, unless the escape root comes first.
+    attempts.  Event i fires where its function, r, v or |r| - escape_radius
+    for i = 0, 1 or 2, is <= 0 at one end of a step and >= 0 at the other, so
+    a zero at a step end fires in both adjacent steps; the escape event fires
+    only upward, as r moves away from the origin through +escape_radius or
+    -escape_radius, and ends the run at its root on the side crossed, with the
+    state taken from the dense output.  With ``stop_at_turn``, the first v = 0
+    root strictly after t = 0 (a turning point; a root at the start, where
+    v = 0, does not count) ends the run the same way, unless the escape root
+    comes first.
     """
     t = 0.0
     a = accel(r)
@@ -236,7 +238,7 @@ def solve(accel, r: float, v: float, t_end: float, h_abs: float,
 
         r_zero = (r <= 0.0 <= r_new) or (r >= 0.0 >= r_new)
         v_zero = (v <= 0.0 <= v_new) or (v >= 0.0 >= v_new)
-        escaped = r - escape_radius <= 0.0 <= r_new - escape_radius
+        escaped = abs(r) - escape_radius <= 0.0 <= abs(r_new) - escape_radius
         ends = []       # terminal roots of this step, as (time, i)
         if r_zero or v_zero or escaped:
             _stages(accel, r, v, h, ps, qs, _DENSE_STAGES)
@@ -249,7 +251,8 @@ def solve(accel, r: float, v: float, t_end: float, h_abs: float,
             if v_zero:
                 found.append((_brentq(v_of, t, t_new), 1))
             if escaped:
-                ends.append((_brentq(lambda ti: r_of(ti) - escape_radius, t, t_new), 2))
+                side = escape_radius if r_new > 0.0 else -escape_radius
+                ends.append((_brentq(lambda ti: r_of(ti) - side, t, t_new), 2))
             if stop_at_turn and v_zero and found[-1][0] > 0.0:
                 ends.append(found.pop())
             if ends:

@@ -35,7 +35,7 @@ from .core import (DEFAULT_ATOL, DEFAULT_RTOL, SQRT_2_OVER_PI, Body, LawKind,
 from .errors import (BodyKindError, DomainError, InsufficientDataError,
                      IntegrationError)
 
-ESCAPE_RADII = 10.0   # escape event fires at r > ESCAPE_RADII * sigma0 moving outward
+ESCAPE_RADII = 10.0   # escape event fires at |r| > ESCAPE_RADII * sigma0 moving away from 0
 # Longest run integrate() accepts, in characteristic times sqrt(sigma0^3 / G m).
 # At the default tolerances a run stepped whole takes about 2.6 (gravity-object)
 # to 2.8 (gravity-point) accepted steps per characteristic time, and 15 to 17
@@ -227,11 +227,11 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
     min(1/1000, tau_end / 10) and no maximum step.  So ``rtol`` and ``atol``
     mean the same in every unit system: atol is in units of sigma0 for r and
     of sigma0 / t_char for v.  Events are located by Brent's method on the
-    dense output: r = 0 and v = 0 crossings, plus an escape event when r
-    crosses ESCAPE_RADII * sigma0 outward (v > 0), which also terminates the
-    run.  One sample is recorded per accepted step, with t, r, v and the
-    event times scaled back to the law's units; a run that reaches t_end ends
-    exactly there.  The energy column and ``energy_drift``, max |E - E0| over
+    dense output: r = 0 and v = 0 crossings, plus an escape event when |r|
+    crosses ESCAPE_RADII * sigma0 away from the origin, on either side, which
+    also terminates the run.  One sample is recorded per accepted step, with
+    t, r, v and the event times scaled back to the law's units; a run that
+    reaches t_end ends exactly there.  The energy column and ``energy_drift``, max |E - E0| over
     max(|E0|, max kinetic, 1e-300), are computed in the law's units and in
     Python floats, so ``integrate`` loads no numpy either.  Both, and the
     check that every energy is finite, are computed over the rows of the
@@ -388,7 +388,7 @@ def _stepped_pieces(step, x0: float, u0: float, tau_end: float):
         return [first], 0       # the whole run: no turning point stopped it
     tau_a, x_a = first[0][-1], first[1][-1]
     leg = step(x_a, 0.0, tau_end - tau_a, True)
-    if _turned(leg, tau_end - tau_a) and max(x_a, leg[1][-1]) < ESCAPE_RADII:
+    if _turned(leg, tau_end - tau_a) and max(abs(x_a), abs(leg[1][-1])) < ESCAPE_RADII:
         length = leg[0][-1]
         n = int((tau_end - tau_a) / length)
         while n > 0 and not tau_a + n * length < tau_end:    # the last piece is not empty

@@ -405,43 +405,3 @@ def qg_potential_numeric(r: float, kernel: Callable[[float], float],
         raise AccuracyError("self-energy quadrature did not converge",
                             value=value, error_estimate=abserr)
     return value
-
-
-def qg_well_potential_point(r: float, packet: WavePacket, body: Body,
-                            ctx: PhysicalContext) -> float:
-    """Binding-well potential of the point force: the negation of
-    :func:`qg_potential_point`.
-
-    The self-energy integral is negative by convention while the force it is
-    associated with points inward, so the potential whose negative gradient
-    equals :func:`qg_force_point` (and which conserves trajectory energy) is
-    the sign-flipped well form used here.
-    """
-    return -qg_potential_point(r, packet, body, ctx)
-
-
-def potential_force_pairs(packet: WavePacket, body: Body, ctx: PhysicalContext):
-    """The (label, potential, force) triples applicable to this body, for
-    gradient checks; the label names the force.
-
-    Always includes the quantum pair; adds the point or sphere gravitational
-    pair, and for points also the combined (quantum + gravitational) pair that
-    drives the mixed-regime dynamics.  Each pair satisfies force = -dU/dr.
-    """
-    pairs = [("quantum-force",
-              lambda r: quantum_potential(r, packet, body, ctx),
-              lambda r: quantum_force(r, packet, body, ctx))]
-    if body.is_point:
-        pairs.append(("self-gravity-force-point",
-                      lambda r: qg_well_potential_point(r, packet, body, ctx),
-                      lambda r: qg_force_point(r, packet, body, ctx)))
-        pairs.append(("mixed-force-point",
-                      lambda r: (quantum_potential(r, packet, body, ctx)
-                                 + qg_well_potential_point(r, packet, body, ctx)),
-                      lambda r: (quantum_force(r, packet, body, ctx)
-                                 + qg_force_point(r, packet, body, ctx))))
-    else:
-        pairs.append(("self-gravity-force-object",
-                      lambda r: qg_potential_object(r, packet, body, ctx),
-                      lambda r: qg_force_object(r, packet, body, ctx)))
-    return pairs

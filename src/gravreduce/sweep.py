@@ -33,6 +33,12 @@ from .errors import ConfigError
 
 # Rows joined per write when a sweep is streamed to its output.
 ROWS_PER_WRITE = 4096
+# Rows a sweep may have.  A sweep holds every full column of its grid before
+# it writes, and peaks at about 144 B per row (432 MB for a 3000 x 1000 point
+# grid), so the cap bounds a sweep at about 1.4 GB.  A larger grid is refused
+# before any of its values is listed: listing a 1e20-point axis would fill
+# memory, and on a machine without a limit on it the process would not end.
+MAX_ROWS = 10 ** 7
 # Exit statuses of the forked writer, besides 0 and the errno of a failed write.
 _CHILD_NO_MEMORY = 254
 _CHILD_FAILED = 255
@@ -90,18 +96,21 @@ def _too_large(rows: int) -> ConfigError:
 
 def parse_grids(specs: list[str]) -> dict[str, list[float]]:
     """Each ``--grid`` spec's variable and values, in spec order.  Every spec is
-    validated before any values are listed, so a grid too large to list is a
-    ConfigError that names the row count.  A variable may be gridded once."""
+    validated before any values are listed, so a grid of more than
+    ``MAX_ROWS`` rows, or too large to list, is a ConfigError that names the
+    row count.  A variable may be gridded once."""
     parsed = [_grid_spec(spec) for spec in specs]
     names = [name for name, *_ in parsed]
     for name in names:
         if names.count(name) > 1:
             raise ConfigError(f"grid variable {name} is given more than once")
+    rows = math.prod(n for _, _, _, n, _ in parsed)
+    if rows > MAX_ROWS:
+        raise _too_large(rows)
     try:
         return {name: _grid_values(lo, hi, n, spacing) for name, lo, hi, n, spacing in parsed}
     except MemoryError:
-        points = {name: n for name, _, _, n, _ in parsed}
-        raise _too_large(math.prod(points.values())) from None
+        raise _too_large(rows) from None
 
 
 def _axes(grids: dict[str, list[float]], values: dict[str, list[float]]) -> dict:

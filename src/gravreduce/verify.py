@@ -3,6 +3,8 @@
 Each check compares an independent numerical route (Gauss-Legendre quadrature,
 central differences, energy conservation, reference magnitudes) against the
 closed forms, and reports the measured discrepancy next to its tolerance.
+The gradient and force-balance checks read the force laws through
+``dynamics.ForceLaw``, the (potential, force) pairs that ``simulate`` steps.
 A perturbation factor can be injected into the closed-form side to prove the
 checks actually bite.
 """
@@ -73,8 +75,22 @@ def check_erf_accuracy() -> Check:
                  "platform erf against Maclaurin series at 10 points")
 
 
+def _gradient_pairs(packet: WavePacket, body: Body, ctx: PhysicalContext) -> list:
+    """(label, potential, force) of the quantum pair, which no force law holds
+    alone, and of each ``dynamics.ForceLaw`` of the body's kind."""
+    Law = dynamics.ForceLaw
+    laws = ({"self-gravity-force-point": Law.gravity_point, "mixed-force-point": Law.mixed_point}
+            if body.is_point else {"self-gravity-force-object": Law.gravity_object})
+    pairs = [("quantum-force", lambda r: potentials.quantum_potential(r, packet, body, ctx),
+              lambda r: potentials.quantum_force(r, packet, body, ctx))]
+    for label, build in laws.items():
+        law = build(packet, body, ctx)
+        pairs.append((label, law.potential_at, law.force_at))
+    return pairs
+
+
 def check_gradient_consistency(n_points: int = 100) -> list[Check]:
-    """Central-difference checks of every (potential, force) pair."""
+    """Central-difference checks of every pair of :func:`_gradient_pairs`."""
     rng = random.Random(RNG_SEED)
     ctx = PhysicalContext.dimensionless()
     out = []
@@ -85,7 +101,7 @@ def check_gradient_consistency(n_points: int = 100) -> list[Check]:
         R = 10.0 ** rng.uniform(-3, 3)
         packet = WavePacket(s0)
         for body in (Body.point(m), Body.sphere(m, R)):
-            pairs = potentials.potential_force_pairs(packet, body, ctx)
+            pairs = _gradient_pairs(packet, body, ctx)
             r = rng.uniform(0.1, 3.0) * s0
             h = 1e-6 * s0
             for label, pot, force in pairs:
@@ -206,13 +222,12 @@ def check_critical_constants() -> list[Check]:
         rel = _rel(numeric, exact)
         out.append(Check(f"energy-min-width-{name}", rel < MINIMIZER_TOL, rel, MINIMIZER_TOL,
                          f"derivative bisection vs closed form {exact!r}"))
-    # force balance: averaged residual must vanish at the critical width
+    # force balance: the mixed law's mean force must vanish at the critical width
     body = Body.point(1.0)
     w = criticality.critical_width_force_balance_at(body.mass, ctx)
     packet = WavePacket(w)
-    resid = averages.expect(
-        lambda r: criticality.force_balance_residual(r, packet, body, ctx),
-        packet, ctx).value
+    resid = averages.expect(dynamics.ForceLaw.mixed_point(packet, body, ctx).force_at,
+                            packet, ctx).value
     scale = averages.avg_quantum_force(packet, body, ctx)
     rel = abs(resid) / scale
     out.append(Check("force-balance-at-critical-width", rel < 1e-9, rel, 1e-9,

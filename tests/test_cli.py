@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import gravreduce
-from gravreduce import cli, criticality, dynamics, simulate
+from gravreduce import cli, criticality, dynamics, simulate, sweep
 from gravreduce.core import Body, PhysicalContext, WavePacket
 from gravreduce.errors import DomainError
 
@@ -417,27 +417,35 @@ sys.exit(main(sys.argv[1:]))
 
 
 def test_sweep_grid_too_large_for_memory_exits_2(tmp_path, monkeypatch):
-    # 1e10 rows: a full-grid column alone needs 74.5 GiB.
+    # 1e7 rows, sweep.MAX_ROWS itself: the columns need about 1.4 GB, so
+    # under a 1 GiB cap they fail to allocate, and MemoryError is the error.
     pytest.importorskip("resource")
     out = tmp_path / "x.csv"
-    argv = ["sweep", "--grid", "mass=1:2:100000", "--grid", "sigma0=1:2:100000",
+    argv = ["sweep", "--grid", "mass=1:2:10000", "--grid", "sigma0=1:2:1000",
             "--out", str(out)]
+    assert 10000 * 1000 <= sweep.MAX_ROWS
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")     # fewer thread buffers to map
     res = run_process(["-c", CAPPED_MAIN] + argv)
     assert (res.returncode, res.stdout) == (cli.EXIT_CONFIG, "")
-    assert res.stderr == ("error: the sweep grid has 10000000000 rows, and its columns "
+    assert res.stderr == ("error: the sweep grid has 10000000 rows, and its columns "
                           "do not fit in memory\n")
     assert not out.exists()
 
 
-def test_sweep_grid_too_large_to_list_exits_2():
-    # 1e8 grid values need about 3.2 GB as a list of floats.
-    pytest.importorskip("resource")
-    res = run_process(["-c", CAPPED_MAIN, "sweep", "--sigma0", "1",
-                       "--grid", "mass=1:2:100000000"])
+@pytest.mark.parametrize("grids, rows", [
+    (["--sigma0", "1", "--grid", "mass=1:2:99999999999999999999"], "99999999999999999999"),
+    (["--grid", "mass=1:2:100000", "--grid", "sigma0=1:2:100000"], "10000000000"),
+])
+def test_sweep_grid_too_large_to_list_exits_2(tmp_path, grids, rows):
+    # In a process without a memory cap: a grid of more than sweep.MAX_ROWS
+    # rows is refused before any value is listed, where listing the values
+    # of the 1e20-point axis would fill memory and never end.
+    out = tmp_path / "x.csv"
+    res = run_process(["-m", "gravreduce.cli", "sweep", *grids, "--out", str(out)])
     assert (res.returncode, res.stdout) == (cli.EXIT_CONFIG, "")
-    assert res.stderr == ("error: the sweep grid has 100000000 rows, and its columns "
+    assert res.stderr == (f"error: the sweep grid has {rows} rows, and its columns "
                           "do not fit in memory\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("grid", ["mass=1:inf:3", "mass=nan:2:3", "mass=-inf:1:3:lin"])

@@ -11,9 +11,9 @@ from gravreduce.core import Body, PhysicalContext, WavePacket
 from gravreduce.criticality import (REGIMES, Regime, _energy_derivative, critical_mass_at,
                                     critical_width_energy_min,
                                     critical_width_energy_min_exact,
-                                    critical_width_force_balance_at, force_balance_residual,
-                                    force_ratio_at, micro_transition_width_at,
-                                    reference_formulas, report_at)
+                                    critical_width_force_balance_at, force_ratio_at,
+                                    micro_transition_width_at, reference_formulas, report_at)
+from gravreduce.dynamics import ForceLaw
 from gravreduce.errors import BracketError, DomainError, GravreduceError
 from gravreduce.minimize import REL_WIDTH, minimize_bracketed
 
@@ -282,30 +282,21 @@ class TestObjectTransitionWidths:
 
 
 class TestForceBalanceResidual:
+    """The mixed-point law's force, quantum plus point self-gravity: the
+    pointwise force-balance residual."""
+
     def test_zero_at_origin(self, packet, point, ctx):
-        assert force_balance_residual(0.0, packet, point, ctx) == 0.0
+        assert ForceLaw.mixed_point(packet, point, ctx).force_at(0.0) == 0.0
 
     def test_unit_value(self, packet, point, ctx):
-        got = force_balance_residual(1.0, packet, point, ctx)
+        got = ForceLaw.mixed_point(packet, point, ctx).force_at(1.0)
         assert got == pytest.approx(RESIDUAL_AT_ONE, rel=1e-13)
 
     def test_mean_residual_vanishes_at_critical_width(self, point, ctx):
         packet = WavePacket(critical_width_force_balance_at(point.mass, ctx))
-        mean = expect(lambda r: force_balance_residual(r, packet, point, ctx),
-                      packet, ctx).value
+        mean = expect(ForceLaw.mixed_point(packet, point, ctx).force_at, packet, ctx).value
         scale = avg_quantum_force(packet, point, ctx)
         assert abs(mean) / scale < 1e-9
-
-    def test_sphere_variant(self, packet, sphere, ctx):
-        got = force_balance_residual(1.0, packet, sphere, ctx)
-        from gravreduce.potentials import qg_force_object, quantum_force
-        want = (quantum_force(1.0, packet, sphere, ctx)
-                + qg_force_object(1.0, packet, sphere, ctx))
-        assert got == want
-
-    def test_domain_error(self, packet, point, ctx):
-        with pytest.raises(DomainError):
-            force_balance_residual(-0.5, packet, point, ctx)
 
 
 class TestReferenceFormulas:

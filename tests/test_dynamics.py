@@ -180,6 +180,34 @@ def test_escape_ends_the_run_at_its_root():
     assert traj.r[-1] == pytest.approx(dynamics.ESCAPE_RADII * law.packet.sigma0, rel=1e-12)
 
 
+MIRROR_LAWS = [GRAVITY_POINT, CASES["mixed-point"][0], CASES["gravity-object"][0]]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(law=st.sampled_from(MIRROR_LAWS), r0=st.floats(0.0, 3.0), v0=st.floats(-6.0, 6.0),
+       t_end=st.floats(1.0, 60.0))
+@example(law=GRAVITY_POINT, r0=1.0, v0=5.0, t_end=50.0)           # escapes
+@example(law=GRAVITY_POINT, r0=1.0, v0=0.3, t_end=50.0)           # tiled
+@example(law=MIRROR_LAWS[1], r0=0.5, v0=0.1, t_end=20.0)          # tiled
+@example(law=MIRROR_LAWS[1], r0=1.0, v0=3.0, t_end=20.0)          # escapes
+@example(law=MIRROR_LAWS[2], r0=1.0, v0=0.2, t_end=30.0)          # tiled, one-sided
+@example(law=MIRROR_LAWS[2], r0=1.0, v0=3.0, t_end=30.0)          # escapes
+@example(law=GRAVITY_POINT, r0=1.0, v0=0.0, t_end=3.0)            # bound, stepped whole
+def test_mirrored_start_gives_the_mirrored_run_bit_for_bit(law, r0, v0, t_end):
+    # The force is odd and the potential even, and the stepper negates
+    # exactly, so (-r0, -v0) must give -r and -v with everything else equal.
+    # Negative control: with the escape event fired only through +10 sigma0,
+    # every escaping start's mirror runs on to t_end.
+    traj = dynamics.integrate(law, r0, v0, t_end)
+    mirror = dynamics.integrate(law, -r0, -v0, t_end)
+    assert mirror.r.tolist() == [-r for r in traj.r]
+    assert mirror.v.tolist() == [-v for v in traj.v]
+    for field in ("t", "energy"):
+        assert getattr(mirror, field).tolist() == getattr(traj, field).tolist(), field
+    for field in ("events", "energy_drift", "nfev", "n_steps", "n_rejected", "legs_tiled"):
+        assert getattr(mirror, field) == getattr(traj, field), field
+
+
 def test_start_at_the_origin_fires_r_zero_at_t0():
     law, r0, v0, t_end = CASES["start at r0 = 0"]
     traj = dynamics.integrate(law, r0, v0, t_end)
@@ -480,17 +508,19 @@ def law_draws(seed, n):
 
 
 def entry_points(law):
-    """The ``potentials`` functions a law's (force, potential) stands for, at r >= 0."""
+    """The ``potentials`` functions a law's (force, potential) stands for, at r >= 0:
+    a point law's potential is the binding well, the negated self-energy, and
+    negation is exact."""
     args = (law.packet, law.body, law.ctx)
     if law.kind is LawKind.GRAVITY_OBJECT:
         return (lambda r: potentials.qg_force_object(r, *args),
                 lambda r: potentials.qg_potential_object(r, *args))
     if law.kind is LawKind.GRAVITY_POINT:
         return (lambda r: potentials.qg_force_point(r, *args),
-                lambda r: potentials.qg_well_potential_point(r, *args))
+                lambda r: -potentials.qg_potential_point(r, *args))
     return (lambda r: potentials.quantum_force(r, *args) + potentials.qg_force_point(r, *args),
             lambda r: (potentials.quantum_potential(r, *args)
-                       + potentials.qg_well_potential_point(r, *args)))
+                       - potentials.qg_potential_point(r, *args)))
 
 
 def test_kernels_equal_the_potentials_entry_points_bit_for_bit():

@@ -9,12 +9,11 @@ from gravreduce.core import Body, PhysicalContext, WavePacket, density, width_at
 from gravreduce.criticality import TauMethod, tau_at
 from gravreduce.errors import (AccuracyError, BodyKindError, DomainError,
                                GravreduceError, SingularityError)
-from gravreduce.potentials import (_radial_quad, classical_kernel,
-                                   potential_force_pairs, qg_force_object,
+from gravreduce.potentials import (_radial_quad, classical_kernel, qg_force_object,
                                    qg_force_point, qg_potential_numeric,
-                                   qg_potential_object,
-                                   qg_potential_point, qg_well_potential_point,
+                                   qg_potential_object, qg_potential_point,
                                    quantum_force, quantum_potential)
+from gravreduce.verify import _gradient_pairs
 
 # Frozen from a 50-digit oracle.
 SQRT_2_OVER_PI = 0.79788456080286536
@@ -103,9 +102,10 @@ class TestPointSelfGravity:
         assert all(qg_force_point(r, packet, point, ctx) < 0.0 for r in (0.1, 1.0, 5.0))
 
     def test_force_is_negative_gradient_of_well(self, packet, point, ctx):
+        # The binding well is -qg_potential_point, so the force is +dU/dr.
         r, h = 1.3, 1e-6
-        fd = -(qg_well_potential_point(r + h, packet, point, ctx)
-               - qg_well_potential_point(r - h, packet, point, ctx)) / (2.0 * h)
+        fd = (qg_potential_point(r + h, packet, point, ctx)
+              - qg_potential_point(r - h, packet, point, ctx)) / (2.0 * h)
         assert qg_force_point(r, packet, point, ctx) == pytest.approx(fd, rel=1e-8)
 
     def test_kind_guard(self, packet, sphere, ctx):
@@ -241,7 +241,7 @@ class TestGradientAndOracleSweeps:
             body = Body.sphere(m, R) if rng.random() < 0.5 else Body.point(m)
             r = float(rng.uniform(0.05, 3.0)) * s0
             h = 1e-6 * s0
-            for _, pot, force in potential_force_pairs(packet, body, ctx):
+            for _, pot, force in _gradient_pairs(packet, body, ctx):
                 fd = -(pot(r + h) - pot(r - h)) / (2.0 * h)
                 f = force(r)
                 assert f == pytest.approx(fd, rel=1e-6, abs=1e-6 * max(abs(f), abs(fd), 1e-30))
@@ -305,7 +305,6 @@ def scalar_entry_points(packet, point, sphere, ctx):
         "classical_kernel point": lambda r: classical_kernel(r, point, ctx),
         "classical_kernel sphere": lambda r: classical_kernel(r, sphere, ctx),
         "qg_potential_point": lambda r: qg_potential_point(r, packet, point, ctx),
-        "qg_well_potential_point": lambda r: qg_well_potential_point(r, packet, point, ctx),
         "qg_force_point": lambda r: qg_force_point(r, packet, point, ctx),
         "qg_potential_object": lambda r: qg_potential_object(r, packet, sphere, ctx),
         "qg_force_object": lambda r: qg_force_object(r, packet, sphere, ctx),

@@ -30,6 +30,7 @@ import pytest
 import gravreduce
 from gravreduce import cli, criticality, sweep
 from gravreduce.core import Body, PhysicalContext, WavePacket
+from gravreduce.errors import ConfigError
 
 VALUE_RTOL = 1e-12
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "cli.json").read_text())
@@ -275,6 +276,15 @@ def test_the_child_writes_the_first_half(forks, monkeypatch, tmp_path):
     assert sorted(writers.read_text().splitlines()) == sorted([
         f"{forks[0]} 12 False TextIOWrapper", f"{os.getpid()} 16 True _Held"])
     assert path.read_text() == stdout_of(argv)
+
+
+def test_grid_of_more_than_max_rows_is_refused_before_listing(monkeypatch):
+    monkeypatch.setattr(sweep, "MAX_ROWS", 6)
+    assert list(sweep.parse_grids(["mass=1:2:2", "sigma0=1:3:3"])) == ["mass", "sigma0"]
+    monkeypatch.setattr(sweep, "_grid_values", lambda *spec: pytest.fail(f"listed {spec}"))
+    with pytest.raises(ConfigError) as err:
+        sweep.parse_grids(["mass=1:2:7"])
+    assert str(err.value) == "the sweep grid has 7 rows, and its columns do not fit in memory"
 
 
 @pytest.mark.parametrize("fail, message", [
