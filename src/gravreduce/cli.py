@@ -81,10 +81,11 @@ helpers and ``critical``, ``tau`` and ``verify``; the ``sweep`` and
 Importing this module loads ``gravreduce``, ``core`` and ``errors``.
 ``critical`` and ``tau`` add ``criticality`` alone, where their closed forms
 live, and ``sweep`` adds ``criticality``, ``grid`` and ``sweep``.
-``simulate`` adds ``simulate``, ``dynamics`` and its stepper ``dop853``, and
-``potentials`` for the gravity-object law alone, whose potential it
-evaluates.  ``verify`` loads every module but ``sweep``, ``grid`` and
-``simulate``.  ``json`` is imported only
+``simulate`` adds ``simulate``, ``dynamics``, its stepper ``dop853`` and
+``minimize``, whose bisection finds the event roots, and ``potentials`` for
+the gravity-object law alone, whose potential it evaluates.  ``verify``
+loads every module but ``sweep``, ``grid`` and ``simulate``.  ``json`` is
+imported only
 where JSON is written, so a CSV run of ``critical``, ``tau`` or ``sweep``
 loads none, and ``simulate``, which writes its JSON and its events sidecar
 from a template of its own, loads none in either format.  Every subcommand

@@ -184,7 +184,7 @@ def critical_width_energy_min(body: Body, ctx: PhysicalContext) -> float:
     """Minimize the mean energy over the packet width by bisection on the sign
     of its analytic derivative (:func:`minimize.minimize_bracketed`).
 
-    The result is the midpoint of a final bracket 1e-12 of it wide; the
+    The result is within one float of the derivative's sign change; the
     bracket spans a factor of ten either side of the closed-form minimizer.
     A bracket end or a derivative that leaves the floating-point range raises
     :class:`DomainError`.

@@ -1,10 +1,10 @@
 """The scalar DOP853 stepper behind :func:`gravreduce.dynamics.integrate`.
 
 A port of scipy.integrate.DOP853 for the autonomous second-order problem
-r'' = a(r), on Python floats, with events located by Brent's method on the
-dense output, so that neither numpy nor scipy runs per step.  One loop over
-the rows of scipy's Butcher matrix computes every stage, the step's and the
-dense output's (see _A).
+r'' = a(r), on Python floats, with events bisected to adjacent floats on the
+dense output (see _root), so that neither numpy nor scipy runs per step.  One
+loop over the rows of scipy's Butcher matrix computes every stage, the
+step's and the dense output's (see _A).
 ``dynamics.integrate`` calls it in the packet's own units, so its times are
 characteristic times, and imports it on the first integration.
 """
@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 
 from .errors import IntegrationError
+from .minimize import bisect_sign_change
 
 # Dormand-Prince 8(5,3) with its 7th-order dense output (Hairer, Norsett &
 # Wanner, Solving ODEs I, section II.10; Hairer's DOP853), with the
@@ -85,61 +85,20 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _ERROR_EXPONENT = -1.0 / 8.0          # -1 / (order of the error estimate + 1)
-_ROOT_TOL = 4.0 * sys.float_info.epsilon     # absolute and relative, per event root
-_ROOT_MAXITER = 100
 
 
-def _brentq(f, xa: float, xb: float) -> float:
-    """A zero of f in [xa, xb] by Brent's method (Brent, Algorithms for
-    Minimization without Derivatives, 1973, ch. 4), step for step as
-    scipy.optimize.brentq, with xtol = rtol = 4 eps.
-
-    A zero division, where C arithmetic would give inf or nan, falls back to
-    bisection as the comparisons on those values do there.
-    """
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise IntegrationError(f"event root is not bracketed on [{xa!r}, {xb!r}]")
-    for _ in range(_ROOT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_ROOT_TOL + _ROOT_TOL * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        stry = math.nan          # bisect unless interpolation is possible and good
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:         # secant
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:                    # inverse quadratic
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                pass
-        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-            spre, scur = scur, stry
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = f(xcur)
-    raise IntegrationError(f"event root search did not converge in {_ROOT_MAXITER} "
-                           f"iterations on [{xa!r}, {xb!r}]")
+def _root(f, a: float, b: float) -> float:
+    """A zero of f in [a, b]: an end where f is zero, or else the sign change
+    that :func:`minimize.bisect_sign_change` narrows to two adjacent floats,
+    one of which it returns."""
+    fa, fb = f(a), f(b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if (fa < 0.0) == (fb < 0.0):
+        raise IntegrationError(f"event root is not bracketed on [{a!r}, {b!r}]")
+    return bisect_sign_change(f if fa < 0.0 else lambda x: -f(x), a, b)
 
 
 def _stages(accel, r: float, v: float, h: float, ps: list, qs: list, rows) -> float:
@@ -247,12 +206,12 @@ def solve(accel, r: float, v: float, t_end: float, h_abs: float,
             v_of = _dense(t, h, v, v_new, qs)
             found = []
             if r_zero:
-                found.append((_brentq(r_of, t, t_new), 0))
+                found.append((_root(r_of, t, t_new), 0))
             if v_zero:
-                found.append((_brentq(v_of, t, t_new), 1))
+                found.append((_root(v_of, t, t_new), 1))
             if escaped:
                 side = escape_radius if r_new > 0.0 else -escape_radius
-                ends.append((_brentq(lambda ti: r_of(ti) - side, t, t_new), 2))
+                ends.append((_root(lambda ti: r_of(ti) - side, t, t_new), 2))
             if stop_at_turn and v_zero and found[-1][0] > 0.0:
                 ends.append(found.pop())
             if ends:

@@ -226,10 +226,10 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
     against tau = t / t_char, with u = v t_char / sigma0, first step
     min(1/1000, tau_end / 10) and no maximum step.  So ``rtol`` and ``atol``
     mean the same in every unit system: atol is in units of sigma0 for r and
-    of sigma0 / t_char for v.  Events are located by Brent's method on the
-    dense output: r = 0 and v = 0 crossings, plus an escape event when |r|
-    crosses ESCAPE_RADII * sigma0 away from the origin, on either side, which
-    also terminates the run.  One sample is recorded per accepted step, with
+    of sigma0 / t_char for v.  Events are bisected on the dense output to
+    adjacent floats (:func:`minimize.bisect_sign_change`): r = 0 and v = 0
+    crossings, plus an escape event when |r| crosses ESCAPE_RADII * sigma0
+    away from the origin, on either side, which also terminates the run.  One sample is recorded per accepted step, with
     t, r, v and the event times scaled back to the law's units; a run that
     reaches t_end ends exactly there.  The energy column and ``energy_drift``, max |E - E0| over
     max(|E0|, max kinetic, 1e-300), are computed in the law's units and in
@@ -268,7 +268,7 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
     floating-point spacing of tau, more than ``MAX_STEPS`` accepted steps in
     a stepped piece or more than ``MAX_STEPS`` + 1 samples in the run, a
     non-finite state, energy or drift, a force or potential that overflows or
-    divides by zero, or an event root that is not bracketed or not converged.
+    divides by zero, or an event root that is not bracketed.
     The sphere's potential is ``qg_potential_object``, whose own
     :class:`DomainError` passes through.
     """

@@ -18,11 +18,12 @@ from .errors import InsufficientDataError
 
 
 def _gnuplot_script(csv_path: str) -> str:
+    quoted = csv_path.replace("'", "''")   # gnuplot's escape inside single quotes
     return (
         "set datafile separator ','\n"
         "set xlabel 't'\n"
         "set ylabel 'r(t)'\n"
-        f"plot '{csv_path}' every ::1 using 1:2 with lines title 'r(t)'\n"
+        f"plot '{quoted}' every ::1 using 1:2 with lines title 'r(t)'\n"
     )
 
 

@@ -720,11 +720,16 @@ def test_gnuplot_script_naming_an_output_is_refused(script, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_gnuplot_script_plots_the_csv_out(tmp_path):
-    csv_path, script = tmp_path / "traj.csv", tmp_path / "plot.gp"
+@pytest.mark.parametrize("name, quoted", [("traj.csv", "traj.csv"), ("a'b.csv", "a''b.csv")])
+def test_gnuplot_script_plots_the_csv_out(name, quoted, tmp_path):
+    # gnuplot reads '' as one quote inside a single-quoted string.
+    csv_path, script = tmp_path / name, tmp_path / "plot.gp"
     code, _, err = run(SIMULATE + ["--out", str(csv_path), "--gnuplot-script", str(script)])
     assert (code, err) == (cli.EXIT_OK, "")
-    assert f"plot '{csv_path}' " in script.read_text()
+    assert csv_path.exists()
+    assert script.read_text() == (
+        "set datafile separator ','\nset xlabel 't'\nset ylabel 'r(t)'\n"
+        f"plot '{tmp_path}/{quoted}' every ::1 using 1:2 with lines title 'r(t)'\n")
 
 
 @pytest.mark.parametrize("command, where", [(command, "missing/out.txt") for command in sorted(VALID)]
@@ -1135,7 +1140,8 @@ def fresh_modules():
 CLOSED_FORM_MODULES = {"gravreduce", "gravreduce.cli", "gravreduce.core", "gravreduce.errors",
                        "gravreduce.criticality"}
 POINT_LAW_MODULES = (CLOSED_FORM_MODULES - {"gravreduce.criticality"}
-                     | {"gravreduce.dynamics", "gravreduce.dop853", "gravreduce.simulate"})
+                     | {"gravreduce.dynamics", "gravreduce.dop853", "gravreduce.minimize",
+                        "gravreduce.simulate"})
 # verify runs every module but the two that hold the sweep and simulate commands
 # and the grids that only sweep builds.
 VERIFY_MODULES = (CLOSED_FORM_MODULES
@@ -1156,7 +1162,8 @@ def test_each_command_loads_only_the_modules_it_runs(argv, modules, fresh_module
     # A fresh interpreter per command: the set is exactly what it imported.
     # critical and tau compile no module of the trajectories, the averages,
     # the minimizer, the potentials, the grids, the sweep or simulate; a
-    # point-law simulate none of the closed forms or the potentials; sweep
+    # point-law simulate none of the closed forms or the potentials, but the
+    # minimizer's module, whose bisection finds its event roots; sweep
     # neither dynamics nor dop853; verify neither the grids, the sweep nor
     # the simulate module.
     loaded = {m for m in fresh_modules(argv) if m.split(".")[0] == "gravreduce"}

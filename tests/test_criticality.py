@@ -15,7 +15,7 @@ from gravreduce.criticality import (REGIMES, Regime, _energy_derivative, critica
                                     micro_transition_width_at, reference_formulas, report_at)
 from gravreduce.dynamics import ForceLaw
 from gravreduce.errors import BracketError, DomainError, GravreduceError
-from gravreduce.minimize import REL_WIDTH, minimize_bracketed
+from gravreduce.minimize import minimize_bracketed
 
 # Frozen from a 50-digit oracle.
 FORCE_BALANCE_CONST = 1.2533141373155003        # sqrt(pi/2)
@@ -171,18 +171,21 @@ class TestEnergyMinimization:
         with pytest.raises(BracketError):
             minimize_bracketed(lambda x: x, 1.0, 2.0)
 
-    def test_within_half_the_final_bracket_of_the_closed_form(self, ctx):
+    def test_within_rounding_of_the_closed_form(self, ctx):
+        # Bisection runs to adjacent floats, so only the rounding of the
+        # derivative and of the closed form remains: at most 3.9 eps over
+        # 40,000 draws of this test's ranges.
         rng = np.random.default_rng(29)
         for m, R in 10.0 ** rng.uniform(-3, 3, size=(300, 2)):
             for body in (Body.point(m), Body.sphere(m, R)):
                 got = critical_width_energy_min(body, ctx)
                 exact = critical_width_energy_min_exact(body, ctx)
-                assert abs(got - exact) <= 0.5 * REL_WIDTH * exact
+                assert abs(got - exact) <= 1e-14 * exact
 
     def test_bisection_ends_on_a_subnormal_bracket(self):
-        # 1e-12 of a subnormal midpoint is below the float spacing there
+        # subnormal differences are exact: the sign change is at 3e-320
         got = minimize_bracketed(lambda x: x - 3e-320, 1e-320, 5e-320)
-        assert 2.9e-320 <= got <= 3.1e-320
+        assert got in (math.nextafter(3e-320, 0.0), 3e-320)
 
     @pytest.mark.parametrize("kind", ["point", "sphere"])
     def test_derivative_is_the_slope_of_the_mean_energy(self, kind, ctx):

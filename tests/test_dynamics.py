@@ -368,30 +368,35 @@ ROOT_PROBLEMS = [
 ]
 
 
-def evaluations(f, log):
-    def logged(x):
-        log.append(x)
-        return f(x)
-    return logged
+def is_a_sign_change(f, x):
+    """f is zero at x, or has the opposite sign or a zero at a float
+    adjacent to x."""
+    fx = f(x)
+    return fx == 0.0 or any(min(fx, fy) <= 0.0 <= max(fx, fy)
+                            for fy in (f(math.nextafter(x, -math.inf)),
+                                       f(math.nextafter(x, math.inf))))
 
 
 @pytest.mark.parametrize("i", range(len(ROOT_PROBLEMS)))
-def test_brent_port_steps_as_brentq(i):
+def test_event_root_is_a_sign_change_within_brentqs_tolerance(i):
     f, a, b = ROOT_PROBLEMS[i]
-    ours, theirs = [], []
-    root = dop853._brentq(evaluations(f, ours), a, b)
-    assert root == brentq(evaluations(f, theirs), a, b, xtol=4 * EPS, rtol=4 * EPS)
-    assert ours == theirs
+    root = dop853._root(f, a, b)
+    assert a <= root <= b and is_a_sign_change(f, root)
+    theirs = brentq(f, a, b, xtol=4 * EPS, rtol=4 * EPS)
+    assert abs(root - theirs) <= 4 * EPS * (1.0 + abs(theirs))
 
 
-def test_unbracketed_or_unconverged_root_is_an_integration_error():
+def test_triple_root_is_found_to_one_float():
+    # Brent's method, scipy's brentq included, does not converge on it in
+    # 100 iterations; bisection needs no iteration limit.
+    f = lambda x: (x - 0.3) ** 3
+    root = dop853._root(f, 0.0, 1.0)
+    assert abs(root - 0.3) <= math.ulp(0.3) and is_a_sign_change(f, root)
+
+
+def test_unbracketed_root_is_an_integration_error():
     with pytest.raises(IntegrationError, match="not bracketed"):
-        dop853._brentq(lambda x: x * x + 1.0, -1.0, 1.0)
-    # a triple root: brentq stops after 100 iterations too
-    with pytest.raises(RuntimeError):
-        brentq(lambda x: (x - 0.3) ** 3, 0.0, 1.0, xtol=4 * EPS, rtol=4 * EPS)
-    with pytest.raises(IntegrationError, match="did not converge"):
-        dop853._brentq(lambda x: (x - 0.3) ** 3, 0.0, 1.0)
+        dop853._root(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
 class NaNForce(ForceLaw):
