@@ -74,11 +74,13 @@ legs built by time reversal instead of stepped); ``critical``, ``sweep`` and
 included: it is an exact constant times the characteristic time.
 
 Each process compiles, builds and imports only what its own command runs.
-This module holds the parser, ``main``, the ``--config`` merge, the shared
-helpers and ``critical``, ``tau`` and ``verify``; the ``sweep`` and
-``simulate`` modules hold those commands, and no module imports this one
-(under ``python -m`` it is ``__main__``, and an import would run it twice).
-Importing this module loads ``gravreduce``, ``core`` and ``errors``.
+This module holds the parser, ``main``, the shared helpers and
+``critical``, ``tau`` and ``verify``; the ``sweep`` and ``simulate``
+modules hold those commands, and ``config`` the ``--config`` reader.  No
+module imports this one (under ``python -m`` it is ``__main__``, and an
+import would run it twice).  Importing this module loads ``gravreduce``,
+``core`` and ``errors``, and a run with ``--config`` adds ``config``,
+whatever the command; no other run compiles it.
 ``critical`` and ``tau`` add ``criticality`` alone, where their closed forms
 live, and ``sweep`` adds ``criticality``, ``grid`` and ``sweep``.
 ``simulate`` adds ``simulate``, ``dynamics``, its stepper ``dop853`` and
@@ -134,78 +136,12 @@ EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
-# Config keys of action="append" options: each line adds one value.  argparse
-# appends command-line values onto a list default, so the file's lines become
-# the default only when the command line has none.
-REPEATABLE = frozenset({"grid"})
-TRUE_WORDS = ("true", "yes", "on")
-FALSE_WORDS = ("false", "no", "off")
-
-
 def _fmt(x) -> str:
     # repr round-trips doubles, uses lowercase e, and is locale independent.
     # An absent value (None, JSON's null) is an empty CSV value.
     if isinstance(x, float):
         return repr(x)
     return "" if x is None else str(x)
-
-
-def _parse_config_file(path: str) -> dict[str, list[str]]:
-    """Every value of each key, in file order."""
-    values: dict[str, list[str]] = {}
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        values.setdefault(key.strip().replace("-", "_"), []).append(value.strip())
-    return values
-
-
-def _typed(action: argparse.Action, key: str, raw: str):
-    """A config value converted and checked as its command-line flag would be."""
-    if action.nargs == 0:      # store_true flag
-        word = raw.lower()
-        if word in TRUE_WORDS or word in FALSE_WORDS:
-            return word in TRUE_WORDS
-        raise ConfigError(f"config key {key} takes true or false, not {raw!r}")
-    value = raw
-    if action.type is not None:
-        try:
-            value = action.type(raw)
-        except (TypeError, ValueError):
-            raise ConfigError(f"config key {key} takes a {action.type.__name__}, "
-                              f"not {raw!r}") from None
-    if action.choices is not None and value not in action.choices:
-        raise ConfigError(f"config key {key} takes one of {', '.join(action.choices)}, "
-                          f"not {raw!r}")
-    return value
-
-
-def _config_defaults(args: argparse.Namespace) -> dict:
-    """The --config file's values, typed, as defaults for the subcommand's parser."""
-    actions: dict[str, argparse.Action] = {}
-    for action in args.parser._actions:
-        actions.setdefault(action.dest, action)
-    defaults = {}
-    for key, raws in _parse_config_file(args.config).items():
-        if key not in actions or not hasattr(args, key):
-            raise ConfigError(f"unknown config key: {key}")
-        if key == "config":
-            raise ConfigError("config key config is refused: a config file cannot name another")
-        action = actions[key]
-        if key not in REPEATABLE:
-            defaults[key] = _typed(action, key, raws[-1])
-        elif getattr(args, key) is None:
-            defaults[key] = [_typed(action, key, raw) for raw in raws]
-    return defaults
 
 
 def _context(args) -> PhysicalContext:
@@ -520,7 +456,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config:
-            args.parser.set_defaults(**_config_defaults(args))
+            from . import config
+
+            args.parser.set_defaults(**config.defaults(args))
             args = parser.parse_args(argv)
         return args.fn(args)
     except (IntegrationError, AccuracyError) as exc:

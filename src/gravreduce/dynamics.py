@@ -168,7 +168,7 @@ class ForceLaw(Record):
 
 
 class Trajectory(namedtuple("Trajectory", "t r v energy events energy_drift law nfev "
-                             "n_steps n_rejected legs_tiled")):
+                             "n_steps n_rejected legs_tiled tiling")):
     """The samples of one integration, with located events.
 
     ``t``, ``r``, ``v`` and ``energy`` hold one sample per accepted step of a
@@ -186,6 +186,17 @@ class Trajectory(namedtuple("Trajectory", "t r v energy events energy_drift law 
     is 0 for a run stepped whole.  ``events`` are ordered by time, then by
     kind name, and ``energy_drift`` is computed over the stepped pieces' rows,
     which hold every energy of the tiled legs.
+
+    ``tiling`` is None for a run stepped whole.  For a tiled run it is
+    ``(first, even, odd, last, n)``: the run's n whole legs, and four blocks
+    of stepped rows, each an (r, v, energy) triple of ``array('d')`` in the
+    law's units: the first piece's rows, leg 0's rows as an even leg repeats
+    them (without leg 0's first row), as an odd leg repeats them
+    (time-reversed, with v negated, without leg 0's last row), and the last
+    piece's rows without its first.  Each of the r, v and energy columns is
+    ``tiled(first[i], even[i], odd[i], last[i], n)``, built by array
+    repetition, and a writer formats each stepped row once and repeats the
+    text the same way (see :meth:`blocks`).
     """
 
     __slots__ = ()
@@ -193,6 +204,14 @@ class Trajectory(namedtuple("Trajectory", "t r v energy events energy_drift law 
     def events_of(self, kind: EventKind) -> list[Event]:
         return [e for e in self.events if e.kind is kind]
 
+    def blocks(self):
+        """``tiling``, or for a run stepped whole its (r, v, energy) samples
+        as a first piece with no legs: the rows that a writer formats once
+        each and repeats with ``tiled``."""
+        return self.tiling or ((self.r, self.v, self.energy), _NO_ROWS, _NO_ROWS, _NO_ROWS, 0)
+
+
+_NO_ROWS = ([], [], [])
 
 _MIN_RTOL = 100.0 * sys.float_info.epsilon   # smaller relative errors are round-off
 SOLVER_METHOD = "DOP853"                      # the stepper of gravreduce.dop853
@@ -248,9 +267,11 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
     tau_a + k L when k is even, and leg 0 time-reversed, with its velocity
     negated, when k is odd.  Its r and |v|, and so its energy, repeat leg 0's
     bit for bit, its r = 0 events move with it, and its v = 0 event falls at
-    its end, tau_a + k L + L.  A run that escapes or ends before its second
-    turning point, or whose leg reaches ESCAPE_RADII (where a reversed leg
-    could escape), is stepped whole, as one piece.
+    its end, tau_a + k L + L.  The trajectory's ``tiling`` holds the stepped
+    rows that the legs repeat, so that a writer formats each of them once.
+    A run that escapes or ends before its second turning point, or whose leg
+    reaches ESCAPE_RADII (where a reversed leg could escape), is stepped
+    whole, as one piece, and its ``tiling`` is None.
 
     The law is read through ``force_at`` and ``potential_at`` only: the force
     is odd in r and the potential even, for r >= 0 both are bit-equal to the
@@ -262,12 +283,13 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
     Raises :class:`DomainError` for a non-finite start or end, a tolerance
     that is not positive and finite, a t_end beyond
     ``MAX_CHARACTERISTIC_TIMES`` characteristic times, an rtol below
-    100 eps (where scipy's solvers raise rtol with a warning), or a start or
-    a constant of the law that leaves the floating-point range in the
-    packet's units, and :class:`IntegrationError` for a step below the
-    floating-point spacing of tau, more than ``MAX_STEPS`` accepted steps in
-    a stepped piece or more than ``MAX_STEPS`` + 1 samples in the run, a
-    non-finite state, energy or drift, a force or potential that overflows or
+    100 eps (where scipy's solvers raise rtol with a warning), a start or a
+    constant of the law that leaves the floating-point range in the packet's
+    units, or an r0 / sigma0 or v0 / (sigma0 / t_char) that is subnormal
+    (nonzero, below ``sys.float_info.min`` in magnitude), and
+    :class:`IntegrationError` for a step below the floating-point spacing of
+    tau, more than ``MAX_STEPS`` accepted steps in a stepped piece or more
+    than ``MAX_STEPS`` + 1 samples in the run, a non-finite state, energy or drift, a force or potential that overflows or
     divides by zero, or an event root that is not bracketed.
     The sphere's potential is ``qg_potential_object``, whose own
     :class:`DomainError` passes through.
@@ -295,13 +317,18 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
         return Trajectory(t=array("d", [0.0, t_end]), r=array("d", [0.0, 0.0]),
                           v=array("d", [0.0, 0.0]), energy=array("d", [e0, e0]), events=[],
                           energy_drift=0.0, law=law, nfev=0, n_steps=0, n_rejected=0,
-                          legs_tiled=0)
+                          legs_tiled=0, tiling=None)
 
     s0 = law.packet.sigma0
     v_unit = s0 / t_char
     t_end, tau_end = float(t_end), t_end / t_char
     x0 = finite(r0 / s0, "r0 in units of sigma0")
     u0 = finite(v0 / v_unit, "v0 in units of sigma0 / t_char")
+    if 0.0 < abs(x0) < sys.float_info.min or 0.0 < abs(u0) < sys.float_info.min:
+        # h * accel underflows from such a start: u stays 0, and each step ends
+        # on a v = 0 root
+        raise DomainError("r0 / sigma0 and v0 / (sigma0 / t_char) must each be 0 or at "
+                          f"least {sys.float_info.min!r} in magnitude, not subnormal")
     from . import dop853     # here, so that critical, tau and sweep do not compile it
 
     unit_law = _in_packet_units(law)       # the unit mass: no division
@@ -327,20 +354,23 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
     try:
         pieces, n_legs = _stepped_pieces(step, x0, u0, tau_end)
         stepped = [rows(piece) for piece in pieces]
+        tiling = None
         if n_legs:
-            taus, rs, vs, energy = _tile([columns for columns, _ in stepped], n_legs)
-            taus[-1] = tau_end
+            ts, tiling = _tile([columns for columns, _ in stepped], n_legs, t_char)
+            ts[-1] = t_end
+            rs, vs, energy = (tiled(*blocks, n_legs) for blocks in zip(*tiling[:4]))
             found = _tile_events(pieces, n_legs)
             # The rows the run holds: leg 0's first only if a reversed leg
             # ends on it, and the last piece's without its first.
             starts = (0, 0 if n_legs > 1 else 1, 1)
         else:
             (taus, rs, vs, energy), _ = stepped[0]
+            rs, vs, energy = array("d", rs), array("d", vs), array("d", energy)
+            ts = [tau * t_char for tau in taus]
+            if taus[-1] == tau_end:
+                ts[-1] = t_end
             found = pieces[0][3]
             starts = (0,)
-        ts = [tau * t_char for tau in taus]
-        if taus[-1] == tau_end:
-            ts[-1] = t_end
     except (OverflowError, ZeroDivisionError):
         raise IntegrationError("the force or potential left the floating-point range "
                                "during integration") from None
@@ -355,13 +385,12 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
         raise IntegrationError("the trajectory's energy is not finite")
     # by time, then by the kind's name: an EventKind compares as its str value
     events = list(map(Event._make, sorted([(tau * t_char, _EVENT_KINDS[i]) for tau, i in found])))
-    return Trajectory(t=array("d", ts), r=array("d", rs), v=array("d", vs),
-                      energy=array("d", energy),
-                      events=events, energy_drift=drift, law=law,
+    return Trajectory(t=array("d", ts), r=rs, v=vs, energy=energy, events=events,
+                      energy_drift=drift, law=law,
                       nfev=sum(piece[4] for piece in pieces),
                       n_steps=sum(len(piece[0]) - 1 for piece in pieces),
                       n_rejected=sum(piece[5] for piece in pieces),
-                      legs_tiled=max(n_legs - 1, 0))
+                      legs_tiled=max(n_legs - 1, 0), tiling=tiling)
 
 
 def _turned(piece, span: float) -> bool:
@@ -404,25 +433,36 @@ def _stepped_pieces(step, x0: float, u0: float, tau_end: float):
     return [step(x0, u0, tau_end, False)], 0
 
 
-def _tile(columns, n: int):
-    """The run's columns from those of its three stepped pieces (see
+def _tile(columns, n: int, t_char: float):
+    """The run's t column, in the law's units, and its ``Trajectory.tiling``,
+    from the (tau, r, v, energy) columns of its three stepped pieces (see
     :func:`_stepped_pieces`): the first piece, n whole legs, then the last
     piece, each piece's first row dropped after the first.  Leg k is leg 0
     shifted by k L when k is even, and leg 0 time-reversed, with its velocity
     negated, when k is odd; the rows of a leg that ends at a turning point
-    end at tau_a + k L + L exactly."""
+    end at tau_a + k L + L exactly.  Each t is (tau_a + k L + s) t_char, in
+    one comprehension: on Python floats it runs faster than a map over
+    float methods."""
     first, leg, last = columns
     tau_a, length = first[0][-1], leg[0][-1]
     even = [c[1:] for c in leg]
     odd = [c[-2::-1] for c in leg]
     odd[0] = [length - s for s in odd[0]]
     odd[2] = [-v for v in odd[2]]
-    taus = [tau_a + k * length + s for k in range(n) for s in (odd if k % 2 else even)[0]]
-    base = tau_a + n * length
-    out = [first[0] + taus + [base + s for s in last[0][1:]]]
-    for f, e, o, l in zip(first[1:], even[1:], odd[1:], last[1:]):
-        out.append(f + (e + o) * (n // 2) + (e if n % 2 else []) + l[1:])
-    return out
+    last = [c[1:] for c in last]
+    legs = [(tau_a + k * length, (odd if k % 2 else even)[0]) for k in range(n)]
+    legs.append((tau_a + n * length, last[0]))
+    ts = [tau * t_char for tau in first[0]] + [
+        (base + s) * t_char for base, taus in legs for s in taus]
+    blocks = [[array("d", c) for c in piece[1:]] for piece in (first, even, odd, last)]
+    return ts, (*blocks, n)
+
+
+def tiled(first, even, odd, last, n: int):
+    """The sequence ``first``, then n legs that alternate ``even`` and
+    ``odd``, then ``last``: one column of a tiled run from its stepped rows
+    (see ``Trajectory.tiling``), or anything repeated as the rows are."""
+    return first + (even + odd) * (n // 2) + even * (n % 2) + last
 
 
 def _tile_events(pieces, n: int) -> list:

@@ -5,13 +5,19 @@ command line and building the law, and hands it the law and its output
 opener.  The samples are written as a units comment, a ``t,r,v,energy``
 header and one row per sample (CSV, with an ``.events.json`` sidecar when
 written to ``--out``), or as the sidecar's keys plus ``units`` and
-``samples`` (JSON).  Every number is its ``repr``, so it round-trips.  The
-sidecar and the JSON output are written from one template (see
+``samples`` (JSON).  Every number is its ``repr``, so it round-trips.  A
+tiled run's legs repeat the r, v and energy of its stepped rows bit for
+bit, so each stepped row is formatted once and its text repeated as the
+legs repeat the row (``dynamics.Trajectory.tiling``); a run stepped whole
+is one piece with no legs, written the same way.  Only t is formatted per
+sample.  The sidecar and the JSON output are written from one template (see
 :func:`trajectory_mapping`) with the bytes ``json.dumps(..., indent=2)``
 gives, so ``simulate`` imports no ``json`` in either format.
 """
 
 from __future__ import annotations
+
+import operator
 
 from . import dynamics
 from .errors import InsufficientDataError
@@ -27,33 +33,18 @@ def _gnuplot_script(csv_path: str) -> str:
     )
 
 
-class _Reprs(dict):
-    """repr of each float looked up; a missing value, such as a zero left out
-    of the table, is formatted on each lookup."""
-
-    def __missing__(self, x):
-        return repr(x)
-
-
-def sample_columns(traj) -> list[list[str]]:
-    """The repr of every t, r, v and energy sample of the ``dynamics.Trajectory``
-    ``traj``, one list per column.  Tiled legs repeat r, |v| and the energy bit
-    for bit, so each of their distinct values is formatted once; every t is
-    distinct.  0.0 and -0.0 are one dict key, and a reversed leg ends on
-    v = -0.0, so zeros are formatted apart."""
-    columns = [list(map(repr, traj.t.tolist()))]
-    for values in (traj.r, traj.v, traj.energy):
-        values = values.tolist()
-        table = _Reprs({x: repr(x) for x in set(values) if x})
-        columns.append(list(map(table.__getitem__, values)))
-    return columns
-
-
-def trajectory_csv(columns: list[list[str]], units_comment: str) -> str:
-    """Units comment, header and one t,r,v,energy row per sample."""
+def trajectory_csv(traj, units_comment: str) -> str:
+    """Units comment, header and one t,r,v,energy row per sample of the
+    ``dynamics.Trajectory`` ``traj``.  Each stepped row's ``,r,v,energy``
+    is formatted once and repeated as the samples repeat the row (see
+    ``Trajectory.blocks``); each sample adds the repr of its t."""
+    *blocks, n = traj.blocks()
+    rows = [list(map(",%r,%r,%r\n".__mod__, zip(*block))) for block in blocks]
     return (units_comment + "t,r,v,energy\n"
-            + "\n".join(map(",".join, zip(*columns))) + "\n")
+            + "".join(map(operator.add, map(repr, traj.t), dynamics.tiled(*rows, n))))
 
+
+_SEP = ",\n      "   # between two samples of a JSON column
 
 # One entry of the events list, by kind; the repr of its time goes in.
 _EVENT = {kind: '    {\n      "time": %r,\n      "kind": "' + kind.value + '"\n    }'
@@ -82,29 +73,36 @@ _MAPPING = """{
 
 
 def trajectory_mapping(traj, period: float | None, rtol: float, atol: float,
-                       columns: list[list[str]] | None = None) -> str:
+                       samples: bool = False) -> str:
     """The law, events, period, energy drift and solver of the
     ``dynamics.Trajectory`` ``traj``, run at ``rtol`` and ``atol``, exactly as
     ``json.dumps(..., indent=2)`` writes them, newline included: the events
-    sidecar, or with the sample ``columns`` (see :func:`sample_columns`) the
-    JSON output, whose last keys are ``units`` and ``samples``.  Every name is
-    plain ASCII and every number finite, so repr is json's own text."""
+    sidecar, or with ``samples`` the JSON output, whose last keys are
+    ``units`` and ``samples``.  Every name is plain ASCII and every number
+    finite, so repr is json's own text."""
     law = traj.law
     events = "[]"
     if traj.events:
         # one % over every time, not one per event
         events = ("[\n" + ",\n".join([_EVENT[kind] for _, kind in traj.events]) + "\n  ]"
                   ) % tuple([time for time, _ in traj.events])
-    samples = ""
-    if columns is not None:
-        lists = [f'    "{name}": [\n      ' + ",\n      ".join(column) + "\n    ]"
+    tail = ""
+    if samples:
+        *blocks, n = traj.blocks()
+        columns = [_SEP.join(map(repr, traj.t))]
+        for i in range(3):
+            # r, v or energy: each block's values joined once, and the texts
+            # repeated as the samples repeat the rows (see trajectory_csv)
+            texts = [[_SEP.join(map(repr, block[i]))] if block[i] else [] for block in blocks]
+            columns.append(_SEP.join(dynamics.tiled(*texts, n)))
+        lists = [f'    "{name}": [\n      {column}\n    ]'
                  for name, column in zip(("t", "r", "v", "energy"), columns)]
-        samples = (f',\n  "units": "{law.ctx.unit_system.value}",\n  "samples": {{\n'
-                   + ",\n".join(lists) + "\n  }")
+        tail = (f',\n  "units": "{law.ctx.unit_system.value}",\n  "samples": {{\n'
+                + ",\n".join(lists) + "\n  }")
     return _MAPPING % (law.kind.value, events, "null" if period is None else repr(period),
                        traj.energy_drift, dynamics.SOLVER_METHOD, rtol, atol,
                        law.characteristic_time(), traj.nfev, traj.n_steps, traj.n_rejected,
-                       len(traj.t), traj.legs_tiled, samples)
+                       len(traj.t), traj.legs_tiled, tail)
 
 
 def run(args, law: dynamics.ForceLaw, units_comment: str, output):
@@ -117,11 +115,10 @@ def run(args, law: dynamics.ForceLaw, units_comment: str, output):
     except InsufficientDataError:
         period = None
 
-    columns = sample_columns(traj)
     if args.format == "json":
-        text = trajectory_mapping(traj, period, args.rtol, args.atol, columns)
+        text = trajectory_mapping(traj, period, args.rtol, args.atol, samples=True)
     else:
-        text = trajectory_csv(columns, units_comment)
+        text = trajectory_csv(traj, units_comment)
     with output(args.out) as fh:
         fh.write(text)
     if args.format == "csv" and args.out:

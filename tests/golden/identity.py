@@ -36,7 +36,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
 PATH = Path(__file__).with_name("identity.json")
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.append(str(ROOT / "bench"))
 
 import workloads  # noqa: E402
 from gravreduce import cli  # noqa: E402

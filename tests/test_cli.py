@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import gravreduce
-from gravreduce import cli, criticality, dynamics, simulate, sweep
+from gravreduce import cli, criticality, dynamics, sweep
 from gravreduce.core import Body, PhysicalContext, WavePacket
 from gravreduce.errors import DomainError
 
@@ -645,6 +645,18 @@ def test_tau_refuses_no_numeric_for_a_sphere_from_a_config_file(line, refused, t
 SIMULATE = ["simulate", "--mass", "1", "--sigma0", "1", "--r0", "1", "--t-end", "10"]
 
 
+@pytest.mark.parametrize("start", [["--r0", "5e-324"], ["--r0", "0", "--v0", "5e-324"]])
+def test_simulate_refuses_a_subnormal_start(start, tmp_path):
+    # Not refused, the first wrote 10,001 v-zero events over 9,997 tiled
+    # legs, the second 197,782 samples.
+    out = tmp_path / "traj.csv"
+    code, stdout, err = run(["simulate", "--mass", "1", "--sigma0", "1", *start,
+                             "--t-end", "100", "--out", str(out)])
+    assert (code, stdout) == (cli.EXIT_CONFIG, "")
+    assert err.startswith("error: ") and "subnormal" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_simulate_reports_the_solver_effort(tmp_path):
     code, out, err = run(SIMULATE + ["--format", "json", "--rtol", "1e-8"])
     payload = json.loads(out)
@@ -875,41 +887,6 @@ def test_printed_mixed_variant_config_key_exits_2(tmp_path):
     config = write_config(tmp_path, "printed_mixed_variant = true\n")
     assert run(SIMULATE + ["--law", "mixed-point", "--config", config]) == (
         cli.EXIT_CONFIG, "", "error: unknown config key: printed_mixed_variant\n")
-
-
-def test_trajectory_writers_are_the_per_value_formatting():
-    # Over 40 t_char the run is tiled with reversed legs, which end on
-    # v = -0.0 and start from v = 0.0: one dict key, formatted apart.
-    ctx = PhysicalContext.dimensionless()
-    law = dynamics.ForceLaw.gravity_point(WavePacket(1.0), Body.point(1.0), ctx)
-    traj = dynamics.integrate(law, r0=1.0, v0=0.0, t_end=40.0)
-    assert traj.legs_tiled > 2
-    assert {repr(v) for v in traj.v if v == 0.0} == {"0.0", "-0.0"}
-    rows = [f"{cli._fmt(float(traj.t[i]))},{cli._fmt(float(traj.r[i]))},"
-            f"{cli._fmt(float(traj.v[i]))},{cli._fmt(float(traj.energy[i]))}\n"
-            for i in range(len(traj.t))]
-    columns = simulate.sample_columns(traj)
-    expected = cli._units_comment(ctx) + "t,r,v,energy\n" + "".join(rows)
-    assert simulate.trajectory_csv(columns, cli._units_comment(ctx)) == expected
-    period = dynamics.detect_period(traj)
-    solver = {"method": "DOP853", "rtol": 1e-9, "atol": 1e-12, "t_char": 1.0,
-              "nfev": traj.nfev, "steps": traj.n_steps, "rejected": traj.n_rejected,
-              "samples": len(traj.t), "legs_tiled": traj.legs_tiled}
-    sidecar = {"law": law.kind.value,
-               "events": [{"time": e.time, "kind": e.kind.value} for e in traj.events],
-               "period": period, "energy_drift": traj.energy_drift, "solver": solver}
-    samples = {"t": traj.t.tolist(), "r": traj.r.tolist(), "v": traj.v.tolist(),
-               "energy": traj.energy.tolist()}
-    assert simulate.trajectory_mapping(traj, period, 1e-9, 1e-12) == json.dumps(
-        sidecar, indent=2) + "\n"
-    assert simulate.trajectory_mapping(traj, period, 1e-9, 1e-12, columns) == json.dumps(
-        {**sidecar, "units": "dimensionless", "samples": samples}, indent=2) + "\n"
-    argv = SIMULATE[:-1] + ["40"]
-    assert run(argv) == (cli.EXIT_OK, expected, "")
-    code, out, err = run(argv + ["--format", "json"])
-    assert (code, err) == (cli.EXIT_OK, "")
-    assert out == json.dumps(json.loads(out), indent=2) + "\n"
-    assert json.loads(out)["samples"] == samples
 
 
 def test_simulate_t_end_beyond_budget_exits_2_at_once():
@@ -1153,21 +1130,29 @@ MODULE_SETS = (
         POINT_LAW_MODULES | ({"gravreduce.potentials"} if law == "gravity-object" else set()))
        for law, extra in LAWS.items()]
     + [(*SWEEP_RUN, CLOSED_FORM_MODULES | {"gravreduce.grid", "gravreduce.sweep"}),
-       (*VERIFY_RUN, VERIFY_MODULES)])
+       (*VERIFY_RUN, VERIFY_MODULES)]
+    # the --config reader, for a run that names a file ({config}: mass = 1, sigma0 = 1)
+    + [("critical --config", ["critical", "--config", "{config}"],
+        CLOSED_FORM_MODULES | {"gravreduce.config"}),
+       ("simulate --config", SIMULATE + ["--config", "{config}"],
+        POINT_LAW_MODULES | {"gravreduce.config"})])
 
 
 @pytest.mark.parametrize("argv, modules", [case[1:] for case in MODULE_SETS],
                          ids=[case[0] for case in MODULE_SETS])
-def test_each_command_loads_only_the_modules_it_runs(argv, modules, fresh_modules):
+def test_each_command_loads_only_the_modules_it_runs(argv, modules, fresh_modules, tmp_path):
     # A fresh interpreter per command: the set is exactly what it imported.
     # critical and tau compile no module of the trajectories, the averages,
     # the minimizer, the potentials, the grids, the sweep or simulate; a
     # point-law simulate none of the closed forms or the potentials, but the
     # minimizer's module, whose bisection finds its event roots; sweep
     # neither dynamics nor dop853; verify neither the grids, the sweep nor
-    # the simulate module.
-    loaded = {m for m in fresh_modules(argv) if m.split(".")[0] == "gravreduce"}
+    # the simulate module.  Only a run with --config loads its reader.
+    config = write_config(tmp_path, "mass = 1\nsigma0 = 1\n")
+    loaded = {m for m in fresh_modules([arg.replace("{config}", config) for arg in argv])
+              if m.split(".")[0] == "gravreduce"}
     assert loaded == modules
+    assert ("gravreduce.config" in loaded) == ("--config" in argv)
 
 
 # Each is run with --format csv, and with --format json as the positive

@@ -156,7 +156,7 @@ RECORDS = {
          "parameters")]),
     Event: ((1.5, EventKind.V_ZERO), []),
     Trajectory: (((0.0, 1.0), (1.0, 0.5), (0.0, -0.5), (-1.0, -1.0), (), 0.0, UNIT_LAW,
-                  13, 1, 0, 0), []),
+                  13, 1, 0, 0, None), []),
     Expectation: ((1.0, 1e-12, 88), [
         ((1.0, -1e-12, 88), ValueError, "error estimate must be non-negative")]),
     Check: (("order-x", True, 0.5, 1.0, "detail"), []),

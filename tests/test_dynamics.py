@@ -214,6 +214,23 @@ def test_start_at_the_origin_fires_r_zero_at_t0():
     assert traj.events[0] == dynamics.Event(0.0, EventKind.R_ZERO)
 
 
+@pytest.mark.parametrize("r0, v0", [(5e-324, 0.0), (0.0, 5e-324), (-1e-320, 0.0),
+                                   (1.0, -2.2250738585072e-308)])
+def test_subnormal_start_is_refused(r0, v0):
+    # From such a start h * accel underflows: v stays exactly 0 and every
+    # step ends on a turning point, or the run drifts from the normal starts'.
+    with pytest.raises(DomainError, match="subnormal"):
+        dynamics.integrate(GRAVITY_POINT, r0, v0, 10.0)
+
+
+def test_smallest_normal_start_gives_the_period_of_a_small_start():
+    # The orbit of any start near the origin has the small-oscillation
+    # period; r0 = 1e-320, subnormal, gave 15.68906 where these give 15.68087.
+    period = dynamics.detect_period(dynamics.integrate(GRAVITY_POINT, 1e-30, 0.0, 100.0))
+    smallest = dynamics.integrate(GRAVITY_POINT, sys.float_info.min, 0.0, 100.0)
+    assert math.isclose(dynamics.detect_period(smallest), period, rel_tol=1e-12)
+
+
 def test_equilibrium_takes_no_step():
     traj = dynamics.integrate(GRAVITY_POINT, 0.0, 0.0, 5.0)
     assert traj.t.tolist() == [0.0, 5.0] and traj.r.tolist() == [0.0, 0.0]
