@@ -8,8 +8,8 @@ Subcommands:
     verify     run the oracle verification battery
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 numerical failure.  An output that cannot be written (``--out`` in a
-missing directory, stdout closed early) is a configuration error: one
+3 numerical failure.  An output that cannot be written (an empty path or
+one in a missing directory, stdout closed early) is a configuration error: one
 ``error: cannot write ...`` line on stderr, and so is a ``--gnuplot-script``
 path that names the ``--out`` file or its ``.events.json`` sidecar, refused
 before anything is written.  A stderr closed early leaves the exit code as
@@ -187,21 +187,23 @@ def _model(args, grids: dict[str, list[float]] | None = None):
 
 @contextlib.contextmanager
 def _output(out: str | None):
-    """The file ``out``, or stdout, to write to.  An output that cannot be
-    written, stdout closed early included, is a ConfigError."""
+    """The file ``out``, or stdout where ``out`` is None, to write to.  An
+    output that cannot be written, stdout closed early or an empty path
+    included, is a ConfigError."""
     try:
-        if out:
+        if out is not None:
             with open(out, "w") as fh:
                 yield fh
         else:
             yield sys.stdout
             sys.stdout.flush()
     except OSError as exc:
-        if not out and isinstance(exc, BrokenPipeError):
+        if out is None and isinstance(exc, BrokenPipeError):
             # What is left in stdout's buffer is flushed at exit: point it at
             # os.devnull, so that the exit prints no second message.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        raise ConfigError(f"cannot write {out or 'stdout'}: {exc.strerror}") from None
+        raise ConfigError(f"cannot write {'stdout' if out is None else out}: "
+                          f"{exc.strerror}") from None
 
 
 def _fail(line: str, code: int) -> int:
@@ -284,10 +286,10 @@ def cmd_simulate(args) -> int:
         args.kind = "sphere" if args.law == "gravity-object" else "point"
     _, body, packet = _model(args)
     _require(args, "r0", "t_end")
-    if args.gnuplot_script and not (args.out and args.format == "csv"):
+    if args.gnuplot_script is not None and (args.out is None or args.format != "csv"):
         raise ConfigError("--gnuplot-script plots the CSV written to --out: "
                           "it needs --out and --format csv")
-    if args.gnuplot_script and os.path.realpath(args.gnuplot_script) in (
+    if args.gnuplot_script is not None and os.path.realpath(args.gnuplot_script) in (
             os.path.realpath(args.out), os.path.realpath(args.out + ".events.json")):
         raise ConfigError("--gnuplot-script names the --out file or its .events.json "
                           "sidecar, which it would overwrite")
@@ -455,7 +457,7 @@ def main(argv=None) -> int:
     parser = build_parser(next((arg for arg in argv if not arg.startswith("-")), None))
     args = parser.parse_args(argv)
     try:
-        if args.config:
+        if args.config is not None:
             from . import config
 
             args.parser.set_defaults(**config.defaults(args))

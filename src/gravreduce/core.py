@@ -63,6 +63,13 @@ DEFAULT_RTOL = 1e-9
 DEFAULT_ATOL = 1e-12
 
 
+# The start of every float sum whose bits reach an output: sum(terms, ZERO).
+# Since Python 3.12, sum() compensates its rounding when its start is an exact
+# int or float; from a start of a float subclass it adds left to right, as
+# 3.10 and 3.11 do, so the same command writes the same bytes on each.
+ZERO = type("_Zero", (float,), {"__slots__": ()})()
+
+
 class UnitSystem(str, Enum):
     SI = "si"
     CGS = "cgs"
@@ -247,7 +254,8 @@ def in_float_range(value, what: str):
     elif type(value) is _grid():
         values = value.values
         # sum and min scan a column in C, about four times faster than a
-        # per-value pass, which runs only where the sum is not finite.
+        # per-value pass, which runs only where the sum is not finite.  The
+        # sum is not kept, so its rounding (see ZERO) reaches no output.
         total = sum(values)             # complex if any value is, else finite unless
         if type(total) is not float:    # a value is not, or the sum overflows
             ok = False

@@ -4,7 +4,9 @@ A port of scipy.integrate.DOP853 for the autonomous second-order problem
 r'' = a(r), on Python floats, with events bisected to adjacent floats on the
 dense output (see _root), so that neither numpy nor scipy runs per step.  One
 loop over the rows of scipy's Butcher matrix computes every stage, the
-step's and the dense output's (see _A).
+step's and the dense output's (see _A).  Each stage, error estimate and
+dense-output coefficient is a dot product that ``sum`` adds left to right
+from ``core.ZERO``, so a step rounds alike on every supported Python.
 ``dynamics.integrate`` calls it in the packet's own units, so its times are
 characteristic times, and imports it on the first integration.
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 import operator
 
+from .core import ZERO
 from .errors import IntegrationError
 from .minimize import bisect_sign_change
 
@@ -110,8 +113,8 @@ def _stages(accel, r: float, v: float, h: float, ps: list, qs: list, rows) -> fl
     A[s, j] q_j) h and q_s = accel(r_s), over the stages j = 1 to s before it.
     """
     for row in rows:
-        r_s = r + sum(map(operator.mul, row, ps)) * h
-        ps.append(v + sum(map(operator.mul, row, qs)) * h)
+        r_s = r + sum(map(operator.mul, row, ps), ZERO) * h
+        ps.append(v + sum(map(operator.mul, row, qs), ZERO) * h)
         qs.append(accel(r_s))
     return r_s
 
@@ -121,7 +124,7 @@ def _dense(t_old: float, h: float, y_old: float, y_new: float, k: list):
     slopes, evaluated as scipy's Dop853DenseOutput does."""
     dy = y_new - y_old
     f0, f1, f2 = dy, h * k[0] - dy, 2.0 * dy - h * (k[12] + k[0])
-    f3, f4, f5, f6 = (h * sum(map(operator.mul, d, k)) for d in _D)
+    f3, f4, f5, f6 = (h * sum(map(operator.mul, d, k), ZERO) for d in _D)
 
     def y(t: float) -> float:
         x = (t - t_old) / h
@@ -171,10 +174,10 @@ def solve(accel, r: float, v: float, t_end: float, h_abs: float,
             nfev += 12
             scale_r = atol + max(abs(r), abs(r_new)) * rtol
             scale_v = atol + max(abs(v), abs(v_new)) * rtol
-            e5_r = sum(map(operator.mul, _E5, ps)) / scale_r
-            e5_v = sum(map(operator.mul, _E5, qs)) / scale_v
-            e3_r = sum(map(operator.mul, _E3, ps)) / scale_r
-            e3_v = sum(map(operator.mul, _E3, qs)) / scale_v
+            e5_r = sum(map(operator.mul, _E5, ps), ZERO) / scale_r
+            e5_v = sum(map(operator.mul, _E5, qs), ZERO) / scale_v
+            e3_r = sum(map(operator.mul, _E3, ps), ZERO) / scale_r
+            e3_v = sum(map(operator.mul, _E3, qs), ZERO) / scale_v
             err5 = e5_r * e5_r + e5_v * e5_v
             err3 = e3_r * e3_r + e3_v * e3_v
             if err5 == 0.0 and err3 == 0.0:

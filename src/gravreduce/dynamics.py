@@ -23,7 +23,6 @@ end; every whole leg between them is built from the stepped one.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from array import array
 from collections import namedtuple
@@ -187,31 +186,23 @@ class Trajectory(namedtuple("Trajectory", "t r v energy events energy_drift law 
     kind name, and ``energy_drift`` is computed over the stepped pieces' rows,
     which hold every energy of the tiled legs.
 
-    ``tiling`` is None for a run stepped whole.  For a tiled run it is
-    ``(first, even, odd, last, n)``: the run's n whole legs, and four blocks
-    of stepped rows, each an (r, v, energy) triple of ``array('d')`` in the
-    law's units: the first piece's rows, leg 0's rows as an even leg repeats
-    them (without leg 0's first row), as an odd leg repeats them
-    (time-reversed, with v negated, without leg 0's last row), and the last
-    piece's rows without its first.  Each of the r, v and energy columns is
+    ``tiling`` is ``(first, even, odd, last, n)``: the run's n whole legs,
+    and four blocks of stepped rows, each an (r, v, energy) triple of
+    ``array('d')`` in the law's units: the first piece's rows, leg 0's rows
+    as an even leg repeats them (without leg 0's first row), as an odd leg
+    repeats them (time-reversed, with v negated, without leg 0's last row),
+    and the last piece's rows without its first.  A run stepped whole, the
+    equilibrium start included, is a first piece with no legs and three
+    empty blocks.  Each of the r, v and energy columns is
     ``tiled(first[i], even[i], odd[i], last[i], n)``, built by array
     repetition, and a writer formats each stepped row once and repeats the
-    text the same way (see :meth:`blocks`).
+    text the same way.
     """
 
     __slots__ = ()
 
     def events_of(self, kind: EventKind) -> list[Event]:
         return [e for e in self.events if e.kind is kind]
-
-    def blocks(self):
-        """``tiling``, or for a run stepped whole its (r, v, energy) samples
-        as a first piece with no legs: the rows that a writer formats once
-        each and repeats with ``tiled``."""
-        return self.tiling or ((self.r, self.v, self.energy), _NO_ROWS, _NO_ROWS, _NO_ROWS, 0)
-
-
-_NO_ROWS = ([], [], [])
 
 _MIN_RTOL = 100.0 * sys.float_info.epsilon   # smaller relative errors are round-off
 SOLVER_METHOD = "DOP853"                      # the stepper of gravreduce.dop853
@@ -271,7 +262,7 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
     rows that the legs repeat, so that a writer formats each of them once.
     A run that escapes or ends before its second turning point, or whose leg
     reaches ESCAPE_RADII (where a reversed leg could escape), is stepped
-    whole, as one piece, and its ``tiling`` is None.
+    whole, as one piece, and its ``tiling`` has no legs.
 
     The law is read through ``force_at`` and ``potential_at`` only: the force
     is odd in r and the potential even, for r >= 0 both are bit-equal to the
@@ -314,10 +305,11 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
     if r0 == 0.0 and v0 == 0.0:
         # Equilibrium point: the solution is identically zero, no step is taken.
         e0 = law.potential_at(0.0)
-        return Trajectory(t=array("d", [0.0, t_end]), r=array("d", [0.0, 0.0]),
-                          v=array("d", [0.0, 0.0]), energy=array("d", [e0, e0]), events=[],
-                          energy_drift=0.0, law=law, nfev=0, n_steps=0, n_rejected=0,
-                          legs_tiled=0, tiling=None)
+        first = (array("d", [0.0, 0.0]), array("d", [0.0, 0.0]), array("d", [e0, e0]))
+        none = (array("d"),) * 3
+        return Trajectory(t=array("d", [0.0, t_end]), r=first[0], v=first[1], energy=first[2],
+                          events=[], energy_drift=0.0, law=law, nfev=0, n_steps=0,
+                          n_rejected=0, legs_tiled=0, tiling=(first, none, none, none, 0))
 
     s0 = law.packet.sigma0
     v_unit = s0 / t_char
@@ -342,42 +334,29 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
 
     def rows(piece):
         """A stepped piece's (tau, r, v, energy) columns, in the law's units
-        but for tau, and its kinetic energies."""
-        taus, xs, us = piece[:3]
+        but for tau, and its events."""
+        taus, xs, us, events = piece[:4]
         rs = [x * s0 for x in xs]
         vs = [u * v_unit for u in us]
         if not all(map(math.isfinite, rs + vs)):
             raise IntegrationError("non-finite state encountered during integration")
-        kinetic = [0.5 * m * vi * vi for vi in vs]
-        return (taus, rs, vs, list(map(operator.add, kinetic, map(law.potential_at, rs)))), kinetic
+        energy = [0.5 * m * vi * vi + e for vi, e in zip(vs, map(law.potential_at, rs))]
+        return (taus, rs, vs, energy), events
 
     try:
         pieces, n_legs = _stepped_pieces(step, x0, u0, tau_end)
-        stepped = [rows(piece) for piece in pieces]
-        tiling = None
-        if n_legs:
-            ts, tiling = _tile([columns for columns, _ in stepped], n_legs, t_char)
+        ts, found, tiling = _tile([rows(piece) for piece in pieces], n_legs, t_char)
+        if n_legs or pieces[0][0][-1] == tau_end:      # not ended early by an escape
             ts[-1] = t_end
-            rs, vs, energy = (tiled(*blocks, n_legs) for blocks in zip(*tiling[:4]))
-            found = _tile_events(pieces, n_legs)
-            # The rows the run holds: leg 0's first only if a reversed leg
-            # ends on it, and the last piece's without its first.
-            starts = (0, 0 if n_legs > 1 else 1, 1)
-        else:
-            (taus, rs, vs, energy), _ = stepped[0]
-            rs, vs, energy = array("d", rs), array("d", vs), array("d", energy)
-            ts = [tau * t_char for tau in taus]
-            if taus[-1] == tau_end:
-                ts[-1] = t_end
-            found = pieces[0][3]
-            starts = (0,)
+        columns = list(zip(*tiling[:4]))       # the blocks of r, of v and of energy
+        rs, vs, energy = (tiled(*blocks, n_legs) for blocks in columns)
+        # With min(n_legs, 2) legs, each block the run repeats is there once:
+        # every speed and energy of the run.
+        velocities, energies = (tiled(*blocks, min(n_legs, 2)) for blocks in columns[1:])
     except (OverflowError, ZeroDivisionError):
         raise IntegrationError("the force or potential left the floating-point range "
                                "during integration") from None
-    # Tiled legs repeat the stepped rows bit for bit, so those rows hold every
-    # energy and kinetic energy of the run.
-    energies = [e for (columns, _), i in zip(stepped, starts) for e in columns[3][i:]]
-    kinetic = [k for (_, ks), i in zip(stepped, starts) for k in ks[i:]]
+    kinetic = [0.5 * m * vi * vi for vi in velocities]
     e0 = energies[0]
     scale = max(abs(e0), max(kinetic), 1e-300)
     drift = max(abs(e - e0) for e in energies) / scale
@@ -410,11 +389,13 @@ def _stepped_pieces(step, x0: float, u0: float, tau_end: float):
     legs (leg 0 included) that end before tau_end.  Every other run is one
     piece, stepped as a whole, with n = 0: one that escapes or ends before
     its first turning point, one that ends before its second, and one whose
-    leg reaches ESCAPE_RADII, where a reversed leg could escape.
+    leg reaches ESCAPE_RADII, where a reversed leg could escape.  That piece
+    is followed by two one-row pieces, with no steps and no events, as its
+    leg and last piece, so that every run has three.
     """
     first = step(x0, u0, tau_end, True)
     if not _turned(first, tau_end):
-        return [first], 0       # the whole run: no turning point stopped it
+        return [first, _END, _END], 0       # the whole run: no turning point stopped it
     tau_a, x_a = first[0][-1], first[1][-1]
     leg = step(x_a, 0.0, tau_end - tau_a, True)
     if _turned(leg, tau_end - tau_a) and max(abs(x_a), abs(leg[1][-1])) < ESCAPE_RADII:
@@ -430,20 +411,28 @@ def _stepped_pieces(step, x0: float, u0: float, tau_end: float):
                 raise IntegrationError(f"the run would take {n_rows - 1} steps with its "
                                        f"tiled legs, more than {MAX_STEPS}")
             return [first, leg, last], n
-    return [step(x0, u0, tau_end, False)], 0
+    return [step(x0, u0, tau_end, False), _END, _END], 0
 
 
-def _tile(columns, n: int, t_char: float):
-    """The run's t column, in the law's units, and its ``Trajectory.tiling``,
-    from the (tau, r, v, energy) columns of its three stepped pieces (see
+# A one-row piece in dop853.solve's form (tau, x, u, events, nfev, n_rejected),
+# which a run stepped whole ends with twice: _tile keeps none of its rows.
+_END = ((0.0,), (0.0,), (0.0,), (), 0, 0)
+
+
+def _tile(pieces, n: int, t_char: float):
+    """The run's t column, in the law's units, its events, as (tau, i)
+    pairs, and its ``Trajectory.tiling``, from the ((tau, r, v, energy)
+    columns, events) of its three stepped pieces (see
     :func:`_stepped_pieces`): the first piece, n whole legs, then the last
     piece, each piece's first row dropped after the first.  Leg k is leg 0
     shifted by k L when k is even, and leg 0 time-reversed, with its velocity
     negated, when k is odd; the rows of a leg that ends at a turning point
-    end at tau_a + k L + L exactly.  Each t is (tau_a + k L + s) t_char, in
-    one comprehension: on Python floats it runs faster than a map over
-    float methods."""
-    first, leg, last = columns
+    end at tau_a + k L + L exactly.  Leg 0's r = 0 roots move with each leg,
+    each leg ends with a v = 0 root, and the root at the start of the last
+    piece, where it is at rest, is the end of the last whole leg.  Each t is
+    (tau_a + k L + s) t_char, in one comprehension: on Python floats it runs
+    faster than a map over float methods."""
+    (first, first_events), (leg, leg_events), (last, last_events) = pieces
     tau_a, length = first[0][-1], leg[0][-1]
     even = [c[1:] for c in leg]
     odd = [c[-2::-1] for c in leg]
@@ -454,8 +443,14 @@ def _tile(columns, n: int, t_char: float):
     legs.append((tau_a + n * length, last[0]))
     ts = [tau * t_char for tau in first[0]] + [
         (base + s) * t_char for base, taus in legs for s in taus]
+    origins = [s for s, i in leg_events if i == 0]
+    found = list(first_events)
+    for k, (base, _) in enumerate(legs[:-1]):
+        found += [(base + (length - s if k % 2 else s), 0) for s in origins]
+        found.append((base + length, 1))
+    found += [(legs[-1][0] + s, i) for s, i in last_events if s > 0.0 or i != 1]
     blocks = [[array("d", c) for c in piece[1:]] for piece in (first, even, odd, last)]
-    return ts, (*blocks, n)
+    return ts, found, (*blocks, n)
 
 
 def tiled(first, even, odd, last, n: int):
@@ -463,24 +458,6 @@ def tiled(first, even, odd, last, n: int):
     ``odd``, then ``last``: one column of a tiled run from its stepped rows
     (see ``Trajectory.tiling``), or anything repeated as the rows are."""
     return first + (even + odd) * (n // 2) + even * (n % 2) + last
-
-
-def _tile_events(pieces, n: int) -> list:
-    """The run's events, as (tau, i) pairs, from those of its stepped pieces
-    (see :func:`_tile`): leg 0's r = 0 roots move with each leg, each leg
-    ends with a v = 0 root, and the root at the start of the last piece,
-    where it is at rest, is the end of the last whole leg."""
-    first, leg, last = pieces
-    tau_a, length = first[0][-1], leg[0][-1]
-    origins = [s for s, i in leg[3] if i == 0]
-    found = list(first[3])
-    for k in range(n):
-        base = tau_a + k * length
-        found += [(base + (length - s if k % 2 else s), 0) for s in origins]
-        found.append((base + length, 1))
-    base = tau_a + n * length
-    found += [(base + s, i) for s, i in last[3] if s > 0.0 or i != 1]
-    return found
 
 
 def detect_period(traj: Trajectory) -> float:

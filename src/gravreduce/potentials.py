@@ -16,10 +16,12 @@ Python floats: nodes by Newton's method on the Legendre recurrence, weights
 loads numpy, so neither importing this module, as ``simulate`` does, nor
 integrating, as ``verify`` does, loads it.
 
-Sign convention: the self-gravitational potentials are the running integral
-of (classical kernel) * density * 4 pi r'^2, which is negative wherever the
-kernel is attractive.  Forces are the negative radial derivatives of their
-potentials; this pairing is enforced by tests, not assumed.
+Sign convention: the self-gravitational potentials U are the running
+integral of (classical kernel) * density * 4 pi r'^2, which is negative
+wherever the kernel is attractive.  The sphere's force is -dU/dr, as the
+quantum force is of its potential; the point's force is +dU/dr, so it is the
+negative gradient of the binding well -U, which the point laws of
+``dynamics`` step.  Tests enforce both pairings; neither is assumed.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import math
 import operator
 from collections.abc import Callable
 
-from .core import SQRT_2_OVER_PI, Body, PhysicalContext, WavePacket, range_error
+from .core import SQRT_2_OVER_PI, ZERO, Body, PhysicalContext, WavePacket, range_error
 from .errors import AccuracyError, BodyKindError, DomainError, SingularityError
 
 SQRT_2 = math.sqrt(2.0)
@@ -133,12 +135,13 @@ def _radial_quad(fn: Callable[[float], float], s0: float,
     weight of :func:`_panel_rule`: returns (value, abserr, l1, neval).
 
     fn is called once per node with a float radius.  Each panel's sums are
-    ``math.fsum``'s, so they are correctly rounded.  abserr sums
-    |G48 - G40| over the panels and l1 is the same rule's integral of
-    |rho fn|.  While abserr exceeds QUAD_RELTOL * max(|value|, l1), the
-    panel with the largest estimate is bisected, up to MAX_PANELS panels; the
-    caller judges what is left.  neval counts the calls of fn.  The first
-    call builds the rules (:func:`_gauss_pair`).
+    ``math.fsum``'s, so they are correctly rounded, and the totals over the
+    panels add left to right (``core.ZERO``).  abserr sums |G48 - G40| over
+    the panels and l1 is the same rule's integral of |rho fn|.  While abserr
+    exceeds QUAD_RELTOL * max(|value|, l1), the panel with the largest
+    estimate is bisected, up to MAX_PANELS panels; the caller judges what is
+    left.  neval counts the calls of fn.  The first call builds the rules
+    (:func:`_gauss_pair`).
 
     Raises :class:`DomainError` when fn, or the result, leaves the
     floating-point range.
@@ -167,7 +170,7 @@ def _radial_quad(fn: Callable[[float], float], s0: float,
         return -abs(value - comparison), a, b, value, l1
 
     def totals():
-        neg_err, _, _, value, l1 = map(sum, zip(*panels))
+        neg_err, _, _, value, l1 = (sum(column, ZERO) for column in zip(*panels))
         return value, -neg_err, l1
 
     panels = [panel(0.0, upper)]
@@ -274,7 +277,9 @@ def qg_potential_point(r: float, packet: WavePacket, body: Body,
 
 def qg_force_point(r: float, packet: WavePacket, body: Body,
                    ctx: PhysicalContext) -> float:
-    """-sqrt(2/pi) (G m^2 / sigma0^3) r exp(-r^2 / 2 sigma0^2); always attractive."""
+    """-sqrt(2/pi) (G m^2 / sigma0^3) r exp(-r^2 / 2 sigma0^2); always
+    attractive.  It is +dU/dr of U = :func:`qg_potential_point`: the negative
+    gradient of the binding well -U, not of U (see the module docstring)."""
     _require_point(body)
     if r < 0.0:
         raise DomainError(_NEGATIVE_RADIUS)

@@ -8,9 +8,9 @@ written to ``--out``), or as the sidecar's keys plus ``units`` and
 ``samples`` (JSON).  Every number is its ``repr``, so it round-trips.  A
 tiled run's legs repeat the r, v and energy of its stepped rows bit for
 bit, so each stepped row is formatted once and its text repeated as the
-legs repeat the row (``dynamics.Trajectory.tiling``); a run stepped whole
-is one piece with no legs, written the same way.  Only t is formatted per
-sample.  The sidecar and the JSON output are written from one template (see
+legs repeat the row (``dynamics.Trajectory.tiling``), a run stepped whole
+being one piece with no legs.  Only t is formatted per sample.  The sidecar
+and the JSON output are written from one template (see
 :func:`trajectory_mapping`) with the bytes ``json.dumps(..., indent=2)``
 gives, so ``simulate`` imports no ``json`` in either format.
 """
@@ -37,8 +37,8 @@ def trajectory_csv(traj, units_comment: str) -> str:
     """Units comment, header and one t,r,v,energy row per sample of the
     ``dynamics.Trajectory`` ``traj``.  Each stepped row's ``,r,v,energy``
     is formatted once and repeated as the samples repeat the row (see
-    ``Trajectory.blocks``); each sample adds the repr of its t."""
-    *blocks, n = traj.blocks()
+    ``Trajectory.tiling``); each sample adds the repr of its t."""
+    *blocks, n = traj.tiling
     rows = [list(map(",%r,%r,%r\n".__mod__, zip(*block))) for block in blocks]
     return (units_comment + "t,r,v,energy\n"
             + "".join(map(operator.add, map(repr, traj.t), dynamics.tiled(*rows, n))))
@@ -88,7 +88,7 @@ def trajectory_mapping(traj, period: float | None, rtol: float, atol: float,
                   ) % tuple([time for time, _ in traj.events])
     tail = ""
     if samples:
-        *blocks, n = traj.blocks()
+        *blocks, n = traj.tiling
         columns = [_SEP.join(map(repr, traj.t))]
         for i in range(3):
             # r, v or energy: each block's values joined once, and the texts
@@ -121,9 +121,9 @@ def run(args, law: dynamics.ForceLaw, units_comment: str, output):
         text = trajectory_csv(traj, units_comment)
     with output(args.out) as fh:
         fh.write(text)
-    if args.format == "csv" and args.out:
+    if args.format == "csv" and args.out is not None:
         with output(args.out + ".events.json") as fh:
             fh.write(trajectory_mapping(traj, period, args.rtol, args.atol))
-    if args.gnuplot_script:
+    if args.gnuplot_script is not None:
         with output(args.gnuplot_script) as fh:
             fh.write(_gnuplot_script(args.out))

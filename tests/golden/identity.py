@@ -9,15 +9,15 @@ into, and so do ``verify``, ``verify --quick`` and ``verify --quick --perturb
 it wrote, by name.  The digests are keyed by op id, so that a failure names
 the op.
 
-Python 3.12 made ``sum()`` of floats compensated, and the DOP853 stepper sums
-its stages with ``sum()``, so ``simulate`` and ``verify`` write other bytes
-on 3.12 and 3.13 than on 3.10 and 3.11.  The file therefore holds one digest
-set per group of minors (``SETS``), each with the commit and the Python minor
-it was recorded at.  The corpus detects changes; it is not an oracle (that is
-``cli.json``, see ``record.py``).
+The file holds one digest set, with the commit and the Python minor it was
+recorded at, and every supported Python checks against it: each float sum
+whose bits reach an output adds left to right (``gravreduce.core.ZERO``),
+also on 3.12 and later, where ``sum()`` of floats is otherwise compensated.
+The corpus detects changes; it is not an oracle (that is ``cli.json``, see
+``record.py``).
 
-    python tests/golden/identity.py record    # this interpreter's set, from a clean tree
-    python tests/golden/identity.py check     # every op, against this interpreter's set
+    python tests/golden/identity.py record    # the digest set, from a clean tree
+    python tests/golden/identity.py check     # every op, against the digest set
 
 Run from the repository root; ``check`` exits 1 and names each op whose
 digest differs.
@@ -42,8 +42,6 @@ sys.path.append(str(ROOT / "bench"))
 import workloads  # noqa: E402
 from gravreduce import cli  # noqa: E402
 
-# Each Python minor's digest set: minors whose outputs agree share one.
-SETS = {"3.10": "3.10/3.11", "3.11": "3.10/3.11", "3.12": "3.12/3.13", "3.13": "3.12/3.13"}
 VERIFY = (["verify"], ["verify", "--quick"], ["verify", "--quick", "--perturb", "1e-6"])
 # The paths a recording depends on: the package, and the pools it runs.
 SOURCES = ("src", "bench/workloads.py")
@@ -82,10 +80,9 @@ def digest(argv: list[str]) -> str:
     return h.hexdigest()
 
 
-def recorded() -> dict | None:
-    """This interpreter's digest set, or None where none is recorded."""
-    sets = json.loads(PATH.read_text()) if PATH.exists() else {}
-    return sets.get(SETS.get(minor()))
+def recorded() -> dict:
+    """The digest set: its commit, Python minor and digests by op id."""
+    return json.loads(PATH.read_text())
 
 
 def _git(*args) -> str:
@@ -94,27 +91,19 @@ def _git(*args) -> str:
 
 
 def record() -> int:
-    if minor() not in SETS:
-        print(f"Python {minor()} has no digest set; add it to SETS", file=sys.stderr)
-        return 2
     dirty = _git("status", "--porcelain", "--", *SOURCES)
     if dirty:
         print(f"refusing to record from a dirty tree:\n{dirty}", file=sys.stderr)
         return 2
-    sets = json.loads(PATH.read_text()) if PATH.exists() else {}
-    sets[SETS[minor()]] = {"commit": _git("rev-parse", "HEAD").strip(), "python": minor(),
-                           "digests": {op: digest(argv) for op, argv in ops().items()}}
-    PATH.write_text(json.dumps(sets, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(sets[SETS[minor()]]['digests'])} digests for Python {minor()} "
-          f"to {PATH}", file=sys.stderr)
+    digests = {op: digest(argv) for op, argv in ops().items()}
+    PATH.write_text(json.dumps({"commit": _git("rev-parse", "HEAD").strip(), "python": minor(),
+                                "digests": digests}, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(digests)} digests for Python {minor()} to {PATH}", file=sys.stderr)
     return 0
 
 
 def check() -> int:
     expected = recorded()
-    if expected is None:
-        print(f"no digest set for Python {minor()}", file=sys.stderr)
-        return 2
     argvs = ops()
     changed = [op for op in argvs if digest(argvs[op]) != expected["digests"].get(op)]
     changed += sorted(set(expected["digests"]) - set(argvs))

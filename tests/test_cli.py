@@ -744,19 +744,47 @@ def test_gnuplot_script_plots_the_csv_out(name, quoted, tmp_path):
         f"plot '{tmp_path}/{quoted}' every ::1 using 1:2 with lines title 'r(t)'\n")
 
 
-@pytest.mark.parametrize("command, where", [(command, "missing/out.txt") for command in sorted(VALID)]
+@pytest.mark.parametrize("command, where", [(command, where) for command in sorted(VALID)
+                                             for where in ("missing/out.txt", None)]
                          + [("critical", "")])
-def test_unwritable_out_exits_2(command, where, tmp_path):
-    # A path under a missing directory, or the directory itself.
-    path = tmp_path / where
-    code, out, err = run(VALID[command] + ["--out", str(path)])
-    reason = "No such file or directory" if where else "Is a directory"
+def test_unwritable_out_exits_2(command, where, tmp_path, monkeypatch):
+    # A path under a missing directory, the directory itself, or the empty
+    # path (None), once read as no --out: the output went to stdout, and
+    # simulate's events sidecar to .events.json in the working directory.
+    monkeypatch.chdir(tmp_path)
+    path = "" if where is None else str(tmp_path / where)
+    code, out, err = run(VALID[command] + ["--out", path])
+    reason = "Is a directory" if where == "" else "No such file or directory"
     assert (code, out, err) == (cli.EXIT_CONFIG, "", f"error: cannot write {path}: {reason}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_unwritable_gnuplot_script_exits_2(tmp_path):
-    csv_path, script = tmp_path / "traj.csv", tmp_path / "missing" / "plot.gp"
-    code, out, err = run(SIMULATE + ["--out", str(csv_path), "--gnuplot-script", str(script)])
+@pytest.mark.parametrize("command", sorted(VALID))
+def test_config_empty_out_is_an_unwritable_path(command, tmp_path, monkeypatch):
+    # As --out "" above: the line ``out =`` names the empty path, not stdout.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(VALID[command] + ["--config", write_config(tmp_path, "out =\n")])
+    assert (code, out, err) == (cli.EXIT_CONFIG, "",
+                                "error: cannot write : No such file or directory\n")
+    assert [path.name for path in tmp_path.iterdir()] == ["run.cfg"]
+
+
+@pytest.mark.parametrize("path", ["missing.cfg", ""])
+def test_unreadable_config_exits_2(path, tmp_path, monkeypatch):
+    # The empty path was once read as no --config: the run went on without one.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(VALID["critical"] + ["--config", path])
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err.startswith("error: cannot read config file: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["missing/plot.gp", None])
+def test_unwritable_gnuplot_script_exits_2(where, tmp_path):
+    # The empty path (None) was once read as no script: the run exited 0
+    # and wrote none.
+    csv_path = tmp_path / "traj.csv"
+    script = "" if where is None else str(tmp_path / where)
+    code, out, err = run(SIMULATE + ["--out", str(csv_path), "--gnuplot-script", script])
     assert (code, out) == (cli.EXIT_CONFIG, "")
     assert err == f"error: cannot write {script}: No such file or directory\n"
 

@@ -155,8 +155,10 @@ RECORDS = {
          "a constant of the force law is outside the floating-point range for these "
          "parameters")]),
     Event: ((1.5, EventKind.V_ZERO), []),
+    # a run stepped whole: its tiling is its rows as a first piece, with no legs
     Trajectory: (((0.0, 1.0), (1.0, 0.5), (0.0, -0.5), (-1.0, -1.0), (), 0.0, UNIT_LAW,
-                  13, 1, 0, 0, None), []),
+                  13, 1, 0, 0, (((1.0, 0.5), (0.0, -0.5), (-1.0, -1.0)), *[((), (), ())] * 3,
+                                0)), []),
     Expectation: ((1.0, 1e-12, 88), [
         ((1.0, -1e-12, 88), ValueError, "error estimate must be non-negative")]),
     Check: (("order-x", True, 0.5, 1.0, "detail"), []),

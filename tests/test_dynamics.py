@@ -150,6 +150,50 @@ def test_tables_are_scipys_bit_for_bit():
     assert [list(row) for row in dop853._D] == c.D.tolist()
 
 
+def _left_to_right(terms):
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
+# Terms on which a compensated sum (sum() of floats since Python 3.12) and a
+# left-to-right one differ, 2.0 against 0.0, and terms that sum to 0.0 left to
+# right from 0.0, as 3.11's sum() gives, but to -0.0 from a -0.0 start.
+SUM_CASES = ([1.0, 1e100, 1.0, -1e100], [-0.0] * 4)
+
+
+def test_float_sums_add_left_to_right(monkeypatch):
+    # Each sum() of dop853 (stages, error estimates, dense output) and of
+    # _radial_quad's panel totals runs with its own start on its own terms and
+    # on SUM_CASES, against a loop: a sum that rounds otherwise would write
+    # other bytes on another Python.
+    sites, wrong = set(), []
+
+    def checked_sum(terms, *start):
+        frame = sys._getframe(1)
+        site = (frame.f_code.co_filename, frame.f_lineno)
+        sites.add(site)
+        terms = list(terms)
+        for case in (terms, *SUM_CASES):
+            got, expected = sum(case, *start), _left_to_right(case)
+            if repr(got) != repr(expected):         # the bits, the sign of 0.0 included
+                wrong.append((site, case, got, expected))
+        return sum(terms, *start)
+
+    monkeypatch.setattr(dop853, "sum", checked_sum, raising=False)
+    monkeypatch.setattr(potentials, "sum", checked_sum, raising=False)
+    # from rest, so that the start and the r = 0 crossing fire events, whose
+    # steps run the dense output
+    _, _, _, events, _, _ = dop853.solve(lambda x: -x, 1.0, 0.0, 2.0, 1e-3, 1e-9, 1e-12,
+                                         10.0, 1000)
+    assert [i for _, i in events] == [1, 0]
+    # a kink at u = 1 bisects the first panel
+    assert potentials._radial_quad(lambda r: abs(r - 1.0), 1.0, 12.0)[3] > 88
+    assert len(sites) == 8, sites       # dop853's 7 sums and the panel totals
+    assert wrong == []
+
+
 # From rest at r0 = sigma0 a gravity-point leg takes 4.239 t_char, half the
 # period, so each run ends half a leg after its n-th whole one: the first
 # piece, n legs (one stepped, n - 1 tiled) and the last piece.  integrate
@@ -164,6 +208,11 @@ def test_energy_column_is_the_numpy_recomputation_bit_for_bit(case):
     if case in TILED:
         assert traj.legs_tiled == int(case.split()[0]) - 1
         assert len(traj.events_of(EventKind.V_ZERO)) == traj.legs_tiled + 3
+    # every run, stepped whole or tiled, rebuilds its columns from its tiling
+    *blocks, n = traj.tiling
+    assert max(n - 1, 0) == traj.legs_tiled
+    for i, column in enumerate((traj.r, traj.v, traj.energy)):
+        assert dynamics.tiled(*(block[i] for block in blocks), n) == column
     r = np.asarray(traj.r)
     assert np.shares_memory(r, traj.r)
     energy, drift = numpy_energy(law, r, np.asarray(traj.v))
