@@ -10,13 +10,12 @@ Subcommands:
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 numerical failure.  An output that cannot be written (an empty path or
 one in a missing directory, stdout closed early) is a configuration error: one
-``error: cannot write ...`` line on stderr, and so is a ``--gnuplot-script``
-path that names the ``--out`` file or its ``.events.json`` sidecar, refused
-before anything is written.  A stderr closed early leaves the exit code as
-it is: the error line that cannot be written is dropped, and the process
-still exits 2 (or 3 for a numerical failure).  Each option's default,
-type and choices live in the
-parser alone.  An optional ``--config`` file of ``key = value`` lines, which
+``error: cannot write ...`` line on stderr, and ``simulate`` then leaves
+none of its outputs behind (see ``simulate.run``).  A stderr closed early
+leaves the exit code as it is: the error line that cannot be written is
+dropped, and the process still exits 2 (or 3 for a numerical failure).
+Each option's default, type and choices live in the parser alone.  An
+optional ``--config`` file of ``key = value`` lines, which
 makes figure-reproduction runs self-documenting, supplies new defaults: its
 values become the subcommand's defaults and the command line is parsed again,
 so a flag wins over the file.  Keys are option names with ``-`` or ``_``.  A
@@ -128,7 +127,8 @@ import gc
 import os
 import sys
 
-from .core import DEFAULT_ATOL, DEFAULT_RTOL, Body, LawKind, PhysicalContext, WavePacket
+from .core import (DEFAULT_ATOL, DEFAULT_RTOL, Body, LawKind, PhysicalContext, UnitSystem,
+                   WavePacket)
 from .errors import AccuracyError, ConfigError, GravreduceError, IntegrationError
 
 EXIT_OK = 0
@@ -286,13 +286,6 @@ def cmd_simulate(args) -> int:
         args.kind = "sphere" if args.law == "gravity-object" else "point"
     _, body, packet = _model(args)
     _require(args, "r0", "t_end")
-    if args.gnuplot_script is not None and (args.out is None or args.format != "csv"):
-        raise ConfigError("--gnuplot-script plots the CSV written to --out: "
-                          "it needs --out and --format csv")
-    if args.gnuplot_script is not None and os.path.realpath(args.gnuplot_script) in (
-            os.path.realpath(args.out), os.path.realpath(args.out + ".events.json")):
-        raise ConfigError("--gnuplot-script names the --out file or its .events.json "
-                          "sidecar, which it would overwrite")
     ctx = _context(args)
     law = dynamics.ForceLaw(LawKind(args.law), packet, body, ctx)
     simulate.run(args, law, _units_comment(ctx), _output)
@@ -349,7 +342,7 @@ def cmd_verify(args) -> int:
 
 def _add_model(p, fmt: str, kind: str | None = "point"):
     """The unit, --format and body options of every subcommand but verify."""
-    p.add_argument("--units", choices=["si", "cgs", "dimensionless"], default="dimensionless",
+    p.add_argument("--units", choices=[u.value for u in UnitSystem], default="dimensionless",
                    help="unit system (default: %(default)s)")
     p.add_argument("--dimensionless", dest="units", action="store_const",
                    const="dimensionless", help="shorthand for --units dimensionless")

@@ -74,8 +74,6 @@ class UnitSystem(str, Enum):
     SI = "si"
     CGS = "cgs"
     DIMENSIONLESS = "dimensionless"
-    # sigma0 = m = G = 1 for one packet: the units dynamics.integrate steps in
-    PACKET = "packet"
 
 
 class Record:

@@ -29,8 +29,7 @@ from collections import namedtuple
 from enum import Enum
 
 from .core import (DEFAULT_ATOL, DEFAULT_RTOL, SQRT_2_OVER_PI, Body, LawKind,
-                   PhysicalContext, Record, UnitSystem, WavePacket, closed_form, finite,
-                   in_float_range)
+                   PhysicalContext, Record, WavePacket, closed_form, finite, in_float_range)
 from .errors import (BodyKindError, DomainError, InsufficientDataError,
                      IntegrationError)
 
@@ -70,64 +69,72 @@ Event = namedtuple("Event", "time kind")
 _LAW_CONSTANT = "a constant of the force law"
 
 
-def _kernels(kind: LawKind, packet: WavePacket, body: Body, ctx: PhysicalContext):
-    """The law's (force, potential), as closures over its constants.  Each
-    repeats its ``potentials`` entry point operation for operation, with the
-    factors of the parameters alone hoisted out; the sphere's potential calls it.
-    Each constant is checked with :func:`core.finite`: a product overflows
-    without raising."""
-    s0, m = packet.sigma0, body.mass
+def _force_kernel(kind: LawKind, s0: float, m: float, G: float, hbar: float, R):
+    """The force of the law of ``kind`` with these constants (R a sphere's
+    radius) as a closure: odd in r, and for r >= 0 its ``potentials`` entry
+    point operation for operation, with the constants' factors hoisted out,
+    each checked with :func:`core.finite`, as a product overflows silently."""
     two_s0_sq = finite(2.0 * s0 * s0, _LAW_CONSTANT)
     if kind is LawKind.GRAVITY_OBJECT:
-        R, R3 = body.radius, finite(body.radius ** 3, _LAW_CONSTANT)
-        c = finite(SQRT_2_OVER_PI * (ctx.G * m ** 2) / (2.0 * s0 ** 3), _LAW_CONSTANT)
-        # here, so that the point laws do not load potentials
-        from .potentials import qg_potential_object
+        R3 = finite(R ** 3, _LAW_CONSTANT)
+        c = finite(SQRT_2_OVER_PI * (G * m ** 2) / (2.0 * s0 ** 3), _LAW_CONSTANT)
 
         def force(r):       # odd extension through the origin
             x = abs(r)
             f = c * math.exp(-(x * x) / two_s0_sq) * (3.0 * x * x / R - x ** 4 / R3)
             return f if r >= 0.0 else -f
+        return force
 
-        def potential(r):
-            return qg_potential_object(abs(r), packet, body, ctx)
-        return force, potential
-
-    # qg_force_point's prefactor and the well's depth
-    k = finite(-SQRT_2_OVER_PI * ctx.G * m * m / s0 ** 3, _LAW_CONSTANT)
-    depth = finite(SQRT_2_OVER_PI * ctx.G * m * m / s0, _LAW_CONSTANT)
+    k = finite(-SQRT_2_OVER_PI * G * m * m / s0 ** 3, _LAW_CONSTANT)   # qg_force_point's prefactor
     if kind is LawKind.GRAVITY_POINT:
         def force(r):
             return k * r * math.exp(-(r * r) / two_s0_sq)
+        return force
 
-        def potential(r):
-            x = r / s0
-            return depth * -math.expm1(-0.5 * x * x)
-        return force, potential
-
-    hbar2 = ctx.hbar ** 2
-    force_den, six_s0_sq, potential_den = 4.0 * m * s0 ** 4, 6.0 * s0 * s0, 8.0 * m * s0 ** 4
-    for constant in (hbar2, force_den, potential_den):
-        finite(constant, _LAW_CONSTANT)
+    hbar2, force_den = hbar ** 2, finite(4.0 * m * s0 ** 4, _LAW_CONSTANT)
 
     def force(r):
         return hbar2 * r / force_den + k * r * math.exp(-(r * r) / two_s0_sq)
+    return force
+
+
+def _potential_kernel(kind: LawKind, packet: WavePacket, body: Body, ctx: PhysicalContext):
+    """The potential of the law, even in r, as :func:`_force_kernel` builds
+    its force; a point law's is the binding well."""
+    if kind is LawKind.GRAVITY_OBJECT:
+        from .potentials import qg_potential_object     # here: point laws load none
+
+        def potential(r):
+            return qg_potential_object(abs(r), packet, body, ctx)
+        return potential
+
+    s0, m = packet.sigma0, body.mass
+    depth = finite(SQRT_2_OVER_PI * ctx.G * m * m / s0, _LAW_CONSTANT)   # the binding well's
+    if kind is LawKind.GRAVITY_POINT:
+        def potential(r):
+            x = r / s0
+            return depth * -math.expm1(-0.5 * x * x)
+        return potential
+
+    hbar2, six_s0_sq, potential_den = ctx.hbar ** 2, 6.0 * s0 * s0, 8.0 * m * s0 ** 4
+    finite(potential_den, _LAW_CONSTANT)
 
     def potential(r):
         x = r / s0
         return hbar2 * (six_s0_sq - r * r) / potential_den + depth * -math.expm1(-0.5 * x * x)
-    return force, potential
+    return potential
 
 
 class ForceLaw(Record):
     """A force law bound to its (packet, body, context) parameters.
 
-    Its force and potential are built once, with the law (:func:`_kernels`).
-    ``force_at`` is odd in r and ``potential_at`` even, and for r >= 0 both
-    are bit-equal to the ``potentials`` entry points; the point laws use the
-    binding well.  A point law for a sphere, or the object law for a point
-    particle, raises :class:`BodyKindError` when built, and a constant of the
-    law outside the floating-point range raises :class:`DomainError`.
+    Its force and potential are built once, with the law
+    (:func:`_force_kernel`, :func:`_potential_kernel`).  ``force_at`` is odd
+    in r and ``potential_at`` even, and for r >= 0 both are bit-equal to the
+    ``potentials`` entry points; the point laws use the binding well.  A
+    point law for a sphere, or the object law for a point particle, raises
+    :class:`BodyKindError` when built, and a constant of the law outside the
+    floating-point range raises :class:`DomainError`.
     """
 
     _fields = ("kind", "packet", "body", "ctx")
@@ -138,22 +145,11 @@ class ForceLaw(Record):
             raise BodyKindError(f"the {kind.value} force law does not apply to a "
                                 f"{'sphere' if body.is_sphere else 'point particle'}")
         with closed_form(_LAW_CONSTANT):
-            force, potential = _kernels(kind, packet, body, ctx)
+            force = _force_kernel(kind, packet.sigma0, body.mass, ctx.G, ctx.hbar, body.radius)
+            potential = _potential_kernel(kind, packet, body, ctx)
         self._set(kind, packet, body, ctx)
         object.__setattr__(self, "_force", force)
         object.__setattr__(self, "_potential", potential)
-
-    @classmethod
-    def gravity_point(cls, packet, body, ctx) -> "ForceLaw":
-        return cls(LawKind.GRAVITY_POINT, packet, body, ctx)
-
-    @classmethod
-    def mixed_point(cls, packet, body, ctx) -> "ForceLaw":
-        return cls(LawKind.MIXED_POINT, packet, body, ctx)
-
-    @classmethod
-    def gravity_object(cls, packet, body, ctx) -> "ForceLaw":
-        return cls(LawKind.GRAVITY_OBJECT, packet, body, ctx)
 
     def force_at(self, r: float) -> float:
         return self._force(r)
@@ -177,9 +173,10 @@ class Trajectory(namedtuple("Trajectory", "t r v energy events energy_drift law 
     which shares their memory, since ``traj.r * 2`` repeats an ``array``.
     ``nfev``, ``n_steps`` and ``n_rejected`` count the work done, summed over
     the stepped pieces: ``nfev`` counts right-hand-side evaluations, one
-    ``force_at`` call each, which are one at the start of each piece, 12 per
-    step attempt, and 3 more for the dense output of each step in which an
-    event fires (a piece that starts at rest fires a v = 0 root at its start);
+    call of the force in the packet's units each, which are one at the start
+    of each piece, 12 per step attempt, and 3 more for the dense output of
+    each step in which an event fires (a piece that starts at rest fires a
+    v = 0 root at its start);
     ``n_steps`` counts accepted steps and ``n_rejected`` rejected step
     attempts.  ``legs_tiled`` counts the legs built from the stepped one, and
     is 0 for a run stepped whole.  ``events`` are ordered by time, then by
@@ -209,31 +206,14 @@ SOLVER_METHOD = "DOP853"                      # the stepper of gravreduce.dop853
 _EVENT_KINDS = (EventKind.R_ZERO, EventKind.V_ZERO, EventKind.ESCAPE)   # dop853's events 0-2
 
 
-def _in_packet_units(law: ForceLaw) -> ForceLaw:
-    """``law`` with sigma0 = m = G = 1: the same motion in x = r / sigma0
-    against tau = t / t_char, with u = v t_char / sigma0.
-
-    Only hbar and a sphere's radius remain: hbar / sqrt(G m^3 sigma0), which
-    makes the mixed law's quantum slope q / 4 with q = hbar^2 / (G m^3 sigma0),
-    and R / sigma0.  A subclass stays a subclass.
-    """
-    s0, m, ctx = law.packet.sigma0, law.body.mass, law.ctx
-    what = "hbar in units of the packet"
-    with closed_form(what):
-        hbar = ctx.hbar / (m * math.sqrt(ctx.G * m * s0))
-    body = Body.sphere(1.0, law.body.radius / s0) if law.body.is_sphere else Body.point(1.0)
-    ctx = PhysicalContext(in_float_range(hbar, what), 1.0, UnitSystem.PACKET)
-    return type(law)(law.kind, WavePacket(1.0), body, ctx)
-
-
 def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
               rtol: float = DEFAULT_RTOL, atol: float = DEFAULT_ATOL) -> Trajectory:
     """Integrate m r'' = F(r) with the adaptive Dormand-Prince 8(5,3) method.
 
     The stepper (:mod:`gravreduce.dop853`) is a scalar port of
     scipy.integrate.DOP853, so neither numpy nor scipy runs per step.  It runs
-    in the packet's own units (:func:`_in_packet_units`): x = r / sigma0
-    against tau = t / t_char, with u = v t_char / sigma0, first step
+    in the packet's own units, sigma0 = m = G = 1: x = r / sigma0 against
+    tau = t / t_char, with u = v t_char / sigma0, first step
     min(1/1000, tau_end / 10) and no maximum step.  So ``rtol`` and ``atol``
     mean the same in every unit system: atol is in units of sigma0 for r and
     of sigma0 / t_char for v.  Events are bisected on the dense output to
@@ -264,20 +244,19 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
     reaches ESCAPE_RADII (where a reversed leg could escape), is stepped
     whole, as one piece, and its ``tiling`` has no legs.
 
-    The law is read through ``force_at`` and ``potential_at`` only: the force
-    is odd in r and the potential even, for r >= 0 both are bit-equal to the
-    ``potentials`` entry points, and the body kind was checked with the law.
-    The stepper calls the force closure that ``force_at`` wraps, of the law
-    in the packet's units, without the bound method's call; a subclass that
-    overrides ``force_at`` is called through it.
+    The stepper calls the law's force built by :func:`_force_kernel` in the
+    packet's units, from hbar / (m sqrt(G m sigma0)) and R / sigma0, and the
+    energy reads ``potential_at``: the force is odd in r and the potential
+    even, for r >= 0 both are bit-equal to the ``potentials`` entry points,
+    and the body kind was checked with the law.
 
     Raises :class:`DomainError` for a non-finite start or end, a tolerance
     that is not positive and finite, a t_end beyond
     ``MAX_CHARACTERISTIC_TIMES`` characteristic times, an rtol below
-    100 eps (where scipy's solvers raise rtol with a warning), a start or a
-    constant of the law that leaves the floating-point range in the packet's
-    units, or an r0 / sigma0 or v0 / (sigma0 / t_char) that is subnormal
-    (nonzero, below ``sys.float_info.min`` in magnitude), and
+    100 eps (where scipy's solvers raise rtol with a warning), a start, hbar,
+    a sphere's radius or a constant of the law that leaves the floating-point
+    range in the packet's units, or an r0 / sigma0 or v0 / (sigma0 / t_char)
+    that is subnormal (nonzero, below ``sys.float_info.min`` in magnitude), and
     :class:`IntegrationError` for a step below the floating-point spacing of
     tau, more than ``MAX_STEPS`` accepted steps in a stepped piece or more
     than ``MAX_STEPS`` + 1 samples in the run, a non-finite state, energy or drift, a force or potential that overflows or
@@ -323,9 +302,13 @@ def integrate(law: ForceLaw, r0: float, v0: float, t_end: float,
                           f"least {sys.float_info.min!r} in magnitude, not subnormal")
     from . import dop853     # here, so that critical, tau and sweep do not compile it
 
-    unit_law = _in_packet_units(law)       # the unit mass: no division
-    # the force closure itself, unless a subclass overrides force_at
-    accel = unit_law._force if type(unit_law).force_at is ForceLaw.force_at else unit_law.force_at
+    # the force at sigma0 = m = G = 1: the unit mass, so no division
+    what = "hbar in units of the packet"
+    with closed_form(what):
+        hbar = in_float_range(law.ctx.hbar / (m * math.sqrt(law.ctx.G * m * s0)), what)
+    R = law.body.radius and in_float_range(law.body.radius / s0, "the radius in units of sigma0")
+    with closed_form(_LAW_CONSTANT):
+        accel = _force_kernel(law.kind, 1.0, 1.0, 1.0, hbar, R)
     h0 = min(1e-3, tau_end / 10.0)
 
     def step(x, u, span, stop_at_turn):

@@ -17,10 +17,12 @@ gives, so ``simulate`` imports no ``json`` in either format.
 
 from __future__ import annotations
 
+import contextlib
 import operator
+import os
 
 from . import dynamics
-from .errors import InsufficientDataError
+from .errors import ConfigError, InsufficientDataError
 
 
 def _gnuplot_script(csv_path: str) -> str:
@@ -105,9 +107,31 @@ def trajectory_mapping(traj, period: float | None, rtol: float, atol: float,
                        len(traj.t), traj.legs_tiled, tail)
 
 
+def _write(outputs, output):
+    """Write each (path, text) of ``outputs`` through ``output``, every path
+    opened before any is written.  Each write runs in its own path's context,
+    which names that path in its ConfigError and passes a later path's on."""
+    (path, text), rest = outputs[0], outputs[1:]
+    with output(path) as fh:
+        if rest:
+            _write(rest, output)
+        fh.write(text)
+
+
 def run(args, law: dynamics.ForceLaw, units_comment: str, output):
     """Integrate ``law`` from the command line's start and write the samples,
-    the events sidecar and the gnuplot script, each through ``output``."""
+    with a CSV ``--out`` its events sidecar, and any gnuplot script, through
+    ``output``: all of them or, if one cannot be opened or written, none, for
+    the files the run created are removed.  A script without a CSV ``--out``
+    to plot, or naming it or its sidecar, is refused before the run."""
+    csv_out = args.format == "csv" and args.out is not None
+    if args.gnuplot_script is not None and not csv_out:
+        raise ConfigError("--gnuplot-script plots the CSV written to --out: "
+                          "it needs --out and --format csv")
+    if args.gnuplot_script is not None and os.path.realpath(args.gnuplot_script) in (
+            os.path.realpath(args.out), os.path.realpath(args.out + ".events.json")):
+        raise ConfigError("--gnuplot-script names the --out file or its .events.json "
+                          "sidecar, which it would overwrite")
     traj = dynamics.integrate(law, r0=args.r0, v0=args.v0, t_end=args.t_end,
                               rtol=args.rtol, atol=args.atol)
     try:
@@ -115,15 +139,18 @@ def run(args, law: dynamics.ForceLaw, units_comment: str, output):
     except InsufficientDataError:
         period = None
 
-    if args.format == "json":
-        text = trajectory_mapping(traj, period, args.rtol, args.atol, samples=True)
-    else:
-        text = trajectory_csv(traj, units_comment)
-    with output(args.out) as fh:
-        fh.write(text)
-    if args.format == "csv" and args.out is not None:
-        with output(args.out + ".events.json") as fh:
-            fh.write(trajectory_mapping(traj, period, args.rtol, args.atol))
+    outputs = [(args.out, trajectory_csv(traj, units_comment) if args.format == "csv" else
+                trajectory_mapping(traj, period, args.rtol, args.atol, samples=True))]
+    if csv_out:
+        outputs.append((args.out + ".events.json",
+                        trajectory_mapping(traj, period, args.rtol, args.atol)))
     if args.gnuplot_script is not None:
-        with output(args.gnuplot_script) as fh:
-            fh.write(_gnuplot_script(args.out))
+        outputs.append((args.gnuplot_script, _gnuplot_script(args.out)))
+    created = [path for path, _ in outputs if path is not None and not os.path.lexists(path)]
+    try:
+        _write(outputs, output)
+    except BaseException:
+        for path in created:
+            with contextlib.suppress(OSError):      # none if its open failed
+                os.remove(path)
+        raise

@@ -19,7 +19,7 @@ from collections import namedtuple
 # compile does not land on the battery's heap, where it raised the peak RSS
 # by about 1.1 MB.
 from . import averages, criticality, dop853, dynamics, potentials  # noqa: F401
-from .core import Body, PhysicalContext, WavePacket
+from .core import Body, LawKind, PhysicalContext, WavePacket
 from .errors import DomainError
 
 # Each battery draws its parameters from its own stream, random.Random(RNG_SEED
@@ -78,13 +78,13 @@ def check_erf_accuracy() -> Check:
 def _gradient_pairs(packet: WavePacket, body: Body, ctx: PhysicalContext) -> list:
     """(label, potential, force) of the quantum pair, which no force law holds
     alone, and of each ``dynamics.ForceLaw`` of the body's kind."""
-    Law = dynamics.ForceLaw
-    laws = ({"self-gravity-force-point": Law.gravity_point, "mixed-force-point": Law.mixed_point}
-            if body.is_point else {"self-gravity-force-object": Law.gravity_object})
+    laws = ({"self-gravity-force-point": LawKind.GRAVITY_POINT,
+             "mixed-force-point": LawKind.MIXED_POINT}
+            if body.is_point else {"self-gravity-force-object": LawKind.GRAVITY_OBJECT})
     pairs = [("quantum-force", lambda r: potentials.quantum_potential(r, packet, body, ctx),
               lambda r: potentials.quantum_force(r, packet, body, ctx))]
-    for label, build in laws.items():
-        law = build(packet, body, ctx)
+    for label, kind in laws.items():
+        law = dynamics.ForceLaw(kind, packet, body, ctx)
         pairs.append((label, law.potential_at, law.force_at))
     return pairs
 
@@ -115,34 +115,36 @@ def check_gradient_consistency(n_points: int = 100) -> list[Check]:
     return out
 
 
+def _self_energy_pairs(r: float, packet: WavePacket, m: float, R: float,
+                       ctx: PhysicalContext) -> list:
+    """(kind, closed form, quadrature) of the self-energy at r of a point
+    particle of mass m and of a sphere of mass m and radius R."""
+    pairs = []
+    for kind, body, closed in (("point", Body.point(m), potentials.qg_potential_point),
+                               ("object", Body.sphere(m, R), potentials.qg_potential_object)):
+        numeric = potentials.qg_potential_numeric(
+            r, lambda rp: potentials.classical_kernel(rp, body, ctx), packet, ctx)
+        pairs.append((kind, closed(r, packet, body, ctx), numeric))
+    return pairs
+
+
 def check_potential_oracles(n_radii: int = 50, perturb: float = 0.0) -> list[Check]:
-    """Closed-form self-energies against direct quadrature of the definition."""
+    """Closed-form self-energies against direct quadrature of the definition
+    (:func:`_self_energy_pairs`)."""
     rng = random.Random(RNG_SEED + 1)
     ctx = PhysicalContext.dimensionless()
     factor = 1.0 + perturb
-    worst_point = 0.0
-    worst_object = 0.0
+    worst = {"point": 0.0, "object": 0.0}
     for _ in range(n_radii):
         m = 10.0 ** rng.uniform(-2, 2)
         s0 = 10.0 ** rng.uniform(-2, 2)
         R = 10.0 ** rng.uniform(-2, 2)
         r = rng.uniform(0.05, 4.0) * s0
-        packet = WavePacket(s0)
-
-        point = Body.point(m)
-        closed = potentials.qg_potential_point(r, packet, point, ctx) * factor
-        numeric = potentials.qg_potential_numeric(
-            r, lambda rp: potentials.classical_kernel(rp, point, ctx), packet, ctx)
-        worst_point = _worse(worst_point, _rel(closed, numeric))
-
-        sphere = Body.sphere(m, R)
-        closed = potentials.qg_potential_object(r, packet, sphere, ctx) * factor
-        numeric = potentials.qg_potential_numeric(
-            r, lambda rp: potentials.classical_kernel(rp, sphere, ctx), packet, ctx)
-        worst_object = _worse(worst_object, _rel(closed, numeric))
-    return [Check(f"self-energy-{kind}-vs-quadrature", worst < SELF_ENERGY_TOL, worst,
+        for kind, closed, numeric in _self_energy_pairs(r, WavePacket(s0), m, R, ctx):
+            worst[kind] = _worse(worst[kind], _rel(closed * factor, numeric))
+    return [Check(f"self-energy-{kind}-vs-quadrature", w < SELF_ENERGY_TOL, w,
                   SELF_ENERGY_TOL, f"{n_radii} random radii over 4 decades")
-            for kind, worst in (("point", worst_point), ("object", worst_object))]
+            for kind, w in worst.items()]
 
 
 def check_average_oracles(n_sets: int = 20, perturb: float = 0.0) -> list[Check]:
@@ -194,19 +196,13 @@ def check_average_oracles(n_sets: int = 20, perturb: float = 0.0) -> list[Check]
 def check_energy_conservation() -> list[Check]:
     ctx = PhysicalContext.dimensionless()
     packet = WavePacket(1.0)
-    runs = [
-        ("gravity-point", dynamics.ForceLaw.gravity_point(packet, Body.point(1.0), ctx),
-         1.0, 0.0, 20.0),
-        ("mixed-point", dynamics.ForceLaw.mixed_point(packet, Body.point(5.0), ctx),
-         1.0, 0.0, 10.0),
-        ("gravity-object",
-         dynamics.ForceLaw.gravity_object(packet, Body.sphere(1.0, 1.0), ctx),
-         1.5, 0.0, 15.0),
-    ]
+    runs = [(LawKind.GRAVITY_POINT, Body.point(1.0), 1.0, 0.0, 20.0),
+            (LawKind.MIXED_POINT, Body.point(5.0), 1.0, 0.0, 10.0),
+            (LawKind.GRAVITY_OBJECT, Body.sphere(1.0, 1.0), 1.5, 0.0, 15.0)]
     out = []
-    for name, law, r0, v0, t_end in runs:
-        traj = dynamics.integrate(law, r0, v0, t_end)
-        out.append(Check(f"energy-drift-{name}", traj.energy_drift < ENERGY_DRIFT_TOL,
+    for kind, body, r0, v0, t_end in runs:
+        traj = dynamics.integrate(dynamics.ForceLaw(kind, packet, body, ctx), r0, v0, t_end)
+        out.append(Check(f"energy-drift-{kind.value}", traj.energy_drift < ENERGY_DRIFT_TOL,
                          traj.energy_drift, ENERGY_DRIFT_TOL,
                          f"r0={r0}, v0={v0}, t_end={t_end}"))
     return out
@@ -226,7 +222,7 @@ def check_critical_constants() -> list[Check]:
     body = Body.point(1.0)
     w = criticality.critical_width_force_balance_at(body.mass, ctx)
     packet = WavePacket(w)
-    resid = averages.expect(dynamics.ForceLaw.mixed_point(packet, body, ctx).force_at,
+    resid = averages.expect(dynamics.ForceLaw(LawKind.MIXED_POINT, packet, body, ctx).force_at,
                             packet, ctx).value
     scale = averages.avg_quantum_force(packet, body, ctx)
     rel = abs(resid) / scale

@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import gravreduce
 from gravreduce import cli, criticality, dynamics, sweep
-from gravreduce.core import Body, PhysicalContext, WavePacket
+from gravreduce.core import Body, LawKind, PhysicalContext, UnitSystem, WavePacket
 from gravreduce.errors import DomainError
 
 SRC = str(Path(gravreduce.__file__).resolve().parents[1])
@@ -781,12 +781,34 @@ def test_unreadable_config_exits_2(path, tmp_path, monkeypatch):
 @pytest.mark.parametrize("where", ["missing/plot.gp", None])
 def test_unwritable_gnuplot_script_exits_2(where, tmp_path):
     # The empty path (None) was once read as no script: the run exited 0
-    # and wrote none.
+    # and wrote none.  The CSV and its sidecar, once left behind, are gone.
     csv_path = tmp_path / "traj.csv"
     script = "" if where is None else str(tmp_path / where)
     code, out, err = run(SIMULATE + ["--out", str(csv_path), "--gnuplot-script", script])
     assert (code, out) == (cli.EXIT_CONFIG, "")
     assert err == f"error: cannot write {script}: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("full", ["traj.csv", "traj.csv.events.json", "plot.gp"])
+def test_failed_write_is_named_and_leaves_no_output(full, tmp_path):
+    # Every output opens, and the write of the one linked to /dev/full fails:
+    # the error names that one, not the last one opened, and the files the
+    # run created go, those written before the failure included.
+    (tmp_path / full).symlink_to("/dev/full")
+    code, out, err = run(SIMULATE + ["--out", str(tmp_path / "traj.csv"),
+                                     "--gnuplot-script", str(tmp_path / "plot.gp")])
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err == f"error: cannot write {tmp_path / full}: No space left on device\n"
+    assert list(tmp_path.iterdir()) == [tmp_path / full]
+
+
+@pytest.mark.parametrize("command", ["critical", "simulate", "tau", "sweep"])
+def test_units_choices_are_the_unit_systems(command):
+    actions = cli.build_parser(command).parse_args([command]).parser._actions
+    units = next(a for a in actions if "--units" in a.option_strings)
+    assert units.choices == [u.value for u in UnitSystem]
 
 
 def test_stdout_closed_early_exits_2_with_one_line():
@@ -799,7 +821,8 @@ def test_stdout_closed_early_exits_2_with_one_line():
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     assert proc.stdout.readline().startswith("# units: ")
     proc.stdout.close()
-    err = proc.stderr.read()
+    with proc.stderr:
+        err = proc.stderr.read()
     assert proc.wait(timeout=SUBPROCESS_TIMEOUT_S) == cli.EXIT_CONFIG
     assert err == "error: cannot write stdout: Broken pipe\n"
 
@@ -926,7 +949,7 @@ def test_simulate_t_end_beyond_budget_exits_2_at_once():
 
 def test_step_budget_is_in_characteristic_times():
     ctx = PhysicalContext.dimensionless()
-    law = dynamics.ForceLaw.gravity_point(WavePacket(4.0), Body.point(1.0), ctx)
+    law = dynamics.ForceLaw(LawKind.GRAVITY_POINT, WavePacket(4.0), Body.point(1.0), ctx)
     limit = dynamics.MAX_CHARACTERISTIC_TIMES * law.characteristic_time()
     assert limit == 8.0 * dynamics.MAX_CHARACTERISTIC_TIMES
     with pytest.raises(DomainError, match="characteristic times"):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from gravreduce.averages import (avg_energy_point, avg_qg_force_point,
                                  avg_qg_potential_object, avg_qg_potential_point,
                                  avg_quantum_force, avg_quantum_potential, expect)
-from gravreduce.core import Body, PhysicalContext, WavePacket
+from gravreduce.core import Body, LawKind, PhysicalContext, WavePacket
 from gravreduce.criticality import (REGIMES, Regime, _energy_derivative, critical_mass_at,
                                     critical_width_energy_min,
                                     critical_width_energy_min_exact,
@@ -289,15 +289,16 @@ class TestForceBalanceResidual:
     pointwise force-balance residual."""
 
     def test_zero_at_origin(self, packet, point, ctx):
-        assert ForceLaw.mixed_point(packet, point, ctx).force_at(0.0) == 0.0
+        assert ForceLaw(LawKind.MIXED_POINT, packet, point, ctx).force_at(0.0) == 0.0
 
     def test_unit_value(self, packet, point, ctx):
-        got = ForceLaw.mixed_point(packet, point, ctx).force_at(1.0)
+        got = ForceLaw(LawKind.MIXED_POINT, packet, point, ctx).force_at(1.0)
         assert got == pytest.approx(RESIDUAL_AT_ONE, rel=1e-13)
 
     def test_mean_residual_vanishes_at_critical_width(self, point, ctx):
         packet = WavePacket(critical_width_force_balance_at(point.mass, ctx))
-        mean = expect(ForceLaw.mixed_point(packet, point, ctx).force_at, packet, ctx).value
+        law = ForceLaw(LawKind.MIXED_POINT, packet, point, ctx)
+        mean = expect(law.force_at, packet, ctx).value
         scale = avg_quantum_force(packet, point, ctx)
         assert abs(mean) / scale < 1e-9
 

@@ -24,8 +24,17 @@ from gravreduce.errors import BodyKindError, DomainError, GravreduceError, Integ
 
 CTX = PhysicalContext.dimensionless()
 PACKET = WavePacket(1.0)
-GRAVITY_POINT = ForceLaw.gravity_point(PACKET, Body.point(1.0), CTX)
+GRAVITY_POINT = ForceLaw(LawKind.GRAVITY_POINT, PACKET, Body.point(1.0), CTX)
 EPS = sys.float_info.epsilon
+
+
+def packet_force(law):
+    """The force ``integrate`` steps: the law's force kernel at
+    sigma0 = m = G = 1, with hbar / (m sqrt(G m sigma0)) and R / sigma0."""
+    s0, m, ctx = law.packet.sigma0, law.body.mass, law.ctx
+    return dynamics._force_kernel(law.kind, 1.0, 1.0, 1.0,
+                                  ctx.hbar / (m * math.sqrt(ctx.G * m * s0)),
+                                  law.body.radius and law.body.radius / s0)
 
 
 def in_packet_units(law, r0, v0, t_end):
@@ -33,8 +42,7 @@ def in_packet_units(law, r0, v0, t_end):
     acceleration, start and end in x = r / sigma0, u = v t_char / sigma0 and
     tau = t / t_char."""
     s0, t_char = law.packet.sigma0, law.characteristic_time()
-    return (dynamics._in_packet_units(law).force_at, r0 / s0, v0 * t_char / s0,
-            t_end / t_char)
+    return packet_force(law), r0 / s0, v0 * t_char / s0, t_end / t_char
 
 
 def solve(accel, x0, u0, tau_end, rtol=1e-9, atol=1e-12):
@@ -84,8 +92,9 @@ def scipy_drift(law, sol):
 
 CASES = {
     "gravity-point, v0 != 0": (GRAVITY_POINT, 1.0, 0.3, 50.0),
-    "mixed-point": (ForceLaw.mixed_point(PACKET, Body.point(5.0), CTX), 0.5, 0.1, 20.0),
-    "gravity-object": (ForceLaw.gravity_object(PACKET, Body.sphere(1.0, 1.0), CTX), 1.0, 0.2, 30.0),
+    "mixed-point": (ForceLaw(LawKind.MIXED_POINT, PACKET, Body.point(5.0), CTX), 0.5, 0.1, 20.0),
+    "gravity-object": (ForceLaw(LawKind.GRAVITY_OBJECT, PACKET, Body.sphere(1.0, 1.0), CTX),
+                       1.0, 0.2, 30.0),
     "start at r0 = 0": (GRAVITY_POINT, 0.0, 0.5, 30.0),
     "escape": (GRAVITY_POINT, 1.0, 3.0, 50.0),
 }
@@ -330,8 +339,8 @@ def test_origin_crossings_are_odd_multiples_of_the_quarter_period(long_run):
 
 LONG_RUNS = {
     "gravity-point": (GRAVITY_POINT, 1.0),
-    "mixed-point": (ForceLaw.mixed_point(PACKET, Body.point(5.0), CTX), 0.5),
-    "gravity-object": (ForceLaw.gravity_object(PACKET, Body.sphere(1.0, 1.0), CTX), 1.5),
+    "mixed-point": (ForceLaw(LawKind.MIXED_POINT, PACKET, Body.point(5.0), CTX), 0.5),
+    "gravity-object": (ForceLaw(LawKind.GRAVITY_OBJECT, PACKET, Body.sphere(1.0, 1.0), CTX), 1.5),
 }
 
 
@@ -465,24 +474,18 @@ def test_unbracketed_root_is_an_integration_error():
         dop853._root(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
-class NaNForce(ForceLaw):
-    """The gravity-point law with a force that is nan everywhere."""
-
-    def force_at(self, r):
-        return math.nan
-
-
-def test_step_below_float_spacing_is_an_integration_error():
-    # Every attempt has a nan error estimate and is rejected, so the step
-    # shrinks by MIN_FACTOR until it is below the spacing of t.
-    law = NaNForce(LawKind.GRAVITY_POINT, PACKET, Body.point(1.0), CTX)
+def test_step_below_float_spacing_is_an_integration_error(monkeypatch):
+    # The gravity-point law stepped with a force that is nan everywhere: every
+    # attempt has a nan error estimate and is rejected, so the step shrinks by
+    # MIN_FACTOR until it is below the spacing of t.
+    monkeypatch.setattr(dynamics, "_force_kernel", lambda *constants: lambda x: math.nan)
     with pytest.raises(IntegrationError, match="spacing of floating-point numbers"):
-        dynamics.integrate(law, 1.0, 0.0, 10.0)
+        dynamics.integrate(GRAVITY_POINT, 1.0, 0.0, 10.0)
 
 
 def test_stalled_steps_end_at_the_step_budget(monkeypatch):
-    # The gravity-point law with a force that is nan wherever r != 1.  From
-    # r = 1 with v != 0, steps shrink until all of a step's stage points
+    # The gravity-point law stepped with a force that is nan wherever r != 1.
+    # From r = 1 with v != 0, steps shrink until all of a step's stage points
     # round to r = 1; that step is accepted, the next one rejected, and t
     # advances by about 5e-14 per step.  A smaller budget keeps the test
     # short (the default one is reached in about 10 s); counting the calls
@@ -491,15 +494,14 @@ def test_stalled_steps_end_at_the_step_budget(monkeypatch):
     monkeypatch.setattr(dynamics, "MAX_STEPS", budget)
     calls = itertools.count()
 
-    class StallingForce(ForceLaw):
-        def force_at(self, r):
-            if next(calls) > 100 * budget:
-                raise RuntimeError("integrate kept stepping past its budget")
-            return 0.0 if r == 1.0 else math.nan
+    def stalling_force(x):
+        if next(calls) > 100 * budget:
+            raise RuntimeError("integrate kept stepping past its budget")
+        return 0.0 if x == 1.0 else math.nan
 
-    law = StallingForce(LawKind.GRAVITY_POINT, PACKET, Body.point(1.0), CTX)
+    monkeypatch.setattr(dynamics, "_force_kernel", lambda *constants: stalling_force)
     with pytest.raises(IntegrationError, match=f"took {budget} steps"):
-        dynamics.integrate(law, 1.0, 1e-3, 10.0 * law.characteristic_time())
+        dynamics.integrate(GRAVITY_POINT, 1.0, 1e-3, 10.0 * GRAVITY_POINT.characteristic_time())
 
 
 def test_small_sphere_run_fits_the_step_budget():
@@ -507,7 +509,7 @@ def test_small_sphere_run_fits_the_step_budget():
     # so one characteristic time holds 2,217 samples here, from 40 stepped
     # ones and 128 tiled legs: the budget must not be counted per
     # characteristic time.
-    law = ForceLaw.gravity_object(PACKET, Body.sphere(1.0, 0.01 * PACKET.sigma0), CTX)
+    law = ForceLaw(LawKind.GRAVITY_OBJECT, PACKET, Body.sphere(1.0, 0.01 * PACKET.sigma0), CTX)
     traj = dynamics.integrate(law, PACKET.sigma0, 0.0, law.characteristic_time())
     assert traj.t[-1] == law.characteristic_time()
     assert len(traj.t) > 1000 and traj.legs_tiled > 100
@@ -572,9 +574,9 @@ def law_draws(seed, n):
             m, s0, R = (log_uniform(rng, 1e-3, 1e3) for _ in range(3))
             packet = WavePacket(s0)
             radii = [0.0] + [5.0 * s0 * rng.random() for _ in range(24)]
-            for law in (ForceLaw.gravity_point(packet, Body.point(m), ctx),
-                        ForceLaw.mixed_point(packet, Body.point(m), ctx),
-                        ForceLaw.gravity_object(packet, Body.sphere(m, R), ctx)):
+            for law in (ForceLaw(LawKind.GRAVITY_POINT, packet, Body.point(m), ctx),
+                        ForceLaw(LawKind.MIXED_POINT, packet, Body.point(m), ctx),
+                        ForceLaw(LawKind.GRAVITY_OBJECT, packet, Body.sphere(m, R), ctx)):
                 yield law, radii
 
 
@@ -649,13 +651,47 @@ def test_packet_units_law_is_the_scaled_law():
     # two differ only by rounding, at most 4.3 eps of the largest force here.
     for law, radii in law_draws(13, 6):
         s0, t_char = law.packet.sigma0, law.characteristic_time()
-        scaled = dynamics._in_packet_units(law)
-        assert type(scaled) is type(law) and scaled.characteristic_time() == 1.0
+        scaled = packet_force(law)
         c = t_char * t_char / (s0 * law.body.mass)
         for r in radii:
             want = c * law.force_at(r)
-            assert abs(scaled.force_at(r / s0) - want) <= 16 * EPS * c * max(
+            assert abs(scaled(r / s0) - want) <= 16 * EPS * c * max(
                 abs(law.force_at(x)) for x in radii), (law, r)
+
+
+def test_integrate_builds_no_law_or_record(monkeypatch):
+    # The packet's units are the force kernel's constants: a run builds no
+    # second law, nor the body, packet and context such a law would take.
+    built = []
+
+    def counted(init):
+        def __init__(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+        return __init__
+
+    for record in (ForceLaw, Body, WavePacket, PhysicalContext):
+        monkeypatch.setattr(record, "__init__", counted(record.__init__))
+    for case in ("gravity-point, v0 != 0", "mixed-point", "gravity-object"):
+        traj = dynamics.integrate(*CASES[case])
+        assert traj.legs_tiled > 0, case
+    assert built == []
+    Body.point(1.0)
+    assert built == ["Body"]
+
+
+@pytest.mark.parametrize("law, what", [
+    # m sqrt(G m sigma0) underflows to 0
+    (ForceLaw(LawKind.MIXED_POINT, PACKET, Body.point(1e-250), CTX),
+     "hbar in units of the packet"),
+    # R / sigma0 underflows to 0: the radius given is positive, and was once
+    # refused as "sphere radius must be positive"
+    (ForceLaw(LawKind.GRAVITY_OBJECT, WavePacket(1e100), Body.sphere(1.0, 1e-300), CTX),
+     "the radius in units of sigma0"),
+])
+def test_packet_unit_constant_out_of_range_is_refused(law, what):
+    with pytest.raises(DomainError, match=f"^{what} is outside the floating-point range"):
+        dynamics.integrate(law, law.packet.sigma0, 0.0, law.characteristic_time())
 
 
 PROTON_KG, ANGSTROM_M = 1.67262192369e-27, 1e-10
@@ -668,7 +704,7 @@ def test_proton_period_is_exact_in_si_and_cgs():
     periods = []
     for ctx, m, s0 in ((PhysicalContext.si(), PROTON_KG, ANGSTROM_M),
                        (PhysicalContext.cgs(), 1e3 * PROTON_KG, 1e2 * ANGSTROM_M)):
-        law = ForceLaw.gravity_point(WavePacket(s0), Body.point(m), ctx)
+        law = ForceLaw(LawKind.GRAVITY_POINT, WavePacket(s0), Body.point(m), ctx)
         t_char = law.characteristic_time()
         traj = dynamics.integrate(law, s0, 0.0, 869.0 * t_char)
         exact = 4.0 * criticality.QUARTER_PERIOD_POINT * t_char
@@ -683,7 +719,7 @@ def test_proton_period_is_exact_in_si_and_cgs():
 def test_period_of_a_fast_packet_is_found():
     # 1 kg at sigma0 = 1 fm in SI: every turning point lies within 1e-9 s, so
     # a duplicate window with an absolute floor of 1e-9 merged them all.
-    law = ForceLaw.gravity_point(WavePacket(1e-15), Body.point(1.0), PhysicalContext.si())
+    law = ForceLaw(LawKind.GRAVITY_POINT, WavePacket(1e-15), Body.point(1.0), PhysicalContext.si())
     traj = dynamics.integrate(law, 1e-15, 0.0, 1e-16)
     exact = 4.0 * criticality.QUARTER_PERIOD_POINT * law.characteristic_time()
     assert exact == pytest.approx(3.28e-17, rel=1e-3)
@@ -709,10 +745,10 @@ def si_laws():
     s0 = packet.sigma0
     k = 200.0
     mixed_mass = (k * ctx.hbar ** 2 / (4.0 * SQRT_2_OVER_PI * ctx.G * s0)) ** (1 / 3)
-    return [(ForceLaw.gravity_point(packet, Body.point(PROTON_KG), ctx), s0),
-            (ForceLaw.gravity_object(packet, Body.sphere(PROTON_KG, 0.9 * s0), ctx),
+    return [(ForceLaw(LawKind.GRAVITY_POINT, packet, Body.point(PROTON_KG), ctx), s0),
+            (ForceLaw(LawKind.GRAVITY_OBJECT, packet, Body.sphere(PROTON_KG, 0.9 * s0), ctx),
              1.3 * s0),
-            (ForceLaw.mixed_point(packet, Body.point(mixed_mass), ctx),
+            (ForceLaw(LawKind.MIXED_POINT, packet, Body.point(mixed_mass), ctx),
              0.4 * s0 * math.sqrt(2.0 * math.log(k)))]
 
 
@@ -753,7 +789,7 @@ def test_numeric_tau_is_the_quarter_period_in_every_unit_system():
                        (PhysicalContext.cgs(), 1e3 * proton_kg, 1e2 * sigma0_m)):
         method, tau = list(criticality.taus_at(m, s0, ctx).items())[-1]
         assert method is criticality.TauMethod.QUARTER_PERIOD_NUMERIC
-        law = ForceLaw.gravity_point(WavePacket(s0), Body.point(m), ctx)
+        law = ForceLaw(LawKind.GRAVITY_POINT, WavePacket(s0), Body.point(m), ctx)
         exact = criticality.QUARTER_PERIOD_POINT * law.characteristic_time()
         assert abs(tau / exact - 1.0) <= 2 * EPS
         taus.append(tau)

@@ -13,7 +13,7 @@ from gravreduce.potentials import (_radial_quad, classical_kernel, qg_force_obje
                                    qg_force_point, qg_potential_numeric,
                                    qg_potential_object, qg_potential_point,
                                    quantum_force, quantum_potential)
-from gravreduce.verify import _gradient_pairs
+from gravreduce.verify import _gradient_pairs, _self_energy_pairs
 
 # Frozen from a 50-digit oracle.
 SQRT_2_OVER_PI = 0.79788456080286536
@@ -253,17 +253,8 @@ class TestGradientAndOracleSweeps:
             s0 = 10.0 ** rng.uniform(-2, 2)
             R = 10.0 ** rng.uniform(-2, 2)
             r = float(rng.uniform(0.05, 4.0)) * s0
-            packet = WavePacket(s0)
-            point = Body.point(m)
-            closed = qg_potential_point(r, packet, point, ctx)
-            numeric = qg_potential_numeric(
-                r, lambda rp: classical_kernel(rp, point, ctx), packet, ctx)
-            assert closed == pytest.approx(numeric, rel=1e-9)
-            sphere = Body.sphere(m, R)
-            closed = qg_potential_object(r, packet, sphere, ctx)
-            numeric = qg_potential_numeric(
-                r, lambda rp: classical_kernel(rp, sphere, ctx), packet, ctx)
-            assert closed == pytest.approx(numeric, rel=1e-9)
+            for kind, closed, numeric in _self_energy_pairs(r, WavePacket(s0), m, R, ctx):
+                assert closed == pytest.approx(numeric, rel=1e-9), kind
 
     def test_sphere_self_energy_below_sigma0_holds_to_its_l1_scale(self, ctx):
         # For r, R << sigma0 the five terms of the closed form are about
